@@ -35,6 +35,7 @@ from .errors import (
     UnboundedCertificate,
 )
 from .mode_dynamics import (
+    ModeMatrix,
     build_mode_matrices,
     coupling_gain_bound,
     kronecker_sum_spectrum_check,
@@ -195,12 +196,14 @@ def _require_assumptions(scenario: Scenario) -> None:
 def build_bundle(
     scenario: Scenario,
     signal: SwitchingSignal,
+    matrices: dict[int, ModeMatrix] | None = None,
 ) -> CertificateBundle:
     """Certification pipeline shared by certify and simulate.
 
     Raises AssumptionViolation or CertificateError when the scenario cannot
     be certified; an unbounded bundle is returned, not raised, so callers
-    can report before deciding.
+    can report before deciding. Mode matrices the caller already built for
+    this scenario are reused.
     """
     _require_assumptions(scenario)
     dyn = scenario.dynamics
@@ -211,10 +214,11 @@ def build_bundle(
             f"coupling gain {scenario.coupling_gain} is not strictly below the "
             f"admissible bound {bound:.6g}; certification refused"
         )
-    matrices = build_mode_matrices(
-        dyn, modes, scenario.coupling_gain,
-        max_dim=scenario.simulation.max_dim, warn_on_gain=False,
-    )
+    if matrices is None:
+        matrices = build_mode_matrices(
+            dyn, modes, scenario.coupling_gain,
+            max_dim=scenario.simulation.max_dim, warn_on_gain=False,
+        )
     certs = {
         mid: solve_mode_certificate(mm, gamma_margin=scenario.certification.gamma_margin)
         for mid, mm in sorted(matrices.items())
@@ -306,11 +310,16 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def _simulate_one(scenario: Scenario, args: argparse.Namespace,
                   seed: int, out: str) -> dict:
+    # one signal and one set of mode matrices serve certification and the run
     signal = scenario.resolve_signal(seed)
+    matrices = build_mode_matrices(
+        scenario.dynamics, list(scenario.modes.values()), scenario.coupling_gain,
+        max_dim=scenario.simulation.max_dim,
+    )
     bundle = None
     cert_error = None
     try:
-        bundle = build_bundle(scenario, signal)
+        bundle = build_bundle(scenario, signal, matrices)
     except (AssumptionViolation, CertificateError, ConfigError) as exc:
         cert_error = str(exc)
     result = run_scenario(
@@ -319,6 +328,8 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace,
         dt=args.dt,
         method=scenario.simulation.integrator,
         bundle=bundle,
+        signal=signal,
+        matrices=matrices,
     )
     summary = result.summary.to_dict()
     if bundle is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_DT = 1e-3
 _GRID_EPS = 1e-9
 _FULL_RETENTION_HORIZON = 100.0  # seconds of horizon kept at full resolution
+_CHUNK_STEPS = 1000  # steps whose forcing is built and checked at once
+_CSV_BLOCK_ROWS = 256  # trajectory rows formatted per write
 
 PERTURBATION_KINDS = ("zero", "constant", "sinusoidal", "random")
 
@@ -91,8 +93,34 @@ class PerturbationModel:
             return self._tiled(n_agents, p) * math.sin(2.0 * math.pi * self.frequency * t)
         # random piecewise-constant: one ball draw per (hold index, dimension)
         k = int(math.floor(t / self.hold + _GRID_EPS))
+        return self._hold_draw(k, dim)
+
+    def _hold_draw(self, k: int, dim: int) -> np.ndarray:
         rng = stream_rng(self.seed or 0, STREAM_PERTURBATION, k, dim)
         return uniform_in_ball(rng, dim, self.bound)
+
+    def sample_grid(self, times: np.ndarray, n_agents: int, p: int) -> np.ndarray | None:
+        """sample() at every time of a grid, as one (len(times), n_agents * p) array.
+
+        Row i equals sample(times[i], n_agents, p) bit for bit. Returns None
+        when the perturbation is identically zero. The random kind draws each
+        hold once, however many grid points fall inside it.
+        """
+        if self.kind == "zero" or self.bound == 0.0:
+            return None
+        times = np.asarray(times, dtype=float)
+        dim = n_agents * p
+        if self.kind == "constant":
+            return np.broadcast_to(self._tiled(n_agents, p), (len(times), dim))
+        if self.kind == "sinusoidal":
+            # math.sin per point: np.sin may round differently from sample()
+            w = 2.0 * math.pi * self.frequency
+            s = np.array([math.sin(w * t) for t in times.tolist()])
+            return self._tiled(n_agents, p) * s[:, None]
+        k = np.floor(times / self.hold + _GRID_EPS).astype(np.int64)
+        holds, which = np.unique(k, return_inverse=True)
+        draws = np.array([self._hold_draw(int(j), dim) for j in holds]).reshape(-1, dim)
+        return draws[which]
 
 
 @dataclass(eq=False)
@@ -141,11 +169,6 @@ class Trajectory:
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
-
-    def samples(self) -> Iterator[tuple[float, int, np.ndarray, np.ndarray]]:
-        for seg in self.segments:
-            for i in range(len(seg.t)):
-                yield float(seg.t[i]), seg.mode_id, seg.states[i], seg.errs[i]
 
     def max_agents(self) -> int:
         return max(seg.n_agents for seg in self.segments)
@@ -196,6 +219,63 @@ def _propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np
     return EB[:n, :n], EB[:n, n : 2 * n], EB[:n, 2 * n :]
 
 
+def _rk4_step(M: np.ndarray, step: float, x, f0, f1):
+    """One classical RK4 step of x' = M x + f.
+
+    The forcing is f0 at the start of the step, f1 at its end and their
+    mean at the midpoint (the piecewise-linear interpolant). The arguments
+    may be blocks of columns, which is how the step matrices are built.
+    """
+    fm = 0.5 * (f0 + f1)
+    k1 = M @ x + f0
+    k2 = M @ (x + 0.5 * step * k1) + fm
+    k3 = M @ (x + 0.5 * step * k2) + fm
+    k4 = M @ (x + step * k3) + f1
+    return x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_matrices(
+    M: np.ndarray, step: float, method: str, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1.
+
+    f0 and f1 are the follower forcing at the two ends of the step; the
+    leader rows of the stacked forcing are zero, so only the follower
+    columns of A0 and A1 are kept. exact: A0 = Phi1 - Phi2 / step and
+    A1 = Phi2 / step integrate the linear interpolant in closed form.
+    rk4: the stage formula applied to identity blocks.
+    """
+    dim = M.shape[0]
+    if method == "exact":
+        E, Phi1, Phi2 = _propagators(M, step)
+        A1 = Phi2 / step
+        return E, (Phi1 - A1)[:, p:], A1[:, p:]
+    eye = np.eye(dim)
+    zero = np.zeros((dim, dim - p))
+    E = _rk4_step(M, step, eye, 0.0, 0.0)
+    A0 = _rk4_step(M, step, zero, eye[:, p:], 0.0)
+    A1 = _rk4_step(M, step, zero, 0.0, eye[:, p:])
+    return E, A0, A1
+
+
+def _advance(E: np.ndarray, x: np.ndarray, G: np.ndarray | None, out: np.ndarray) -> None:
+    """Row k of out becomes E (row k-1) + G[k], starting from x."""
+    for k in range(len(out)):
+        row = out[k]
+        np.dot(E, x, out=row)
+        if G is not None:
+            row += G[k]
+        x = row
+
+
+def _max_row_norm(F: np.ndarray) -> float:
+    """Largest 2-norm over the rows of F, each taken as np.linalg.norm of
+    the row (so equal to the per-sample norm bit for bit); repeated
+    consecutive rows, as within a hold, are normed once."""
+    fresh = np.flatnonzero(np.concatenate(([True], (F[1:] != F[:-1]).any(axis=1))))
+    return max(float(np.linalg.norm(F[i])) for i in fresh)
+
+
 def integrate_segment(
     mode: ModeMatrix,
     x0: np.ndarray,
@@ -216,7 +296,11 @@ def integrate_segment(
     O(dt^4) globally, which is what the cross-check relies on. The leader
     rows of the stacked matrix are [A, 0, ..], so the leader flows by its
     own dynamics untouched by either the coupling or the forcing.
-    Integration stops early (diverged_at set) on a non-finite state.
+
+    Either method is one linear step x' = E x + A0 f0 + A1 f1, applied in
+    chunks of steps whose forcing terms are computed at once; only the
+    sampled rows are kept. Integration stops early (diverged_at set) at the
+    first step with a non-finite state, which is not kept.
     """
     if method not in ("exact", "rk4"):
         raise ConfigError(f"unknown integrator {method!r}")
@@ -234,68 +318,52 @@ def integrate_segment(
         raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
     p, n = mode.p, mode.n_agents
 
-    def forcing(t: float) -> tuple[np.ndarray, float]:
-        hv = h.sample(t, n, p)
-        f = np.zeros(dim)
-        f[p:] = hv
-        return f, float(np.linalg.norm(hv))
-
     n_full, rem = _grid(t_start, t_end, dt)
-    steps = [dt] * n_full + ([rem] if rem > 0.0 else [])
-    times = [t_start]
-    states = [x.copy()]
+    n_steps = n_full + (1 if rem > 0.0 else 0)
+    # (first step, end step, step length): chunks of full steps, then the
+    # remainder step onto t_end
+    blocks = [(a, min(a + _CHUNK_STEPS, n_full), dt) for a in range(0, n_full, _CHUNK_STEPS)]
+    if rem > 0.0:
+        blocks.append((n_full, n_steps, rem))
+    times = [np.array([t_start])]
+    states = [x[None, :].copy()]
     max_h = 0.0
     diverged_at = None
-
-    # overflow on a diverging run is expected and reported via diverged_at,
-    # so the elementwise warnings add nothing
-    if method == "exact":
-        E, Phi1, Phi2 = _propagators(M, dt)
-        rem_props = _propagators(M, rem) if rem > 0.0 else None
-        f_cur, hn = forcing(t_start)
-        max_h = max(max_h, hn)
-        t = t_start
+    built_for = None
+    for a, b, step in blocks:
+        if step != built_for:
+            # release the full step's matrices before the remainder's expm:
+            # at large dimension both would otherwise sit in the peak
+            E = A0 = A1 = None
+            E, A0, A1 = _step_matrices(M, step, method, p)
+            built_for = step
+        t_ends = t_start + np.arange(a + 1, b + 1) * dt if step == dt else np.array([t_end])
+        t_grid = np.concatenate(([t_start + a * dt], t_ends))
+        F = h.sample_grid(t_grid, n, p)
+        G = None
+        if F is not None:
+            max_h = max(max_h, _max_row_norm(F))
+            G = F[:-1] @ A0.T + F[1:] @ A1.T
+        out = np.empty((b - a, dim))
+        # overflow on a diverging run is expected and reported via
+        # diverged_at, so the elementwise warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, step in enumerate(steps):
-                t_next = t_start + (i + 1) * dt if step == dt else t_end
-                Ek, P1, P2 = (E, Phi1, Phi2) if step == dt else rem_props
-                f_next, hn = forcing(t_next)
-                max_h = max(max_h, hn)
-                x = Ek @ x + P1 @ f_cur + (P2 / step) @ (f_next - f_cur)
-                f_cur = f_next
-                t = t_next
-                if not np.isfinite(x).all():
-                    diverged_at = t
-                    break
-                if (i + 1) % sample_stride == 0 or i == len(steps) - 1:
-                    times.append(t)
-                    states.append(x.copy())
-    else:
-        t = t_start
-        f0, hn = forcing(t_start)
-        max_h = max(max_h, hn)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, step in enumerate(steps):
-                t_next = t_start + (i + 1) * dt if step == dt else t_end
-                f1, hn = forcing(t_next)
-                max_h = max(max_h, hn)
-                fm = 0.5 * (f0 + f1)
-                k1 = M @ x + f0
-                k2 = M @ (x + 0.5 * step * k1) + fm
-                k3 = M @ (x + 0.5 * step * k2) + fm
-                k4 = M @ (x + step * k3) + f1
-                x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                f0 = f1
-                t = t_next
-                if not np.isfinite(x).all():
-                    diverged_at = t
-                    break
-                if (i + 1) % sample_stride == 0 or i == len(steps) - 1:
-                    times.append(t)
-                    states.append(x.copy())
+            _advance(E, x, G, out)
+            finite = np.isfinite(out).all(axis=1)
+        step_no = np.arange(a + 1, b + 1)  # 1-based index of each step
+        keep = (step_no % sample_stride == 0) | (step_no == n_steps)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            diverged_at = float(t_ends[bad])
+            keep[bad:] = False
+        times.append(t_ends[keep])
+        states.append(out[keep])
+        if diverged_at is not None:
+            break
+        x = out[-1]
 
     return SegmentResult(
-        t=np.array(times),
+        t=np.concatenate(times),
         states=np.vstack(states),
         diverged_at=diverged_at,
         max_h_norm=max_h,
@@ -419,24 +487,30 @@ def run_scenario(
     dt: float | None = None,
     method: str = "exact",
     bundle: CertificateBundle | None = None,
+    signal: SwitchingSignal | None = None,
+    matrices: dict[int, ModeMatrix] | None = None,
 ) -> RunResult:
     """End-to-end run of a parsed scenario.
 
     Resolves the signal and initial state from the master seed, integrates,
     and summarises convergence. When a certificate bundle is supplied, the
-    tail error is compared against its ultimate bound.
+    tail error is compared against its ultimate bound. A caller that has
+    already resolved the signal for this seed, or built the mode matrices,
+    passes them in and they are not built again.
     """
     from .mode_dynamics import build_mode_matrices  # deferred, cheap
 
     master = scenario.simulation.seed if seed is None else int(seed)
     dt_eff = scenario.simulation.dt if dt is None else float(dt)
-    matrices = build_mode_matrices(
-        scenario.dynamics,
-        list(scenario.modes.values()),
-        scenario.coupling_gain,
-        max_dim=scenario.simulation.max_dim,
-    )
-    signal = scenario.resolve_signal(master)
+    if matrices is None:
+        matrices = build_mode_matrices(
+            scenario.dynamics,
+            list(scenario.modes.values()),
+            scenario.coupling_gain,
+            max_dim=scenario.simulation.max_dim,
+        )
+    if signal is None:
+        signal = scenario.resolve_signal(master)
     x0 = scenario.resolve_initial_state(master, signal.segments[0].mode)
     perturbation = scenario.perturbation.with_seed(master)
     traj = run_switched(
@@ -525,6 +599,9 @@ def lyapunov_trace(
     all_env: list[np.ndarray] = []
     violations: list[tuple[float, float, float]] = []
     v0 = None
+    # carry = sum_m mu^(i-m) e^(g (t_i - t_m)) over the switches m <= i seen
+    # so far, advanced switch to switch: no power of mu is ever formed
+    carry = 0.0
     for seg in traj.segments:
         cert = bundle.certificates[seg.mode_id]
         quad = np.einsum("ij,jk,ik->i", seg.errs, cert.P, seg.errs)
@@ -533,19 +610,14 @@ def lyapunov_trace(
             v0 = float(v[0])
         i = seg.index
         beta = np.exp(max(i, k_chatter) * ln_mu + g * (seg.t - traj.t0)) * v0
-        flow = np.zeros_like(seg.t)
-        if bundle.settled_flow > 0.0:
-            flow += bundle.settled_flow
-            for m in range(1, i + 1):
-                flow += bundle.settled_flow * mu ** (i - m + 1) * np.exp(
-                    g * (seg.t - switch_times[m - 1])
-                )
-        imp = np.zeros_like(seg.t)
-        if bundle.jump_offset > 0.0:
-            for m in range(1, i + 1):
-                imp += bundle.jump_offset * mu ** (i - m) * np.exp(
-                    g * (seg.t - switch_times[m - 1])
-                )
+        tail = 0.0  # sum_m mu^(i-m) e^(g (t - t_m)) at the segment's sample times
+        if i > 0:
+            if i > 1:
+                carry *= mu * math.exp(g * (switch_times[i - 1] - switch_times[i - 2]))
+            carry += 1.0
+            tail = carry * np.exp(g * (seg.t - switch_times[i - 1]))
+        flow = bundle.settled_flow * (1.0 + mu * tail) if bundle.settled_flow > 0.0 else 0.0
+        imp = bundle.jump_offset * tail if bundle.jump_offset > 0.0 else 0.0
         env = beta + flow + imp
         bad = v > env * (1.0 + rel_tol) + 1e-12
         for idx in np.nonzero(bad)[0]:
@@ -588,15 +660,20 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     for i in range(1, n_max + 1):
         for d in range(p):
             cols.append(f"err_agent{i}_dim{d}")
+    width_x, width_e = (n_max + 1) * p, n_max * p
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for t, mode, state, err in traj.samples():
-            row = [f"{t:.17g}", str(mode), str(len(err) // p)]
-            vals = [f"{v:.17g}" for v in state]
-            vals += [""] * ((n_max + 1) * p - len(state))
-            evals = [f"{v:.17g}" for v in err]
-            evals += [""] * (n_max * p - len(err))
-            fh.write(",".join(row + vals + evals) + "\n")
+        for seg in traj.segments:
+            n_x, n_e = seg.states.shape[1], seg.errs.shape[1]
+            # one %-template per segment: mode, agent count and padding fixed
+            fields = ["%.17g", str(seg.mode_id), str(n_e // p)]
+            fields += ["%.17g"] * n_x + [""] * (width_x - n_x)
+            fields += ["%.17g"] * n_e + [""] * (width_e - n_e)
+            row = ",".join(fields) + "\n"
+            for a in range(0, len(seg.t), _CSV_BLOCK_ROWS):
+                b = a + _CSV_BLOCK_ROWS
+                block = np.column_stack((seg.t[a:b], seg.states[a:b], seg.errs[a:b]))
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_events_csv(traj: Trajectory, path: str) -> None:

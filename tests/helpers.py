@@ -173,3 +173,54 @@ def random_signal_and_budget(
         jump_gain=mu,
     )
     return sig, budget, stable
+
+
+def reference_trajectory_csv(traj, path: str) -> None:
+    """Row-by-row trajectory CSV writer, one f-string per value.
+
+    The layout oracle for the block writer in omaslab.simulate: 17
+    significant digits, blank padding up to the largest agent count.
+    """
+    n_max = traj.max_agents()
+    p = traj.p
+    cols = ["t", "mode", "agent_count"]
+    cols += [f"xi_agent{i}_dim{d}" for i in range(n_max + 1) for d in range(p)]
+    cols += [f"err_agent{i}_dim{d}" for i in range(1, n_max + 1) for d in range(p)]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for seg in traj.segments:
+            for i in range(len(seg.t)):
+                state, err = seg.states[i], seg.errs[i]
+                row = [f"{float(seg.t[i]):.17g}", str(seg.mode_id), str(len(err) // p)]
+                vals = [f"{v:.17g}" for v in state]
+                vals += [""] * ((n_max + 1) * p - len(state))
+                evals = [f"{v:.17g}" for v in err]
+                evals += [""] * (n_max * p - len(err))
+                fh.write(",".join(row + vals + evals) + "\n")
+
+
+def envelope_by_direct_sums(traj, bundle) -> np.ndarray:
+    """The energy envelope of lyapunov_trace summed term by term.
+
+    Every sample sums mu^(N-m+1) e^(g (t - t_m)) and mu^(N-m) e^(g (t - t_m))
+    over all earlier switches m. Quadratic in the switch count and it
+    overflows once mu^N does, so it serves only short runs as an oracle.
+    """
+    mu, g = bundle.jump_gain, bundle.gamma_common
+    switch_times = [ev.t for ev in traj.events]
+    v0 = None
+    out = []
+    for seg in traj.segments:
+        errs0 = seg.errs[0]
+        if v0 is None:
+            P = bundle.certificates[seg.mode_id].P
+            v0 = math.sqrt(max(float(errs0 @ P @ errs0), 0.0))
+        i = seg.index
+        env = np.exp(max(i, bundle.chatter_bound) * math.log(mu) + g * (seg.t - traj.t0)) * v0
+        env = env + bundle.settled_flow
+        for m in range(1, i + 1):
+            decay = np.exp(g * (seg.t - switch_times[m - 1]))
+            env = env + bundle.settled_flow * mu ** (i - m + 1) * decay
+            env = env + bundle.jump_offset * mu ** (i - m) * decay
+        out.append(env)
+    return np.concatenate(out)

@@ -151,6 +151,32 @@ def test_simulate_seed_determinism(tmp_path, demo_dict, capsys):
     assert (out1 / "trajectory.csv").read_bytes() != (out3 / "trajectory.csv").read_bytes()
 
 
+def test_simulate_resolves_signal_and_builds_modes_once(tmp_path, demo_dict, capsys,
+                                                        monkeypatch):
+    import omaslab.cli
+    import omaslab.mode_dynamics
+    from omaslab.scenario import Scenario
+
+    calls = {"resolve": 0, "build": 0}
+    resolve, build = Scenario.resolve_signal, omaslab.mode_dynamics.build_mode_matrices
+
+    def counting_resolve(self, *args, **kwargs):
+        calls["resolve"] += 1
+        return resolve(self, *args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "resolve_signal", counting_resolve)
+    for module in (omaslab.cli, omaslab.mode_dynamics):
+        monkeypatch.setattr(module, "build_mode_matrices", counting_build)
+    rc, _ = run_simulate(tmp_path, demo_dict, "once")
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == {"resolve": 1, "build": 1}
+
+
 def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
     # parked in the strongly repelling mode the errors overflow near t = 120
     demo_dict["signal"] = {

@@ -3,10 +3,13 @@
 import copy
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omaslab import (
     ConfigError,
@@ -22,11 +25,21 @@ from omaslab import (
     lyapunov_trace,
     run_scenario,
     run_switched,
+    validate_switching,
 )
-from omaslab.demo import DEMO_A
-from omaslab.simulate import SegmentTrace
+from omaslab.cli import build_bundle
+from omaslab.demo import DEMO_A, demo_scenario_dict
+from omaslab.scenario import parse_scenario
+from omaslab.simulate import (
+    _CHUNK_STEPS,
+    _GRID_EPS,
+    SegmentTrace,
+    _grid,
+    _rk4_step,
+    _step_matrices,
+)
 
-from helpers import pure_relabel_event
+from helpers import envelope_by_direct_sums, pure_relabel_event, reference_trajectory_csv
 
 ZERO = PerturbationModel(kind="zero", bound=0.0)
 
@@ -385,3 +398,208 @@ def test_events_csv_layout(tmp_path, practical_run):
         assert float(row[1]) == ev.t
         assert (int(row[2]), int(row[3])) == (ev.mode_before, ev.mode_after)
         assert float(row[7]) == pytest.approx(ev.post_err_norm, rel=1e-15)
+
+
+def _mixed_trajectory() -> Trajectory:
+    """Two segments of different agent counts holding awkward values."""
+    traj = Trajectory(p=2, t0=0.0, tf=2.0)
+    states = np.array([
+        [1.0, -0.0, math.inf, 5e-324, 0.1, -2.5],
+        [math.nan, 1e300, -math.inf, 0.0, 1.0 / 3.0, 2.0 ** -1074],
+    ])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        errs = states[:, 2:] - np.tile(states[:, :2], 2)
+    traj.segments.append(SegmentTrace(
+        index=0, mode_id=3, n_agents=2, t=np.array([0.0, 1.0]), states=states, errs=errs,
+    ))
+    rng = np.random.default_rng(0)
+    states = rng.standard_normal((300, 8)) * 10.0 ** rng.integers(-300, 300, size=(300, 8))
+    traj.segments.append(SegmentTrace(
+        index=1, mode_id=12, n_agents=3, t=np.linspace(1.0, 2.0, 300),
+        states=states, errs=states[:, 2:] - np.tile(states[:, :2], 3),
+    ))
+    return traj
+
+
+def test_trajectory_csv_matches_reference_writer(tmp_path, practical_run):
+    for traj in (_mixed_trajectory(), practical_run.trajectory):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        export_trajectory_csv(traj, str(fast))
+        reference_trajectory_csv(traj, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# batched forcing and the linear stepping loop
+
+
+def _hold_grid(hold: float, ks: list[int], offsets: list[float]) -> np.ndarray:
+    """Times within a few grid tolerances of hold boundaries, none before t = 0.
+
+    The random forcing has no hold with a negative index, so a time just
+    below the first boundary is clamped to 0.
+    """
+    return np.array([max((k + off * _GRID_EPS) * hold, 0.0) for k, off in zip(ks, offsets)])
+
+
+def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The grid integrate_segment samples the forcing on, remainder included."""
+    n_full, rem = _grid(t_start, t_end, dt)
+    times = [t_start + k * dt for k in range(n_full + 1)]
+    return np.array(times + ([t_end] if rem > 0.0 else []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["zero", "constant", "sinusoidal", "random"]),
+    bound=st.sampled_from([0.0, 0.2, 3.0]),
+    n_agents=st.integers(1, 4),
+    p=st.integers(1, 3),
+    hold=st.sampled_from([0.05, 0.1, 0.037]),
+    ks=st.lists(st.integers(0, 400), min_size=1, max_size=12),
+    offsets=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+    t_start=st.floats(0.0, 20.0),
+    span=st.floats(0.0005, 0.6),
+    dt=st.sampled_from([1e-3, 0.01, 0.013]),
+    seed=st.integers(0, 2**40),
+)
+def test_sample_grid_equals_sample(kind, bound, n_agents, p, hold, ks, offsets,
+                                   t_start, span, dt, seed):
+    h = PerturbationModel(kind=kind, bound=bound, amplitude=tuple(range(1, p + 1)),
+                          frequency=1.7, hold=hold, seed=seed)
+    grids = (_hold_grid(hold, ks, offsets), _segment_grid(t_start, t_start + span, dt))
+    for times in grids:
+        batch = h.sample_grid(times, n_agents, p)
+        if kind == "zero" or bound == 0.0:
+            assert batch is None
+            assert not any(h.sample(t, n_agents, p).any() for t in times)
+            continue
+        assert batch.shape == (len(times), n_agents * p)
+        for t, row in zip(times, batch):
+            assert row.tobytes() == h.sample(float(t), n_agents, p).tobytes()
+
+
+def test_sample_grid_draws_each_hold_once(monkeypatch):
+    import omaslab.simulate as simulate
+
+    calls = []
+    real = simulate.stream_rng
+    monkeypatch.setattr(simulate, "stream_rng", lambda *a: calls.append(a) or real(*a))
+    h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
+    h.sample_grid(np.arange(1001) * 1e-3, 3, 2)  # 1 s: holds 0..20
+    assert sorted(c[2] for c in calls) == list(range(21))
+
+
+def test_rk4_step_matrices_match_stage_formula():
+    rng = np.random.default_rng(8)
+    for dim, p, step in ((3, 1, 1e-3), (8, 2, 0.05), (12, 2, 0.3)):
+        M = rng.standard_normal((dim, dim))
+        x, f0, f1 = (rng.standard_normal(dim) for _ in range(3))
+        f0[:p] = f1[:p] = 0.0  # the leader rows are never forced
+        # the four stages written out for one vector step
+        fm = 0.5 * (f0 + f1)
+        k1 = M @ x + f0
+        k2 = M @ (x + 0.5 * step * k1) + fm
+        k3 = M @ (x + 0.5 * step * k2) + fm
+        k4 = M @ (x + step * k3) + f1
+        expected = x + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        E, A0, A1 = _step_matrices(M, step, "rk4", p)
+        got = E @ x + A0 @ f0[p:] + A1 @ f1[p:]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(_rk4_step(M, step, x, f0, f1), expected, rtol=1e-15)
+
+
+def test_exact_step_matrices_integrate_linear_forcing():
+    # x' = -x + f with f ramping from 1 to 3 over one step of length s:
+    # x(s) = e^-s x0 + 3 - 2/s - (1 - 2/s) e^-s
+    mode = scalar_follower(-1.0)
+    s = 0.4
+    E, A0, A1 = _step_matrices(mode.A_full, s, "exact", 1)
+    got = E @ np.array([0.0, 0.7]) + A0 @ [1.0] + A1 @ [3.0]
+    expected = math.exp(-s) * 0.7 + 3.0 - 2.0 / s - (1.0 - 2.0 / s) * math.exp(-s)
+    assert got[1] == pytest.approx(expected, rel=1e-13)
+    assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+@pytest.mark.parametrize("stride", [1, 7, 1000])
+def test_chunked_divergence_keeps_stepwise_samples(method, stride):
+    # overflow lands deep inside a later chunk: the diverging step and the
+    # sampled rows must be those of a plain step-by-step loop
+    mode = ModeMatrix(
+        mode_id=1, n_agents=1, p=1, A_err=np.array([[50.0]]),
+        A_full=np.array([[0.0, 0.0], [0.0, 50.0]]), alpha=50.0, stable=False,
+    )
+    dt = 1e-3
+    res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=dt,
+                            method=method, sample_stride=stride)
+    E, _, _ = _step_matrices(mode.A_full, dt, method, 1)
+    x, k = np.array([0.0, 1.0]), 0
+    kept = [0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            x = E @ x
+            k += 1
+            if not np.isfinite(x).all():
+                break
+            if k % stride == 0:
+                kept.append(k * dt)
+    assert k > 3 * _CHUNK_STEPS
+    assert res.diverged_at == k * dt
+    np.testing.assert_array_equal(res.t, kept)
+    assert np.isfinite(res.states).all()
+
+
+def test_zero_perturbation_has_no_forcing_and_no_draws(monkeypatch):
+    import omaslab.simulate as simulate
+
+    monkeypatch.setattr(simulate, "stream_rng", None)  # any draw would raise
+    assert PerturbationModel(kind="random", bound=0.0).sample_grid(np.zeros(3), 2, 2) is None
+    res = integrate_segment(scalar_follower(-1.0), np.array([0.0, 1.0]),
+                            PerturbationModel(kind="random", bound=0.0), (0.0, 1.0))
+    assert res.max_h_norm == 0.0
+
+
+# --------------------------------------------------------------------------
+# envelope recurrence
+
+
+def test_envelope_recurrence_matches_direct_sums(
+    practical_run, practical_bundle, asymptotic_run, asymptotic_bundle
+):
+    for run, bundle in ((practical_run, practical_bundle), (asymptotic_run, asymptotic_bundle)):
+        trace = lyapunov_trace(run.trajectory, bundle)
+        oracle = envelope_by_direct_sums(run.trajectory, bundle)
+        np.testing.assert_allclose(trace.envelope, oracle, rtol=1e-12)
+
+
+def _many_switch_practical(pairs: int):
+    """Demo practical modes on pairs of (unstable 0.325 s, stable 5.525 s)
+    after a stable lead-in: stable/unstable = 17 on every suffix, above the
+    certified 13.16, and every pair longer than twice the dwell floor."""
+    doc = demo_scenario_dict("practical", seed=11)
+    segments, t = [], 0.0
+    for k in range(2 * pairs + 1):
+        mode = 1 if k % 2 == 0 else (2, 3, 4)[(k // 2) % 3]
+        segments.append({"t": round(t, 9), "mode": mode})
+        t += 5.525 if k % 2 == 0 else 0.325
+    doc["signal"] = {"type": "explicit", "t0": 0.0, "tf": round(t, 9), "segments": segments}
+    doc["simulation"]["dt"] = 0.025
+    return parse_scenario(doc)
+
+
+def test_envelope_finite_past_204_switches():
+    # mu^204 overflows a float for the demo's mu of about 32.6; the envelope
+    # must not form it
+    scenario = _many_switch_practical(102)
+    signal = scenario.resolve_signal(11)
+    assert signal.n_switches == 204
+    bundle = build_bundle(scenario, signal)
+    assert validate_switching(signal, bundle.budget, bundle.stable_set).ok
+    assert 204 * math.log(bundle.jump_gain) > math.log(np.finfo(float).max)
+    run = run_scenario(scenario, seed=11, bundle=bundle, signal=signal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = lyapunov_trace(run.trajectory, bundle)
+    assert np.isfinite(trace.envelope).all()
+    assert trace.ok
