@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import AssumptionViolation, CertificateError, ConfigError
 from .mode_dynamics import ModeMatrix
-from .switching import SwitchingBudget, SwitchingSignal, piecewise_adt
+from .switching import SwitchingBudget, SwitchingSignal, suffix_sweep
 from .transition import ImpulseBounds
 
 _STABLE_CLAMP = 0.1    # fallback: gamma = (1 - clamp) * alpha when alpha + margin >= 0
@@ -211,12 +211,10 @@ def assemble_bundle(
     settled_flow = flow_offset / (-g)
 
     ln_mu = math.log(mu)
-    contraction = -math.inf
-    for j in range(signal.n_switches + 1):
-        adt = piecewise_adt(signal, chatter_bound, j)
-        if math.isinf(adt):
-            continue  # unconstrained suffix contributes -inf
-        contraction = max(contraction, adt * g + ln_mu)
+    stable_set = {mid for mid, c in certs.items() if c.stable}
+    adt = suffix_sweep(signal, stable_set, chatter_bound).adt
+    adt = adt[np.isfinite(adt)]  # an unconstrained suffix contributes -inf
+    contraction = float(np.max(adt * g + ln_mu)) if adt.size else -math.inf
 
     # both drives zero: the asymptotic setting, the bound is exactly zero
     # and the contraction sign only matters for transients, not for epsilon

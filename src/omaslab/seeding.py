@@ -15,6 +15,7 @@ STREAM_IMPULSE = 1
 STREAM_DEP_GAIN = 2
 STREAM_PERTURBATION = 3
 STREAM_SIGNAL = 4
+STREAM_PERTURBATION_PAST = 5  # perturbation holds before t = 0
 
 
 def stream_rng(seed: int, stream: int, *key: int) -> np.random.Generator:

@@ -20,7 +20,12 @@ import scipy.linalg
 from .certificate import CertificateBundle
 from .errors import ConfigError
 from .mode_dynamics import ModeMatrix
-from .seeding import STREAM_PERTURBATION, stream_rng, uniform_in_ball
+from .seeding import (
+    STREAM_PERTURBATION,
+    STREAM_PERTURBATION_PAST,
+    stream_rng,
+    uniform_in_ball,
+)
 from .switching import SwitchingSignal
 from .transition import apply_state_jump, build_transition_map, error_projector
 
@@ -96,15 +101,25 @@ class PerturbationModel:
         return self._hold_draw(k, dim)
 
     def _hold_draw(self, k: int, dim: int) -> np.ndarray:
-        rng = stream_rng(self.seed or 0, STREAM_PERTURBATION, k, dim)
+        # holds before t = 0 have their own stream, keyed by -k >= 1, so
+        # their keys never meet those of holds k >= 0
+        if k >= 0:
+            rng = stream_rng(self.seed or 0, STREAM_PERTURBATION, k, dim)
+        else:
+            rng = stream_rng(self.seed or 0, STREAM_PERTURBATION_PAST, -k, dim)
         return uniform_in_ball(rng, dim, self.bound)
 
-    def sample_grid(self, times: np.ndarray, n_agents: int, p: int) -> np.ndarray | None:
+    def sample_grid(
+        self, times: np.ndarray, n_agents: int, p: int, first: np.ndarray | None = None
+    ) -> np.ndarray | None:
         """sample() at every time of a grid, as one (len(times), n_agents * p) array.
 
         Row i equals sample(times[i], n_agents, p) bit for bit. Returns None
         when the perturbation is identically zero. The random kind draws each
-        hold once, however many grid points fall inside it.
+        hold once, however many grid points fall inside it. first, when
+        given, is the row already sampled at times[0] (by the previous chunk
+        of a segment); the random kind reuses it for its hold instead of
+        drawing that hold again.
         """
         if self.kind == "zero" or self.bound == 0.0:
             return None
@@ -119,8 +134,11 @@ class PerturbationModel:
             return self._tiled(n_agents, p) * s[:, None]
         k = np.floor(times / self.hold + _GRID_EPS).astype(np.int64)
         holds, which = np.unique(k, return_inverse=True)
-        draws = np.array([self._hold_draw(int(j), dim) for j in holds]).reshape(-1, dim)
-        return draws[which]
+        draws = [
+            first if first is not None and j == k[0] else self._hold_draw(int(j), dim)
+            for j in holds
+        ]
+        return np.array(draws).reshape(-1, dim)[which]
 
 
 @dataclass(eq=False)
@@ -330,6 +348,7 @@ def integrate_segment(
     max_h = 0.0
     diverged_at = None
     built_for = None
+    F = None
     for a, b, step in blocks:
         if step != built_for:
             # release the full step's matrices before the remainder's expm:
@@ -339,7 +358,8 @@ def integrate_segment(
             built_for = step
         t_ends = t_start + np.arange(a + 1, b + 1) * dt if step == dt else np.array([t_end])
         t_grid = np.concatenate(([t_start + a * dt], t_ends))
-        F = h.sample_grid(t_grid, n, p)
+        # the chunk's first time is the previous chunk's last: reuse its row
+        F = h.sample_grid(t_grid, n, p, first=None if F is None else F[-1])
         G = None
         if F is not None:
             max_h = max(max_h, _max_row_norm(F))

@@ -12,6 +12,10 @@ unstable mode rates, T_s / T_u the stable / unstable activation times, and
 adt the piecewise average dwell time. Switches are counted strictly after
 t_j: each suffix is treated as a fresh run whose jump at t_j was billed to
 the previous suffix.
+
+activation_times and piecewise_adt define these quantities for one suffix;
+suffix_sweep computes them for every suffix in one pass, and validation and
+certification use it.
 """
 
 from __future__ import annotations
@@ -68,10 +72,12 @@ class SwitchingSignal:
                     f"event {k} maps modes {ev.mode_before}->{ev.mode_after} but the "
                     f"boundary switches {self.segments[k - 1].mode}->{self.segments[k].mode}"
                 )
+        # segment starts, for lookups by bisection
+        object.__setattr__(self, "_starts", tuple(starts))
 
     @property
     def switch_times(self) -> tuple[float, ...]:
-        return tuple(s.start for s in self.segments[1:])
+        return self._starts[1:]
 
     @property
     def n_switches(self) -> int:
@@ -81,8 +87,7 @@ class SwitchingSignal:
         """Cadlag evaluation: the mode active on [start, next_start)."""
         if t < self.t0 - _TIME_EPS or t > self.tf + _TIME_EPS:
             raise ConfigError(f"time {t} outside [{self.t0}, {self.tf}]")
-        starts = [s.start for s in self.segments]
-        idx = bisect_right(starts, t) - 1
+        idx = bisect_right(self._starts, t) - 1
         return self.segments[max(idx, 0)].mode
 
     def segment_bounds(self, i: int) -> tuple[float, float]:
@@ -93,7 +98,7 @@ class SwitchingSignal:
         """t_0 for j = 0, the j-th switching instant for j >= 1."""
         if j < 0 or j > self.n_switches:
             raise ConfigError(f"suffix index {j} outside 0..{self.n_switches}")
-        return self.t0 if j == 0 else self.switch_times[j - 1]
+        return self.t0 if j == 0 else self.segments[j].start
 
 
 def activation_times(
@@ -135,6 +140,48 @@ def piecewise_adt(sig: SwitchingSignal, chatter_bound: float, j: int) -> float:
     if n <= chatter_bound:
         return math.inf
     return (sig.tf - t_j) / (n - chatter_bound)
+
+
+@dataclass(frozen=True, eq=False)
+class SuffixSweep:
+    """Per-suffix quantities of a signal, as arrays indexed by j = 0..n_switches."""
+
+    start: np.ndarray       # t_j
+    t_stable: np.ndarray    # stable activation time over [t_j, tf]
+    t_unstable: np.ndarray  # unstable activation time over [t_j, tf]
+    adt: np.ndarray         # piecewise average dwell time, inf when unconstrained
+
+
+def suffix_sweep(
+    sig: SwitchingSignal, stable_set: set[int], chatter_bound: float
+) -> SuffixSweep:
+    """Activation times and average dwell time of every suffix in one pass.
+
+    T_s(j) and T_u(j) are running sums of the segment lengths taken backwards
+    from tf down to segment j. The switch count of suffix j comes from a
+    binary search over the sorted switching instants, with the same strict
+    test t_k > t_j + _TIME_EPS as count_switches_after, so it is not always
+    n_switches - j. adt(j) therefore equals piecewise_adt(sig, chatter_bound,
+    j) bit for bit; the activation times equal activation_times(sig,
+    stable_set, t_j) up to the rounding of adding the same lengths in
+    reverse order.
+    """
+    if chatter_bound < 0:
+        raise ConfigError(f"chatter_bound must be >= 0, got {chatter_bound}")
+    seg_starts = np.array(sig._starts, dtype=float)
+    start = seg_starts.copy()
+    start[0] = sig.t0
+    ends = np.append(seg_starts[1:], sig.tf)
+    # segment 0 counts from t0, which may lie up to _TIME_EPS either side of its start
+    lengths = ends - np.maximum(seg_starts, start)
+    stable = np.array([s.mode in stable_set for s in sig.segments])
+    t_stable = np.cumsum(np.where(stable, lengths, 0.0)[::-1])[::-1]
+    t_unstable = np.cumsum(np.where(stable, 0.0, lengths)[::-1])[::-1]
+    n_after = sig.n_switches - np.searchsorted(seg_starts[1:], start + _TIME_EPS, side="right")
+    excess = n_after - chatter_bound
+    with np.errstate(divide="ignore"):
+        adt = np.where(excess > 0, (sig.tf - start) / excess, math.inf)
+    return SuffixSweep(start=start, t_stable=t_stable, t_unstable=t_unstable, adt=adt)
 
 
 @dataclass(frozen=True)
@@ -224,27 +271,22 @@ def validate_switching(
     g = budget.gamma_common
     g_s = budget.gamma_stable_max
     g_u = budget.gamma_unstable_max
-    dwell_floor = budget.dwell_floor
-    indices = range(sig.n_switches + 1) if suffixes == "all" else (0,)
-    checks = []
-    for j in indices:
-        start = sig.suffix_start(j)
-        t_s, t_u = activation_times(sig, stable_set, start)
-        lhs = t_s * (g_s - g) + (0.0 if g_u is None else t_u * (g_u - g))
-        adt = piecewise_adt(sig, budget.chatter_bound, j)
-        checks.append(
-            SuffixCheck(
-                j=j,
-                start=start,
-                t_stable=t_s,
-                t_unstable=t_u,
-                ratio_slack=-lhs,
-                adt=adt,
-                adt_slack=adt - dwell_floor,
-            )
-        )
-    worst_ratio = min(checks, key=lambda c: c.ratio_slack)
-    worst_adt = min(checks, key=lambda c: c.adt_slack)
+    sweep = suffix_sweep(sig, stable_set, budget.chatter_bound)
+    n = sig.n_switches + 1 if suffixes == "all" else 1
+    t_s, t_u, adt = sweep.t_stable[:n], sweep.t_unstable[:n], sweep.adt[:n]
+    lhs = t_s * (g_s - g) + (0.0 if g_u is None else t_u * (g_u - g))
+    ratio_slack = -lhs
+    adt_slack = adt - budget.dwell_floor
+    checks = tuple(
+        SuffixCheck(j, *row)
+        for j, row in enumerate(zip(
+            sweep.start[:n].tolist(), t_s.tolist(), t_u.tolist(),
+            ratio_slack.tolist(), adt.tolist(), adt_slack.tolist(),
+        ))
+    )
+    # argmin takes the first of equal minima, as min() over the checks did
+    worst_ratio = checks[int(np.argmin(ratio_slack))]
+    worst_adt = checks[int(np.argmin(adt_slack))]
     ratio_ok = worst_ratio.ratio_slack >= 0.0
     adt_ok = worst_adt.adt_slack >= 0.0
     return ValidationReport(
@@ -255,7 +297,7 @@ def validate_switching(
         worst_adt_j=worst_adt.j,
         ratio_slack_min=worst_ratio.ratio_slack,
         adt_slack_min=worst_adt.adt_slack,
-        suffixes=tuple(checks),
+        suffixes=checks,
     )
 
 
@@ -361,9 +403,9 @@ def brute_force_suffix_scan(
 ) -> bool:
     """Reference implementation of validate_switching's verdict.
 
-    Recounts everything from scratch by direct interval arithmetic; used by
-    tests as an independent oracle and kept here so the CLI can expose it for
-    debugging mismatches.
+    Recounts every suffix from scratch by direct interval arithmetic, in time
+    quadratic in the switch count. It is an independent oracle for the tests
+    (the acceptance suite imports it from this module); no command uses it.
     """
     starts = [sig.t0, *sig.switch_times]
     boundaries = [*starts[1:], sig.tf]

@@ -1,11 +1,19 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from omaslab import build_mode_matrices, run_scenario
 from omaslab.cli import build_bundle
 from omaslab.demo import demo_scenario
 
 DEMO_SEED = 11
+
+# HYPOTHESIS_PROFILE=ci makes the property tests draw the same examples on
+# every run; without it they draw fresh random examples each time
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

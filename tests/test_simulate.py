@@ -30,9 +30,11 @@ from omaslab import (
 from omaslab.cli import build_bundle
 from omaslab.demo import DEMO_A, demo_scenario_dict
 from omaslab.scenario import parse_scenario
+from omaslab.seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, uniform_in_ball
 from omaslab.simulate import (
     _CHUNK_STEPS,
     _GRID_EPS,
+    DEFAULT_DT,
     SegmentTrace,
     _grid,
     _rk4_step,
@@ -434,12 +436,8 @@ def test_trajectory_csv_matches_reference_writer(tmp_path, practical_run):
 
 
 def _hold_grid(hold: float, ks: list[int], offsets: list[float]) -> np.ndarray:
-    """Times within a few grid tolerances of hold boundaries, none before t = 0.
-
-    The random forcing has no hold with a negative index, so a time just
-    below the first boundary is clamped to 0.
-    """
-    return np.array([max((k + off * _GRID_EPS) * hold, 0.0) for k, off in zip(ks, offsets)])
+    """Times within a few grid tolerances of hold boundaries, on both sides of t = 0."""
+    return np.array([(k + off * _GRID_EPS) * hold for k, off in zip(ks, offsets)])
 
 
 def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
@@ -456,9 +454,9 @@ def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     n_agents=st.integers(1, 4),
     p=st.integers(1, 3),
     hold=st.sampled_from([0.05, 0.1, 0.037]),
-    ks=st.lists(st.integers(0, 400), min_size=1, max_size=12),
+    ks=st.lists(st.integers(-400, 400), min_size=1, max_size=12),
     offsets=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
-    t_start=st.floats(0.0, 20.0),
+    t_start=st.floats(-20.0, 20.0),
     span=st.floats(0.0005, 0.6),
     dt=st.sampled_from([1e-3, 0.01, 0.013]),
     seed=st.integers(0, 2**40),
@@ -488,6 +486,54 @@ def test_sample_grid_draws_each_hold_once(monkeypatch):
     h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
     h.sample_grid(np.arange(1001) * 1e-3, 3, 2)  # 1 s: holds 0..20
     assert sorted(c[2] for c in calls) == list(range(21))
+
+
+def test_hold_streams_before_and_after_zero(monkeypatch):
+    import omaslab.simulate as simulate
+
+    calls = []
+    real = simulate.stream_rng
+    monkeypatch.setattr(simulate, "stream_rng", lambda *a: calls.append(a) or real(*a))
+    h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
+    rows = h.sample_grid(np.array([-0.12, -0.01, 0.0, 0.07]), 3, 2)  # holds -3, -1, 0, 1
+    assert calls == [(4, STREAM_PERTURBATION_PAST, 3, 6), (4, STREAM_PERTURBATION_PAST, 1, 6),
+                     (4, STREAM_PERTURBATION, 0, 6), (4, STREAM_PERTURBATION, 1, 6)]
+    # holds k >= 0 keep their (k, dim) key; holds before t = 0 get fresh draws
+    expected = uniform_in_ball(real(4, STREAM_PERTURBATION, 1, 6), 6, 0.2)
+    assert rows[3].tobytes() == expected.tobytes()
+    assert len({r.tobytes() for r in rows}) == 4
+
+
+def test_integrate_segment_draws_each_hold_once(monkeypatch):
+    calls = []
+    real = PerturbationModel._hold_draw
+    monkeypatch.setattr(PerturbationModel, "_hold_draw",
+                        lambda self, k, dim: calls.append(k) or real(self, k, dim))
+    h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
+    # three chunks whose boundaries (1.123 s, 2.123 s) fall inside holds,
+    # then a remainder step inside the last hold
+    t_span = (0.123, 2.6237)
+    integrate_segment(scalar_follower(-1.0), np.array([0.0, 1.0]), h, t_span)
+    grid = _segment_grid(*t_span, DEFAULT_DT)
+    assert len(grid) - 1 > 2 * _CHUNK_STEPS
+    holds = np.unique(np.floor(grid / 0.05 + _GRID_EPS).astype(np.int64))
+    assert calls == holds.tolist()
+
+
+def test_negative_t0_with_random_perturbation_runs():
+    doc = demo_scenario_dict("practical", seed=11)
+    doc["signal"] = {"type": "explicit", "t0": -1.0, "tf": 12.0, "segments": [
+        {"t": -1.0, "mode": 1}, {"t": 5.0, "mode": 2}, {"t": 5.3, "mode": 1}]}
+    scenario = parse_scenario(doc)
+    signal = scenario.resolve_signal(11)
+    bundle = build_bundle(scenario, signal)
+    assert validate_switching(signal, bundle.budget, bundle.stable_set).ok
+    run = run_scenario(scenario, seed=11, bundle=bundle, signal=signal)
+    s = run.summary
+    assert s.t0 == -1.0 and s.n_events == 2 and not s.diverged
+    assert 0.0 < s.max_h_norm <= 0.2
+    assert s.bound_respected
+    assert lyapunov_trace(run.trajectory, bundle).ok
 
 
 def test_rk4_step_matrices_match_stage_formula():

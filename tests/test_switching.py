@@ -4,31 +4,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omaslab import (
     ConfigError,
+    ImpulseBounds,
+    ModeCertificate,
     Segment,
     SignalGenSpec,
     SwitchingBudget,
     SwitchingSignal,
     activation_times,
+    assemble_bundle,
     brute_force_suffix_scan,
     count_switches_after,
     generate_signal,
     piecewise_adt,
     validate_switching,
 )
+from omaslab.switching import _TIME_EPS, suffix_sweep
 
 from helpers import pure_relabel_event, random_signal_and_budget
 
 
-def _signal(starts_modes, tf, with_events=True):
+def _signal(starts_modes, tf, with_events=True, t0=None):
     segs = tuple(Segment(start=t, mode=m) for t, m in starts_modes)
     events = tuple(
         pure_relabel_event(k, segs[k - 1].mode, segs[k].mode, n=2)
         for k in range(1, len(segs))
     ) if with_events else ()
-    return SwitchingSignal(t0=starts_modes[0][0], tf=tf, segments=segs, events=events)
+    t0 = starts_modes[0][0] if t0 is None else t0
+    return SwitchingSignal(t0=t0, tf=tf, segments=segs, events=events)
 
 
 # --------------------------------------------------------------------------
@@ -43,8 +50,12 @@ def test_mode_at_is_cadlag():
     assert sig.mode_at(5.0) == 3
     with pytest.raises(ConfigError):
         sig.mode_at(-0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"time 5\.5 outside \[0\.0, 5\.0\]"):
         sig.mode_at(5.5)
+    # the first segment may start up to _TIME_EPS after t0
+    late = _signal([(0.5e-12, 2), (1.0, 1)], tf=3.0, t0=0.0)
+    assert [late.mode_at(t) for t in (0.0, 0.999, 1.0)] == [2, 2, 1]
+    assert late.suffix_start(0) == 0.0
 
 
 def test_switch_times_and_bounds():
@@ -61,7 +72,7 @@ def test_suffix_start_indexing():
     assert sig.suffix_start(1) == 2.0
     with pytest.raises(ConfigError):
         sig.suffix_start(-1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"suffix index 2 outside 0\.\.1"):
         sig.suffix_start(2)
 
 
@@ -368,3 +379,129 @@ def test_gen_spec_validation():
         SignalGenSpec(**{**kw, "ratio_floor": -1.0})
     with pytest.raises(ConfigError, match="margin"):
         SignalGenSpec(**{**kw, "margin": 0.0})
+
+
+# --------------------------------------------------------------------------
+# the one-pass suffix sweep against the per-suffix definitions
+
+
+def _after(t: float, gap: float) -> float:
+    """t + gap, raised to the first float that clears t by more than _TIME_EPS
+    (the constructor's test for consecutive starts)."""
+    u = max(t + gap, t + _TIME_EPS)
+    while not u - t > _TIME_EPS:
+        u = float(np.nextafter(u, math.inf))
+    return u
+
+
+# gaps between instants: ordinary ones, and ones a few _TIME_EPS wide where
+# the strict count t_k > t_j + _TIME_EPS differs from n_switches - j
+_gaps = st.one_of(
+    st.floats(1e-3, 5.0),
+    st.floats(0.0, 4.0).map(lambda f: f * _TIME_EPS),
+)
+
+
+@st.composite
+def signals_and_budgets(draw):
+    t0 = draw(st.one_of(st.sampled_from([0.0, 1.0, -2.5]), st.floats(-40.0, 40.0)))
+    n = draw(st.integers(0, 30))
+    gaps = draw(st.lists(_gaps, min_size=n + 1, max_size=n + 1))
+    raw_modes = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
+    modes = raw_modes[:1]
+    for m in raw_modes[1:]:
+        modes.append(m if m != modes[-1] else m % 4 + 1)
+    # the first start may sit within _TIME_EPS of t0, on either side
+    starts = [t0 + draw(st.sampled_from([0.0, 0.5, -0.5])) * _TIME_EPS]
+    for gap in gaps[:-1]:
+        starts.append(_after(starts[-1], gap))
+    tf = max(starts[-1] + gaps[-1], starts[-1] + _TIME_EPS)
+    while not starts[-1] < tf - _TIME_EPS:
+        tf = float(np.nextafter(tf, math.inf))
+    sig = _signal(list(zip(starts, modes)), tf=tf, t0=t0)
+    stable = draw(st.sampled_from([{1}, {1, 2}]))
+    g_s = -draw(st.floats(0.5, 3.0))
+    g = g_s * draw(st.floats(0.05, 0.9))  # strictly inside (g_s, 0)
+    g_u = draw(st.one_of(st.none(), st.floats(0.0, 5.0)))
+    budget = SwitchingBudget(
+        chatter_bound=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        gamma_common=g,
+        gamma_stable_max=g_s,
+        gamma_unstable_max=g_u,
+        jump_gain=draw(st.floats(1.0, 5.0)),
+    )
+    return sig, budget, stable
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=signals_and_budgets(), first_only=st.booleans())
+def test_validate_matches_per_suffix_definitions(case, first_only):
+    sig, budget, stable = case
+    K = budget.chatter_bound
+    rep = validate_switching(sig, budget, stable, suffixes="first" if first_only else "all")
+    if not first_only:
+        # the oracle forgives slacks down to -1e-12, the validator does not;
+        # suffixes a few _TIME_EPS long land in that band
+        worst = min(rep.ratio_slack_min, rep.adt_slack_min)
+        assert rep.ok == brute_force_suffix_scan(sig, budget, stable) or -1e-12 <= worst < 0.0
+    assert [c.j for c in rep.suffixes] == list(range(1 if first_only else sig.n_switches + 1))
+    tol = 1e-12 * (sig.tf - sig.t0)
+    for c in rep.suffixes:
+        assert c.start == sig.suffix_start(c.j)
+        assert c.adt.hex() == piecewise_adt(sig, K, c.j).hex()
+        t_s, t_u = activation_times(sig, stable, c.start)
+        assert abs(c.t_stable - t_s) <= tol
+        assert abs(c.t_unstable - t_u) <= tol
+    assert rep.worst_adt_j == min(rep.suffixes, key=lambda c: c.adt_slack).j
+    assert rep.worst_ratio_j == min(rep.suffixes, key=lambda c: c.ratio_slack).j
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=signals_and_budgets())
+def test_bundle_contraction_matches_per_suffix_adt(case):
+    sig, budget, stable = case
+    g, mu, K = budget.gamma_common, budget.jump_gain, budget.chatter_bound
+
+    def cert(mid, gamma):
+        return ModeCertificate(mode_id=mid, gamma=gamma, P=np.eye(1), alpha=gamma,
+                               stable=gamma < 0.0, residual=-1.0,
+                               lambda_min=1.0, lambda_max=1.0)
+
+    rates = {m: budget.gamma_stable_max * (1.0 + 0.1 * m) for m in stable}
+    if budget.gamma_unstable_max is not None:
+        rates.update({3: budget.gamma_unstable_max, 4: 0.5 * budget.gamma_unstable_max})
+    bundle = assemble_bundle(
+        {m: cert(m, r) for m, r in rates.items()},
+        ImpulseBounds(impulse_norm_max=0.1, err_jump_norm_max=mu),
+        h_bound=0.2, signal=sig, chatter_bound=K, gamma_common=g,
+    )
+    assert bundle.jump_gain == mu
+    ln_mu = math.log(mu)
+    expected = -math.inf
+    for j in range(sig.n_switches + 1):
+        adt = piecewise_adt(sig, K, j)
+        if not math.isinf(adt):
+            expected = max(expected, adt * g + ln_mu)
+    assert bundle.contraction_worst.hex() == expected.hex()
+
+
+def test_suffix_sweep_counts_switches_as_the_oracle_does():
+    # 1 + 4504 ulp clears 1.0 by 1.00009e-12 > _TIME_EPS, so the signal is
+    # legal; yet 1.0 + _TIME_EPS rounds to that same float, so the switch at
+    # 1 + 4504 ulp does not count as strictly after t_1 = 1.0
+    t2 = 1.0 + 4504 * 2.0**-52
+    sig = _signal([(0.0, 1), (1.0, 3), (t2, 1)], tf=5.0)
+    assert t2 - 1.0 > _TIME_EPS and not t2 > 1.0 + _TIME_EPS
+    assert count_switches_after(sig, 1.0) == 0
+    sweep = suffix_sweep(sig, {1}, 0.0)
+    assert sweep.adt[1] == piecewise_adt(sig, 0.0, 1) == math.inf
+    assert list(sweep.adt) == [piecewise_adt(sig, 0.0, j) for j in range(3)]
+    np.testing.assert_array_equal(sweep.start, [0.0, 1.0, t2])
+    np.testing.assert_allclose(sweep.t_stable, [1.0 + 5.0 - t2, 5.0 - t2, 5.0 - t2],
+                               rtol=1e-15)
+    np.testing.assert_allclose(sweep.t_unstable, [t2 - 1.0, t2 - 1.0, 0.0], rtol=1e-12)
+    budget = SwitchingBudget(0.0, -1.0, -2.0, 4.0, jump_gain=1.5)
+    rep = validate_switching(sig, budget, {1})
+    assert rep.suffixes[1].adt == math.inf
+    assert rep.ok == brute_force_suffix_scan(sig, budget, {1})
+
