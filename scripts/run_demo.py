@@ -7,10 +7,15 @@ floors, the ultimate bound, and the tail error of both the perturbed
 ("practical") and the unforced ("asymptotic") variants. Everything is
 recomputed from scratch; nothing is read from disk unless --out is given,
 in which case trajectory/event CSVs and summaries are written there too.
+
+Exits 1 when a check fails: a mode's alpha more than 1e-9 from its
+reference, a non-compliant signal, a tail error above the certified bound,
+or an energy trace outside its envelope.
 """
 
 import argparse
 import os
+import sys
 import time
 
 from omaslab.cli import build_bundle
@@ -25,12 +30,18 @@ from omaslab.simulate import (
 from omaslab.switching import validate_switching
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="also write CSV traces here")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--dt", type=float, default=1e-3)
     args = ap.parse_args()
+
+    failed: list[str] = []
+
+    def check(ok, what: str) -> None:
+        if not ok:
+            failed.append(f"{variant}: {what}")
 
     for variant in ("practical", "asymptotic"):
         sc = demo_scenario(variant, seed=args.seed)
@@ -45,6 +56,7 @@ def main() -> None:
             ref = DEMO_ALPHAS[mid]
             print(f"  mode {mid}: alpha = {mm.alpha:+.6f} "
                   f"(reference {ref:+.3f}, {'stable' if mm.stable else 'unstable'})")
+            check(abs(mm.alpha - ref) <= 1e-9, f"mode {mid} alpha {mm.alpha!r} vs {ref!r}")
 
         signal = sc.resolve_signal(args.seed)
         t_cert = time.perf_counter()
@@ -57,6 +69,7 @@ def main() -> None:
               f"{bundle.budget.dwell_floor:.4f})")
         print(f"  signal: {signal.n_switches} switches on "
               f"[{signal.t0:g}, {signal.tf:g}], compliant = {verdict.ok}")
+        check(verdict.ok, "signal not compliant")
         eps = "0 (asymptotic)" if bundle.ultimate_bound == 0.0 else (
             "unbounded" if bundle.unbounded else f"{bundle.ultimate_bound:.4f}")
         print(f"  ultimate bound = {eps}")
@@ -67,11 +80,13 @@ def main() -> None:
         s = result.summary
         print(f"  simulated in {t_sim:.2f} s: tail sup error = {s.tail_sup_error:.6g}, "
               f"converged = {s.converged}, bound respected = {s.bound_respected}")
+        check(s.bound_respected, f"bound respected = {s.bound_respected}")
 
         trace = lyapunov_trace(result.trajectory, bundle)
         print(f"  envelope check: ok = {trace.ok} "
               f"({len(trace.violations)} violations, "
               f"{sum(not c[3] for c in trace.jump_checks)} bad jumps)")
+        check(trace.ok, "energy trace leaves its envelope")
 
         if args.out:
             d = os.path.join(args.out, variant)
@@ -81,6 +96,10 @@ def main() -> None:
             print(f"  traces written to {d}/")
         print()
 
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    return 1 if failed else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,7 +23,6 @@ from .errors import AssumptionViolation, ConfigError, NumericalError
 from .signed_graph import (
     AugmentedMode,
     ModeClass,
-    augmented_laplacian,
     classify_mode,
     grounded_laplacian,
 )
@@ -59,16 +58,17 @@ class AgentDynamics:
 class ModeMatrix:
     """Assembled stacked matrices for one mode.
 
-    A_err drives the stacked tracking errors (dimension p*N); A_full drives
-    the leader-included stacked state (dimension p*(N+1)). alpha is the
-    spectral abscissa of A_err and decides the stable flag.
+    A is the agent drift (p x p), by which the leader flows; A_err drives
+    the stacked tracking errors (dimension p*N). The leader is coupled to
+    no follower, so (leader, errors) flows by block_diag(A, A_err). alpha
+    is the spectral abscissa of A_err and decides the stable flag.
     """
 
     mode_id: int | None
     n_agents: int
     p: int
+    A: np.ndarray
     A_err: np.ndarray
-    A_full: np.ndarray
     alpha: float
     stable: bool
 
@@ -131,7 +131,7 @@ def build_mode_matrix(
     coupling: float,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ModeMatrix:
-    """Assemble the stacked error and full-state matrices for one mode.
+    """Assemble the stacked error matrix for one mode.
 
     alpha is evaluated from the factor spectra (pairwise sums of eigenvalues
     of A and coupling * Z). That identity is exact for Kronecker sums and
@@ -146,8 +146,6 @@ def build_mode_matrix(
         )
     Z = grounded_laplacian(mode)
     A_err = np.kron(np.eye(n), dyn.A) + coupling * np.kron(Z, np.eye(p))
-    Lt = augmented_laplacian(mode)
-    A_full = np.kron(np.eye(n + 1), dyn.A) + coupling * np.kron(Lt, np.eye(p))
     try:
         ev_a = np.linalg.eigvals(dyn.A)
         ev_z = np.linalg.eigvals(Z)
@@ -158,8 +156,8 @@ def build_mode_matrix(
         mode_id=mode.mode_id,
         n_agents=n,
         p=p,
+        A=dyn.A,
         A_err=A_err,
-        A_full=A_full,
         alpha=alpha,
         stable=alpha < 0.0,
     )

@@ -246,8 +246,10 @@ class Scenario:
 
     # -- initial condition ---------------------------------------------------
 
-    def resolve_initial_state(self, master_seed: int, first_mode: int) -> np.ndarray:
-        """Leader-included stacked state at t0.
+    def resolve_initial_state(
+        self, master_seed: int, first_mode: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(leader state, stacked tracking errors) at t0.
 
         Follower i starts at leader + err_i; for the random form the stacked
         error vector is drawn uniformly from the ball, so its norm is at
@@ -268,8 +270,7 @@ class Scenario:
                     f"initial errors have shape {arr.shape}, expected ({n1}, {p})"
                 )
             err = arr.reshape(-1)
-        followers = np.tile(leader, n1) + err
-        return np.concatenate([leader, followers])
+        return leader, err
 
 
 # ---------------------------------------------------------------------------

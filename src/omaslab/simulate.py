@@ -1,11 +1,17 @@
 """Hybrid integration of the dimension-varying closed loop.
 
-Within a segment the leader-included stack flows linearly; at boundaries the
-transition map relabels agents and injects impulses. Two integrators are
-provided: exact matrix-exponential propagation of a piecewise-linear forcing
-interpolant on the fixed grid, and classical fixed-step RK4 fed the same
-forcing samples. They agree to high accuracy by construction, which is
-exploited as a cross-check rather than trusting either alone.
+The state is z = (leader, stacked tracking errors). Within a segment z
+flows linearly by block_diag(A, A_err): the leader by its own drift, the
+errors by the mode's error dynamics plus the forcing. At boundaries the
+transition map relabels the errors and injects impulses; the leader never
+jumps. Agent states are rebuilt as leader + error only for output, so the
+errors never suffer the cancellation of differencing a growing leader.
+
+Two integrators are provided: exact matrix-exponential propagation of a
+piecewise-linear forcing interpolant on the fixed grid, and classical
+fixed-step RK4 fed the same forcing samples. They agree to high accuracy by
+construction, which is exploited as a cross-check rather than trusting
+either alone.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .seeding import (
     uniform_in_ball,
 )
 from .switching import SwitchingSignal
-from .transition import apply_state_jump, build_transition_map, error_projector
+from .transition import apply_error_jump, build_transition_map
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -147,7 +153,7 @@ class SegmentTrace:
     mode_id: int
     n_agents: int
     t: np.ndarray
-    states: np.ndarray  # (len(t), p * (n_agents + 1))
+    states: np.ndarray  # (len(t), p * (n_agents + 1)): leader, leader + errs
     errs: np.ndarray    # (len(t), p * n_agents)
 
 
@@ -159,8 +165,6 @@ class EventRecord:
     mode_after: int
     n_before: int
     n_after: int
-    pre_state: np.ndarray
-    post_state: np.ndarray
     pre_err: np.ndarray
     post_err: np.ndarray
     impulse_norm: float
@@ -206,7 +210,7 @@ class Trajectory:
 @dataclass(eq=False)
 class SegmentResult:
     t: np.ndarray
-    states: np.ndarray
+    states: np.ndarray  # (len(t), p * (n_agents + 1)): leader, then errors
     diverged_at: float | None
     max_h_norm: float
 
@@ -257,8 +261,8 @@ def _step_matrices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1.
 
-    f0 and f1 are the follower forcing at the two ends of the step; the
-    leader rows of the stacked forcing are zero, so only the follower
+    f0 and f1 are the error forcing at the two ends of the step; the
+    leader rows of the stacked forcing are zero, so only the error
     columns of A0 and A1 are kept. exact: A0 = Phi1 - Phi2 / step and
     A1 = Phi2 / step integrate the linear interpolant in closed form.
     rk4: the stage formula applied to identity blocks.
@@ -303,7 +307,10 @@ def integrate_segment(
     method: str = "exact",
     sample_stride: int = 1,
 ) -> SegmentResult:
-    """Integrate the leader-included stack over one constant-mode window.
+    """Integrate z = (leader, stacked errors) over one constant-mode window.
+
+    x0 is z at t_span[0]; z flows by block_diag(mode.A, mode.A_err) and the
+    forcing h drives the error rows only.
 
     Both methods sample the forcing only at grid points and treat it as
     piecewise-linear between samples. method "exact" integrates that
@@ -311,8 +318,8 @@ def integrate_segment(
     first forcing moments, so the flow is exact and the forcing exact for
     the interpolant); "rk4" is the classical fixed-step scheme fed the same
     interpolant. Their difference is then purely the RK4 flow truncation,
-    O(dt^4) globally, which is what the cross-check relies on. The leader
-    rows of the stacked matrix are [A, 0, ..], so the leader flows by its
+    O(dt^4) globally, which is what the cross-check relies on. The step
+    matrices inherit the block-diagonal form, so the leader flows by its
     own dynamics untouched by either the coupling or the forcing.
 
     Either method is one linear step x' = E x + A0 f0 + A1 f1, applied in
@@ -329,7 +336,7 @@ def integrate_segment(
     t_start, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t_start:
         raise ConfigError(f"empty time span {t_span}")
-    M = mode.A_full
+    M = scipy.linalg.block_diag(mode.A, mode.A_err)
     dim = M.shape[0]
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (dim,):
@@ -444,7 +451,11 @@ def run_switched(
     method: str = "exact",
     sample_stride: int | None = None,
 ) -> Trajectory:
-    """Integrate across all segments of a signal, applying jumps at boundaries."""
+    """Integrate across all segments of a signal, applying jumps at boundaries.
+
+    x0 is the stacked (leader, errors) vector at signal.t0. Each jump acts
+    on the errors alone; the leader carries over unchanged.
+    """
     first = matrices[signal.segments[0].mode]
     p = first.p
     if sample_stride is None:
@@ -453,35 +464,33 @@ def run_switched(
             math.ceil(horizon / _FULL_RETENTION_HORIZON)
         )
     traj = Trajectory(p=p, t0=signal.t0, tf=signal.tf)
-    x = np.asarray(x0, dtype=float)
+    z = np.asarray(x0, dtype=float)
     for i, seg in enumerate(signal.segments):
         mm = matrices[seg.mode]
         bounds = signal.segment_bounds(i)
         res = integrate_segment(
-            mm, x, perturbation, bounds, dt=dt, method=method, sample_stride=sample_stride
+            mm, z, perturbation, bounds, dt=dt, method=method, sample_stride=sample_stride
         )
-        proj = error_projector(mm.n_agents, p)
+        leader, errs = res.states[:, :p], res.states[:, p:]
         traj.segments.append(
             SegmentTrace(
                 index=i,
                 mode_id=seg.mode,
                 n_agents=mm.n_agents,
                 t=res.t,
-                states=res.states,
-                errs=res.states @ proj.T,
+                states=np.hstack([leader, errs + np.tile(leader, mm.n_agents)]),
+                errs=errs,
             )
         )
         traj.max_h_norm = max(traj.max_h_norm, res.max_h_norm)
         if res.diverged_at is not None:
             traj.diverged_at = res.diverged_at
             break
-        x = res.states[-1]
         if i < len(signal.segments) - 1:
             ev = signal.events[i]
             tm = build_transition_map(ev, p)
-            pre_err = error_projector(tm.n_before, p) @ x
-            x_post = apply_state_jump(tm, x)
-            post_err = error_projector(tm.n_after, p) @ x_post
+            pre_err = errs[-1]
+            post_err = apply_error_jump(tm, pre_err)
             traj.events.append(
                 EventRecord(
                     index=i + 1,
@@ -490,14 +499,12 @@ def run_switched(
                     mode_after=ev.mode_after,
                     n_before=ev.n_before,
                     n_after=ev.n_after,
-                    pre_state=x,
-                    post_state=x_post,
                     pre_err=pre_err,
                     post_err=post_err,
                     impulse_norm=tm.impulse_norm,
                 )
             )
-            x = x_post
+            z = np.concatenate([leader[-1], post_err])
     return traj
 
 
@@ -531,12 +538,12 @@ def run_scenario(
         )
     if signal is None:
         signal = scenario.resolve_signal(master)
-    x0 = scenario.resolve_initial_state(master, signal.segments[0].mode)
+    leader, errors = scenario.resolve_initial_state(master, signal.segments[0].mode)
     perturbation = scenario.perturbation.with_seed(master)
     traj = run_switched(
         matrices,
         signal,
-        x0,
+        np.concatenate([leader, errors]),
         perturbation,
         dt=dt_eff,
         method=method,

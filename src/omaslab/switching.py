@@ -404,8 +404,10 @@ def brute_force_suffix_scan(
     """Reference implementation of validate_switching's verdict.
 
     Recounts every suffix from scratch by direct interval arithmetic, in time
-    quadratic in the switch count. It is an independent oracle for the tests
-    (the acceptance suite imports it from this module); no command uses it.
+    quadratic in the switch count. A suffix fails, as in the validator, when
+    its adt is below the dwell floor or its ratio left side is positive. It
+    is an independent oracle for the tests (the acceptance suite imports it
+    from this module); no command uses it.
     """
     starts = [sig.t0, *sig.switch_times]
     boundaries = [*starts[1:], sig.tf]
@@ -418,7 +420,7 @@ def brute_force_suffix_scan(
             adt = math.inf
         else:
             adt = (sig.tf - tj) / (n - budget.chatter_bound)
-        if adt < budget.dwell_floor - 1e-12:
+        if adt < budget.dwell_floor:
             return False
         t_s = t_u = 0.0
         for i, seg in enumerate(sig.segments):
@@ -435,6 +437,6 @@ def brute_force_suffix_scan(
         lhs = t_s * (budget.gamma_stable_max - budget.gamma_common)
         if g_u is not None:
             lhs += t_u * (g_u - budget.gamma_common)
-        if lhs > 1e-12:
+        if lhs > 0.0:
             return False
     return True

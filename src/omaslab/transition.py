@@ -9,15 +9,15 @@ deleting the rows of leavers and inserting zero rows at join positions
 
 On top of pure relabelling, events may inject impulses: a state-independent
 vector, plus a state-dependent term produced by an arbitrary gain matrix
-acting on the pre-jump tracking errors. The central algebraic property of
-this module is that jumping the full stacked state and then forming errors
-gives the same result as jumping the errors directly.
+acting on the pre-jump tracking errors. The leader never jumps, so an event
+acts on the stacked tracking errors alone: e+ = (migration + dep_gain) e-
++ impulse. Jumping the leader-included state and then forming errors gives
+the same result, which the tests check against a full-state reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,32 +85,13 @@ def build_migration_matrix(ev: MigrationEvent) -> np.ndarray:
     return xi
 
 
-def error_projector(n: int, p: int) -> np.ndarray:
-    """Maps the leader-included stack to tracking errors: e_i = x_i - x_0."""
-    return np.kron(np.hstack([-np.ones((n, 1)), np.eye(n)]), np.eye(p))
-
-
-@lru_cache(maxsize=None)
-def _cached_error_projector(n: int, p: int) -> np.ndarray:
-    return error_projector(n, p)
-
-
-def _leader_tile_from_full(n_rows: int, n_cols: int, p: int) -> np.ndarray:
-    """Maps a full stack of n_cols agents to -1 tensor leader, n_rows copies."""
-    return np.kron(np.hstack([-np.ones((n_rows, 1)), np.zeros((n_rows, n_cols))]), np.eye(p))
-
-
 @dataclass(frozen=True, eq=False)
 class TransitionMap:
     """All matrices needed to execute one migration event.
 
     migration            0/1 agent relabelling (n_after x n_before)
     migration_stacked    same, expanded blockwise to states (p n+ x p n-)
-    augmented            jump matrix on the leader-included stack
     err_jump             jump matrix on stacked errors (migration + dep gain)
-    state_impulse        produces the state-dependent impulse from the full
-                         pre-jump stack, so that the full-state jump and the
-                         error jump agree
     impulse              concrete state-independent impulse (p * n_after)
     """
 
@@ -121,40 +102,26 @@ class TransitionMap:
     mode_after: int
     migration: np.ndarray
     migration_stacked: np.ndarray
-    augmented: np.ndarray
     err_jump: np.ndarray
-    state_impulse: np.ndarray
     impulse: np.ndarray
 
     @property
     def impulse_norm(self) -> float:
         return float(np.linalg.norm(self.impulse))
 
-    def consistency_residual(self, full_state: np.ndarray) -> float:
-        """Norm gap between errors-after-state-jump and error-jump-of-errors."""
-        post = apply_state_jump(self, full_state)
-        err_after = _cached_error_projector(self.n_after, self.p) @ post
-        err_before = _cached_error_projector(self.n_before, self.p) @ full_state
-        direct = self.err_jump @ err_before + self.impulse
-        return float(np.linalg.norm(err_after - direct))
-
 
 def build_transition_map(ev: MigrationEvent, p: int) -> TransitionMap:
     """Assemble the jump matrices for one event.
 
-    The state-dependent impulse on the full stack is
-        dep_gain * errors  +  leader copies for joiners,
-    expressed as a single matrix so the full-state jump reads
-        x+ = augmented x- + [0_p; impulse + state_impulse x-].
-    The induced error jump is err_jump = migration_stacked + dep_gain.
+    Survivors keep their states, leavers are dropped and joiners enter at
+    the leader, so a joiner's error starts at zero; dep_gain adds a
+    multiple of the pre-jump errors. The error jump is therefore
+        e+ = err_jump e- + impulse,  err_jump = migration_stacked + dep_gain.
     """
     if p < 1:
         raise ConfigError(f"state dimension p must be >= 1, got {p}")
     xi = build_migration_matrix(ev)
     xi_stacked = np.kron(xi, np.eye(p))
-    augmented = np.zeros((p * (ev.n_after + 1), p * (ev.n_before + 1)))
-    augmented[:p, :p] = np.eye(p)
-    augmented[p:, p:] = xi_stacked
 
     if ev.dep_gain is None:
         dep = np.zeros((p * ev.n_after, p * ev.n_before))
@@ -174,13 +141,6 @@ def build_transition_map(ev: MigrationEvent, p: int) -> TransitionMap:
                 f"impulse shape {impulse.shape} does not match ({p * ev.n_after},)"
             )
 
-    # dep acts on errors of the outgoing stack; the remaining two terms place
-    # joiners at the leader and cancel the leader offset the relabelling drops.
-    state_impulse = (
-        dep @ error_projector(ev.n_before, p)
-        - _leader_tile_from_full(ev.n_after, ev.n_before, p)
-        + xi_stacked @ _leader_tile_from_full(ev.n_before, ev.n_before, p)
-    )
     err_jump = xi_stacked + dep
     return TransitionMap(
         p=p,
@@ -190,30 +150,13 @@ def build_transition_map(ev: MigrationEvent, p: int) -> TransitionMap:
         mode_after=ev.mode_after,
         migration=xi,
         migration_stacked=xi_stacked,
-        augmented=augmented,
         err_jump=err_jump,
-        state_impulse=state_impulse,
         impulse=impulse,
     )
 
 
-def apply_state_jump(
-    tm: TransitionMap, full_state: np.ndarray, impulse: np.ndarray | None = None
-) -> np.ndarray:
-    """Execute the jump on the leader-included stacked state."""
-    x = np.asarray(full_state, dtype=float)
-    if x.shape != (tm.p * (tm.n_before + 1),):
-        raise ConfigError(
-            f"pre-jump state has shape {x.shape}, expected ({tm.p * (tm.n_before + 1)},)"
-        )
-    phi = tm.impulse if impulse is None else np.asarray(impulse, dtype=float)
-    out = tm.augmented @ x
-    out[tm.p:] += phi + tm.state_impulse @ x
-    return out
-
-
 def apply_error_jump(tm: TransitionMap, err: np.ndarray) -> np.ndarray:
-    """Execute the jump directly on stacked tracking errors."""
+    """Execute the jump on stacked tracking errors."""
     e = np.asarray(err, dtype=float)
     if e.shape != (tm.p * tm.n_before,):
         raise ConfigError(

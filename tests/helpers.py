@@ -124,6 +124,37 @@ def pure_relabel_event(k: int, mode_before: int, mode_after: int, n: int) -> Mig
     )
 
 
+def error_projector(n: int, p: int) -> np.ndarray:
+    """Maps the leader-included stack to tracking errors: e_i = x_i - x_0."""
+    return np.kron(np.hstack([-np.ones((n, 1)), np.eye(n)]), np.eye(p))
+
+
+def apply_state_jump(ev: MigrationEvent, full_state: np.ndarray, p: int) -> np.ndarray:
+    """Reference jump of the leader-included stack, agent by agent.
+
+    The leader keeps its state, survivors keep theirs, leavers are dropped
+    and joiners enter at the leader; then the event's impulse and its
+    dependence gain acting on the pre-jump errors are added to the
+    followers. The library jumps the errors alone; this is what that jump
+    must equal once errors are formed.
+    """
+    x = np.asarray(full_state, dtype=float)
+    if x.shape != (p * (ev.n_before + 1),):
+        raise ValueError(f"state has shape {x.shape}, expected ({p * (ev.n_before + 1)},)")
+    leader = x[:p]
+    agents = x[p:].reshape(ev.n_before, p)
+    errs = (agents - leader).reshape(-1)
+    survivors = [a for i, a in enumerate(agents, start=1) if i not in ev.leaves]
+    followers = np.concatenate(
+        [leader if pos in ev.joins else survivors.pop(0) for pos in range(1, ev.n_after + 1)]
+    )
+    if ev.impulse is not None:
+        followers = followers + ev.impulse
+    if ev.dep_gain is not None:
+        followers = followers + ev.dep_gain @ errs
+    return np.concatenate([leader, followers])
+
+
 def random_signal_and_budget(
     rng: np.random.Generator,
 ) -> tuple[SwitchingSignal, SwitchingBudget, set[int]]:

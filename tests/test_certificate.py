@@ -32,8 +32,8 @@ def scalar_mode(a: float, mode_id: int | None = None) -> ModeMatrix:
         mode_id=mode_id,
         n_agents=1,
         p=1,
+        A=np.zeros((1, 1)),
         A_err=np.array([[a]]),
-        A_full=np.zeros((2, 2)),
         alpha=a,
         stable=a < 0,
     )
@@ -53,7 +53,7 @@ def test_diagonal_certificate_hand_solution():
     # raw P = diag(1/2, 1/4), normalized to lambda_min = 1 -> diag(2, 1)
     mm = ModeMatrix(
         mode_id=None, n_agents=2, p=1,
-        A_err=np.diag([-2.0, -3.0]), A_full=np.zeros((3, 3)),
+        A=np.zeros((1, 1)), A_err=np.diag([-2.0, -3.0]),
         alpha=-2.0, stable=True,
     )
     cert = solve_mode_certificate(mm, gamma_margin=1.0)

@@ -9,11 +9,11 @@ from omaslab import (
     AgentDynamics,
     AssumptionViolation,
     ConfigError,
+    augmented_laplacian,
     build_mode_matrices,
     build_mode_matrix,
     check_coupling_gain,
     coupling_gain_bound,
-    error_projector,
     kronecker_sum_spectrum_check,
     mode_from_dense,
     spectral_abscissa,
@@ -22,6 +22,7 @@ from omaslab import (
 )
 from omaslab.demo import DEMO_A, DEMO_ALPHAS, DEMO_COUPLING, demo_laplacians, demo_leader_links
 
+from helpers import error_projector
 from test_signed_graph import Z_SPECTRA, demo_modes
 
 
@@ -81,19 +82,33 @@ def test_suggest_rejects_bad_factor():
         suggest_coupling_gain(dyn, modes, margin_factor=1.0)
 
 
+def full_matrix(mm, mode):
+    """Drift of the leader-included stack, from the augmented Laplacian."""
+    n, p = mm.n_agents, mm.p
+    return np.kron(np.eye(n + 1), mm.A) + DEMO_COUPLING * np.kron(
+        augmented_laplacian(mode), np.eye(p)
+    )
+
+
 def test_error_dynamics_commute_with_projection(demo_matrices):
     # the tracking errors are autonomous: projecting the full flow equals
-    # flowing the projected errors
-    for mm in demo_matrices.values():
+    # flowing the projected errors, which is why (leader, errors) may flow
+    # by block_diag(A, A_err)
+    modes = demo_modes()
+    for mid, mm in demo_matrices.items():
         proj = error_projector(mm.n_agents, mm.p)
-        np.testing.assert_allclose(proj @ mm.A_full, mm.A_err @ proj, atol=1e-12)
+        A_full = full_matrix(mm, modes[mid])
+        np.testing.assert_allclose(proj @ A_full, mm.A_err @ proj, atol=1e-12)
 
 
 def test_full_matrix_leader_block(demo_matrices):
-    for mm in demo_matrices.values():
+    modes = demo_modes()
+    for mid, mm in demo_matrices.items():
         p = mm.p
-        np.testing.assert_allclose(mm.A_full[:p, :p], np.array(DEMO_A), atol=0)
-        np.testing.assert_allclose(mm.A_full[:p, p:], 0.0, atol=0)
+        A_full = full_matrix(mm, modes[mid])
+        np.testing.assert_array_equal(mm.A, np.array(DEMO_A))
+        np.testing.assert_allclose(A_full[:p, :p], np.array(DEMO_A), atol=0)
+        np.testing.assert_allclose(A_full[:p, p:], 0.0, atol=0)
 
 
 def test_kronecker_check_demo_modes():

@@ -17,6 +17,7 @@ from omaslab import (
     signal_to_dict,
 )
 from omaslab.demo import DEMO_DEP_GAIN_SCALE, DEMO_IMPULSE_RADIUS
+from omaslab.seeding import STREAM_INITIAL, stream_rng, uniform_in_ball
 
 SEED = 11
 
@@ -76,16 +77,17 @@ def test_resolution_is_deterministic(practical_scenario):
     assert s1 == s2
     x1 = practical_scenario.resolve_initial_state(SEED, first_mode=1)
     x2 = practical_scenario.resolve_initial_state(SEED, first_mode=1)
-    np.testing.assert_array_equal(x1, x2)
+    for a, b in zip(x1, x2, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_resolution_depends_on_master_seed(practical_scenario):
     s1 = signal_to_dict(practical_scenario.resolve_signal(SEED))
     s2 = signal_to_dict(practical_scenario.resolve_signal(SEED + 1))
     assert s1 != s2
-    x1 = practical_scenario.resolve_initial_state(SEED, first_mode=1)
-    x2 = practical_scenario.resolve_initial_state(SEED + 1, first_mode=1)
-    assert not np.array_equal(x1, x2)
+    _, e1 = practical_scenario.resolve_initial_state(SEED, first_mode=1)
+    _, e2 = practical_scenario.resolve_initial_state(SEED + 1, first_mode=1)
+    assert not np.array_equal(e1, e2)
 
 
 def test_random_impulses_live_on_the_sphere(practical_signal):
@@ -115,9 +117,9 @@ def test_initial_errors_within_ball(practical_scenario):
     n1 = practical_scenario.n_agents_of(1)
     leader = np.asarray(practical_scenario.initial.leader)
     for seed in range(20):
-        x0 = practical_scenario.resolve_initial_state(seed, first_mode=1)
-        np.testing.assert_array_equal(x0[:p], leader)
-        err = x0[p:] - np.tile(leader, n1)
+        x0, err = practical_scenario.resolve_initial_state(seed, first_mode=1)
+        np.testing.assert_array_equal(x0, leader)
+        assert err.shape == (p * n1,)
         assert np.linalg.norm(err) <= 3.0 + 1e-12
 
 
@@ -125,13 +127,23 @@ def test_explicit_initial_errors(practical_scenario):
     data = practical_dict()
     data["initial_state"]["errors"] = [[0.1, 0.0], [0.0, 0.2], [0.3, 0.0], [0.0, 0.4]]
     scen = parse_scenario(data)
-    x0 = scen.resolve_initial_state(0, first_mode=1)
-    leader = np.array([1.0, 0.5])
-    np.testing.assert_allclose(
-        x0, np.concatenate([leader] + [leader + e for e in
-                                       ([0.1, 0.0], [0.0, 0.2], [0.3, 0.0], [0.0, 0.4])]),
-        rtol=0,
-    )
+    x0, err = scen.resolve_initial_state(0, first_mode=1)
+    np.testing.assert_array_equal(x0, [1.0, 0.5])
+    np.testing.assert_array_equal(err, [0.1, 0.0, 0.0, 0.2, 0.3, 0.0, 0.0, 0.4])
+
+
+def test_initial_error_block_is_bit_exact(practical_scenario):
+    # the errors reach the integrator as drawn or given, with no round trip
+    # through leader + error - leader (1.0 + 0.1 - 1.0 != 0.1 in floats)
+    n = practical_scenario.p * practical_scenario.n_agents_of(1)
+    _, err = practical_scenario.resolve_initial_state(SEED, first_mode=1)
+    drawn = uniform_in_ball(stream_rng(SEED, STREAM_INITIAL, 0), n, 3.0)
+    assert err.tobytes() == drawn.tobytes()
+    data = practical_dict()
+    given = [[0.1, 0.0], [0.0, 0.2], [0.3, 0.0], [0.0, 0.4]]
+    data["initial_state"]["errors"] = given
+    _, err = parse_scenario(data).resolve_initial_state(0, first_mode=1)
+    assert err.tobytes() == np.array(given, dtype=float).reshape(-1).tobytes()
 
 
 def test_explicit_initial_errors_wrong_count(practical_scenario):

@@ -18,7 +18,6 @@ from omaslab import (
     Segment,
     SwitchingSignal,
     Trajectory,
-    error_projector,
     export_events_csv,
     export_trajectory_csv,
     integrate_segment,
@@ -50,10 +49,15 @@ def scalar_follower(a: float) -> ModeMatrix:
     """One 1-d follower with rate a, leader frozen at zero."""
     return ModeMatrix(
         mode_id=1, n_agents=1, p=1,
+        A=np.array([[0.0]]),
         A_err=np.array([[a]]),
-        A_full=np.array([[0.0, 0.0], [0.0, a]]),
         alpha=a, stable=a < 0,
     )
+
+
+def stacked(mode: ModeMatrix) -> np.ndarray:
+    """The matrix (leader, errors) flows by within one segment."""
+    return scipy.linalg.block_diag(mode.A, mode.A_err)
 
 
 # --------------------------------------------------------------------------
@@ -86,9 +90,9 @@ def test_unstable_mode_growth_rate(demo_matrices):
     period = 2.0 * math.pi / omega
     rng = np.random.default_rng(5)
     leader = np.array([1.0, 0.5])
-    x0 = np.concatenate([leader, np.tile(leader, 5) + 0.1 * rng.standard_normal(10)])
-    res = integrate_segment(mm, x0, ZERO, (0.0, 1.0 + period), dt=1e-3)
-    errs = res.states @ error_projector(5, 2).T
+    z0 = np.concatenate([leader, 0.1 * rng.standard_normal(10)])
+    res = integrate_segment(mm, z0, ZERO, (0.0, 1.0 + period), dt=1e-3)
+    errs = res.states[:, 2:]
     norms = np.linalg.norm(errs, axis=1)
     mask = res.t >= 1.0  # skip the transient of the subdominant modes
     slope = np.polyfit(res.t[mask], np.log(norms[mask]), 1)[0]
@@ -96,8 +100,8 @@ def test_unstable_mode_growth_rate(demo_matrices):
 
 
 def test_leader_follows_its_own_flow(practical_run):
-    # the leader block of A_full is [A | 0] and jumps preserve the leader,
-    # so x0(t) = expm(A t) x0(0) across segments and migrations alike
+    # the leader flows by A alone and jumps never touch it, so
+    # x0(t) = expm(A t) x0(0) across segments and migrations alike
     leader0 = np.array([1.0, 0.5])
     A = np.array(DEMO_A)
     for seg in practical_run.trajectory.segments:
@@ -279,8 +283,8 @@ def test_tail_sup_error_hand_case():
 def test_divergence_detected_and_reported():
     mode = ModeMatrix(
         mode_id=1, n_agents=1, p=1,
+        A=np.array([[0.0]]),
         A_err=np.array([[50.0]]),
-        A_full=np.array([[0.0, 0.0], [0.0, 50.0]]),
         alpha=50.0, stable=False,
     )
     res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=1e-3)
@@ -560,7 +564,7 @@ def test_exact_step_matrices_integrate_linear_forcing():
     # x(s) = e^-s x0 + 3 - 2/s - (1 - 2/s) e^-s
     mode = scalar_follower(-1.0)
     s = 0.4
-    E, A0, A1 = _step_matrices(mode.A_full, s, "exact", 1)
+    E, A0, A1 = _step_matrices(stacked(mode), s, "exact", 1)
     got = E @ np.array([0.0, 0.7]) + A0 @ [1.0] + A1 @ [3.0]
     expected = math.exp(-s) * 0.7 + 3.0 - 2.0 / s - (1.0 - 2.0 / s) * math.exp(-s)
     assert got[1] == pytest.approx(expected, rel=1e-13)
@@ -573,13 +577,13 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
     # overflow lands deep inside a later chunk: the diverging step and the
     # sampled rows must be those of a plain step-by-step loop
     mode = ModeMatrix(
-        mode_id=1, n_agents=1, p=1, A_err=np.array([[50.0]]),
-        A_full=np.array([[0.0, 0.0], [0.0, 50.0]]), alpha=50.0, stable=False,
+        mode_id=1, n_agents=1, p=1, A=np.array([[0.0]]),
+        A_err=np.array([[50.0]]), alpha=50.0, stable=False,
     )
     dt = 1e-3
     res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=dt,
                             method=method, sample_stride=stride)
-    E, _, _ = _step_matrices(mode.A_full, dt, method, 1)
+    E, _, _ = _step_matrices(stacked(mode), dt, method, 1)
     x, k = np.array([0.0, 1.0]), 0
     kept = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -649,3 +653,38 @@ def test_envelope_finite_past_204_switches():
         trace = lyapunov_trace(run.trajectory, bundle)
     assert np.isfinite(trace.envelope).all()
     assert trace.ok
+
+
+# --------------------------------------------------------------------------
+# long unforced horizons
+
+
+def _long_asymptotic_run(horizon: float):
+    """The unforced demo on a generated signal of the given horizon, dt 1e-2."""
+    doc = demo_scenario_dict("asymptotic", seed=11)
+    doc["signal"]["horizon"] = horizon
+    doc["simulation"]["dt"] = 1e-2
+    scenario = parse_scenario(doc)
+    signal = scenario.resolve_signal(11)
+    bundle = build_bundle(scenario, signal)
+    assert bundle.ultimate_bound == 0.0
+    assert validate_switching(signal, bundle.budget, bundle.stable_set).ok
+    return run_scenario(scenario, seed=11, bundle=bundle, signal=signal), bundle
+
+
+def test_asymptotic_envelope_holds_over_300s():
+    # the leader grows like e^(0.025 t); errors formed as x_i - x_0 would
+    # level off at its rounding (near 1e-11) while the envelope falls to 5e-17
+    run, bundle = _long_asymptotic_run(300.0)
+    trace = lyapunov_trace(run.trajectory, bundle)
+    assert trace.violations == []
+    assert trace.ok
+
+
+def test_asymptotic_converges_over_3000s():
+    run, bundle = _long_asymptotic_run(3000.0)
+    s = run.summary
+    assert not s.diverged
+    assert s.tail_sup_error < s.convergence_tol
+    assert s.converged and s.bound_respected
+    assert lyapunov_trace(run.trajectory, bundle).ok

@@ -7,12 +7,12 @@ from omaslab import (
     ConfigError,
     MigrationEvent,
     apply_error_jump,
-    apply_state_jump,
     build_migration_matrix,
     build_transition_map,
-    error_projector,
     impulse_bounds,
 )
+
+from helpers import apply_state_jump, error_projector
 
 P_DIM = 2  # agent dimension used throughout, matching the demo network
 
@@ -126,16 +126,17 @@ def test_consistency_identity_random(rng):
         ev = random_event(rng)
         tm = build_transition_map(ev, P_DIM)
         x = rng.standard_normal(P_DIM * (ev.n_before + 1)) * rng.uniform(0.1, 10.0)
-        res = tm.consistency_residual(x)
+        err_after = error_projector(ev.n_after, P_DIM) @ apply_state_jump(ev, x, P_DIM)
+        direct = apply_error_jump(tm, error_projector(ev.n_before, P_DIM) @ x)
+        res = float(np.linalg.norm(err_after - direct))
         assert res <= 1e-10 * (1.0 + np.linalg.norm(x))
 
 
 def test_leader_untouched_by_jumps(rng):
     for _ in range(50):
         ev = random_event(rng)
-        tm = build_transition_map(ev, P_DIM)
         x = rng.standard_normal(P_DIM * (ev.n_before + 1))
-        post = apply_state_jump(tm, x)
+        post = apply_state_jump(ev, x, P_DIM)
         np.testing.assert_allclose(post[:P_DIM], x[:P_DIM], atol=1e-14)
 
 
@@ -156,7 +157,7 @@ def test_pure_relabel_jump_vanishes_at_zero_error():
     # equivalently: a perfectly synchronized stack stays synchronized
     leader = np.array([0.7, -1.2])
     x = np.tile(leader, 3 + 1)
-    post = apply_state_jump(tm, x)
+    post = apply_state_jump(ev, x, P_DIM)
     np.testing.assert_allclose(post, np.tile(leader, 5 + 1), atol=1e-14)
 
 
@@ -164,8 +165,11 @@ def test_joiners_enter_at_leader():
     ev = _event((2, 1))  # join at position 3
     tm = build_transition_map(ev, P_DIM)
     x = np.concatenate([[1.0, 2.0], np.arange(6, dtype=float)])  # leader + 3 agents
-    post = apply_state_jump(tm, x)
+    post = apply_state_jump(ev, x, P_DIM)
     np.testing.assert_allclose(post[P_DIM * 3 : P_DIM * 4], [1.0, 2.0], atol=1e-14)
+    # so the error jump starts the joiner at zero error
+    e_post = apply_error_jump(tm, error_projector(3, P_DIM) @ x)
+    np.testing.assert_array_equal(e_post[P_DIM * 2 : P_DIM * 3], 0.0)
 
 
 def test_error_projector_hand_case():
@@ -234,7 +238,5 @@ def test_map_rejects_bad_gain_shape():
 
 def test_jump_rejects_bad_state_shape():
     tm = build_transition_map(_event((1, 2)), P_DIM)
-    with pytest.raises(ConfigError):
-        apply_state_jump(tm, np.zeros(3))
     with pytest.raises(ConfigError):
         apply_error_jump(tm, np.zeros(3))
