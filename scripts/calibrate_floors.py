@@ -16,7 +16,6 @@ from omaslab.demo import (
     DEMO_RATIO_FLOOR,
     demo_scenario,
 )
-from omaslab.mode_dynamics import build_mode_matrices
 from omaslab.transition import impulse_bounds
 
 
@@ -28,10 +27,7 @@ def main() -> None:
     args = ap.parse_args()
 
     sc = demo_scenario("practical", seed=args.seed)
-    mats = build_mode_matrices(
-        sc.dynamics, list(sc.modes.values()), sc.coupling_gain,
-        warn_on_gain=False,
-    )
+    mats = sc.mode_matrices()
     signal = sc.resolve_signal(args.seed)
     bounds = impulse_bounds(list(signal.events), sc.dynamics.p)
 

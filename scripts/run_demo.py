@@ -20,7 +20,6 @@ import time
 
 from omaslab.cli import build_bundle
 from omaslab.demo import DEMO_ALPHAS, demo_scenario
-from omaslab.mode_dynamics import build_mode_matrices
 from omaslab.simulate import (
     export_events_csv,
     export_trajectory_csv,
@@ -47,10 +46,7 @@ def main() -> int:
         sc = demo_scenario(variant, seed=args.seed)
         print(f"=== {variant} variant (seed {args.seed}, dt {args.dt:g}) ===")
 
-        mats = build_mode_matrices(
-            sc.dynamics, list(sc.modes.values()), sc.coupling_gain,
-            warn_on_gain=False,
-        )
+        mats = sc.mode_matrices()
         for mid in sorted(mats):
             mm = mats[mid]
             ref = DEMO_ALPHAS[mid]
@@ -60,7 +56,7 @@ def main() -> int:
 
         signal = sc.resolve_signal(args.seed)
         t_cert = time.perf_counter()
-        bundle = build_bundle(sc, signal)
+        bundle = build_bundle(sc, signal, mats)
         t_cert = time.perf_counter() - t_cert
         verdict = validate_switching(signal, bundle.budget, bundle.stable_set)
         print(f"  certified in {t_cert * 1e3:.1f} ms: "
@@ -75,7 +71,8 @@ def main() -> int:
         print(f"  ultimate bound = {eps}")
 
         t_sim = time.perf_counter()
-        result = run_scenario(sc, seed=args.seed, dt=args.dt, bundle=bundle)
+        result = run_scenario(sc, seed=args.seed, dt=args.dt, bundle=bundle,
+                              signal=signal, matrices=mats)
         t_sim = time.perf_counter() - t_sim
         s = result.summary
         print(f"  simulated in {t_sim:.2f} s: tail sup error = {s.tail_sup_error:.6g}, "

@@ -7,194 +7,30 @@ topology mode, synthesizes per-mode Lyapunov certificates, validates
 dwell-time and activation-ratio conditions on the switching signal,
 computes the resulting ultimate bound on the tracking errors, and
 integrates the dimension-varying hybrid closed loop to confirm it.
+
+The package exports the names below; everything else is imported from its
+submodule (``omaslab.cli.build_bundle``, ``omaslab.demo.demo_scenario``,
+``omaslab.scenario.load_scenario``, ...).
 """
 
-from .certificate import (
-    CalibrationResult,
-    CertificateBundle,
-    GammaAggregates,
-    ModeCertificate,
-    assemble_bundle,
-    calibrate_switching_floors,
-    default_gamma_margin,
-    gamma_aggregates,
-    solve_mode_certificate,
-)
-from .cli import main
-from .demo import (
-    DEMO_A,
-    DEMO_ALPHAS,
-    DEMO_COUPLING,
-    DEMO_DWELL_FLOOR,
-    DEMO_MODES,
-    DEMO_RATIO_FLOOR,
-    demo_scenario,
-    demo_scenario_dict,
-)
-from .errors import (
-    AssumptionViolation,
-    CertificateError,
-    ConfigError,
-    NumericalError,
-    SchemaError,
-    UnboundedCertificate,
-)
 from .mode_dynamics import (
-    AgentDynamics,
-    ModeMatrix,
     build_mode_matrices,
-    build_mode_matrix,
-    check_coupling_gain,
-    coupling_gain_bound,
     kronecker_sum_spectrum_check,
     spectral_abscissa,
-    stable_mode_ids,
-    suggest_coupling_gain,
 )
-from .scenario import (
-    Scenario,
-    load_scenario,
-    parse_scenario,
-    scenario_to_dict,
-    signal_from_dict,
-    signal_to_dict,
-)
-from .signed_graph import (
-    AugmentedMode,
-    Edge,
-    InstabilityReport,
-    ModeClass,
-    SignedDigraph,
-    augmented_laplacian,
-    check_negative_majority_instability,
-    classify_mode,
-    grounded_laplacian,
-    has_leader_spanning_tree,
-    leader_reachable_set,
-    mode_from_dense,
-    repelling_laplacian,
-)
-from .simulate import (
-    LyapunovTrace,
-    PerturbationModel,
-    RunResult,
-    RunSummary,
-    Trajectory,
-    export_events_csv,
-    export_trajectory_csv,
-    integrate_segment,
-    lyapunov_trace,
-    run_scenario,
-    run_switched,
-)
-from .switching import (
-    Segment,
-    SignalGenSpec,
-    SuffixCheck,
-    SwitchingBudget,
-    SwitchingSignal,
-    ValidationReport,
-    activation_times,
-    brute_force_suffix_scan,
-    count_switches_after,
-    generate_signal,
-    piecewise_adt,
-    validate_switching,
-)
-from .transition import (
-    ImpulseBounds,
-    MigrationEvent,
-    TransitionMap,
-    apply_error_jump,
-    build_migration_matrix,
-    build_transition_map,
-    impulse_bounds,
-)
+from .simulate import lyapunov_trace, run_scenario
+from .switching import validate_switching
+from .transition import apply_error_jump, build_transition_map
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentDynamics",
-    "AssumptionViolation",
-    "AugmentedMode",
-    "CalibrationResult",
-    "CertificateBundle",
-    "CertificateError",
-    "ConfigError",
-    "DEMO_A",
-    "DEMO_ALPHAS",
-    "DEMO_COUPLING",
-    "DEMO_DWELL_FLOOR",
-    "DEMO_MODES",
-    "DEMO_RATIO_FLOOR",
-    "Edge",
-    "GammaAggregates",
-    "ImpulseBounds",
-    "InstabilityReport",
-    "LyapunovTrace",
-    "MigrationEvent",
-    "ModeCertificate",
-    "ModeClass",
-    "ModeMatrix",
-    "NumericalError",
-    "PerturbationModel",
-    "RunResult",
-    "RunSummary",
-    "Scenario",
-    "SchemaError",
-    "Segment",
-    "SignalGenSpec",
-    "SignedDigraph",
-    "SuffixCheck",
-    "SwitchingBudget",
-    "SwitchingSignal",
-    "Trajectory",
-    "TransitionMap",
-    "UnboundedCertificate",
-    "ValidationReport",
-    "activation_times",
     "apply_error_jump",
-    "assemble_bundle",
-    "augmented_laplacian",
-    "brute_force_suffix_scan",
-    "build_migration_matrix",
     "build_mode_matrices",
-    "build_mode_matrix",
     "build_transition_map",
-    "calibrate_switching_floors",
-    "check_coupling_gain",
-    "check_negative_majority_instability",
-    "classify_mode",
-    "count_switches_after",
-    "coupling_gain_bound",
-    "default_gamma_margin",
-    "demo_scenario",
-    "demo_scenario_dict",
-    "export_events_csv",
-    "export_trajectory_csv",
-    "gamma_aggregates",
-    "generate_signal",
-    "grounded_laplacian",
-    "has_leader_spanning_tree",
-    "impulse_bounds",
-    "integrate_segment",
     "kronecker_sum_spectrum_check",
-    "leader_reachable_set",
-    "load_scenario",
     "lyapunov_trace",
-    "main",
-    "mode_from_dense",
-    "parse_scenario",
-    "piecewise_adt",
-    "repelling_laplacian",
     "run_scenario",
-    "run_switched",
-    "scenario_to_dict",
-    "signal_from_dict",
-    "signal_to_dict",
-    "solve_mode_certificate",
     "spectral_abscissa",
-    "stable_mode_ids",
-    "suggest_coupling_gain",
     "validate_switching",
 ]

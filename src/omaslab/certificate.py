@@ -23,11 +23,19 @@ import scipy.linalg
 
 from .errors import AssumptionViolation, CertificateError, ConfigError
 from .mode_dynamics import ModeMatrix
-from .switching import SwitchingBudget, SwitchingSignal, suffix_sweep
+from .switching import (
+    SwitchingBudget,
+    SwitchingSignal,
+    dwell_floor_at,
+    ratio_floor_at,
+    suffix_sweep,
+)
 from .transition import ImpulseBounds
 
 _STABLE_CLAMP = 0.1    # fallback: gamma = (1 - clamp) * alpha when alpha + margin >= 0
 _RESIDUAL_REL_TOL = 1e-8
+_CALIBRATION_MARGINS = np.logspace(-6.0, 0.0, 31)  # coarse grid, refined around its winner
+_CALIBRATION_RATES = 2000  # common rates tried per margin
 
 
 def default_gamma_margin(alpha: float) -> float:
@@ -133,6 +141,21 @@ def gamma_aggregates(certs: dict[int, ModeCertificate]) -> GammaAggregates:
     )
 
 
+def _energy_constants(
+    certs: dict[int, ModeCertificate], err_jump_norm_max: float
+) -> tuple[float, float, float]:
+    """(p_under, p_over, mu) over all modes.
+
+    p_under |e|^2 <= V^2 <= p_over |e|^2 in every mode, so an event whose
+    error jump has 2-norm at most err_jump_norm_max grows V by at most the
+    jump gain mu, the square root of the sandwich ratio times that norm
+    (or times 1, when the norm is smaller).
+    """
+    p_under = min(c.lambda_min for c in certs.values())
+    p_over = max(c.lambda_max for c in certs.values())
+    return p_under, p_over, math.sqrt(p_over / p_under) * max(1.0, err_jump_norm_max)
+
+
 def _geom_sum(mu: float, k: float) -> float:
     """(1 - mu^k) / (1 - mu), continuously extended to k at mu = 1."""
     if k <= 0.0:
@@ -203,9 +226,7 @@ def assemble_bundle(
             f"gamma_common {g} outside the admissible interval "
             f"({agg.gamma_stable_max}, 0)"
         )
-    p_under = min(c.lambda_min for c in certs.values())
-    p_over = max(c.lambda_max for c in certs.values())
-    mu = math.sqrt(p_over / p_under) * max(1.0, bounds.err_jump_norm_max)
+    p_under, p_over, mu = _energy_constants(certs, bounds.err_jump_norm_max)
     flow_offset = h_bound * p_over / math.sqrt(p_under)
     jump_offset = bounds.impulse_norm_max * math.sqrt(p_over)
     settled_flow = flow_offset / (-g)
@@ -269,8 +290,6 @@ class CalibrationResult:
     gamma_common: float
     ratio_floor: float
     dwell_floor: float
-    target_ratio: float
-    target_dwell: float
     max_rel_deviation: float
 
 
@@ -279,8 +298,6 @@ def calibrate_switching_floors(
     err_jump_norm_max: float,
     target_ratio: float,
     target_dwell: float,
-    margins: np.ndarray | None = None,
-    gamma_grid: int = 2000,
 ) -> CalibrationResult:
     """Search (margin, gamma_common) configurations whose certified floors
     reproduce a pair of reference switching bounds.
@@ -291,18 +308,13 @@ def calibrate_switching_floors(
     small) and lands within a fraction of a percent of any reachable target
     pair.
     """
-    if margins is None:
-        margins = np.logspace(-6.0, 0.0, 31)
-    best = _calibrate_over(
-        matrices, err_jump_norm_max, target_ratio, target_dwell, margins, gamma_grid
-    )
+    targets = (err_jump_norm_max, target_ratio, target_dwell)
+    best = _calibrate_over(matrices, *targets, _CALIBRATION_MARGINS)
     if best is None:
         raise CertificateError("calibration failed: no margin produced valid certificates")
     # refine around the coarse winner
     fine = best.gamma_margin * np.logspace(-0.25, 0.25, 21)
-    refined = _calibrate_over(
-        matrices, err_jump_norm_max, target_ratio, target_dwell, fine, gamma_grid
-    )
+    refined = _calibrate_over(matrices, *targets, fine)
     if refined is not None and refined.max_rel_deviation < best.max_rel_deviation:
         best = refined
     return best
@@ -314,7 +326,6 @@ def _calibrate_over(
     target_ratio: float,
     target_dwell: float,
     margins,
-    gamma_grid: int,
 ) -> CalibrationResult | None:
     best: CalibrationResult | None = None
     for margin in margins:
@@ -328,36 +339,31 @@ def _calibrate_over(
             continue
         if agg.gamma_unstable_max is None:
             raise AssumptionViolation("calibration needs at least one unstable mode")
-        p_under = min(c.lambda_min for c in certs.values())
-        p_over = max(c.lambda_max for c in certs.values())
-        mu = math.sqrt(p_over / p_under) * max(1.0, err_jump_norm_max)
-        ln_mu = math.log(mu)
+        mu = _energy_constants(certs, err_jump_norm_max)[2]
         g_s, g_u = agg.gamma_stable_max, agg.gamma_unstable_max
         lo, hi = g_s * (1.0 - 1e-9), g_s * 1e-9
-        candidates = list(np.linspace(lo, hi, gamma_grid))
+        candidates = list(np.linspace(lo, hi, _CALIBRATION_RATES))
         # exact-ratio and exact-dwell rates, when they fall inside the interval
         g_ratio = (g_u + target_ratio * g_s) / (1.0 + target_ratio)
         if lo < g_ratio < hi:
             candidates.append(g_ratio)
         if target_dwell > 0:
-            g_dwell = -ln_mu / target_dwell
+            g_dwell = -math.log(mu) / target_dwell
             if lo < g_dwell < hi:
                 candidates.append(g_dwell)
-        for g in candidates:
-            ratio = (g_u - g) / (g - g_s)
-            dwell = -ln_mu / g
-            dev = max(
-                abs(ratio / target_ratio - 1.0) if target_ratio else abs(ratio),
-                abs(dwell / target_dwell - 1.0) if target_dwell else abs(dwell),
+        g = np.array(candidates)
+        ratio, dwell = ratio_floor_at(g_s, g_u, g), dwell_floor_at(mu, g)
+        dev = np.maximum(
+            np.abs(ratio / target_ratio - 1.0) if target_ratio else np.abs(ratio),
+            np.abs(dwell / target_dwell - 1.0) if target_dwell else np.abs(dwell),
+        )
+        i = int(np.argmin(dev))  # the first of equal minima, as a strict < scan
+        if best is None or dev[i] < best.max_rel_deviation:
+            best = CalibrationResult(
+                gamma_margin=float(margin),
+                gamma_common=float(g[i]),
+                ratio_floor=float(ratio[i]),
+                dwell_floor=float(dwell[i]),
+                max_rel_deviation=float(dev[i]),
             )
-            if best is None or dev < best.max_rel_deviation:
-                best = CalibrationResult(
-                    gamma_margin=float(margin),
-                    gamma_common=float(g),
-                    ratio_floor=float(ratio),
-                    dwell_floor=float(dwell),
-                    target_ratio=float(target_ratio),
-                    target_dwell=float(target_dwell),
-                    max_rel_deviation=float(dev),
-                )
     return best

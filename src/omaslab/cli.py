@@ -36,7 +36,6 @@ from .errors import (
 )
 from .mode_dynamics import (
     ModeMatrix,
-    build_mode_matrices,
     coupling_gain_bound,
     kronecker_sum_spectrum_check,
     spectral_abscissa,
@@ -147,10 +146,7 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         coupling["ok"] = False
         coupling["note"] = str(exc)
 
-    matrices = build_mode_matrices(
-        dyn, modes, scenario.coupling_gain,
-        max_dim=scenario.simulation.max_dim, warn_on_gain=False,
-    )
+    matrices = scenario.mode_matrices()
     for entry in mode_reports:
         mm = matrices[entry["id"]]
         entry["alpha"] = mm.alpha
@@ -206,27 +202,21 @@ def build_bundle(
     this scenario are reused.
     """
     _require_assumptions(scenario)
-    dyn = scenario.dynamics
-    modes = list(scenario.modes.values())
-    bound = coupling_gain_bound(dyn, modes)
+    bound = coupling_gain_bound(scenario.dynamics, list(scenario.modes.values()))
     if not scenario.coupling_gain < bound:
         raise CertificateError(
             f"coupling gain {scenario.coupling_gain} is not strictly below the "
             f"admissible bound {bound:.6g}; certification refused"
         )
     if matrices is None:
-        matrices = build_mode_matrices(
-            dyn, modes, scenario.coupling_gain,
-            max_dim=scenario.simulation.max_dim, warn_on_gain=False,
-        )
+        matrices = scenario.mode_matrices()
     certs = {
         mid: solve_mode_certificate(mm, gamma_margin=scenario.certification.gamma_margin)
         for mid, mm in sorted(matrices.items())
     }
-    bounds = impulse_bounds(list(signal.events), dyn.p)
     return assemble_bundle(
         certs,
-        bounds,
+        impulse_bounds(list(signal.events), scenario.p),
         h_bound=scenario.perturbation.bound,
         signal=signal,
         chatter_bound=scenario.certification.chatter_bound,
@@ -273,8 +263,7 @@ def _bundle_report(bundle: CertificateBundle) -> dict:
 
 
 def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
-    master = scenario.simulation.seed if args.seed is None else args.seed
-    signal = scenario.resolve_signal(master)
+    signal = scenario.resolve_signal(args.seed)
     bundle = build_bundle(scenario, signal)
     verdict = validate_switching(
         signal, bundle.budget, bundle.stable_set, suffixes=args.validate_suffixes
@@ -312,10 +301,7 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace,
                   seed: int, out: str) -> dict:
     # one signal and one set of mode matrices serve certification and the run
     signal = scenario.resolve_signal(seed)
-    matrices = build_mode_matrices(
-        scenario.dynamics, list(scenario.modes.values()), scenario.coupling_gain,
-        max_dim=scenario.simulation.max_dim,
-    )
+    matrices = scenario.mode_matrices()
     bundle = None
     cert_error = None
     try:
@@ -364,15 +350,14 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace,
 
 
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
-    master = scenario.simulation.seed if args.seed is None else args.seed
     out = args.out or "."
     if args.sweep <= 1:
-        summary = _simulate_one(scenario, args, master, out)
+        summary = _simulate_one(scenario, args, args.seed, out)
         return 4 if summary["diverged"] and args.strict else 0
 
     # batch mode: consecutive seeds, independent runs, one dir per seed
     summaries = {}
-    for seed in range(master, master + args.sweep):
+    for seed in range(args.seed, args.seed + args.sweep):
         print(f"--- seed {seed} ---")
         summaries[seed] = _simulate_one(
             scenario, args, seed, os.path.join(out, f"seed_{seed}")
@@ -397,8 +382,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def cmd_gen_signal(scenario: Scenario, args: argparse.Namespace) -> int:
-    master = scenario.simulation.seed if args.seed is None else args.seed
-    signal = scenario.resolve_signal(master)
+    signal = scenario.resolve_signal(args.seed)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "signal.json")
@@ -460,6 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        args.seed = scenario.master_seed(args.seed)
         return _COMMANDS[args.command](scenario, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

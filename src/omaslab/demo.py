@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from .scenario import Scenario, parse_scenario
 
 # double integrator with slight damping mismatch; unstable on its own
@@ -146,10 +144,3 @@ def demo_scenario_dict(variant: str = "practical", seed: int = 11) -> dict[str, 
 def demo_scenario(variant: str = "practical", seed: int = 11) -> Scenario:
     return parse_scenario(demo_scenario_dict(variant=variant, seed=seed))
 
-
-def demo_laplacians() -> dict[int, np.ndarray]:
-    return {m["id"]: np.array(m["L"]) for m in DEMO_MODES}
-
-
-def demo_leader_links() -> dict[int, np.ndarray]:
-    return {m["id"]: np.array(m["D"]) for m in DEMO_MODES}

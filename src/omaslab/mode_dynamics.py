@@ -109,22 +109,6 @@ def coupling_gain_bound(dyn: AgentDynamics, modes: list[AugmentedMode]) -> float
     return float(min(bounds))
 
 
-def suggest_coupling_gain(
-    dyn: AgentDynamics, modes: list[AugmentedMode], margin_factor: float = 2.0
-) -> float:
-    """Bound times a safety factor (default 2.0, i.e. twice past the bound)."""
-    if margin_factor <= 1.0:
-        raise ConfigError(f"margin_factor must exceed 1, got {margin_factor}")
-    return coupling_gain_bound(dyn, modes) * margin_factor
-
-
-def check_coupling_gain(
-    dyn: AgentDynamics, modes: list[AugmentedMode], coupling: float
-) -> bool:
-    """True when the gain is strictly below the admissible bound."""
-    return coupling < coupling_gain_bound(dyn, modes)
-
-
 def build_mode_matrix(
     dyn: AgentDynamics,
     mode: AugmentedMode,
@@ -168,20 +152,8 @@ def build_mode_matrices(
     modes: list[AugmentedMode],
     coupling: float,
     max_dim: int = DEFAULT_MAX_DIM,
-    warn_on_gain: bool = True,
 ) -> dict[int, ModeMatrix]:
-    """Assemble all modes, keyed by mode id, warning once on a bad gain."""
-    if warn_on_gain:
-        try:
-            if not check_coupling_gain(dyn, modes, coupling):
-                warnings.warn(
-                    f"coupling gain {coupling} is not strictly below the admissible "
-                    f"bound {coupling_gain_bound(dyn, modes):.6g}; simulation is "
-                    "possible but certification will be refused",
-                    stacklevel=2,
-                )
-        except AssumptionViolation:
-            pass  # reported by analyze/certify in their own terms
+    """Assemble all modes, keyed by mode id."""
     out: dict[int, ModeMatrix] = {}
     for m in modes:
         if m.mode_id is None:
@@ -210,6 +182,3 @@ def kronecker_sum_spectrum_check(
     rows, cols = linear_sum_assignment(cost)
     return bool(cost[rows, cols].max() <= tol)
 
-
-def stable_mode_ids(matrices: dict[int, ModeMatrix]) -> set[int]:
-    return {mid for mid, mm in matrices.items() if mm.stable}

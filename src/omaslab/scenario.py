@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Union
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .mode_dynamics import AgentDynamics
+from .mode_dynamics import AgentDynamics, ModeMatrix, build_mode_matrices
 from .seeding import (
     STREAM_DEP_GAIN,
     STREAM_IMPULSE,
@@ -139,6 +139,17 @@ class Scenario:
         except KeyError:
             raise ConfigError(f"unknown mode id {mode_id}") from None
 
+    def master_seed(self, seed: int | None) -> int:
+        """The given master seed, or the scenario's own when None."""
+        return self.simulation.seed if seed is None else int(seed)
+
+    def mode_matrices(self) -> dict[int, ModeMatrix]:
+        """The stacked error matrices of every mode, keyed by mode id."""
+        return build_mode_matrices(
+            self.dynamics, list(self.modes.values()), self.coupling_gain,
+            max_dim=self.simulation.max_dim,
+        )
+
     # -- event materialization -------------------------------------------
 
     def build_event(
@@ -219,8 +230,9 @@ class Scenario:
             path = spec.path
             if not os.path.isabs(path) and self.source_dir:
                 path = os.path.join(self.source_dir, path)
-            with open(path) as fh:
-                return signal_from_dict(json.load(fh))
+            signal = signal_from_dict(_load_json(path, "signal"))
+            self._check_modes(signal, path)
+            return signal
         if isinstance(spec, ExplicitSignalSpec):
             segments = tuple(Segment(start=t, mode=m) for t, m in spec.segments)
             events = tuple(
@@ -243,6 +255,21 @@ class Scenario:
         return generate_signal(
             gen, event_builder=lambda k, mb, ma: self.build_event(k, mb, ma, master_seed)
         )
+
+    def _check_modes(self, sig: SwitchingSignal, source: str) -> None:
+        """A signal from elsewhere must switch among this scenario's modes,
+        with events sized as those modes are."""
+        for i, seg in enumerate(sig.segments):
+            if seg.mode not in self.modes:
+                raise ConfigError(f"{source}: segment {i} uses unknown mode id {seg.mode}")
+        for ev in sig.events:
+            sizes = (self.n_agents_of(ev.mode_before), self.n_agents_of(ev.mode_after))
+            if (ev.n_before, ev.n_after) != sizes:
+                raise ConfigError(
+                    f"{source}: event {ev.time_index} maps {ev.n_before} -> {ev.n_after} "
+                    f"agents, but modes {ev.mode_before} -> {ev.mode_after} have "
+                    f"{sizes[0]} -> {sizes[1]}"
+                )
 
     # -- initial condition ---------------------------------------------------
 
@@ -347,6 +374,29 @@ def _int_list(v: Any, path: str) -> list[int]:
     return [_int(x, f"{path}[{i}]") for i, x in enumerate(_arr(v, path))]
 
 
+def _rows(v: Any, path: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(row) for row in _matrix(v, path))
+
+
+def _opt(d: dict, key: str, path: str, parse) -> Any:
+    """d[key] parsed by parse(value, path), or None when absent or null."""
+    v = d.get(key)
+    return None if v is None else parse(v, f"{path}.{key}")
+
+
+def _random_or_given(v: Any, path: str, size: str, random_cls, given) -> Any:
+    """An object {size: value >= 0, seed: optional int} is a random draw of
+    random_cls; anything else is the explicit value given(v, path)."""
+    if not isinstance(v, dict):
+        return given(v, path)
+    _reject_unknown(v, {size, "seed"}, path)
+    seed = _opt(v, "seed", path, _int)
+    value = _num(_get(v, size, path), f"{path}.{size}")
+    if value < 0.0:
+        _fail(f"{path}.{size}", "must be >= 0")
+    return random_cls(value, seed)
+
+
 # ---------------------------------------------------------------------------
 # section parsers
 
@@ -429,9 +479,7 @@ def _parse_signal(d: dict, path: str):
             "ratio_floor", "dwell_floor", "margin", "seed", "t0",
         }
         _reject_unknown(d, allowed, path)
-        seed = d.get("seed")
-        if seed is not None:
-            seed = _int(seed, f"{path}.seed")
+        seed = _opt(d, "seed", path, _int)
         return GenerateSignalSpec(
             horizon=_num(_get(d, "horizon", path), f"{path}.horizon"),
             stable_modes=tuple(_int_list(_get(d, "stable_modes", path), f"{path}.stable_modes")),
@@ -450,46 +498,21 @@ def _parse_signal(d: dict, path: str):
     _fail(f"{path}.type", f"expected 'explicit', 'generate' or 'file', got {kind!r}")
 
 
-def _parse_impulse_spec(v: Any, path: str):
-    if v is None:
-        return None
-    if isinstance(v, dict):
-        _reject_unknown(v, {"radius", "seed"}, path)
-        seed = v.get("seed")
-        if seed is not None:
-            seed = _int(seed, f"{path}.seed")
-        radius = _num(_get(v, "radius", path), f"{path}.radius")
-        if radius < 0.0:
-            _fail(f"{path}.radius", "must be >= 0")
-        return RandomVectorSpec(radius=radius, seed=seed)
-    return tuple(_vector(v, path))
-
-
-def _parse_dep_gain_spec(v: Any, path: str):
-    if v is None:
-        return None
-    if isinstance(v, dict):
-        _reject_unknown(v, {"scale", "seed"}, path)
-        seed = v.get("seed")
-        if seed is not None:
-            seed = _int(seed, f"{path}.seed")
-        scale = _num(_get(v, "scale", path), f"{path}.scale")
-        if scale < 0.0:
-            _fail(f"{path}.scale", "must be >= 0")
-        return RandomMatrixSpec(scale=scale, seed=seed)
-    return tuple(tuple(row) for row in _matrix(v, path))
-
-
 def _parse_event(d: dict, path: str) -> EventSpec:
     d = _obj(d, path)
     _reject_unknown(d, {"from", "to", "joins", "leaves", "impulse", "dep_gain"}, path)
+    imp, dep = d.get("impulse"), d.get("dep_gain")
     return EventSpec(
         from_mode=_int(_get(d, "from", path), f"{path}.from"),
         to_mode=_int(_get(d, "to", path), f"{path}.to"),
         joins=tuple(_int_list(d.get("joins", []), f"{path}.joins")),
         leaves=tuple(_int_list(d.get("leaves", []), f"{path}.leaves")),
-        impulse=_parse_impulse_spec(d.get("impulse"), f"{path}.impulse"),
-        dep_gain=_parse_dep_gain_spec(d.get("dep_gain"), f"{path}.dep_gain"),
+        impulse=None if imp is None else _random_or_given(
+            imp, f"{path}.impulse", "radius", RandomVectorSpec, lambda v, at: tuple(_vector(v, at))
+        ),
+        dep_gain=None if dep is None else _random_or_given(
+            dep, f"{path}.dep_gain", "scale", RandomMatrixSpec, _rows
+        ),
     )
 
 
@@ -497,14 +520,10 @@ def _parse_perturbation(d: dict, path: str, p: int) -> PerturbationModel:
     d = _obj(d, path)
     _reject_unknown(d, {"kind", "bound", "amplitude", "frequency", "hold", "seed"}, path)
     kind = _str(_get(d, "kind", path), f"{path}.kind")
-    amp = d.get("amplitude")
-    if amp is not None:
-        amp = tuple(_vector(amp, f"{path}.amplitude"))
-        if len(amp) != p:
-            _fail(f"{path}.amplitude", f"has {len(amp)} entries, agent dimension is {p}")
-    seed = d.get("seed")
-    if seed is not None:
-        seed = _int(seed, f"{path}.seed")
+    amp = _opt(d, "amplitude", path, _vector)
+    if amp is not None and len(amp) != p:
+        _fail(f"{path}.amplitude", f"has {len(amp)} entries, agent dimension is {p}")
+    seed = _opt(d, "seed", path, _int)
     try:
         return PerturbationModel(
             kind=kind,
@@ -524,37 +543,24 @@ def _parse_initial(d: dict, path: str, p: int) -> InitialStateSpec:
     leader = tuple(_vector(_get(d, "leader", path), f"{path}.leader"))
     if len(leader) != p:
         _fail(f"{path}.leader", f"has {len(leader)} entries, agent dimension is {p}")
-    ev = _get(d, "errors", path)
-    if isinstance(ev, dict):
-        _reject_unknown(ev, {"radius", "seed"}, f"{path}.errors")
-        seed = ev.get("seed")
-        if seed is not None:
-            seed = _int(seed, f"{path}.errors.seed")
-        radius = _num(_get(ev, "radius", f"{path}.errors"), f"{path}.errors.radius")
-        if radius < 0.0:
-            _fail(f"{path}.errors.radius", "must be >= 0")
-        errors: Any = RandomVectorSpec(radius=radius, seed=seed)
-    else:
-        errors = tuple(tuple(row) for row in _matrix(ev, f"{path}.errors"))
-        for i, row in enumerate(errors):
-            if len(row) != p:
-                _fail(f"{path}.errors[{i}]", f"has {len(row)} entries, agent dimension is {p}")
+    errors = _random_or_given(
+        _get(d, "errors", path), f"{path}.errors", "radius", RandomVectorSpec, _rows
+    )
+    # explicit rows all have one width, so the first row speaks for all
+    if isinstance(errors, tuple) and len(errors[0]) != p:
+        _fail(f"{path}.errors[0]", f"has {len(errors[0])} entries, agent dimension is {p}")
     return InitialStateSpec(leader=leader, errors=errors)
 
 
 def _parse_certification(d: dict, path: str) -> CertificationOptions:
     d = _obj(d, path)
     _reject_unknown(d, {"gamma_margin", "gamma_common", "chatter_bound"}, path)
-    gm = d.get("gamma_margin")
-    if gm is not None:
-        gm = _num(gm, f"{path}.gamma_margin")
-        if gm <= 0.0:
-            _fail(f"{path}.gamma_margin", "must be positive")
-    gc = d.get("gamma_common")
-    if gc is not None:
-        gc = _num(gc, f"{path}.gamma_common")
-        if gc >= 0.0:
-            _fail(f"{path}.gamma_common", "must be negative")
+    gm = _opt(d, "gamma_margin", path, _num)
+    if gm is not None and gm <= 0.0:
+        _fail(f"{path}.gamma_margin", "must be positive")
+    gc = _opt(d, "gamma_common", path, _num)
+    if gc is not None and gc >= 0.0:
+        _fail(f"{path}.gamma_common", "must be negative")
     cb = _num(d.get("chatter_bound", 0.0), f"{path}.chatter_bound")
     if cb < 0.0:
         _fail(f"{path}.chatter_bound", "must be >= 0")
@@ -568,11 +574,9 @@ def _parse_simulation(d: dict, path: str) -> SimulationOptions:
         "max_dim", "sample_stride", "integrator",
     }
     _reject_unknown(d, allowed, path)
-    stride = d.get("sample_stride")
-    if stride is not None:
-        stride = _int(stride, f"{path}.sample_stride")
-        if stride < 1:
-            _fail(f"{path}.sample_stride", "must be >= 1")
+    stride = _opt(d, "sample_stride", path, _int)
+    if stride is not None and stride < 1:
+        _fail(f"{path}.sample_stride", "must be >= 1")
     integ = d.get("integrator", "exact")
     if integ not in ("exact", "rk4"):
         _fail(f"{path}.integrator", f"expected 'exact' or 'rk4', got {integ!r}")
@@ -664,12 +668,16 @@ def parse_scenario(data: dict, source_dir: str | None = None) -> Scenario:
     )
 
 
-def load_scenario(path: str) -> Scenario:
+def _load_json(path: str, what: str) -> Any:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"scenario: invalid JSON ({exc})") from exc
+            raise SchemaError(f"{what}: invalid JSON ({exc})") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    data = _load_json(path, "scenario")
     return parse_scenario(data, source_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -711,26 +719,23 @@ def _signal_spec_to_dict(spec) -> dict:
     return {"type": "file", "path": spec.path}
 
 
+def _to_doc(v: Any) -> Any:
+    """Document form of a spec value: a random draw as {size, seed if set},
+    tuples as lists."""
+    if isinstance(v, (RandomVectorSpec, RandomMatrixSpec)):
+        return {k: x for k, x in asdict(v).items() if x is not None}
+    return [_to_doc(x) for x in v] if isinstance(v, tuple) else v
+
+
 def _event_spec_to_dict(spec: EventSpec) -> dict:
     out: dict[str, Any] = {"from": spec.from_mode, "to": spec.to_mode}
     if spec.joins:
         out["joins"] = list(spec.joins)
     if spec.leaves:
         out["leaves"] = list(spec.leaves)
-    if isinstance(spec.impulse, RandomVectorSpec):
-        imp: Any = {"radius": spec.impulse.radius}
-        if spec.impulse.seed is not None:
-            imp["seed"] = spec.impulse.seed
-        out["impulse"] = imp
-    elif spec.impulse is not None:
-        out["impulse"] = list(spec.impulse)
-    if isinstance(spec.dep_gain, RandomMatrixSpec):
-        dg: Any = {"scale": spec.dep_gain.scale}
-        if spec.dep_gain.seed is not None:
-            dg["seed"] = spec.dep_gain.seed
-        out["dep_gain"] = dg
-    elif spec.dep_gain is not None:
-        out["dep_gain"] = [list(row) for row in spec.dep_gain]
+    for key, v in (("impulse", spec.impulse), ("dep_gain", spec.dep_gain)):
+        if v is not None:
+            out[key] = _to_doc(v)
     return out
 
 
@@ -745,14 +750,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         pert["hold"] = s.perturbation.hold
     if s.perturbation.seed is not None:
         pert["seed"] = s.perturbation.seed
-    init: dict[str, Any] = {"leader": list(s.initial.leader)}
-    if isinstance(s.initial.errors, RandomVectorSpec):
-        e: Any = {"radius": s.initial.errors.radius}
-        if s.initial.errors.seed is not None:
-            e["seed"] = s.initial.errors.seed
-        init["errors"] = e
-    else:
-        init["errors"] = [list(row) for row in s.initial.errors]
+    init = {"leader": list(s.initial.leader), "errors": _to_doc(s.initial.errors)}
     cert: dict[str, Any] = {"chatter_bound": s.certification.chatter_bound}
     if s.certification.gamma_margin is not None:
         cert["gamma_margin"] = s.certification.gamma_margin

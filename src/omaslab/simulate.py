@@ -153,8 +153,15 @@ class SegmentTrace:
     mode_id: int
     n_agents: int
     t: np.ndarray
-    states: np.ndarray  # (len(t), p * (n_agents + 1)): leader, leader + errs
+    leader: np.ndarray  # (len(t), p)
     errs: np.ndarray    # (len(t), p * n_agents)
+
+    @property
+    def states(self) -> np.ndarray:
+        """(len(t), p * (n_agents + 1)): the leader, then each agent as leader + error.
+
+        Formed afresh on every access, so read it once per segment."""
+        return np.hstack([self.leader, self.errs + np.tile(self.leader, self.n_agents)])
 
 
 @dataclass(eq=False)
@@ -478,7 +485,7 @@ def run_switched(
                 mode_id=seg.mode,
                 n_agents=mm.n_agents,
                 t=res.t,
-                states=np.hstack([leader, errs + np.tile(leader, mm.n_agents)]),
+                leader=leader,
                 errs=errs,
             )
         )
@@ -525,17 +532,10 @@ def run_scenario(
     already resolved the signal for this seed, or built the mode matrices,
     passes them in and they are not built again.
     """
-    from .mode_dynamics import build_mode_matrices  # deferred, cheap
-
-    master = scenario.simulation.seed if seed is None else int(seed)
+    master = scenario.master_seed(seed)
     dt_eff = scenario.simulation.dt if dt is None else float(dt)
     if matrices is None:
-        matrices = build_mode_matrices(
-            scenario.dynamics,
-            list(scenario.modes.values()),
-            scenario.coupling_gain,
-            max_dim=scenario.simulation.max_dim,
-        )
+        matrices = scenario.mode_matrices()
     if signal is None:
         signal = scenario.resolve_signal(master)
     leader, errors = scenario.resolve_initial_state(master, signal.segments[0].mode)
@@ -691,7 +691,8 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for seg in traj.segments:
-            n_x, n_e = seg.states.shape[1], seg.errs.shape[1]
+            states = seg.states
+            n_x, n_e = states.shape[1], seg.errs.shape[1]
             # one %-template per segment: mode, agent count and padding fixed
             fields = ["%.17g", str(seg.mode_id), str(n_e // p)]
             fields += ["%.17g"] * n_x + [""] * (width_x - n_x)
@@ -699,7 +700,7 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
             row = ",".join(fields) + "\n"
             for a in range(0, len(seg.t), _CSV_BLOCK_ROWS):
                 b = a + _CSV_BLOCK_ROWS
-                block = np.column_stack((seg.t[a:b], seg.states[a:b], seg.errs[a:b]))
+                block = np.column_stack((seg.t[a:b], states[a:b], seg.errs[a:b]))
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -217,16 +217,23 @@ class SwitchingBudget:
     @property
     def ratio_floor(self) -> float:
         """Minimum admissible T_s / T_u over any constrained suffix."""
-        if self.gamma_unstable_max is None:
-            return 0.0
-        return (self.gamma_unstable_max - self.gamma_common) / (
-            self.gamma_common - self.gamma_stable_max
-        )
+        return ratio_floor_at(self.gamma_stable_max, self.gamma_unstable_max, self.gamma_common)
 
     @property
     def dwell_floor(self) -> float:
         """Minimum admissible piecewise average dwell time."""
-        return -math.log(self.jump_gain) / self.gamma_common
+        return dwell_floor_at(self.jump_gain, self.gamma_common)
+
+
+def ratio_floor_at(g_s: float, g_u: float | None, g):
+    """Ratio floor at common rate g, 0 without unstable modes; elementwise
+    over an array of rates."""
+    return 0.0 if g_u is None else (g_u - g) / (g - g_s)
+
+
+def dwell_floor_at(jump_gain: float, g):
+    """Dwell floor at common rate g; elementwise over an array of rates."""
+    return -math.log(jump_gain) / g
 
 
 @dataclass(frozen=True)
@@ -329,10 +336,7 @@ class SignalGenSpec:
             raise ConfigError(f"margin must be positive, got {self.margin}")
 
 
-def generate_signal(
-    spec: SignalGenSpec,
-    event_builder=None,
-) -> SwitchingSignal:
+def generate_signal(spec: SignalGenSpec, event_builder) -> SwitchingSignal:
     """Emit a signal satisfying both suffix conditions with margin.
 
     Layout: stable lead-in, then alternating (unstable, stable) blocks, the
@@ -344,8 +348,7 @@ def generate_signal(
     shuffled once by the seed.
 
     event_builder(k, mode_before, mode_after) -> MigrationEvent supplies the
-    boundary events; with None the caller must attach events afterwards (only
-    valid when rebuilding, so a builder is effectively required here).
+    boundary events.
     """
     r = spec.ratio_floor * (1.0 + spec.margin)
     dwell = spec.dwell_floor * (1.0 + spec.margin)
@@ -367,7 +370,7 @@ def generate_signal(
             f"horizon {spec.horizon} too short for one compliant block "
             f"(needs at least {pair + s:.3f})"
         )
-    tail = spec.horizon - n_pairs * pair  # >= s by the floor above
+    # the final stable block runs to tf and lasts at least s by the floor above
 
     stable_seq = [spec.stable_modes[i % len(spec.stable_modes)] for i in range(n_pairs + 1)]
     unstable_seq = [spec.unstable_modes[i % len(spec.unstable_modes)] for i in range(n_pairs)]
@@ -382,16 +385,13 @@ def generate_signal(
         t += u
     times_modes.append((t, stable_seq[n_pairs]))
 
-    # merge accidental repeats (same stable mode back to back cannot happen
-    # with alternation, but a 1-element stable pool plus 1-element unstable
-    # pool stays legal since stable != unstable)
     segments = tuple(Segment(start=tm[0], mode=tm[1]) for tm in times_modes)
-    events = []
-    if event_builder is not None:
-        for k in range(1, len(segments)):
-            events.append(event_builder(k, segments[k - 1].mode, segments[k].mode))
+    events = tuple(
+        event_builder(k, segments[k - 1].mode, segments[k].mode)
+        for k in range(1, len(segments))
+    )
     sig = SwitchingSignal(
-        t0=spec.t0, tf=spec.t0 + spec.horizon, segments=segments, events=tuple(events)
+        t0=spec.t0, tf=spec.t0 + spec.horizon, segments=segments, events=events
     )
     return sig
 

@@ -89,19 +89,14 @@ def build_migration_matrix(ev: MigrationEvent) -> np.ndarray:
 class TransitionMap:
     """All matrices needed to execute one migration event.
 
-    migration            0/1 agent relabelling (n_after x n_before)
-    migration_stacked    same, expanded blockwise to states (p n+ x p n-)
-    err_jump             jump matrix on stacked errors (migration + dep gain)
+    err_jump             jump matrix on stacked errors (p n+ x p n-):
+                         the migration matrix expanded blockwise, plus dep gain
     impulse              concrete state-independent impulse (p * n_after)
     """
 
     p: int
     n_before: int
     n_after: int
-    mode_before: int
-    mode_after: int
-    migration: np.ndarray
-    migration_stacked: np.ndarray
     err_jump: np.ndarray
     impulse: np.ndarray
 
@@ -116,12 +111,11 @@ def build_transition_map(ev: MigrationEvent, p: int) -> TransitionMap:
     Survivors keep their states, leavers are dropped and joiners enter at
     the leader, so a joiner's error starts at zero; dep_gain adds a
     multiple of the pre-jump errors. The error jump is therefore
-        e+ = err_jump e- + impulse,  err_jump = migration_stacked + dep_gain.
+        e+ = err_jump e- + impulse,  err_jump = kron(migration, I_p) + dep_gain.
     """
     if p < 1:
         raise ConfigError(f"state dimension p must be >= 1, got {p}")
-    xi = build_migration_matrix(ev)
-    xi_stacked = np.kron(xi, np.eye(p))
+    xi_stacked = np.kron(build_migration_matrix(ev), np.eye(p))
 
     if ev.dep_gain is None:
         dep = np.zeros((p * ev.n_after, p * ev.n_before))
@@ -146,10 +140,6 @@ def build_transition_map(ev: MigrationEvent, p: int) -> TransitionMap:
         p=p,
         n_before=ev.n_before,
         n_after=ev.n_after,
-        mode_before=ev.mode_before,
-        mode_after=ev.mode_after,
-        migration=xi,
-        migration_stacked=xi_stacked,
         err_jump=err_jump,
         impulse=impulse,
     )

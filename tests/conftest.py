@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from omaslab import build_mode_matrices, run_scenario
+from omaslab import run_scenario
 from omaslab.cli import build_bundle
 from omaslab.demo import demo_scenario
 
@@ -28,10 +28,7 @@ def asymptotic_scenario():
 
 @pytest.fixture(scope="session")
 def demo_matrices(practical_scenario):
-    sc = practical_scenario
-    return build_mode_matrices(
-        sc.dynamics, list(sc.modes.values()), sc.coupling_gain, warn_on_gain=False
-    )
+    return practical_scenario.mode_matrices()
 
 
 @pytest.fixture(scope="session")

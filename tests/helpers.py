@@ -12,15 +12,9 @@ import math
 
 import numpy as np
 
-from omaslab import (
-    Edge,
-    MigrationEvent,
-    AugmentedMode,
-    Segment,
-    SignedDigraph,
-    SwitchingBudget,
-    SwitchingSignal,
-)
+from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
+from omaslab.switching import Segment, SwitchingBudget, SwitchingSignal
+from omaslab.transition import MigrationEvent
 
 
 def char_poly_coeffs(M: np.ndarray) -> list[float]:
@@ -220,8 +214,9 @@ def reference_trajectory_csv(traj, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for seg in traj.segments:
+            states = seg.states  # formed on each access: once per segment
             for i in range(len(seg.t)):
-                state, err = seg.states[i], seg.errs[i]
+                state, err = states[i], seg.errs[i]
                 row = [f"{float(seg.t[i]):.17g}", str(seg.mode_id), str(len(err) // p)]
                 vals = [f"{v:.17g}" for v in state]
                 vals += [""] * ((n_max + 1) * p - len(state))

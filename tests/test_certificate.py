@@ -5,24 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from omaslab import (
-    AssumptionViolation,
-    CertificateError,
-    ConfigError,
-    ImpulseBounds,
+from omaslab import apply_error_jump, build_transition_map
+from omaslab.certificate import (
     ModeCertificate,
-    ModeMatrix,
-    Segment,
-    SwitchingSignal,
-    apply_error_jump,
     assemble_bundle,
-    build_transition_map,
     calibrate_switching_floors,
     default_gamma_margin,
     gamma_aggregates,
     solve_mode_certificate,
 )
 from omaslab.demo import DEMO_DWELL_FLOOR, DEMO_RATIO_FLOOR
+from omaslab.errors import AssumptionViolation, CertificateError, ConfigError
+from omaslab.mode_dynamics import ModeMatrix
+from omaslab.switching import Segment, SwitchingSignal
+from omaslab.transition import ImpulseBounds
 
 from helpers import pure_relabel_event, ultimate_bound_reference
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -153,8 +154,8 @@ def test_simulate_seed_determinism(tmp_path, demo_dict, capsys):
 
 def test_simulate_resolves_signal_and_builds_modes_once(tmp_path, demo_dict, capsys,
                                                         monkeypatch):
-    import omaslab.cli
     import omaslab.mode_dynamics
+    import omaslab.scenario
     from omaslab.scenario import Scenario
 
     calls = {"resolve": 0, "build": 0}
@@ -169,12 +170,25 @@ def test_simulate_resolves_signal_and_builds_modes_once(tmp_path, demo_dict, cap
         return build(*args, **kwargs)
 
     monkeypatch.setattr(Scenario, "resolve_signal", counting_resolve)
-    for module in (omaslab.cli, omaslab.mode_dynamics):
+    for module in (omaslab.scenario, omaslab.mode_dynamics):
         monkeypatch.setattr(module, "build_mode_matrices", counting_build)
     rc, _ = run_simulate(tmp_path, demo_dict, "once")
     capsys.readouterr()
     assert rc == 0
     assert calls == {"resolve": 1, "build": 1}
+
+
+def test_simulate_reports_inadmissible_gain(tmp_path, demo_dict, capsys):
+    # -0.01 is not below the admissible bound -0.025: the run goes ahead,
+    # certification is refused and the summary says why
+    demo_dict["dynamics"]["coupling_gain"] = -0.01
+    rc, out = run_simulate(tmp_path, demo_dict, "gain")
+    capsys.readouterr()
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["certified"] is False
+    assert summary["switching_ok"] is None and summary["ultimate_bound"] is None
+    assert "admissible bound -0.025" in summary["certification_error"]
 
 
 def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
@@ -237,6 +251,50 @@ def test_gen_signal_then_reference(tmp_path, demo_dict, capsys):
     assert rc == 0
     assert report["signal"]["n_switches"] == 8
     assert report["validation"]["ok"] is True
+
+
+def _file_signal_scenario(tmp_path, demo_dict, capsys, edit):
+    """A scenario that references its own generated signal, edited by edit;
+    returns its path and the error edit expects."""
+    assert main(["gen-signal", "--scenario", write(tmp_path, demo_dict),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    sig = read_json(tmp_path / "signal.json")
+    expected = edit(sig)
+    (tmp_path / "signal.json").write_text(json.dumps(sig))
+    demo_dict["signal"] = {"type": "file", "path": "signal.json"}
+    return write(tmp_path, demo_dict, "ref.json"), expected
+
+
+def _unknown_mode(sig):
+    # segment 1 and both events at its ends name a mode the scenario lacks
+    sig["segments"][1]["mode"] = 9
+    sig["events"][0]["to"] = sig["events"][1]["from"] = 9
+    return r"segment 1 uses unknown mode id 9"
+
+
+def _wrong_sizes(sig):
+    # one agent more on both sides: the bookkeeping holds, the sizes do not
+    sig["events"][0]["n_before"] += 1
+    sig["events"][0]["n_after"] += 1
+    return r"event 1 maps 5 -> \d+ agents, but modes 1 -> \d have 4 -> \d"
+
+
+@pytest.mark.parametrize("edit", [_unknown_mode, _wrong_sizes])
+@pytest.mark.parametrize("command", ["certify", "simulate", "gen-signal"])
+def test_file_signal_checked_against_scenario(tmp_path, demo_dict, capsys, edit, command):
+    path, expected = _file_signal_scenario(tmp_path, demo_dict, capsys, edit)
+    rc = main([command, "--scenario", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert re.search(expected, capsys.readouterr().err)
+
+
+def test_file_signal_invalid_json_exits_2(tmp_path, demo_dict, capsys):
+    (tmp_path / "signal.json").write_text("{nope")
+    demo_dict["signal"] = {"type": "file", "path": "signal.json"}
+    rc = main(["certify", "--scenario", write(tmp_path, demo_dict)])
+    assert rc == 2
+    assert "signal: invalid JSON" in capsys.readouterr().err
 
 
 def test_infeasible_generation_exits_2(tmp_path, demo_dict, capsys):

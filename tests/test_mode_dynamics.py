@@ -5,25 +5,20 @@ import cmath
 import numpy as np
 import pytest
 
-from omaslab import (
+from omaslab.demo import DEMO_A, DEMO_ALPHAS, DEMO_COUPLING
+from omaslab.errors import AssumptionViolation, ConfigError
+from omaslab.mode_dynamics import (
     AgentDynamics,
-    AssumptionViolation,
-    ConfigError,
-    augmented_laplacian,
     build_mode_matrices,
     build_mode_matrix,
-    check_coupling_gain,
     coupling_gain_bound,
     kronecker_sum_spectrum_check,
-    mode_from_dense,
     spectral_abscissa,
-    stable_mode_ids,
-    suggest_coupling_gain,
 )
-from omaslab.demo import DEMO_A, DEMO_ALPHAS, DEMO_COUPLING, demo_laplacians, demo_leader_links
+from omaslab.signed_graph import augmented_laplacian, mode_from_dense
 
 from helpers import error_projector
-from test_signed_graph import Z_SPECTRA, demo_modes
+from test_signed_graph import DEMO_D, DEMO_L, Z_SPECTRA, demo_modes
 
 
 def quadratic_alpha(a: np.ndarray) -> float:
@@ -52,7 +47,7 @@ def test_demo_alphas_frozen_and_hand_derived(demo_matrices):
 
 
 def test_stable_split(demo_matrices):
-    assert stable_mode_ids(demo_matrices) == {1}
+    assert {mid for mid, mm in demo_matrices.items() if mm.stable} == {1}
     assert demo_matrices[1].stable
     assert not any(demo_matrices[m].stable for m in (2, 3, 4))
 
@@ -63,9 +58,8 @@ def test_coupling_gain_bound_hand_value():
     # only mode 1 is positive spanning; alpha(-Z1) = -1, alpha(A) = 0.025
     bound = coupling_gain_bound(dyn, modes)
     assert bound == pytest.approx(0.025 / -1.0, abs=1e-12)
-    assert check_coupling_gain(dyn, modes, DEMO_COUPLING)
-    assert not check_coupling_gain(dyn, modes, -0.02)
-    assert suggest_coupling_gain(dyn, modes) == pytest.approx(-0.05, abs=1e-12)
+    assert DEMO_COUPLING < bound
+    assert not -0.02 < bound
 
 
 def test_coupling_bound_needs_spanning_mode():
@@ -73,13 +67,6 @@ def test_coupling_bound_needs_spanning_mode():
     dyn = AgentDynamics(A=np.array(DEMO_A))
     with pytest.raises(AssumptionViolation):
         coupling_gain_bound(dyn, [modes[2], modes[3]])
-
-
-def test_suggest_rejects_bad_factor():
-    modes = list(demo_modes().values())
-    dyn = AgentDynamics(A=np.array(DEMO_A))
-    with pytest.raises(ConfigError):
-        suggest_coupling_gain(dyn, modes, margin_factor=1.0)
 
 
 def full_matrix(mm, mode):
@@ -115,9 +102,8 @@ def test_kronecker_check_demo_modes():
     # the demo Laplacians carry defective eigenvalues (a Jordan chain of
     # size 3 in mode 1), where dense eigensolves are only eps^(1/3) accurate;
     # the identity itself is exact, so a 1e-4 tolerance is the honest check
-    Ls, Ds = demo_laplacians(), demo_leader_links()
-    for mid in Ls:
-        Z = Ls[mid] + np.diag(Ds[mid])
+    for mid in DEMO_L:
+        Z = DEMO_L[mid] + np.diag(DEMO_D[mid])
         assert kronecker_sum_spectrum_check(DEMO_COUPLING * Z, np.array(DEMO_A), tol=1e-4)
 
 
@@ -140,20 +126,12 @@ def test_build_rejects_oversized_stack():
 
 def test_family_requires_ids():
     dyn = AgentDynamics(A=np.array(DEMO_A))
-    Ls, Ds = demo_laplacians(), demo_leader_links()
-    anon = mode_from_dense(Ls[1], Ds[1])  # no id
+    anon = mode_from_dense(DEMO_L[1], DEMO_D[1])  # no id
     with pytest.raises(ConfigError, match="ids"):
-        build_mode_matrices(dyn, [anon], DEMO_COUPLING, warn_on_gain=False)
-    dup = [mode_from_dense(Ls[1], Ds[1], mode_id=7), mode_from_dense(Ls[2], Ds[2], mode_id=7)]
+        build_mode_matrices(dyn, [anon], DEMO_COUPLING)
+    dup = [mode_from_dense(DEMO_L[1], DEMO_D[1], mode_id=7), mode_from_dense(DEMO_L[2], DEMO_D[2], mode_id=7)]
     with pytest.raises(ConfigError, match="duplicate"):
-        build_mode_matrices(dyn, dup, DEMO_COUPLING, warn_on_gain=False)
-
-
-def test_gain_warning():
-    dyn = AgentDynamics(A=np.array(DEMO_A))
-    modes = list(demo_modes().values())
-    with pytest.warns(UserWarning, match="not strictly below"):
-        build_mode_matrices(dyn, modes, -0.01)
+        build_mode_matrices(dyn, dup, DEMO_COUPLING)
 
 
 def test_stable_agent_warning():

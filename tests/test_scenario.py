@@ -6,17 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from omaslab import (
-    ConfigError,
-    SchemaError,
-    demo_scenario_dict,
+from omaslab.demo import DEMO_DEP_GAIN_SCALE, DEMO_IMPULSE_RADIUS, demo_scenario_dict
+from omaslab.errors import ConfigError, SchemaError
+from omaslab.scenario import (
     load_scenario,
     parse_scenario,
     scenario_to_dict,
     signal_from_dict,
     signal_to_dict,
 )
-from omaslab.demo import DEMO_DEP_GAIN_SCALE, DEMO_IMPULSE_RADIUS
 from omaslab.seeding import STREAM_INITIAL, stream_rng, uniform_in_ball
 
 SEED = 11

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omaslab import (
+from omaslab.demo import DEMO_MODES
+from omaslab.errors import ConfigError
+from omaslab.signed_graph import (
     AugmentedMode,
-    ConfigError,
     Edge,
     ModeClass,
     SignedDigraph,
@@ -20,7 +21,6 @@ from omaslab import (
     mode_from_dense,
     repelling_laplacian,
 )
-from omaslab.demo import DEMO_MODES, demo_laplacians, demo_leader_links
 
 from helpers import char_poly_coeffs, poly_from_roots, random_negative_majority_mode
 
@@ -34,6 +34,10 @@ Z_SPECTRA = {
     4: [1.0, -1.0, -1.0],
 }
 
+# the demo's dense Laplacians and leader links, by mode id
+DEMO_L = {m["id"]: np.array(m["L"]) for m in DEMO_MODES}
+DEMO_D = {m["id"]: np.array(m["D"]) for m in DEMO_MODES}
+
 DEMO_CLASSES = {
     1: ModeClass.POSITIVE_SPANNING,
     2: ModeClass.POSITIVE_NO_SPANNING,
@@ -43,8 +47,7 @@ DEMO_CLASSES = {
 
 
 def demo_modes():
-    Ls, Ds = demo_laplacians(), demo_leader_links()
-    return {mid: mode_from_dense(Ls[mid], Ds[mid], mode_id=mid) for mid in Ls}
+    return {mid: mode_from_dense(DEMO_L[mid], DEMO_D[mid], mode_id=mid) for mid in DEMO_L}
 
 
 # --------------------------------------------------------------------------
@@ -68,12 +71,11 @@ def test_grounded_spectra_match_hand_derivation(mid):
 
 @pytest.mark.parametrize("mid", [1, 2, 3, 4])
 def test_dense_round_trip(mid):
-    Ls, Ds = demo_laplacians(), demo_leader_links()
-    mode = mode_from_dense(Ls[mid], Ds[mid], mode_id=mid)
+    mode = mode_from_dense(DEMO_L[mid], DEMO_D[mid], mode_id=mid)
     assert mode.mode_id == mid
-    np.testing.assert_allclose(repelling_laplacian(mode.graph), Ls[mid], atol=0)
+    np.testing.assert_allclose(repelling_laplacian(mode.graph), DEMO_L[mid], atol=0)
     np.testing.assert_allclose(
-        grounded_laplacian(mode), Ls[mid] + np.diag(Ds[mid]), atol=0
+        grounded_laplacian(mode), DEMO_L[mid] + np.diag(DEMO_D[mid]), atol=0
     )
 
 

@@ -11,34 +11,29 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omaslab import (
-    ConfigError,
-    ModeMatrix,
-    PerturbationModel,
-    Segment,
-    SwitchingSignal,
-    Trajectory,
-    export_events_csv,
-    export_trajectory_csv,
-    integrate_segment,
-    lyapunov_trace,
-    run_scenario,
-    run_switched,
-    validate_switching,
-)
+from omaslab import lyapunov_trace, run_scenario, validate_switching
 from omaslab.cli import build_bundle
 from omaslab.demo import DEMO_A, demo_scenario_dict
+from omaslab.errors import ConfigError
+from omaslab.mode_dynamics import ModeMatrix
 from omaslab.scenario import parse_scenario
 from omaslab.seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, uniform_in_ball
 from omaslab.simulate import (
     _CHUNK_STEPS,
     _GRID_EPS,
     DEFAULT_DT,
+    PerturbationModel,
     SegmentTrace,
+    Trajectory,
     _grid,
     _rk4_step,
     _step_matrices,
+    export_events_csv,
+    export_trajectory_csv,
+    integrate_segment,
+    run_switched,
 )
+from omaslab.switching import Segment, SwitchingSignal
 
 from helpers import envelope_by_direct_sums, pure_relabel_event, reference_trajectory_csv
 
@@ -272,7 +267,7 @@ def test_tail_sup_error_hand_case():
         SegmentTrace(
             index=0, mode_id=1, n_agents=1,
             t=np.array([0.0, 4.0, 7.999, 8.0, 9.0, 10.0]),
-            states=np.zeros((6, 2)),
+            leader=np.zeros((6, 1)),
             errs=np.array([[100.0], [50.0], [60.0], [3.0], [-2.0], [7.0]]),
         )
     )
@@ -409,20 +404,19 @@ def test_events_csv_layout(tmp_path, practical_run):
 def _mixed_trajectory() -> Trajectory:
     """Two segments of different agent counts holding awkward values."""
     traj = Trajectory(p=2, t0=0.0, tf=2.0)
-    states = np.array([
+    values = np.array([
         [1.0, -0.0, math.inf, 5e-324, 0.1, -2.5],
         [math.nan, 1e300, -math.inf, 0.0, 1.0 / 3.0, 2.0 ** -1074],
     ])
-    with np.errstate(invalid="ignore"):  # inf - inf
-        errs = states[:, 2:] - np.tile(states[:, :2], 2)
     traj.segments.append(SegmentTrace(
-        index=0, mode_id=3, n_agents=2, t=np.array([0.0, 1.0]), states=states, errs=errs,
+        index=0, mode_id=3, n_agents=2, t=np.array([0.0, 1.0]),
+        leader=values[:, :2], errs=values[:, 2:],
     ))
     rng = np.random.default_rng(0)
-    states = rng.standard_normal((300, 8)) * 10.0 ** rng.integers(-300, 300, size=(300, 8))
+    values = rng.standard_normal((300, 8)) * 10.0 ** rng.integers(-300, 300, size=(300, 8))
     traj.segments.append(SegmentTrace(
         index=1, mode_id=12, n_agents=3, t=np.linspace(1.0, 2.0, 300),
-        states=states, errs=states[:, 2:] - np.tile(states[:, :2], 3),
+        leader=values[:, :2], errs=values[:, 2:],
     ))
     return traj
 

@@ -7,23 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omaslab import (
-    ConfigError,
-    ImpulseBounds,
-    ModeCertificate,
+from omaslab import validate_switching
+from omaslab.certificate import ModeCertificate, assemble_bundle
+from omaslab.errors import ConfigError
+from omaslab.switching import (
+    _TIME_EPS,
     Segment,
     SignalGenSpec,
     SwitchingBudget,
     SwitchingSignal,
     activation_times,
-    assemble_bundle,
     brute_force_suffix_scan,
     count_switches_after,
     generate_signal,
     piecewise_adt,
-    validate_switching,
+    suffix_sweep,
 )
-from omaslab.switching import _TIME_EPS, suffix_sweep
+from omaslab.transition import ImpulseBounds
 
 from helpers import pure_relabel_event, random_signal_and_budget
 
@@ -268,9 +268,7 @@ def test_validate_agrees_with_brute_force_on_random_signals():
 
 
 def _gen(spec):
-    return generate_signal(
-        spec, event_builder=lambda k, mb, ma: pure_relabel_event(k, mb, ma, n=2)
-    )
+    return generate_signal(spec, lambda k, mb, ma: pure_relabel_event(k, mb, ma, n=2))
 
 
 def test_generated_signal_is_compliant():
