@@ -16,7 +16,7 @@ perturbations vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -167,26 +167,31 @@ def _geom_sum(mu: float, k: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CertificateBundle:
-    """Everything the validator and the simulator need from certification."""
+    """Everything the validator and the simulator need from certification.
+
+    The chatter bound, the rates and the jump gain live in budget alone;
+    the bundle reads them through it.
+    """
 
     certificates: dict[int, ModeCertificate]
+    budget: SwitchingBudget
     p_under: float               # min over modes of lambda_min(P)
     p_over: float                # max over modes of lambda_max(P)
-    jump_gain: float             # worst energy growth factor across a switch
     flow_offset: float           # additive drive on Vdot from perturbations
     jump_offset: float           # additive drive on V from event impulses
     settled_flow: float          # flow_offset / (-gamma_common)
     contraction_worst: float     # max over suffixes of adt * gamma + ln jump_gain
-    gamma_stable_max: float
-    gamma_unstable_max: float | None
-    gamma_common: float
-    chatter_bound: float
     h_bound: float
     impulse_norm_max: float
     err_jump_norm_max: float
     ultimate_bound: float
     unbounded: bool
-    budget: SwitchingBudget = field(repr=False)
+
+    chatter_bound = property(lambda self: self.budget.chatter_bound)
+    gamma_common = property(lambda self: self.budget.gamma_common)
+    gamma_stable_max = property(lambda self: self.budget.gamma_stable_max)
+    gamma_unstable_max = property(lambda self: self.budget.gamma_unstable_max)
+    jump_gain = property(lambda self: self.budget.jump_gain)  # worst growth across a switch
 
     @property
     def stable_set(self) -> set[int]:
@@ -213,27 +218,29 @@ def assemble_bundle(
 
     with K the chatter bound, c the worst contraction and geom the partial
     geometric sum, continuously extended at mu = 1. It is zero exactly when
-    both drives vanish (the asymptotic setting).
+    both drives vanish (the asymptotic setting), and +inf, without the
+    unbounded flag, when mu^(K+1) exceeds the float range. The budget checks
+    the chatter bound and the common rate.
     """
     if h_bound < 0.0:
         raise ConfigError(f"perturbation bound must be >= 0, got {h_bound}")
-    if chatter_bound < 0.0:
-        raise ConfigError(f"chatter_bound must be >= 0, got {chatter_bound}")
     agg = gamma_aggregates(certs)
-    g = agg.gamma_common_default if gamma_common is None else float(gamma_common)
-    if not (agg.gamma_stable_max < g < 0.0):
-        raise ConfigError(
-            f"gamma_common {g} outside the admissible interval "
-            f"({agg.gamma_stable_max}, 0)"
-        )
     p_under, p_over, mu = _energy_constants(certs, bounds.err_jump_norm_max)
+    budget = SwitchingBudget(
+        chatter_bound=float(chatter_bound),
+        gamma_common=float(agg.gamma_common_default if gamma_common is None else gamma_common),
+        gamma_stable_max=agg.gamma_stable_max,
+        gamma_unstable_max=agg.gamma_unstable_max,
+        jump_gain=float(mu),
+    )
+    g, mu, k = budget.gamma_common, budget.jump_gain, budget.chatter_bound
     flow_offset = h_bound * p_over / math.sqrt(p_under)
     jump_offset = bounds.impulse_norm_max * math.sqrt(p_over)
     settled_flow = flow_offset / (-g)
 
     ln_mu = math.log(mu)
     stable_set = {mid for mid, c in certs.items() if c.stable}
-    adt = suffix_sweep(signal, stable_set, chatter_bound).adt
+    adt = suffix_sweep(signal, stable_set, k).adt
     adt = adt[np.isfinite(adt)]  # an unconstrained suffix contributes -inf
     contraction = float(np.max(adt * g + ln_mu)) if adt.size else -math.inf
 
@@ -249,38 +256,28 @@ def assemble_bundle(
         unbounded = False
         tail = math.exp(contraction)  # 0.0 when contraction = -inf
         denom = 1.0 - tail
-        k = float(chatter_bound)
-        epsilon = math.sqrt(1.0 / p_under) * (
-            settled_flow * (_geom_sum(mu, k + 1.0) + mu ** (k + 1.0) / denom)
-            + jump_offset * (_geom_sum(mu, k) + mu**k / denom)
-        )
+        try:
+            epsilon = math.sqrt(1.0 / p_under) * (
+                settled_flow * (_geom_sum(mu, k + 1.0) + mu ** (k + 1.0) / denom)
+                + jump_offset * (_geom_sum(mu, k) + mu**k / denom)
+            )
+        except OverflowError:  # a large chatter bound: mu^(K+1) leaves the float range
+            epsilon = math.inf
 
-    budget = SwitchingBudget(
-        chatter_bound=chatter_bound,
-        gamma_common=g,
-        gamma_stable_max=agg.gamma_stable_max,
-        gamma_unstable_max=agg.gamma_unstable_max,
-        jump_gain=mu,
-    )
     return CertificateBundle(
         certificates=certs,
+        budget=budget,
         p_under=float(p_under),
         p_over=float(p_over),
-        jump_gain=float(mu),
         flow_offset=float(flow_offset),
         jump_offset=float(jump_offset),
         settled_flow=float(settled_flow),
         contraction_worst=float(contraction),
-        gamma_stable_max=agg.gamma_stable_max,
-        gamma_unstable_max=agg.gamma_unstable_max,
-        gamma_common=float(g),
-        chatter_bound=float(chatter_bound),
         h_bound=float(h_bound),
         impulse_norm_max=bounds.impulse_norm_max,
         err_jump_norm_max=bounds.err_jump_norm_max,
         ultimate_bound=float(epsilon),
         unbounded=unbounded,
-        budget=budget,
     )
 
 

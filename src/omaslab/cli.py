@@ -312,7 +312,6 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace,
         scenario,
         seed=seed,
         dt=args.dt,
-        method=scenario.simulation.integrator,
         bundle=bundle,
         signal=signal,
         matrices=matrices,

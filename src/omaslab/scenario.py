@@ -1,19 +1,19 @@
-"""Scenario files: schema validation, resolution and round-trip serialization.
+"""Scenario files: schema validation, resolution and signal files.
 
 A scenario is a JSON object describing agent dynamics, the mode library,
 the switching signal (explicit, generated, or loaded from a file), the
 migration event table, the disturbance model, initial conditions, and
 certification/simulation options. Random elements (impulses, dependence
 gains, initial errors, generated signals) are stored as *specifications*
-and only materialized at resolve time from deterministic seed streams, so
-a parsed scenario serializes back to the same document.
+and only materialized at resolve time from deterministic seed streams,
+because their draws depend on the master seed of each run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Union
 
 import numpy as np
@@ -28,7 +28,7 @@ from .seeding import (
     uniform_in_ball,
     uniform_on_sphere,
 )
-from .signed_graph import AugmentedMode, SignedDigraph, mode_from_dense, repelling_laplacian
+from .signed_graph import AugmentedMode, SignedDigraph, mode_from_dense
 from .simulate import PerturbationModel
 from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_signal
 from .transition import MigrationEvent
@@ -679,108 +679,6 @@ def _load_json(path: str, what: str) -> Any:
 def load_scenario(path: str) -> Scenario:
     data = _load_json(path, "scenario")
     return parse_scenario(data, source_dir=os.path.dirname(os.path.abspath(path)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _mode_to_dict(mode: AugmentedMode) -> dict:
-    L = repelling_laplacian(mode.graph)
-    return {
-        "id": mode.mode_id,
-        "L": [[float(x) for x in row] for row in L],
-        "D": [float(x) for x in mode.leader_links],
-    }
-
-
-def _signal_spec_to_dict(spec) -> dict:
-    if isinstance(spec, ExplicitSignalSpec):
-        return {
-            "type": "explicit",
-            "t0": spec.t0,
-            "tf": spec.tf,
-            "segments": [{"t": t, "mode": m} for t, m in spec.segments],
-        }
-    if isinstance(spec, GenerateSignalSpec):
-        out = {
-            "type": "generate",
-            "horizon": spec.horizon,
-            "stable_modes": list(spec.stable_modes),
-            "unstable_modes": list(spec.unstable_modes),
-            "ratio_floor": spec.ratio_floor,
-            "dwell_floor": spec.dwell_floor,
-            "margin": spec.margin,
-            "t0": spec.t0,
-        }
-        if spec.seed is not None:
-            out["seed"] = spec.seed
-        return out
-    return {"type": "file", "path": spec.path}
-
-
-def _to_doc(v: Any) -> Any:
-    """Document form of a spec value: a random draw as {size, seed if set},
-    tuples as lists."""
-    if isinstance(v, (RandomVectorSpec, RandomMatrixSpec)):
-        return {k: x for k, x in asdict(v).items() if x is not None}
-    return [_to_doc(x) for x in v] if isinstance(v, tuple) else v
-
-
-def _event_spec_to_dict(spec: EventSpec) -> dict:
-    out: dict[str, Any] = {"from": spec.from_mode, "to": spec.to_mode}
-    if spec.joins:
-        out["joins"] = list(spec.joins)
-    if spec.leaves:
-        out["leaves"] = list(spec.leaves)
-    for key, v in (("impulse", spec.impulse), ("dep_gain", spec.dep_gain)):
-        if v is not None:
-            out[key] = _to_doc(v)
-    return out
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical document form; parse(scenario_to_dict(s)) reproduces s."""
-    pert: dict[str, Any] = {"kind": s.perturbation.kind, "bound": s.perturbation.bound}
-    if s.perturbation.amplitude is not None:
-        pert["amplitude"] = list(s.perturbation.amplitude)
-    if s.perturbation.kind == "sinusoidal":
-        pert["frequency"] = s.perturbation.frequency
-    if s.perturbation.kind == "random":
-        pert["hold"] = s.perturbation.hold
-    if s.perturbation.seed is not None:
-        pert["seed"] = s.perturbation.seed
-    init = {"leader": list(s.initial.leader), "errors": _to_doc(s.initial.errors)}
-    cert: dict[str, Any] = {"chatter_bound": s.certification.chatter_bound}
-    if s.certification.gamma_margin is not None:
-        cert["gamma_margin"] = s.certification.gamma_margin
-    if s.certification.gamma_common is not None:
-        cert["gamma_common"] = s.certification.gamma_common
-    sim: dict[str, Any] = {
-        "dt": s.simulation.dt,
-        "seed": s.simulation.seed,
-        "convergence_tol": s.simulation.convergence_tol,
-        "tail_fraction": s.simulation.tail_fraction,
-        "max_dim": s.simulation.max_dim,
-        "integrator": s.simulation.integrator,
-    }
-    if s.simulation.sample_stride is not None:
-        sim["sample_stride"] = s.simulation.sample_stride
-    return {
-        "dynamics": {
-            "A": [[float(x) for x in row] for row in s.dynamics.A],
-            "coupling_gain": s.coupling_gain,
-        },
-        "modes": [_mode_to_dict(s.modes[mid]) for mid in sorted(s.modes)],
-        "signal": _signal_spec_to_dict(s.signal_spec),
-        "events": [
-            _event_spec_to_dict(s.event_specs[k]) for k in sorted(s.event_specs)
-        ],
-        "perturbation": pert,
-        "initial_state": init,
-        "certification": cert,
-        "simulation": sim,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -519,7 +519,7 @@ def run_scenario(
     scenario: "Scenario",
     seed: int | None = None,
     dt: float | None = None,
-    method: str = "exact",
+    method: str | None = None,
     bundle: CertificateBundle | None = None,
     signal: SwitchingSignal | None = None,
     matrices: dict[int, ModeMatrix] | None = None,
@@ -530,10 +530,13 @@ def run_scenario(
     and summarises convergence. When a certificate bundle is supplied, the
     tail error is compared against its ultimate bound. A caller that has
     already resolved the signal for this seed, or built the mode matrices,
-    passes them in and they are not built again.
+    passes them in and they are not built again. dt and method default to
+    the scenario's simulation options.
     """
     master = scenario.master_seed(seed)
     dt_eff = scenario.simulation.dt if dt is None else float(dt)
+    if method is None:
+        method = scenario.simulation.integrator
     if matrices is None:
         matrices = scenario.mode_matrices()
     if signal is None:

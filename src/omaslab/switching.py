@@ -21,8 +21,7 @@ certification use it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +71,7 @@ class SwitchingSignal:
                     f"event {k} maps modes {ev.mode_before}->{ev.mode_after} but the "
                     f"boundary switches {self.segments[k - 1].mode}->{self.segments[k].mode}"
                 )
-        # segment starts, for lookups by bisection
+        # segment starts, for switch_times and the suffix sweep
         object.__setattr__(self, "_starts", tuple(starts))
 
     @property
@@ -82,13 +81,6 @@ class SwitchingSignal:
     @property
     def n_switches(self) -> int:
         return len(self.segments) - 1
-
-    def mode_at(self, t: float) -> int:
-        """Cadlag evaluation: the mode active on [start, next_start)."""
-        if t < self.t0 - _TIME_EPS or t > self.tf + _TIME_EPS:
-            raise ConfigError(f"time {t} outside [{self.t0}, {self.tf}]")
-        idx = bisect_right(self._starts, t) - 1
-        return self.segments[max(idx, 0)].mode
 
     def segment_bounds(self, i: int) -> tuple[float, float]:
         end = self.segments[i + 1].start if i + 1 < len(self.segments) else self.tf
@@ -164,10 +156,8 @@ def suffix_sweep(
     n_switches - j. adt(j) therefore equals piecewise_adt(sig, chatter_bound,
     j) bit for bit; the activation times equal activation_times(sig,
     stable_set, t_j) up to the rounding of adding the same lengths in
-    reverse order.
+    reverse order. chatter_bound is taken as given; SwitchingBudget checks it.
     """
-    if chatter_bound < 0:
-        raise ConfigError(f"chatter_bound must be >= 0, got {chatter_bound}")
     seg_starts = np.array(sig._starts, dtype=float)
     start = seg_starts.copy()
     start[0] = sig.t0
@@ -190,7 +180,8 @@ class SwitchingBudget:
 
     gamma_common in (gamma_stable_max, 0); gamma_unstable_max is None when no
     unstable mode exists (the ratio condition is then vacuous); jump_gain is
-    the worst-case energy growth across one switching instant (>= 1).
+    the worst-case energy growth across one switching instant (>= 1). The
+    certificate bundle keeps these five values here, checked only here.
     """
 
     chatter_bound: float
@@ -204,7 +195,7 @@ class SwitchingBudget:
             raise ConfigError(f"chatter_bound must be >= 0, got {self.chatter_bound}")
         if not (self.gamma_stable_max < self.gamma_common < 0.0):
             raise ConfigError(
-                f"gamma_common {self.gamma_common} must lie in "
+                f"gamma_common {self.gamma_common} outside the admissible interval "
                 f"({self.gamma_stable_max}, 0)"
             )
         if self.gamma_unstable_max is not None and self.gamma_unstable_max < 0.0:
@@ -237,19 +228,8 @@ def dwell_floor_at(jump_gain: float, g):
 
 
 @dataclass(frozen=True)
-class SuffixCheck:
-    j: int
-    start: float
-    t_stable: float
-    t_unstable: float
-    ratio_slack: float
-    adt: float
-    adt_slack: float
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    """Per-suffix outcome of the two switching conditions."""
+    """Outcome of the two switching conditions and the worst suffix of each."""
 
     ok: bool
     ratio_ok: bool
@@ -258,7 +238,6 @@ class ValidationReport:
     worst_adt_j: int
     ratio_slack_min: float
     adt_slack_min: float
-    suffixes: tuple[SuffixCheck, ...] = field(repr=False, default=())
 
 
 def validate_switching(
@@ -280,31 +259,24 @@ def validate_switching(
     g_u = budget.gamma_unstable_max
     sweep = suffix_sweep(sig, stable_set, budget.chatter_bound)
     n = sig.n_switches + 1 if suffixes == "all" else 1
-    t_s, t_u, adt = sweep.t_stable[:n], sweep.t_unstable[:n], sweep.adt[:n]
-    lhs = t_s * (g_s - g) + (0.0 if g_u is None else t_u * (g_u - g))
-    ratio_slack = -lhs
-    adt_slack = adt - budget.dwell_floor
-    checks = tuple(
-        SuffixCheck(j, *row)
-        for j, row in enumerate(zip(
-            sweep.start[:n].tolist(), t_s.tolist(), t_u.tolist(),
-            ratio_slack.tolist(), adt.tolist(), adt_slack.tolist(),
-        ))
-    )
-    # argmin takes the first of equal minima, as min() over the checks did
-    worst_ratio = checks[int(np.argmin(ratio_slack))]
-    worst_adt = checks[int(np.argmin(adt_slack))]
-    ratio_ok = worst_ratio.ratio_slack >= 0.0
-    adt_ok = worst_adt.adt_slack >= 0.0
+    t_s, t_u = sweep.t_stable[:n], sweep.t_unstable[:n]
+    ratio_slack = -(t_s * (g_s - g) + (0.0 if g_u is None else t_u * (g_u - g)))
+    adt_slack = sweep.adt[:n] - budget.dwell_floor
+    # argmin takes the first of equal minima
+    worst_ratio_j = int(np.argmin(ratio_slack))
+    worst_adt_j = int(np.argmin(adt_slack))
+    ratio_slack_min = float(ratio_slack[worst_ratio_j])
+    adt_slack_min = float(adt_slack[worst_adt_j])
+    ratio_ok = ratio_slack_min >= 0.0
+    adt_ok = adt_slack_min >= 0.0
     return ValidationReport(
         ok=ratio_ok and adt_ok,
         ratio_ok=ratio_ok,
         adt_ok=adt_ok,
-        worst_ratio_j=worst_ratio.j,
-        worst_adt_j=worst_adt.j,
-        ratio_slack_min=worst_ratio.ratio_slack,
-        adt_slack_min=worst_adt.adt_slack,
-        suffixes=checks,
+        worst_ratio_j=worst_ratio_j,
+        worst_adt_j=worst_adt_j,
+        ratio_slack_min=ratio_slack_min,
+        adt_slack_min=adt_slack_min,
     )
 
 

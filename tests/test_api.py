@@ -1,6 +1,7 @@
 """The package's public names and the README's Python API example."""
 
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -29,10 +30,22 @@ def test_all_names_exactly_the_exported_api():
         assert callable(getattr(omaslab, name)), name
 
 
-def test_readme_python_api_example_runs():
+def _readme_api_section():
     with open(README) as fh:
-        text = fh.read()
-    section = text.split("## Python API", 1)[1]
+        return fh.read().split("## Python API", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_import_table_names_resolve():
+    rows = re.findall(r"^\|[^|]*\| `(omaslab[.\w]*)`: (.*?)\s*\|$", _readme_api_section(), re.M)
+    assert len(rows) == 10
+    for module, names in rows:
+        mod = importlib.import_module(module)
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(mod, name), f"README lists {module}.{name}, which does not exist"
+
+
+def test_readme_python_api_example_runs():
+    section = _readme_api_section()
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

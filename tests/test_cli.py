@@ -10,10 +10,10 @@ import sys
 import pytest
 
 from omaslab.cli import main
-from omaslab.demo import demo_scenario
-from omaslab.scenario import scenario_to_dict, signal_from_dict
+from omaslab.demo import demo_scenario_dict
+from omaslab.scenario import signal_from_dict
 
-BASE = scenario_to_dict(demo_scenario("practical", seed=11))
+BASE = demo_scenario_dict("practical", seed=11)
 
 
 @pytest.fixture()
@@ -106,6 +106,21 @@ def test_certify_unbounded_exits_3(tmp_path, demo_dict, capsys):
     assert report["ultimate_bound"] is None
     assert report["contraction_worst"] > 0
     assert "error:" in captured.err
+
+
+def test_large_chatter_bound_reports_an_infinite_bound(tmp_path, demo_dict, capsys):
+    # mu^(K+1) leaves the float range at K = 250: the bound is inf, not a crash
+    demo_dict["certification"]["chatter_bound"] = 250.0
+    rc = main(["certify", "--scenario", write(tmp_path, demo_dict)])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["unbounded"] is False and report["ultimate_bound"] == "inf"
+    rc, out = run_simulate(tmp_path, demo_dict, "chatter")
+    capsys.readouterr()
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["certified"] is True and summary["ultimate_bound"] == "inf"
+    assert summary["bound_respected"] is True
 
 
 # --------------------------------------------------------------------------

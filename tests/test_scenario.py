@@ -1,4 +1,4 @@
-"""Scenario document parsing, serialization and deterministic resolution."""
+"""Scenario document parsing, signal files and deterministic resolution."""
 
 import copy
 import json
@@ -11,7 +11,6 @@ from omaslab.errors import ConfigError, SchemaError
 from omaslab.scenario import (
     load_scenario,
     parse_scenario,
-    scenario_to_dict,
     signal_from_dict,
     signal_to_dict,
 )
@@ -26,13 +25,6 @@ def practical_dict():
 
 # --------------------------------------------------------------------------
 # round trips
-
-
-@pytest.mark.parametrize("variant", ["practical", "asymptotic"])
-def test_serialize_parse_fixpoint(variant):
-    d1 = scenario_to_dict(parse_scenario(demo_scenario_dict(variant, seed=SEED)))
-    d2 = scenario_to_dict(parse_scenario(d1))
-    assert d1 == d2
 
 
 def test_signal_dict_round_trip(practical_signal):

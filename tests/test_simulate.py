@@ -130,6 +130,18 @@ def test_exact_and_rk4_agree_on_practical_run(practical_scenario, practical_run)
         assert float(np.abs(se.states - sr.states).max()) / scale <= 1e-6
 
 
+def test_run_scenario_defaults_to_the_scenario_integrator():
+    d = demo_scenario_dict("asymptotic", seed=11)
+    d["signal"] = {"type": "explicit", "t0": 0.0, "tf": 1.0, "segments": [{"t": 0.0, "mode": 1}]}
+    d["simulation"].update(integrator="rk4", dt=1e-2)
+    scenario = parse_scenario(d)
+    run = run_scenario(scenario)
+    assert run.summary.method == "rk4"
+    rk4 = run_scenario(scenario, method="rk4").trajectory.segments[0].states
+    np.testing.assert_array_equal(run.trajectory.segments[0].states, rk4)
+    assert run_scenario(scenario, method="exact").summary.method == "exact"
+
+
 # --------------------------------------------------------------------------
 # perturbation models
 

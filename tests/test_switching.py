@@ -42,22 +42,6 @@ def _signal(starts_modes, tf, with_events=True, t0=None):
 # signal mechanics
 
 
-def test_mode_at_is_cadlag():
-    sig = _signal([(0.0, 1), (2.0, 3)], tf=5.0)
-    assert sig.mode_at(0.0) == 1
-    assert sig.mode_at(1.999) == 1
-    assert sig.mode_at(2.0) == 3  # right-continuous at the switch
-    assert sig.mode_at(5.0) == 3
-    with pytest.raises(ConfigError):
-        sig.mode_at(-0.5)
-    with pytest.raises(ConfigError, match=r"time 5\.5 outside \[0\.0, 5\.0\]"):
-        sig.mode_at(5.5)
-    # the first segment may start up to _TIME_EPS after t0
-    late = _signal([(0.5e-12, 2), (1.0, 1)], tf=3.0, t0=0.0)
-    assert [late.mode_at(t) for t in (0.0, 0.999, 1.0)] == [2, 2, 1]
-    assert late.suffix_start(0) == 0.0
-
-
 def test_switch_times_and_bounds():
     sig = _signal([(0.0, 1), (2.0, 3), (4.0, 1)], tf=9.0)
     assert sig.switch_times == (2.0, 4.0)
@@ -74,6 +58,9 @@ def test_suffix_start_indexing():
         sig.suffix_start(-1)
     with pytest.raises(ConfigError, match=r"suffix index 2 outside 0\.\.1"):
         sig.suffix_start(2)
+    # the first segment may start up to _TIME_EPS after t0; suffix 0 starts at t0
+    late = _signal([(0.5e-12, 2), (1.0, 1)], tf=3.0, t0=0.0)
+    assert late.suffix_start(0) == 0.0
 
 
 def test_activation_times_hand_case():
@@ -195,17 +182,13 @@ def test_validate_hand_worked_report():
     )
     rep = validate_switching(sig, budget, {1})
     assert rep.ok and rep.ratio_ok and rep.adt_ok
-    by_j = {c.j: c for c in rep.suffixes}
-    assert set(by_j) == {0, 1, 2}
-    # j=0: T_s = 8.5, T_u = 0.5, lhs = 8.5*(-1) + 0.5*5 = -6
-    assert by_j[0].ratio_slack == pytest.approx(6.0, abs=1e-12)
-    assert by_j[0].adt == pytest.approx(4.5, abs=1e-12)
-    # j=1 (t=4): T_s = 4.5, T_u = 0.5, lhs = -4.5 + 2.5 = -2
-    assert by_j[1].ratio_slack == pytest.approx(2.0, abs=1e-12)
-    assert by_j[1].adt == pytest.approx(5.0, abs=1e-12)  # one switch after t=4
-    # j=2 (t=4.5): purely stable suffix, no further switches
-    assert by_j[2].ratio_slack == pytest.approx(4.5, abs=1e-12)
-    assert by_j[2].adt == math.inf
+    sweep = suffix_sweep(sig, {1}, budget.chatter_bound)
+    # j=0: T_s = 8.5, T_u = 0.5, lhs = 8.5*(-1) + 0.5*5 = -6, two switches after t=0
+    # j=1 (t=4): T_s = 4.5, T_u = 0.5, lhs = -4.5 + 2.5 = -2, one switch after t=4
+    # j=2 (t=4.5): purely stable suffix (lhs = -4.5), no further switches
+    np.testing.assert_allclose(sweep.t_stable, [8.5, 4.5, 4.5], atol=1e-12)
+    np.testing.assert_allclose(sweep.t_unstable, [0.5, 0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(sweep.adt, [4.5, 5.0, math.inf], atol=1e-12)
     assert rep.worst_ratio_j == 1
     assert rep.ratio_slack_min == pytest.approx(2.0, abs=1e-12)
     assert rep.worst_adt_j == 0
@@ -213,10 +196,15 @@ def test_validate_hand_worked_report():
 
 
 def test_validate_first_only_checks_prefix_suffix():
+    # lhs = 4*(-1) + 1*5 = 1 on [0, 5] and 0 + 1*5 = 5 on the unstable tail [4, 5]
     sig = _signal([(0.0, 1), (4.0, 3)], tf=5.0)
     budget = SwitchingBudget(0.0, -1.0, -2.0, 4.0, 1.5)
+    every = validate_switching(sig, budget, {1})
+    assert every.worst_ratio_j == 1
+    assert every.ratio_slack_min == pytest.approx(-5.0, abs=1e-12)
     rep = validate_switching(sig, budget, {1}, suffixes="first")
-    assert len(rep.suffixes) == 1 and rep.suffixes[0].j == 0
+    assert rep.worst_ratio_j == rep.worst_adt_j == 0
+    assert rep.ratio_slack_min == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ConfigError, match="suffixes"):
         validate_switching(sig, budget, {1}, suffixes="last")
 
@@ -247,7 +235,7 @@ def test_validate_no_switch_signal():
     budget = SwitchingBudget(0.0, -1.0, -2.0, 4.0, 1.5)
     rep = validate_switching(sig, budget, {1})
     assert rep.ok
-    assert rep.suffixes[0].adt == math.inf
+    assert rep.worst_adt_j == 0 and rep.adt_slack_min == math.inf
 
 
 def test_validate_agrees_with_brute_force_on_random_signals():
@@ -439,16 +427,25 @@ def test_validate_matches_per_suffix_definitions(case, first_only):
     rep = validate_switching(sig, budget, stable, suffixes="first" if first_only else "all")
     if not first_only:
         assert rep.ok == brute_force_suffix_scan(sig, budget, stable)
-    assert [c.j for c in rep.suffixes] == list(range(1 if first_only else sig.n_switches + 1))
+    sweep = suffix_sweep(sig, stable, K)
+    assert len(sweep.start) == sig.n_switches + 1
     tol = 1e-12 * (sig.tf - sig.t0)
-    for c in rep.suffixes:
-        assert c.start == sig.suffix_start(c.j)
-        assert c.adt.hex() == piecewise_adt(sig, K, c.j).hex()
-        t_s, t_u = activation_times(sig, stable, c.start)
-        assert abs(c.t_stable - t_s) <= tol
-        assert abs(c.t_unstable - t_u) <= tol
-    assert rep.worst_adt_j == min(rep.suffixes, key=lambda c: c.adt_slack).j
-    assert rep.worst_ratio_j == min(rep.suffixes, key=lambda c: c.ratio_slack).j
+    for j in range(sig.n_switches + 1):
+        assert sweep.start[j] == sig.suffix_start(j)
+        assert sweep.adt[j].hex() == piecewise_adt(sig, K, j).hex()
+        t_s, t_u = activation_times(sig, stable, sweep.start[j])
+        assert abs(sweep.t_stable[j] - t_s) <= tol
+        assert abs(sweep.t_unstable[j] - t_u) <= tol
+    n = 1 if first_only else sig.n_switches + 1
+    g, g_s, g_u = budget.gamma_common, budget.gamma_stable_max, budget.gamma_unstable_max
+    lhs = sweep.t_stable * (g_s - g)
+    if g_u is not None:
+        lhs = lhs + sweep.t_unstable * (g_u - g)
+    ratio_slack, adt_slack = -lhs[:n], sweep.adt[:n] - budget.dwell_floor
+    assert rep.worst_ratio_j == np.argmin(ratio_slack)
+    assert rep.worst_adt_j == np.argmin(adt_slack)
+    assert rep.ratio_slack_min == ratio_slack.min()
+    assert rep.adt_slack_min == adt_slack.min()
 
 
 @settings(max_examples=150, deadline=None)
@@ -497,6 +494,5 @@ def test_suffix_sweep_counts_switches_as_the_oracle_does():
     np.testing.assert_allclose(sweep.t_unstable, [t2 - 1.0, t2 - 1.0, 0.0], rtol=1e-12)
     budget = SwitchingBudget(0.0, -1.0, -2.0, 4.0, jump_gain=1.5)
     rep = validate_switching(sig, budget, {1})
-    assert rep.suffixes[1].adt == math.inf
     assert rep.ok == brute_force_suffix_scan(sig, budget, {1})
 
