@@ -42,6 +42,30 @@ def _signal(starts_modes, tf, with_events=True, t0=None):
 # signal mechanics
 
 
+def test_mode_at_is_cadlag():
+    # the mode active at t is the one whose half-open segment [start, end)
+    # holds t; the simulator integrates each mode over exactly that interval
+    sig = _signal([(0.0, 1), (2.0, 3)], tf=5.0)
+    assert sig.segment_bounds(0) == (0.0, 2.0)
+    assert sig.segment_bounds(1) == (2.0, 5.0)
+    t_s, t_u = activation_times(sig, {1}, from_time=1.999)
+    assert t_s == pytest.approx(0.001, abs=1e-12)
+    assert t_u == pytest.approx(3.0, abs=1e-12)
+    # right-continuous at the switch: from t = 2.0 on only mode 3 is active
+    assert activation_times(sig, {3}, from_time=2.0) == (3.0, 0.0)
+    assert activation_times(sig, {3}, from_time=5.0) == (0.0, 0.0)
+    with pytest.raises(ConfigError):
+        activation_times(sig, {1}, from_time=-0.5)
+    with pytest.raises(ConfigError, match=r"from_time 5\.5 outside \[0\.0, 5\.0\]"):
+        activation_times(sig, {1}, from_time=5.5)
+    # the first segment may start up to _TIME_EPS after t0
+    late = _signal([(0.5e-12, 2), (1.0, 1)], tf=3.0, t0=0.0)
+    t_s, t_u = activation_times(late, {2})
+    assert t_s == pytest.approx(1.0, abs=1e-11)
+    assert t_u == pytest.approx(2.0, abs=1e-12)
+    assert late.suffix_start(0) == 0.0
+
+
 def test_switch_times_and_bounds():
     sig = _signal([(0.0, 1), (2.0, 3), (4.0, 1)], tf=9.0)
     assert sig.switch_times == (2.0, 4.0)
