@@ -56,7 +56,7 @@ def main() -> int:
 
         signal = sc.resolve_signal(args.seed)
         t_cert = time.perf_counter()
-        bundle = build_bundle(sc, signal, mats)
+        bundle = build_bundle(sc, signal)
         t_cert = time.perf_counter() - t_cert
         verdict = validate_switching(signal, bundle.budget, bundle.stable_set)
         print(f"  certified in {t_cert * 1e3:.1f} ms: "
@@ -71,8 +71,7 @@ def main() -> int:
         print(f"  ultimate bound = {eps}")
 
         t_sim = time.perf_counter()
-        result = run_scenario(sc, seed=args.seed, dt=args.dt, bundle=bundle,
-                              signal=signal, matrices=mats)
+        result = run_scenario(sc, seed=args.seed, dt=args.dt, bundle=bundle, signal=signal)
         t_sim = time.perf_counter() - t_sim
         s = result.summary
         print(f"  simulated in {t_sim:.2f} s: tail sup error = {s.tail_sup_error:.6g}, "

@@ -14,6 +14,7 @@ under --strict. analyze and certify print a JSON report to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -35,7 +36,6 @@ from .errors import (
     UnboundedCertificate,
 )
 from .mode_dynamics import (
-    ModeMatrix,
     coupling_gain_bound,
     kronecker_sum_spectrum_check,
     spectral_abscissa,
@@ -84,13 +84,15 @@ def _spectrum(M: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in ev]
 
 
-def _write_report(report: dict, out: str | None, name: str) -> None:
+def _write_json(report: dict, out: str | None, name: str) -> str:
+    """report as strict JSON with sorted keys, written to out/name when out
+    is given; returns the text."""
     text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
-    print(text)
     if out:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, name), "w") as fh:
             fh.write(text + "\n")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,7 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         },
         "stable_mode_ids": sorted(mid for mid, mm in matrices.items() if mm.stable),
     }
-    _write_report(report, args.out, "analyze.json")
+    print(_write_json(report, args.out, "analyze.json"))
     return 0
 
 
@@ -189,17 +191,12 @@ def _require_assumptions(scenario: Scenario) -> None:
         )
 
 
-def build_bundle(
-    scenario: Scenario,
-    signal: SwitchingSignal,
-    matrices: dict[int, ModeMatrix] | None = None,
-) -> CertificateBundle:
+def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBundle:
     """Certification pipeline shared by certify and simulate.
 
     Raises AssumptionViolation or CertificateError when the scenario cannot
     be certified; an unbounded bundle is returned, not raised, so callers
-    can report before deciding. Mode matrices the caller already built for
-    this scenario are reused.
+    can report before deciding.
     """
     _require_assumptions(scenario)
     bound = coupling_gain_bound(scenario.dynamics, list(scenario.modes.values()))
@@ -208,11 +205,9 @@ def build_bundle(
             f"coupling gain {scenario.coupling_gain} is not strictly below the "
             f"admissible bound {bound:.6g}; certification refused"
         )
-    if matrices is None:
-        matrices = scenario.mode_matrices()
     certs = {
         mid: solve_mode_certificate(mm, gamma_margin=scenario.certification.gamma_margin)
-        for mid, mm in sorted(matrices.items())
+        for mid, mm in sorted(scenario.mode_matrices().items())
     }
     return assemble_bundle(
         certs,
@@ -274,17 +269,8 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
         "tf": signal.tf,
         "n_switches": signal.n_switches,
     }
-    report["validation"] = {
-        "suffixes": args.validate_suffixes,
-        "ok": verdict.ok,
-        "ratio_ok": verdict.ratio_ok,
-        "adt_ok": verdict.adt_ok,
-        "worst_ratio_j": verdict.worst_ratio_j,
-        "worst_adt_j": verdict.worst_adt_j,
-        "ratio_slack_min": verdict.ratio_slack_min,
-        "adt_slack_min": verdict.adt_slack_min,
-    }
-    _write_report(report, args.out, "certify.json")
+    report["validation"] = {**dataclasses.asdict(verdict), "suffixes": args.validate_suffixes}
+    print(_write_json(report, args.out, "certify.json"))
     if bundle.unbounded:
         raise UnboundedCertificate(
             "the worst suffix contraction is nonnegative: the energy envelope "
@@ -299,41 +285,30 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def _simulate_one(scenario: Scenario, args: argparse.Namespace,
                   seed: int, out: str) -> dict:
-    # one signal and one set of mode matrices serve certification and the run
+    # one signal serves certification and the run
     signal = scenario.resolve_signal(seed)
-    matrices = scenario.mode_matrices()
     bundle = None
     cert_error = None
     try:
-        bundle = build_bundle(scenario, signal, matrices)
+        bundle = build_bundle(scenario, signal)
     except (AssumptionViolation, CertificateError, ConfigError) as exc:
         cert_error = str(exc)
-    result = run_scenario(
-        scenario,
-        seed=seed,
-        dt=args.dt,
-        bundle=bundle,
-        signal=signal,
-        matrices=matrices,
-    )
-    summary = result.summary.to_dict()
-    if bundle is not None:
-        verdict = validate_switching(
-            result.signal, bundle.budget, bundle.stable_set,
-            suffixes=args.validate_suffixes,
-        )
-        summary["switching_ok"] = verdict.ok
-        summary["certified"] = not bundle.unbounded
-    else:
+    result = run_scenario(scenario, seed=seed, dt=args.dt, bundle=bundle, signal=signal)
+    summary = dataclasses.asdict(result.summary)
+    # certified: the run was held to a finite ultimate bound
+    summary["certified"] = summary["ultimate_bound"] is not None
+    if bundle is None:
         summary["switching_ok"] = None
-        summary["certified"] = False
         summary["certification_error"] = cert_error
+    else:
+        summary["switching_ok"] = validate_switching(
+            result.signal, bundle.budget, bundle.stable_set, suffixes=args.validate_suffixes,
+        ).ok
 
     os.makedirs(out, exist_ok=True)
     export_trajectory_csv(result.trajectory, os.path.join(out, "trajectory.csv"))
     export_events_csv(result.trajectory, os.path.join(out, "events.csv"))
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
+    _write_json(summary, out, "summary.json")
 
     print(f"integrated {result.signal.tf - result.signal.t0:g}s "
           f"across {len(result.trajectory.segments)} segments "
@@ -370,9 +345,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
             s["bound_respected"] is not False for s in summaries.values()
         ),
     }
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "sweep.json"), "w") as fh:
-        fh.write(json.dumps(_jsonable(aggregate), indent=2, sort_keys=True) + "\n")
+    _write_json(aggregate, out, "sweep.json")
     return 4 if aggregate["any_diverged"] and args.strict else 0
 
 

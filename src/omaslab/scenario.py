@@ -7,19 +7,23 @@ certification/simulation options. Random elements (impulses, dependence
 gains, initial errors, generated signals) are stored as *specifications*
 and only materialized at resolve time from deterministic seed streams,
 because their draws depend on the master seed of each run.
+
+Each section is parsed straight into the type the library uses, passing on
+only the keys the document gives: an absent field takes the default that
+type declares, and a field without one is required.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Union
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, Callable, Union
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .mode_dynamics import AgentDynamics, ModeMatrix, build_mode_matrices
+from .mode_dynamics import DEFAULT_MAX_DIM, AgentDynamics, ModeMatrix, build_mode_matrices
 from .seeding import (
     STREAM_DEP_GAIN,
     STREAM_IMPULSE,
@@ -29,7 +33,7 @@ from .seeding import (
     uniform_on_sphere,
 )
 from .signed_graph import AugmentedMode, SignedDigraph, mode_from_dense
-from .simulate import PerturbationModel
+from .simulate import DEFAULT_DT, PerturbationModel
 from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_signal
 from .transition import MigrationEvent
 
@@ -68,19 +72,7 @@ class EventSpec:
 class ExplicitSignalSpec:
     t0: float
     tf: float
-    segments: tuple[tuple[float, int], ...]
-
-
-@dataclass(frozen=True)
-class GenerateSignalSpec:
-    horizon: float
-    stable_modes: tuple[int, ...]
-    unstable_modes: tuple[int, ...]
-    ratio_floor: float
-    dwell_floor: float
-    margin: float = 0.05
-    seed: int | None = None
-    t0: float = 0.0
+    segments: tuple[Segment, ...]
 
 
 @dataclass(frozen=True)
@@ -103,11 +95,11 @@ class CertificationOptions:
 
 @dataclass(frozen=True)
 class SimulationOptions:
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     seed: int = 0
     convergence_tol: float = 1e-3
     tail_fraction: float = 0.2
-    max_dim: int = 512
+    max_dim: int = DEFAULT_MAX_DIM
     sample_stride: int | None = None
     integrator: str = "exact"
 
@@ -118,16 +110,23 @@ class SimulationOptions:
 
 @dataclass(eq=False)
 class Scenario:
+    """A parsed scenario document.
+
+    An absent events, perturbation, certification or simulation section
+    takes the default below: no event table, no forcing, default options.
+    """
+
     dynamics: AgentDynamics
     coupling_gain: float
     modes: dict[int, AugmentedMode]
-    signal_spec: Union[ExplicitSignalSpec, GenerateSignalSpec, FileSignalSpec]
+    signal_spec: Union[ExplicitSignalSpec, SignalGenSpec, FileSignalSpec]
+    initial: InitialStateSpec
+    source_dir: str | None
     event_specs: dict[tuple[int, int], EventSpec] = field(default_factory=dict)
-    perturbation: PerturbationModel = PerturbationModel(kind="zero", bound=0.0)
-    initial: InitialStateSpec = InitialStateSpec(leader=(0.0,), errors=RandomVectorSpec(1.0))
+    perturbation: PerturbationModel = PerturbationModel(kind="zero")
     certification: CertificationOptions = CertificationOptions()
     simulation: SimulationOptions = SimulationOptions()
-    source_dir: str | None = None
+    _matrices: dict[int, ModeMatrix] | None = field(default=None, init=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -144,11 +143,17 @@ class Scenario:
         return self.simulation.seed if seed is None else int(seed)
 
     def mode_matrices(self) -> dict[int, ModeMatrix]:
-        """The stacked error matrices of every mode, keyed by mode id."""
-        return build_mode_matrices(
-            self.dynamics, list(self.modes.values()), self.coupling_gain,
-            max_dim=self.simulation.max_dim,
-        )
+        """The stacked error matrices of every mode, keyed by mode id.
+
+        Built on the first call and kept, since a parsed scenario does not
+        change: certification and every seed of a sweep share one set.
+        """
+        if self._matrices is None:
+            self._matrices = build_mode_matrices(
+                self.dynamics, list(self.modes.values()), self.coupling_gain,
+                max_dim=self.simulation.max_dim,
+            )
+        return self._matrices
 
     # -- event materialization -------------------------------------------
 
@@ -233,28 +238,17 @@ class Scenario:
             signal = signal_from_dict(_load_json(path, "signal"))
             self._check_modes(signal, path)
             return signal
+
+        def build(k: int, mode_before: int, mode_after: int) -> MigrationEvent:
+            return self.build_event(k, mode_before, mode_after, master_seed)
+
         if isinstance(spec, ExplicitSignalSpec):
-            segments = tuple(Segment(start=t, mode=m) for t, m in spec.segments)
-            events = tuple(
-                self.build_event(k, segments[k - 1].mode, segments[k].mode, master_seed)
-                for k in range(1, len(segments))
-            )
-            return SwitchingSignal(t0=spec.t0, tf=spec.tf, segments=segments, events=events)
-        for m in tuple(spec.stable_modes) + tuple(spec.unstable_modes):
-            self.n_agents_of(m)  # raises on unknown ids
-        gen = SignalGenSpec(
-            horizon=spec.horizon,
-            stable_modes=spec.stable_modes,
-            unstable_modes=spec.unstable_modes,
-            ratio_floor=spec.ratio_floor,
-            dwell_floor=spec.dwell_floor,
-            seed=master_seed if spec.seed is None else spec.seed,
-            margin=spec.margin,
-            t0=spec.t0,
-        )
-        return generate_signal(
-            gen, event_builder=lambda k, mb, ma: self.build_event(k, mb, ma, master_seed)
-        )
+            segs = spec.segments
+            events = tuple(build(k, segs[k - 1].mode, segs[k].mode) for k in range(1, len(segs)))
+            return SwitchingSignal(t0=spec.t0, tf=spec.tf, segments=segs, events=events)
+        if spec.seed is None:
+            spec = replace(spec, seed=master_seed)
+        return generate_signal(spec, event_builder=build)
 
     def _check_modes(self, sig: SwitchingSignal, source: str) -> None:
         """A signal from elsewhere must switch among this scenario's modes,
@@ -366,35 +360,114 @@ def _matrix(v: Any, path: str) -> list[list[float]]:
     return out
 
 
-def _vector(v: Any, path: str) -> list[float]:
-    return [_num(x, f"{path}[{i}]") for i, x in enumerate(_arr(v, path))]
+def _vector(v: Any, path: str) -> tuple[float, ...]:
+    return tuple(_num(x, f"{path}[{i}]") for i, x in enumerate(_arr(v, path)))
 
 
-def _int_list(v: Any, path: str) -> list[int]:
-    return [_int(x, f"{path}[{i}]") for i, x in enumerate(_arr(v, path))]
+def _ints(v: Any, path: str) -> tuple[int, ...]:
+    return tuple(_int(x, f"{path}[{i}]") for i, x in enumerate(_arr(v, path)))
 
 
 def _rows(v: Any, path: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(row) for row in _matrix(v, path))
 
 
-def _opt(d: dict, key: str, path: str, parse) -> Any:
-    """d[key] parsed by parse(value, path), or None when absent or null."""
-    v = d.get(key)
-    return None if v is None else parse(v, f"{path}.{key}")
+Parser = Callable[[Any, str], Any]
 
 
-def _random_or_given(v: Any, path: str, size: str, random_cls, given) -> Any:
+def _nullable(parse: Parser) -> Parser:
+    """parse, with null read as None."""
+    return lambda v, path: None if v is None else parse(v, path)
+
+
+def _checked(parse: Parser, ok: Callable[[Any], bool], msg: str) -> Parser:
+    """parse, failing with msg when ok(value) is false."""
+
+    def run(v: Any, path: str) -> Any:
+        x = parse(v, path)
+        if not ok(x):
+            _fail(path, msg)
+        return x
+
+    return run
+
+
+def _has_default(cls: type, name: str) -> bool:
+    f = next(f for f in fields(cls) if f.name == name)
+    return f.default is not MISSING or f.default_factory is not MISSING
+
+
+def _section(d: Any, path: str, cls: type, parsers: dict[str, Parser],
+             names: dict[str, str] | None = None) -> Any:
+    """cls built from the JSON object d.
+
+    parsers maps each allowed key to its parser; names maps a key to the
+    field of cls it fills when the two differ. Only the keys d gives are
+    passed on, so every absent field takes the default cls declares, and a
+    field without a default is a required key. cls's own checks fail as
+    schema errors at path.
+    """
+    d = _obj(d, path)
+    _reject_unknown(d, set(parsers), path)
+    names = names or {}
+    kwargs = {}
+    for key, parse in parsers.items():
+        name = names.get(key, key)
+        if key in d:
+            kwargs[name] = parse(d[key], f"{path}.{key}")
+        elif not _has_default(cls, name):
+            _get(d, key, path)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        _fail(path, str(exc))
+
+
+def _agent_vector(p: int) -> Parser:
+    """A vector of the agent dimension p."""
+
+    def parse(v: Any, path: str) -> tuple[float, ...]:
+        x = _vector(v, path)
+        if len(x) != p:
+            _fail(path, f"has {len(x)} entries, agent dimension is {p}")
+        return x
+
+    return parse
+
+
+def _agent_rows(p: int) -> Parser:
+    """Rows of the agent dimension p."""
+
+    def parse(v: Any, path: str) -> tuple[tuple[float, ...], ...]:
+        rows = _rows(v, path)
+        # the rows all have one width, so the first row speaks for all
+        _agent_vector(p)(v[0], f"{path}[0]")
+        return rows
+
+    return parse
+
+
+def _random_or(random_cls: type, size: str, given: Parser) -> Parser:
     """An object {size: value >= 0, seed: optional int} is a random draw of
     random_cls; anything else is the explicit value given(v, path)."""
-    if not isinstance(v, dict):
-        return given(v, path)
-    _reject_unknown(v, {size, "seed"}, path)
-    seed = _opt(v, "seed", path, _int)
-    value = _num(_get(v, size, path), f"{path}.{size}")
-    if value < 0.0:
-        _fail(f"{path}.{size}", "must be >= 0")
-    return random_cls(value, seed)
+    random_fields = {
+        size: _checked(_num, lambda x: x >= 0.0, "must be >= 0"),
+        "seed": _nullable(_int),
+    }
+    return lambda v, path: (
+        _section(v, path, random_cls, random_fields) if isinstance(v, dict) else given(v, path)
+    )
+
+
+def _segments(v: Any, path: str) -> tuple[Segment, ...]:
+    """A non-empty list of {t, mode}, in scenario specs and signal files alike."""
+    segs = tuple(
+        _section(s, f"{path}[{i}]", Segment, {"t": _num, "mode": _int}, {"t": "start"})
+        for i, s in enumerate(_arr(v, path))
+    )
+    if not segs:
+        _fail(path, "must not be empty")
+    return segs
 
 
 # ---------------------------------------------------------------------------
@@ -451,150 +524,87 @@ def _parse_mode(d: dict, path: str) -> AugmentedMode:
         _fail(path, str(exc))
 
 
+_GENERATE = {
+    "horizon": _num,
+    "stable_modes": _ints,
+    "unstable_modes": _ints,
+    "ratio_floor": _num,
+    "dwell_floor": _num,
+    "seed": _nullable(_int),
+    "margin": _num,
+    "t0": _num,
+}
+
+_CERTIFICATION = {
+    "gamma_margin": _nullable(_checked(_num, lambda x: x > 0.0, "must be positive")),
+    "gamma_common": _nullable(_checked(_num, lambda x: x < 0.0, "must be negative")),
+    "chatter_bound": _checked(_num, lambda x: x >= 0.0, "must be >= 0"),
+}
+
+
+def _integrator(v: Any, path: str) -> str:
+    if v not in ("exact", "rk4"):
+        _fail(path, f"expected 'exact' or 'rk4', got {v!r}")
+    return v
+
+
+_SIMULATION = {
+    "dt": _checked(_num, lambda x: x > 0.0, "must be positive"),
+    "seed": _int,
+    "convergence_tol": _num,
+    "tail_fraction": _checked(_num, lambda x: 0.0 < x <= 1.0, "must be in (0, 1]"),
+    "max_dim": _int,
+    "sample_stride": _nullable(_checked(_int, lambda x: x >= 1, "must be >= 1")),
+    "integrator": _integrator,
+}
+
+
 def _parse_signal(d: dict, path: str):
     d = _obj(d, path)
     kind = _str(_get(d, "type", path), f"{path}.type")
+    body = {k: v for k, v in d.items() if k != "type"}
     if kind == "explicit":
-        _reject_unknown(d, {"type", "t0", "tf", "segments"}, path)
-        segs = []
-        for i, s in enumerate(_arr(_get(d, "segments", path), f"{path}.segments")):
-            s = _obj(s, f"{path}.segments[{i}]")
-            _reject_unknown(s, {"t", "mode"}, f"{path}.segments[{i}]")
-            segs.append(
-                (
-                    _num(_get(s, "t", f"{path}.segments[{i}]"), f"{path}.segments[{i}].t"),
-                    _int(_get(s, "mode", f"{path}.segments[{i}]"), f"{path}.segments[{i}].mode"),
-                )
-            )
-        if not segs:
-            _fail(f"{path}.segments", "must not be empty")
-        return ExplicitSignalSpec(
-            t0=_num(_get(d, "t0", path), f"{path}.t0"),
-            tf=_num(_get(d, "tf", path), f"{path}.tf"),
-            segments=tuple(segs),
-        )
+        return _section(body, path, ExplicitSignalSpec,
+                        {"t0": _num, "tf": _num, "segments": _segments})
     if kind == "generate":
-        allowed = {
-            "type", "horizon", "stable_modes", "unstable_modes",
-            "ratio_floor", "dwell_floor", "margin", "seed", "t0",
-        }
-        _reject_unknown(d, allowed, path)
-        seed = _opt(d, "seed", path, _int)
-        return GenerateSignalSpec(
-            horizon=_num(_get(d, "horizon", path), f"{path}.horizon"),
-            stable_modes=tuple(_int_list(_get(d, "stable_modes", path), f"{path}.stable_modes")),
-            unstable_modes=tuple(
-                _int_list(_get(d, "unstable_modes", path), f"{path}.unstable_modes")
-            ),
-            ratio_floor=_num(_get(d, "ratio_floor", path), f"{path}.ratio_floor"),
-            dwell_floor=_num(_get(d, "dwell_floor", path), f"{path}.dwell_floor"),
-            margin=_num(d.get("margin", 0.05), f"{path}.margin"),
-            seed=seed,
-            t0=_num(d.get("t0", 0.0), f"{path}.t0"),
-        )
+        return _section(body, path, SignalGenSpec, _GENERATE)
     if kind == "file":
-        _reject_unknown(d, {"type", "path"}, path)
-        return FileSignalSpec(path=_str(_get(d, "path", path), f"{path}.path"))
+        return _section(body, path, FileSignalSpec, {"path": _str})
     _fail(f"{path}.type", f"expected 'explicit', 'generate' or 'file', got {kind!r}")
 
 
-def _parse_event(d: dict, path: str) -> EventSpec:
-    d = _obj(d, path)
-    _reject_unknown(d, {"from", "to", "joins", "leaves", "impulse", "dep_gain"}, path)
-    imp, dep = d.get("impulse"), d.get("dep_gain")
-    return EventSpec(
-        from_mode=_int(_get(d, "from", path), f"{path}.from"),
-        to_mode=_int(_get(d, "to", path), f"{path}.to"),
-        joins=tuple(_int_list(d.get("joins", []), f"{path}.joins")),
-        leaves=tuple(_int_list(d.get("leaves", []), f"{path}.leaves")),
-        impulse=None if imp is None else _random_or_given(
-            imp, f"{path}.impulse", "radius", RandomVectorSpec, lambda v, at: tuple(_vector(v, at))
-        ),
-        dep_gain=None if dep is None else _random_or_given(
-            dep, f"{path}.dep_gain", "scale", RandomMatrixSpec, _rows
-        ),
-    )
-
-
-def _parse_perturbation(d: dict, path: str, p: int) -> PerturbationModel:
-    d = _obj(d, path)
-    _reject_unknown(d, {"kind", "bound", "amplitude", "frequency", "hold", "seed"}, path)
-    kind = _str(_get(d, "kind", path), f"{path}.kind")
-    amp = _opt(d, "amplitude", path, _vector)
-    if amp is not None and len(amp) != p:
-        _fail(f"{path}.amplitude", f"has {len(amp)} entries, agent dimension is {p}")
-    seed = _opt(d, "seed", path, _int)
-    try:
-        return PerturbationModel(
-            kind=kind,
-            bound=_num(d.get("bound", 0.0), f"{path}.bound"),
-            amplitude=amp,
-            frequency=_num(d.get("frequency", 1.0), f"{path}.frequency"),
-            hold=_num(d.get("hold", 0.05), f"{path}.hold"),
-            seed=seed,
-        )
-    except ConfigError as exc:
-        _fail(path, str(exc))
-
-
-def _parse_initial(d: dict, path: str, p: int) -> InitialStateSpec:
-    d = _obj(d, path)
-    _reject_unknown(d, {"leader", "errors"}, path)
-    leader = tuple(_vector(_get(d, "leader", path), f"{path}.leader"))
-    if len(leader) != p:
-        _fail(f"{path}.leader", f"has {len(leader)} entries, agent dimension is {p}")
-    errors = _random_or_given(
-        _get(d, "errors", path), f"{path}.errors", "radius", RandomVectorSpec, _rows
-    )
-    # explicit rows all have one width, so the first row speaks for all
-    if isinstance(errors, tuple) and len(errors[0]) != p:
-        _fail(f"{path}.errors[0]", f"has {len(errors[0])} entries, agent dimension is {p}")
-    return InitialStateSpec(leader=leader, errors=errors)
-
-
-def _parse_certification(d: dict, path: str) -> CertificationOptions:
-    d = _obj(d, path)
-    _reject_unknown(d, {"gamma_margin", "gamma_common", "chatter_bound"}, path)
-    gm = _opt(d, "gamma_margin", path, _num)
-    if gm is not None and gm <= 0.0:
-        _fail(f"{path}.gamma_margin", "must be positive")
-    gc = _opt(d, "gamma_common", path, _num)
-    if gc is not None and gc >= 0.0:
-        _fail(f"{path}.gamma_common", "must be negative")
-    cb = _num(d.get("chatter_bound", 0.0), f"{path}.chatter_bound")
-    if cb < 0.0:
-        _fail(f"{path}.chatter_bound", "must be >= 0")
-    return CertificationOptions(gamma_margin=gm, gamma_common=gc, chatter_bound=cb)
-
-
-def _parse_simulation(d: dict, path: str) -> SimulationOptions:
-    d = _obj(d, path)
-    allowed = {
-        "dt", "seed", "convergence_tol", "tail_fraction",
-        "max_dim", "sample_stride", "integrator",
+def _parse_events(v: Any, path: str, modes: dict) -> dict[tuple[int, int], EventSpec]:
+    parsers = {
+        "from": _int,
+        "to": _int,
+        "joins": _ints,
+        "leaves": _ints,
+        "impulse": _nullable(_random_or(RandomVectorSpec, "radius", _vector)),
+        "dep_gain": _nullable(_random_or(RandomMatrixSpec, "scale", _rows)),
     }
-    _reject_unknown(d, allowed, path)
-    stride = _opt(d, "sample_stride", path, _int)
-    if stride is not None and stride < 1:
-        _fail(f"{path}.sample_stride", "must be >= 1")
-    integ = d.get("integrator", "exact")
-    if integ not in ("exact", "rk4"):
-        _fail(f"{path}.integrator", f"expected 'exact' or 'rk4', got {integ!r}")
-    dt = _num(d.get("dt", 1e-3), f"{path}.dt")
-    if dt <= 0.0:
-        _fail(f"{path}.dt", "must be positive")
-    tf = _num(d.get("tail_fraction", 0.2), f"{path}.tail_fraction")
-    if not 0.0 < tf <= 1.0:
-        _fail(f"{path}.tail_fraction", "must be in (0, 1]")
-    return SimulationOptions(
-        dt=dt,
-        seed=_int(d.get("seed", 0), f"{path}.seed"),
-        convergence_tol=_num(d.get("convergence_tol", 1e-3), f"{path}.convergence_tol"),
-        tail_fraction=tf,
-        max_dim=_int(d.get("max_dim", 512), f"{path}.max_dim"),
-        sample_stride=stride,
-        integrator=integ,
-    )
+    events: dict[tuple[int, int], EventSpec] = {}
+    for i, ed in enumerate(_arr(v, path)):
+        at = f"{path}[{i}]"
+        spec = _section(ed, at, EventSpec, parsers, {"from": "from_mode", "to": "to_mode"})
+        key = (spec.from_mode, spec.to_mode)
+        if key in events:
+            _fail(at, f"duplicate event for pair {key}")
+        for m, side in ((spec.from_mode, "from"), (spec.to_mode, "to")):
+            if m not in modes:
+                _fail(f"{at}.{side}", f"unknown mode id {m}")
+        events[key] = spec
+    return events
+
+
+def _perturbation_fields(p: int) -> dict[str, Parser]:
+    return {
+        "kind": _str,
+        "bound": _num,
+        "amplitude": _nullable(_agent_vector(p)),
+        "frequency": _num,
+        "hold": _num,
+        "seed": _nullable(_int),
+    }
 
 
 def parse_scenario(data: dict, source_dir: str | None = None) -> Scenario:
@@ -618,37 +628,29 @@ def parse_scenario(data: dict, source_dir: str | None = None) -> Scenario:
     if not modes:
         _fail("modes", "must not be empty")
     signal = _parse_signal(_get(data, "signal", "scenario"), "signal")
-    events: dict[tuple[int, int], EventSpec] = {}
-    for i, ed in enumerate(_arr(data.get("events", []), "events")):
-        spec = _parse_event(ed, f"events[{i}]")
-        key = (spec.from_mode, spec.to_mode)
-        if key in events:
-            _fail(f"events[{i}]", f"duplicate event for pair {key}")
-        for m, side in ((spec.from_mode, "from"), (spec.to_mode, "to")):
-            if m not in modes:
-                _fail(f"events[{i}].{side}", f"unknown mode id {m}")
-        events[key] = spec
-    if "perturbation" in data:
-        pert = _parse_perturbation(data["perturbation"], "perturbation", dyn.p)
-    else:
-        pert = PerturbationModel(kind="zero", bound=0.0)
-    initial = _parse_initial(_get(data, "initial_state", "scenario"), "initial_state", dyn.p)
-    cert = (
-        _parse_certification(data["certification"], "certification")
-        if "certification" in data
-        else CertificationOptions()
-    )
-    sim = (
-        _parse_simulation(data["simulation"], "simulation")
-        if "simulation" in data
-        else SimulationOptions()
+    # absent optional sections take the defaults of Scenario
+    optional = {
+        key: _section(data[key], key, cls, parsers)
+        for key, cls, parsers in (
+            ("perturbation", PerturbationModel, _perturbation_fields(dyn.p)),
+            ("certification", CertificationOptions, _CERTIFICATION),
+            ("simulation", SimulationOptions, _SIMULATION),
+        )
+        if key in data
+    }
+    if "events" in data:
+        optional["event_specs"] = _parse_events(data["events"], "events", modes)
+    initial = _section(
+        _get(data, "initial_state", "scenario"), "initial_state", InitialStateSpec,
+        {"leader": _agent_vector(dyn.p),
+         "errors": _random_or(RandomVectorSpec, "radius", _agent_rows(dyn.p))},
     )
     # referential checks that need the whole document
     if isinstance(signal, ExplicitSignalSpec):
-        for i, (_, m) in enumerate(signal.segments):
-            if m not in modes:
-                _fail(f"signal.segments[{i}].mode", f"unknown mode id {m}")
-    elif isinstance(signal, GenerateSignalSpec):
+        for i, seg in enumerate(signal.segments):
+            if seg.mode not in modes:
+                _fail(f"signal.segments[{i}].mode", f"unknown mode id {seg.mode}")
+    elif isinstance(signal, SignalGenSpec):
         for name, ids in (("stable_modes", signal.stable_modes),
                           ("unstable_modes", signal.unstable_modes)):
             for i, m in enumerate(ids):
@@ -659,12 +661,9 @@ def parse_scenario(data: dict, source_dir: str | None = None) -> Scenario:
         coupling_gain=gain,
         modes=modes,
         signal_spec=signal,
-        event_specs=events,
-        perturbation=pert,
         initial=initial,
-        certification=cert,
-        simulation=sim,
         source_dir=source_dir,
+        **optional,
     )
 
 
@@ -711,46 +710,27 @@ def signal_to_dict(sig: SwitchingSignal) -> dict:
     }
 
 
+_EVENT_RECORD = {
+    "k": _int,
+    "from": _int,
+    "to": _int,
+    "n_before": _int,
+    "n_after": _int,
+    "joins": _ints,
+    "leaves": _ints,
+    "impulse": _nullable(_vector),
+    "dep_gain": _nullable(_matrix),
+}
+
+
+def _event_records(v: Any, path: str) -> tuple[MigrationEvent, ...]:
+    names = {"k": "time_index", "from": "mode_before", "to": "mode_after"}
+    return tuple(
+        _section(e, f"{path}[{i}]", MigrationEvent, _EVENT_RECORD, names)
+        for i, e in enumerate(_arr(v, path))
+    )
+
+
 def signal_from_dict(data: dict) -> SwitchingSignal:
-    data = _obj(data, "signal")
-    _reject_unknown(data, {"t0", "tf", "segments", "events"}, "signal")
-    segs = []
-    for i, s in enumerate(_arr(_get(data, "segments", "signal"), "signal.segments")):
-        s = _obj(s, f"signal.segments[{i}]")
-        segs.append(
-            Segment(
-                start=_num(_get(s, "t", f"signal.segments[{i}]"), f"signal.segments[{i}].t"),
-                mode=_int(_get(s, "mode", f"signal.segments[{i}]"), f"signal.segments[{i}].mode"),
-            )
-        )
-    events = []
-    for i, e in enumerate(_arr(data.get("events", []), "signal.events")):
-        e = _obj(e, f"signal.events[{i}]")
-        path = f"signal.events[{i}]"
-        imp = e.get("impulse")
-        dg = e.get("dep_gain")
-        try:
-            events.append(
-                MigrationEvent(
-                    time_index=_int(_get(e, "k", path), f"{path}.k"),
-                    mode_before=_int(_get(e, "from", path), f"{path}.from"),
-                    mode_after=_int(_get(e, "to", path), f"{path}.to"),
-                    n_before=_int(_get(e, "n_before", path), f"{path}.n_before"),
-                    n_after=_int(_get(e, "n_after", path), f"{path}.n_after"),
-                    joins=tuple(_int_list(e.get("joins", []), f"{path}.joins")),
-                    leaves=tuple(_int_list(e.get("leaves", []), f"{path}.leaves")),
-                    impulse=None if imp is None else np.array(_vector(imp, f"{path}.impulse")),
-                    dep_gain=None if dg is None else np.array(_matrix(dg, f"{path}.dep_gain")),
-                )
-            )
-        except ConfigError as exc:
-            _fail(path, str(exc))
-    try:
-        return SwitchingSignal(
-            t0=_num(_get(data, "t0", "signal"), "signal.t0"),
-            tf=_num(_get(data, "tf", "signal"), "signal.tf"),
-            segments=tuple(segs),
-            events=tuple(events),
-        )
-    except ConfigError as exc:
-        raise SchemaError(f"signal: {exc}") from exc
+    parsers = {"t0": _num, "tf": _num, "segments": _segments, "events": _event_records}
+    return _section(data, "signal", SwitchingSignal, parsers)

@@ -63,7 +63,7 @@ class PerturbationModel:
     """
 
     kind: str
-    bound: float
+    bound: float = 0.0
     amplitude: tuple[float, ...] | None = None
     frequency: float = 1.0
     hold: float = 0.05
@@ -422,25 +422,6 @@ class RunSummary:
     ultimate_bound: float | None
     bound_respected: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "dt": float(self.dt),
-            "method": self.method,
-            "t0": float(self.t0),
-            "tf": float(self.tf),
-            "tail_fraction": float(self.tail_fraction),
-            "tail_sup_error": float(self.tail_sup_error),
-            "convergence_tol": float(self.convergence_tol),
-            "converged": bool(self.converged),
-            "diverged": bool(self.diverged),
-            "diverged_at": None if self.diverged_at is None else float(self.diverged_at),
-            "n_events": int(self.n_events),
-            "max_h_norm": float(self.max_h_norm),
-            "ultimate_bound": None if self.ultimate_bound is None else float(self.ultimate_bound),
-            "bound_respected": None if self.bound_respected is None else bool(self.bound_respected),
-        }
-
 
 @dataclass(eq=False)
 class RunResult:
@@ -522,29 +503,27 @@ def run_scenario(
     method: str | None = None,
     bundle: CertificateBundle | None = None,
     signal: SwitchingSignal | None = None,
-    matrices: dict[int, ModeMatrix] | None = None,
 ) -> RunResult:
     """End-to-end run of a parsed scenario.
 
     Resolves the signal and initial state from the master seed, integrates,
-    and summarises convergence. When a certificate bundle is supplied, the
-    tail error is compared against its ultimate bound. A caller that has
-    already resolved the signal for this seed, or built the mode matrices,
-    passes them in and they are not built again. dt and method default to
-    the scenario's simulation options.
+    and summarises convergence. When a certificate bundle with a finite
+    ultimate bound is supplied, the tail error is compared against that
+    bound; an unbounded or infinite one certifies nothing and reads as no
+    bound. A caller that has already resolved the signal for this seed
+    passes it in and it is not resolved again. dt and method default to the
+    scenario's simulation options.
     """
     master = scenario.master_seed(seed)
     dt_eff = scenario.simulation.dt if dt is None else float(dt)
     if method is None:
         method = scenario.simulation.integrator
-    if matrices is None:
-        matrices = scenario.mode_matrices()
     if signal is None:
         signal = scenario.resolve_signal(master)
     leader, errors = scenario.resolve_initial_state(master, signal.segments[0].mode)
     perturbation = scenario.perturbation.with_seed(master)
     traj = run_switched(
-        matrices,
+        scenario.mode_matrices(),
         signal,
         np.concatenate([leader, errors]),
         perturbation,
@@ -554,7 +533,10 @@ def run_scenario(
     )
     tail = traj.tail_sup_error(scenario.simulation.tail_fraction)
     tol = scenario.simulation.convergence_tol
-    ub = None if bundle is None or bundle.unbounded else bundle.ultimate_bound
+    # no bundle, an unbounded one (its bound is inf) and an infinite bound
+    # alike certify nothing
+    bound = math.inf if bundle is None else bundle.ultimate_bound
+    ub = bound if math.isfinite(bound) else None
     # an ultimate bound of exactly 0 certifies asymptotic decay, which a
     # finite horizon can only witness up to the convergence tolerance
     if ub is None:

@@ -286,6 +286,8 @@ class SignalGenSpec:
 
     ratio_floor / dwell_floor are the certified minimums the emitted signal
     must clear; margin is the relative headroom above both (default 5%).
+    A seed of None stands for the master seed of the run, which
+    Scenario.resolve_signal fills in before generating.
     """
 
     horizon: float
@@ -293,7 +295,7 @@ class SignalGenSpec:
     unstable_modes: tuple[int, ...]
     ratio_floor: float
     dwell_floor: float
-    seed: int = 0
+    seed: int | None = None
     margin: float = 0.05
     t0: float = 0.0
 
@@ -322,6 +324,8 @@ def generate_signal(spec: SignalGenSpec, event_builder) -> SwitchingSignal:
     event_builder(k, mode_before, mode_after) -> MigrationEvent supplies the
     boundary events.
     """
+    if spec.seed is None:
+        raise ConfigError("the spec has no seed; give it the run's master seed")
     r = spec.ratio_floor * (1.0 + spec.margin)
     dwell = spec.dwell_floor * (1.0 + spec.margin)
     rng = stream_rng(spec.seed, STREAM_SIGNAL)

@@ -1,6 +1,7 @@
 """End-to-end command line coverage, in-process plus one subprocess check."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,8 @@ import pytest
 from omaslab.cli import main
 from omaslab.demo import demo_scenario_dict
 from omaslab.scenario import signal_from_dict
+from omaslab.simulate import RunSummary
+from omaslab.switching import ValidationReport
 
 BASE = demo_scenario_dict("practical", seed=11)
 
@@ -88,6 +91,21 @@ def test_certify_report(tmp_path, demo_dict, capsys):
     assert report["modes"]["1"]["stable"] is True
 
 
+VALIDATION_KEYS = {
+    "suffixes", "ok", "ratio_ok", "adt_ok", "worst_ratio_j", "worst_adt_j",
+    "ratio_slack_min", "adt_slack_min",
+}
+
+
+def test_certify_validation_keys_are_the_report_fields(tmp_path, demo_dict, capsys):
+    # the JSON keys are the ValidationReport fields, and those are the keys
+    # certify.json has always had: renaming a field must not rename a key
+    assert main(["certify", "--scenario", write(tmp_path, demo_dict)]) == 0
+    keys = set(json.loads(capsys.readouterr().out)["validation"])
+    fields = {f.name for f in dataclasses.fields(ValidationReport)}
+    assert keys == fields | {"suffixes"} == VALIDATION_KEYS
+
+
 def test_certify_first_suffix_only(tmp_path, demo_dict, capsys):
     rc = main(["certify", "--scenario", write(tmp_path, demo_dict),
                "--validate-suffixes", "first"])
@@ -115,12 +133,13 @@ def test_large_chatter_bound_reports_an_infinite_bound(tmp_path, demo_dict, caps
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["unbounded"] is False and report["ultimate_bound"] == "inf"
+    # an infinite bound certifies nothing, so the run is held to no bound
     rc, out = run_simulate(tmp_path, demo_dict, "chatter")
     capsys.readouterr()
     assert rc == 0
     summary = read_json(out / "summary.json")
-    assert summary["certified"] is True and summary["ultimate_bound"] == "inf"
-    assert summary["bound_respected"] is True
+    assert summary["certified"] is False and summary["ultimate_bound"] is None
+    assert summary["bound_respected"] is None
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +210,36 @@ def test_simulate_resolves_signal_and_builds_modes_once(tmp_path, demo_dict, cap
     capsys.readouterr()
     assert rc == 0
     assert calls == {"resolve": 1, "build": 1}
+
+    # a sweep resolves one signal per seed and shares the scenario's matrices
+    calls.update(resolve=0, build=0)
+    rc, _ = run_simulate(tmp_path, demo_dict, "sweep", extra=("--sweep", "2"))
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == {"resolve": 2, "build": 1}
+
+
+SUMMARY_KEYS = {
+    "seed", "dt", "method", "t0", "tf", "tail_fraction", "tail_sup_error",
+    "convergence_tol", "converged", "diverged", "diverged_at", "n_events",
+    "max_h_norm", "ultimate_bound", "bound_respected", "switching_ok", "certified",
+}
+
+
+def test_summary_keys_are_the_run_summary_fields(tmp_path, demo_dict, capsys):
+    # the JSON keys are the RunSummary fields, and those are the keys
+    # summary.json has always had: renaming a field must not rename a key
+    fields = {f.name for f in dataclasses.fields(RunSummary)}
+    rc, out = run_simulate(tmp_path, demo_dict, "keys")
+    assert rc == 0
+    assert set(read_json(out / "summary.json")) == fields | {"switching_ok", "certified"}
+    assert fields | {"switching_ok", "certified"} == SUMMARY_KEYS
+    # a refused certification adds its reason
+    demo_dict["dynamics"]["coupling_gain"] = -0.01
+    rc, out = run_simulate(tmp_path, demo_dict, "refused")
+    capsys.readouterr()
+    assert rc == 0
+    assert set(read_json(out / "summary.json")) == SUMMARY_KEYS | {"certification_error"}
 
 
 def test_simulate_reports_inadmissible_gain(tmp_path, demo_dict, capsys):
@@ -310,6 +359,16 @@ def test_file_signal_invalid_json_exits_2(tmp_path, demo_dict, capsys):
     rc = main(["certify", "--scenario", write(tmp_path, demo_dict)])
     assert rc == 2
     assert "signal: invalid JSON" in capsys.readouterr().err
+
+
+def test_invalid_generate_spec_exits_2_at_load(tmp_path, demo_dict, capsys):
+    # the generator's own checks run when the scenario loads, so even
+    # analyze, which never generates the signal, refuses the document
+    demo_dict["signal"]["horizon"] = 0.0
+    rc = main(["analyze", "--scenario", write(tmp_path, demo_dict)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "signal: horizon must be positive" in captured.err and captured.out == ""
 
 
 def test_infeasible_generation_exits_2(tmp_path, demo_dict, capsys):

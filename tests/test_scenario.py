@@ -9,12 +9,16 @@ import pytest
 from omaslab.demo import DEMO_DEP_GAIN_SCALE, DEMO_IMPULSE_RADIUS, demo_scenario_dict
 from omaslab.errors import ConfigError, SchemaError
 from omaslab.scenario import (
+    CertificationOptions,
+    SimulationOptions,
     load_scenario,
     parse_scenario,
     signal_from_dict,
     signal_to_dict,
 )
 from omaslab.seeding import STREAM_INITIAL, stream_rng, uniform_in_ball
+from omaslab.simulate import PerturbationModel
+from omaslab.switching import SignalGenSpec
 
 SEED = 11
 
@@ -313,6 +317,73 @@ def test_type_errors_are_pathed():
     d = practical_dict()
     d["modes"] = {}
     _expect(d, "modes: expected an array")
+
+
+def test_generate_spec_checks_run_at_load():
+    for field, value, message in (
+        ("horizon", 0.0, "signal: horizon must be positive, got 0.0"),
+        ("margin", 0.0, "signal: margin must be positive, got 0.0"),
+        ("stable_modes", [], "signal: at least one stable mode is required"),
+    ):
+        d = practical_dict()
+        d["signal"][field] = value
+        with pytest.raises(SchemaError) as info:
+            parse_scenario(d)
+        assert str(info.value) == message
+
+
+def _segment_errors(segments):
+    """The errors of an explicit spec and of a signal file with these segments."""
+    d = practical_dict()
+    d["signal"] = {"type": "explicit", "t0": 0.0, "tf": 1.0, "segments": segments}
+    with pytest.raises(SchemaError) as spec_error:
+        parse_scenario(d)
+    with pytest.raises(SchemaError) as file_error:
+        signal_from_dict({"t0": 0.0, "tf": 1.0, "segments": segments, "events": []})
+    return str(spec_error.value), str(file_error.value)
+
+
+def test_signal_file_segments_are_checked_as_spec_segments():
+    spec, file = _segment_errors([{"t": 0.0, "mode": 1, "colour": "red"}])
+    assert spec == file == "signal.segments[0]: unknown field(s) ['colour']"
+    spec, file = _segment_errors([])
+    assert spec == file == "signal.segments: must not be empty"
+    spec, file = _segment_errors([{"mode": 1}])
+    assert spec == file == "signal.segments[0].t: missing required field"
+
+
+def test_absent_fields_take_the_defaults_of_their_types():
+    d = practical_dict()
+    for section in ("simulation", "certification", "perturbation", "events"):
+        del d[section]
+    for key in ("margin", "t0", "seed"):
+        d["signal"].pop(key, None)
+    scen = parse_scenario(d)
+    assert scen.simulation == SimulationOptions()
+    assert scen.certification == CertificationOptions()
+    assert scen.perturbation == PerturbationModel(kind="zero")
+    assert scen.event_specs == {}
+    assert scen.signal_spec == SignalGenSpec(
+        horizon=d["signal"]["horizon"],
+        stable_modes=(1,),
+        unstable_modes=(2, 3, 4),
+        ratio_floor=d["signal"]["ratio_floor"],
+        dwell_floor=d["signal"]["dwell_floor"],
+    )
+    assert scen.signal_spec.seed is None  # stands for the master seed
+    # a perturbation section need only name its kind
+    d["perturbation"] = {"kind": "random"}
+    assert parse_scenario(d).perturbation == PerturbationModel(kind="random")
+
+
+def test_unseeded_generate_spec_draws_from_the_master_seed():
+    d = practical_dict()
+    d["signal"]["seed"] = SEED + 1
+    pinned = parse_scenario(d)
+    free = parse_scenario(practical_dict())
+    # the layout follows the spec's seed; the events keep the run's own
+    assert pinned.resolve_signal(SEED).segments == free.resolve_signal(SEED + 1).segments
+    assert pinned.resolve_signal(SEED).segments != free.resolve_signal(SEED).segments
 
 
 def test_load_scenario_invalid_json(tmp_path):

@@ -376,6 +376,16 @@ def test_generation_infeasible_horizon():
         _gen(spec)
 
 
+def test_generation_needs_a_seed():
+    # a seedless spec stands for the master seed, which only a run supplies
+    spec = SignalGenSpec(
+        horizon=10.0, stable_modes=(1,), unstable_modes=(2,),
+        ratio_floor=1.0, dwell_floor=1.0,
+    )
+    with pytest.raises(ConfigError, match="no seed"):
+        _gen(spec)
+
+
 def test_gen_spec_validation():
     kw = dict(
         horizon=10.0, stable_modes=(1,), unstable_modes=(2,),
