@@ -127,6 +127,7 @@ class Scenario:
     certification: CertificationOptions = CertificationOptions()
     simulation: SimulationOptions = SimulationOptions()
     _matrices: dict[int, ModeMatrix] | None = field(default=None, init=False, repr=False)
+    _file_signal: SwitchingSignal | None = field(default=None, init=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -230,14 +231,21 @@ class Scenario:
     # -- signal resolution -------------------------------------------------
 
     def resolve_signal(self, master_seed: int) -> SwitchingSignal:
+        """The signal of one master seed.
+
+        A signal read from a file does not depend on the seed: it is parsed
+        and checked on the first call and kept, as the mode matrices are.
+        """
         spec = self.signal_spec
         if isinstance(spec, FileSignalSpec):
-            path = spec.path
-            if not os.path.isabs(path) and self.source_dir:
-                path = os.path.join(self.source_dir, path)
-            signal = signal_from_dict(_load_json(path, "signal"))
-            self._check_modes(signal, path)
-            return signal
+            if self._file_signal is None:
+                path = spec.path
+                if not os.path.isabs(path) and self.source_dir:
+                    path = os.path.join(self.source_dir, path)
+                signal = signal_from_dict(_load_json(path, "signal"))
+                self._check_modes(signal, path)
+                self._file_signal = signal
+            return self._file_signal
 
         def build(k: int, mode_before: int, mode_after: int) -> MigrationEvent:
             return self.build_event(k, mode_before, mode_after, master_seed)

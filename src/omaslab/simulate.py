@@ -244,8 +244,11 @@ def _propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np
     B[:n, :n] = M
     B[:n, n : 2 * n] = np.eye(n)
     B[n : 2 * n, 2 * n :] = np.eye(n)
-    EB = scipy.linalg.expm(B * step)
-    return EB[:n, :n], EB[:n, n : 2 * n], EB[:n, 2 * n :]
+    B *= step
+    EB = scipy.linalg.expm(B)
+    # E is copied out: a view would keep the whole 3n block alive for as
+    # long as the step matrices are kept
+    return EB[:n, :n].copy(), EB[:n, n : 2 * n], EB[:n, 2 * n :]
 
 
 def _rk4_step(M: np.ndarray, step: float, x, f0, f1):
@@ -334,23 +337,61 @@ def integrate_segment(
     sampled rows are kept. Integration stops early (diverged_at set) at the
     first step with a non-finite state, which is not kept.
     """
+    _check_stepping(dt, method, sample_stride)
+    t_start, t_end = float(t_span[0]), float(t_span[1])
+    if t_end <= t_start:
+        raise ConfigError(f"empty time span {t_span}")
+    x = _start_state(mode, x0)
+    grid = _grid(t_start, t_end, dt)
+    M = scipy.linalg.block_diag(mode.A, mode.A_err)
+    steps = {s: _step_matrices(M, s, method, mode.p) for s in _step_lengths(dt, grid)}
+    return _integrate(mode, x, h, (t_start, t_end), dt, grid, steps, sample_stride)
+
+
+def _check_stepping(dt: float, method: str, sample_stride: int) -> None:
     if method not in ("exact", "rk4"):
         raise ConfigError(f"unknown integrator {method!r}")
     if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
-    t_start, t_end = float(t_span[0]), float(t_span[1])
-    if t_end <= t_start:
-        raise ConfigError(f"empty time span {t_span}")
-    M = scipy.linalg.block_diag(mode.A, mode.A_err)
-    dim = M.shape[0]
-    x = np.asarray(x0, dtype=float).copy()
+
+
+def _start_state(mode: ModeMatrix, x0: np.ndarray) -> np.ndarray:
+    """x0 as a float vector, checked against the size of (leader, errors)."""
+    dim = mode.p * (mode.n_agents + 1)
+    x = np.asarray(x0, dtype=float)
     if x.shape != (dim,):
         raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
-    p, n = mode.p, mode.n_agents
+    return x
 
-    n_full, rem = _grid(t_start, t_end, dt)
+
+def _step_lengths(dt: float, grid: tuple[int, float]) -> tuple[float, ...]:
+    """The step lengths a grid from _grid takes: dt, the remainder, or both."""
+    n_full, rem = grid
+    lengths = (dt,) if n_full > 0 else ()
+    return lengths + ((rem,) if rem > 0.0 else ())
+
+
+def _integrate(
+    mode: ModeMatrix,
+    x: np.ndarray,
+    h: PerturbationModel,
+    t_span: tuple[float, float],
+    dt: float,
+    grid: tuple[int, float],
+    steps: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    sample_stride: int,
+) -> SegmentResult:
+    """The stepping of integrate_segment on a grid laid out by _grid.
+
+    steps maps each of the grid's step lengths to its (E, A0, A1); x is
+    the checked state at t_span[0].
+    """
+    t_start, t_end = t_span
+    p, n = mode.p, mode.n_agents
+    dim = len(x)
+    n_full, rem = grid
     n_steps = n_full + (1 if rem > 0.0 else 0)
     # (first step, end step, step length): chunks of full steps, then the
     # remainder step onto t_end
@@ -361,15 +402,9 @@ def integrate_segment(
     states = [x[None, :].copy()]
     max_h = 0.0
     diverged_at = None
-    built_for = None
     F = None
     for a, b, step in blocks:
-        if step != built_for:
-            # release the full step's matrices before the remainder's expm:
-            # at large dimension both would otherwise sit in the peak
-            E = A0 = A1 = None
-            E, A0, A1 = _step_matrices(M, step, method, p)
-            built_for = step
+        E, A0, A1 = steps[step]
         t_ends = t_start + np.arange(a + 1, b + 1) * dt if step == dt else np.array([t_end])
         t_grid = np.concatenate(([t_start + a * dt], t_ends))
         # the chunk's first time is the previous chunk's last: reuse its row
@@ -451,14 +486,35 @@ def run_switched(
         sample_stride = 1 if horizon <= _FULL_RETENTION_HORIZON else int(
             math.ceil(horizon / _FULL_RETENTION_HORIZON)
         )
+    _check_stepping(dt, method, sample_stride)
     traj = Trajectory(p=p, t0=signal.t0, tf=signal.tf)
-    z = np.asarray(x0, dtype=float)
+    spans = [signal.segment_bounds(i) for i in range(len(signal.segments))]
+    grids = [_grid(a, b, dt) for a, b in spans]
+    # a run re-enters the same modes again and again, so step matrices are
+    # kept per (mode, exact step length) -- the method is the run's -- from
+    # the first segment that steps by them until the last
+    keys = [
+        [(seg.mode, s) for s in _step_lengths(dt, grid)]
+        for seg, grid in zip(signal.segments, grids)
+    ]
+    last_use = {key: i for i, seg_keys in enumerate(keys) for key in seg_keys}
+    kept: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    z = x0
     for i, seg in enumerate(signal.segments):
         mm = matrices[seg.mode]
-        bounds = signal.segment_bounds(i)
-        res = integrate_segment(
-            mm, z, perturbation, bounds, dt=dt, method=method, sample_stride=sample_stride
+        bounds = spans[i]
+        x = _start_state(mm, z)
+        for key in keys[i]:
+            if key not in kept:
+                M = scipy.linalg.block_diag(mm.A, mm.A_err)
+                kept[key] = _step_matrices(M, key[1], method, p)
+        res = _integrate(
+            mm, x, perturbation, bounds, dt, grids[i],
+            {key[1]: kept[key] for key in keys[i]}, sample_stride,
         )
+        for key in keys[i]:
+            if last_use[key] == i:
+                del kept[key]
         leader, errs = res.states[:, :p], res.states[:, p:]
         traj.segments.append(
             SegmentTrace(

@@ -192,8 +192,9 @@ def test_simulate_resolves_signal_and_builds_modes_once(tmp_path, demo_dict, cap
     import omaslab.scenario
     from omaslab.scenario import Scenario
 
-    calls = {"resolve": 0, "build": 0}
+    calls = {"resolve": 0, "build": 0, "parse": 0}
     resolve, build = Scenario.resolve_signal, omaslab.mode_dynamics.build_mode_matrices
+    parse = omaslab.scenario.signal_from_dict
 
     def counting_resolve(self, *args, **kwargs):
         calls["resolve"] += 1
@@ -203,20 +204,36 @@ def test_simulate_resolves_signal_and_builds_modes_once(tmp_path, demo_dict, cap
         calls["build"] += 1
         return build(*args, **kwargs)
 
+    def counting_parse(*args, **kwargs):
+        calls["parse"] += 1
+        return parse(*args, **kwargs)
+
     monkeypatch.setattr(Scenario, "resolve_signal", counting_resolve)
     for module in (omaslab.scenario, omaslab.mode_dynamics):
         monkeypatch.setattr(module, "build_mode_matrices", counting_build)
+    monkeypatch.setattr(omaslab.scenario, "signal_from_dict", counting_parse)
     rc, _ = run_simulate(tmp_path, demo_dict, "once")
     capsys.readouterr()
     assert rc == 0
-    assert calls == {"resolve": 1, "build": 1}
+    assert calls == {"resolve": 1, "build": 1, "parse": 0}
 
     # a sweep resolves one signal per seed and shares the scenario's matrices
     calls.update(resolve=0, build=0)
     rc, _ = run_simulate(tmp_path, demo_dict, "sweep", extra=("--sweep", "2"))
     capsys.readouterr()
     assert rc == 0
-    assert calls == {"resolve": 2, "build": 1}
+    assert calls == {"resolve": 2, "build": 1, "parse": 0}
+
+    # a signal read from a file is parsed once for all seeds of a sweep
+    assert main(["gen-signal", "--scenario", write(tmp_path, demo_dict),
+                 "--out", str(tmp_path)]) == 0
+    demo_dict["signal"] = {"type": "file", "path": "signal.json"}
+    calls.update(resolve=0, build=0)
+    rc, out = run_simulate(tmp_path, demo_dict, "file_sweep", extra=("--sweep", "3"))
+    capsys.readouterr()
+    assert rc == 0
+    assert calls == {"resolve": 3, "build": 1, "parse": 1}
+    assert len(read_json(out / "sweep.json")["seeds"]) == 3
 
 
 SUMMARY_KEYS = {

@@ -11,7 +11,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omaslab import lyapunov_trace, run_scenario, validate_switching
+from omaslab import (
+    apply_error_jump,
+    build_transition_map,
+    lyapunov_trace,
+    run_scenario,
+    validate_switching,
+)
 from omaslab.cli import build_bundle
 from omaslab.demo import DEMO_A, demo_scenario_dict
 from omaslab.errors import ConfigError
@@ -587,8 +593,13 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
         A_err=np.array([[50.0]]), alpha=50.0, stable=False,
     )
     dt = 1e-3
-    res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=dt,
+    x0 = np.array([0.0, 1.0])
+    res = integrate_segment(mode, x0, ZERO, (0.0, 20.0), dt=dt,
                             method=method, sample_stride=stride)
+    # a run with kept step matrices diverges exactly as the lone segment
+    sig = SwitchingSignal(0.0, 20.0, (Segment(start=0.0, mode=1),))
+    traj = run_switched({1: mode}, sig, x0, ZERO, dt=dt, method=method, sample_stride=stride)
+    assert_same_run(traj, [res], [])
     E, _, _ = _step_matrices(stacked(mode), dt, method, 1)
     x, k = np.array([0.0, 1.0]), 0
     kept = [0.0]
@@ -604,6 +615,104 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
     assert res.diverged_at == k * dt
     np.testing.assert_array_equal(res.t, kept)
     assert np.isfinite(res.states).all()
+
+
+def revisiting_run(scenario):
+    """The demo's modes on the layout of the wide benchmark: stable spans of
+    30.2 s from t = 0, 30.7 and 61.4, unstable spans of 0.5 s between them,
+    at dt 0.5. Mode 1 is entered three times; its remainder steps are
+    0.1999999999999993 twice and 0.19999999999999574 once."""
+    modes = (1, 2, 1, 3, 1)
+    starts = (0.0, 30.2, 30.7, 60.9, 61.4)
+    segments = tuple(Segment(start=t, mode=m) for t, m in zip(starts, modes))
+    events = tuple(
+        scenario.build_event(k, modes[k - 1], modes[k], 11)
+        for k in range(1, len(modes))
+    )
+    sig = SwitchingSignal(0.0, 91.6, segments, events)
+    leader, errors = scenario.resolve_initial_state(11, 1)
+    return sig, np.concatenate([leader, errors]), 0.5
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, method):
+    import omaslab.simulate as simulate
+
+    built = []
+
+    def counting(M, step, method, p):
+        built.append((M.tobytes(), step, method))
+        return _step_matrices(M, step, method, p)
+
+    monkeypatch.setattr(simulate, "_step_matrices", counting)
+    matrices = practical_scenario.mode_matrices()
+    sig, x0, dt = revisiting_run(practical_scenario)
+    run_switched(matrices, sig, x0, ZERO, dt=dt, method=method)
+
+    uses = []
+    for i, seg in enumerate(sig.segments):
+        n_full, rem = _grid(*sig.segment_bounds(i), dt)
+        M = stacked(matrices[seg.mode]).tobytes()
+        if n_full > 0:
+            uses.append((M, dt, method))
+        if rem > 0.0:
+            uses.append((M, rem, method))
+    # the three remainders of mode 1 differ only in their last bits, and
+    # each is a key of its own
+    rems = {step for _, step, _ in uses if step != dt}
+    assert rems == {0.1999999999999993, 0.19999999999999574}
+    assert len(uses) == 8
+    assert sorted(built) == sorted(set(uses))
+    assert len(built) == 5
+
+
+def reference_run(matrices, sig, x0, h, dt, method, stride):
+    """run_switched rebuilt from public pieces: integrate_segment for each
+    segment, apply_error_jump at each switch."""
+    p = matrices[sig.segments[0].mode].p
+    parts, jumps, z = [], [], x0
+    for i, seg in enumerate(sig.segments):
+        res = integrate_segment(matrices[seg.mode], z, h, sig.segment_bounds(i),
+                                dt=dt, method=method, sample_stride=stride)
+        parts.append(res)
+        if res.diverged_at is not None or i == len(sig.events):
+            break
+        pre = res.states[-1, p:]
+        post = apply_error_jump(build_transition_map(sig.events[i], p), pre)
+        jumps.append((pre, post))
+        z = np.concatenate([res.states[-1, :p], post])
+    return parts, jumps
+
+
+def assert_same_run(traj, parts, jumps):
+    assert len(traj.segments) == len(parts) and len(traj.events) == len(jumps)
+    for seg, res in zip(traj.segments, parts):
+        np.testing.assert_array_equal(seg.t, res.t, strict=True)
+        np.testing.assert_array_equal(seg.leader, res.states[:, :traj.p], strict=True)
+        np.testing.assert_array_equal(seg.errs, res.states[:, traj.p:], strict=True)
+    for ev, (pre, post) in zip(traj.events, jumps):
+        np.testing.assert_array_equal(ev.pre_err, pre, strict=True)
+        np.testing.assert_array_equal(ev.post_err, post, strict=True)
+    assert traj.diverged_at == parts[-1].diverged_at
+    assert traj.max_h_norm == max(res.max_h_norm for res in parts)
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+@pytest.mark.parametrize("layout", ["demo", "revisiting"])
+def test_run_equals_segmentwise_reference(practical_scenario, practical_signal, method, layout):
+    # kept step matrices change nothing: every sample, jump and summary
+    # figure equals that of fresh builds segment by segment, bit for bit
+    matrices = practical_scenario.mode_matrices()
+    h = practical_scenario.perturbation.with_seed(11)
+    if layout == "demo":
+        sig, dt = practical_signal, 5e-3
+        leader, errors = practical_scenario.resolve_initial_state(11, 1)
+        x0 = np.concatenate([leader, errors])
+    else:
+        sig, x0, dt = revisiting_run(practical_scenario)
+    traj = run_switched(matrices, sig, x0, h, dt=dt, method=method, sample_stride=3)
+    assert_same_run(traj, *reference_run(matrices, sig, x0, h, dt, method, 3))
+    assert len(traj.events) == sig.n_switches and traj.max_h_norm > 0.0
 
 
 def test_zero_perturbation_has_no_forcing_and_no_draws(monkeypatch):
