@@ -14,20 +14,18 @@ under --strict. analyze and certify print a JSON report to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .certificate import (
-    CertificateBundle,
-    assemble_bundle,
-    solve_mode_certificate,
-)
+from .certificate import CertificateBundle, ModeCertificate, assemble_bundle
 from .errors import (
     AssumptionViolation,
     CertificateError,
@@ -64,6 +62,10 @@ def _jsonable(x: Any) -> Any:
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        # a sum of floats is finite only when every term is: such a list,
+        # a signal's impulse or a row of its gain, needs no mapping
+        if all(type(v) is float for v in x) and math.isfinite(sum(x)):
+            return list(x)
         return [_jsonable(v) for v in x]
     if isinstance(x, (np.floating, float)):
         v = float(x)
@@ -191,13 +193,14 @@ def _require_assumptions(scenario: Scenario) -> None:
         )
 
 
-def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBundle:
-    """Certification pipeline shared by certify and simulate.
+# the errors by which certification refuses a scenario; simulate writes the
+# reason into the summary and runs uncertified
+_CERTIFICATION_ERRORS = (AssumptionViolation, CertificateError, ConfigError)
 
-    Raises AssumptionViolation or CertificateError when the scenario cannot
-    be certified; an unbounded bundle is returned, not raised, so callers
-    can report before deciding.
-    """
+
+def _certified_modes(scenario: Scenario) -> dict[int, ModeCertificate]:
+    """The half of certification no seed changes: the structural and gain
+    checks, then the scenario's per-mode certificates."""
     _require_assumptions(scenario)
     bound = coupling_gain_bound(scenario.dynamics, list(scenario.modes.values()))
     if not scenario.coupling_gain < bound:
@@ -205,12 +208,18 @@ def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBund
             f"coupling gain {scenario.coupling_gain} is not strictly below the "
             f"admissible bound {bound:.6g}; certification refused"
         )
-    certs = {
-        mid: solve_mode_certificate(mm, gamma_margin=scenario.certification.gamma_margin)
-        for mid, mm in sorted(scenario.mode_matrices().items())
-    }
+    return scenario.mode_certificates()
+
+
+def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBundle:
+    """Certification pipeline shared by certify and simulate.
+
+    Raises AssumptionViolation or CertificateError when the scenario cannot
+    be certified; an unbounded bundle is returned, not raised, so callers
+    can report before deciding.
+    """
     return assemble_bundle(
-        certs,
+        _certified_modes(scenario),
         impulse_bounds(list(signal.events), scenario.p),
         h_bound=scenario.perturbation.bound,
         signal=signal,
@@ -283,15 +292,14 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
 # simulate
 
 
-def _simulate_one(scenario: Scenario, args: argparse.Namespace,
-                  seed: int, out: str) -> dict:
+def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: str,
+                  signal: SwitchingSignal) -> dict:
     # one signal serves certification and the run
-    signal = scenario.resolve_signal(seed)
     bundle = None
     cert_error = None
     try:
         bundle = build_bundle(scenario, signal)
-    except (AssumptionViolation, CertificateError, ConfigError) as exc:
+    except _CERTIFICATION_ERRORS as exc:
         cert_error = str(exc)
     result = run_scenario(scenario, seed=seed, dt=args.dt, bundle=bundle, signal=signal)
     summary = dataclasses.asdict(result.summary)
@@ -323,19 +331,67 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace,
     return summary
 
 
+# the seed runner of a forked sweep worker, set by _start_sweep_worker
+_sweep_run: Callable[[int], dict] | None = None
+
+
+def _start_sweep_worker(run: Callable[[int], dict]) -> None:
+    global _sweep_run
+    _sweep_run = run
+
+
+def _sweep_seed(seed: int) -> tuple[dict, str]:
+    """One seed of a sweep, run in a worker: its summary and its stdout."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        summary = _sweep_run(seed)
+    return summary, text.getvalue()
+
+
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     out = args.out or "."
     if args.sweep <= 1:
-        summary = _simulate_one(scenario, args, args.seed, out)
+        signal = scenario.resolve_signal(args.seed)
+        summary = _simulate_one(scenario, args, args.seed, out, signal)
         return 4 if summary["diverged"] and args.strict else 0
 
-    # batch mode: consecutive seeds, independent runs, one dir per seed
+    # batch mode: consecutive seeds, independent runs, one dir per seed.
+    # What the seeds share, and each seed's signal, is made here; forked
+    # workers inherit it unpickled and run the seeds concurrently, and their
+    # output is printed in seed order, as one process would print it. Since
+    # Python 3.11 a fork pool starts all its workers before its own thread.
+    seeds = range(args.seed, args.seed + args.sweep)
+    scenario.mode_matrices()
+    signals = {seed: scenario.resolve_signal(seed) for seed in seeds}
+    # a refusal is the same for every seed, and each seed's summary says why
+    with contextlib.suppress(*_CERTIFICATION_ERRORS):
+        _certified_modes(scenario)
+
+    def run(seed: int) -> dict:
+        return _simulate_one(scenario, args, seed, os.path.join(out, f"seed_{seed}"),
+                             signals[seed])
+
+    # imported here: loaded by every command, the pool machinery would add
+    # about 0.4 MB to the peak RSS of those that never sweep
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=min(len(seeds), len(os.sched_getaffinity(0))),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_sweep_worker,
+        initargs=(run,),
+    )
     summaries = {}
-    for seed in range(args.seed, args.seed + args.sweep):
-        print(f"--- seed {seed} ---")
-        summaries[seed] = _simulate_one(
-            scenario, args, seed, os.path.join(out, f"seed_{seed}")
-        )
+    try:
+        futures = {seed: pool.submit(_sweep_seed, seed) for seed in seeds}
+        for seed, future in futures.items():
+            print(f"--- seed {seed} ---")
+            summaries[seed], text = future.result()
+            print(text, end="")
+    finally:
+        # the first seed to fail ends the sweep: the rest are not started
+        pool.shutdown(cancel_futures=True)
     aggregate = {
         "seeds": sorted(summaries),
         "tail_sup_error_max": max(s["tail_sup_error"] for s in summaries.values()),

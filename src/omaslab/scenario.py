@@ -16,12 +16,14 @@ type declares, and a field without one is required.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable, Union
 
 import numpy as np
 
+from .certificate import ModeCertificate, solve_mode_certificate
 from .errors import ConfigError, SchemaError
 from .mode_dynamics import DEFAULT_MAX_DIM, AgentDynamics, ModeMatrix, build_mode_matrices
 from .seeding import (
@@ -127,6 +129,9 @@ class Scenario:
     certification: CertificationOptions = CertificationOptions()
     simulation: SimulationOptions = SimulationOptions()
     _matrices: dict[int, ModeMatrix] | None = field(default=None, init=False, repr=False)
+    _certificates: dict[int, ModeCertificate] | None = field(
+        default=None, init=False, repr=False
+    )
     _file_signal: SwitchingSignal | None = field(default=None, init=False, repr=False)
 
     @property
@@ -155,6 +160,21 @@ class Scenario:
                 max_dim=self.simulation.max_dim,
             )
         return self._matrices
+
+    def mode_certificates(self) -> dict[int, ModeCertificate]:
+        """Each mode's certificate at the scenario's gamma margin, keyed by
+        mode id.
+
+        Solved on the first call and kept, as the mode matrices are: they do
+        not depend on the seed, so every seed of a sweep shares one set.
+        """
+        if self._certificates is None:
+            margin = self.certification.gamma_margin
+            self._certificates = {
+                mid: solve_mode_certificate(mm, gamma_margin=margin)
+                for mid, mm in sorted(self.mode_matrices().items())
+            }
+        return self._certificates
 
     # -- event materialization -------------------------------------------
 
@@ -325,7 +345,14 @@ def _arr(v: Any, path: str) -> list:
 def _num(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    # JSON admits NaN, Infinity and integers past the float range
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(path, f"expected a finite number, got {x}")
+    return x
 
 
 def _int(v: Any, path: str) -> int:
@@ -704,10 +731,8 @@ def signal_to_dict(sig: SwitchingSignal) -> dict:
                 "n_after": ev.n_after,
                 "joins": list(ev.joins),
                 "leaves": list(ev.leaves),
-                "impulse": None if ev.impulse is None else [float(x) for x in ev.impulse],
-                "dep_gain": None
-                if ev.dep_gain is None
-                else [[float(x) for x in row] for row in ev.dep_gain],
+                "impulse": None if ev.impulse is None else ev.impulse.tolist(),
+                "dep_gain": None if ev.dep_gain is None else ev.dep_gain.tolist(),
             }
         )
     return {

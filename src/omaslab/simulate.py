@@ -231,6 +231,19 @@ def _grid(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
     return n_full, rem
 
 
+def _stacked(mode: ModeMatrix) -> np.ndarray:
+    """block_diag(mode.A, mode.A_err), the matrix z flows by in one segment.
+
+    Filled in place: scipy.linalg.block_diag spends about 60 us checking its
+    arguments, and a run that switches often stacks anew for each new step.
+    """
+    p = mode.p
+    M = np.zeros((p + mode.A_err.shape[0],) * 2)
+    M[:p, :p] = mode.A
+    M[p:, p:] = mode.A_err
+    return M
+
+
 def _propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """expm(M step) plus the zeroth and first forcing moments.
 
@@ -343,7 +356,7 @@ def integrate_segment(
         raise ConfigError(f"empty time span {t_span}")
     x = _start_state(mode, x0)
     grid = _grid(t_start, t_end, dt)
-    M = scipy.linalg.block_diag(mode.A, mode.A_err)
+    M = _stacked(mode)
     steps = {s: _step_matrices(M, s, method, mode.p) for s in _step_lengths(dt, grid)}
     return _integrate(mode, x, h, (t_start, t_end), dt, grid, steps, sample_stride)
 
@@ -506,7 +519,7 @@ def run_switched(
         x = _start_state(mm, z)
         for key in keys[i]:
             if key not in kept:
-                M = scipy.linalg.block_diag(mm.A, mm.A_err)
+                M = _stacked(mm)
                 kept[key] = _step_matrices(M, key[1], method, p)
         res = _integrate(
             mm, x, perturbation, bounds, dt, grids[i],

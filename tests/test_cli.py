@@ -4,13 +4,15 @@ import copy
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from omaslab.cli import main
+from omaslab.cli import _jsonable, main
 from omaslab.demo import demo_scenario_dict
 from omaslab.scenario import signal_from_dict
 from omaslab.simulate import RunSummary
@@ -33,6 +35,11 @@ def write(tmp_path, d, name="scenario.json"):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def tree_bytes(directory):
+    return {str(f.relative_to(directory)): f.read_bytes()
+            for f in sorted(directory.rglob("*")) if f.is_file()}
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +320,66 @@ def test_simulate_sweep(tmp_path, demo_dict, capsys):
     assert read_json(out / "seed_12" / "summary.json")["seed"] == 12
 
 
+def test_sweep_equals_lone_runs(tmp_path, demo_dict, capsys):
+    # the seeds run concurrently in forked workers, yet each seed's files
+    # are those of the seed run alone, and stdout is theirs in seed order
+    rc, sweep = run_simulate(tmp_path, demo_dict, "sweep", extra=("--sweep", "3"))
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    assert multiprocessing.active_children() == []
+    expected = ""
+    for seed in (11, 12, 13):
+        rc, lone = run_simulate(tmp_path, demo_dict, f"lone_{seed}",
+                                extra=("--seed", str(seed)))
+        assert rc == 0
+        expected += f"--- seed {seed} ---\n" + capsys.readouterr().out
+        assert tree_bytes(sweep / f"seed_{seed}") == tree_bytes(lone)
+    assert stdout == expected
+
+
+def test_sweep_error_in_a_worker_exits_2(tmp_path, demo_dict, capsys, monkeypatch):
+    import omaslab.simulate
+
+    # the step check runs with the integration, in the workers: each call
+    # leaves the pid of the process that made it
+    pids = tmp_path / "pids"
+    check = omaslab.simulate._check_stepping
+
+    def recording_check(*args):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return check(*args)
+
+    monkeypatch.setattr(omaslab.simulate, "_check_stepping", recording_check)
+    rc, _ = run_simulate(tmp_path, demo_dict, "bad_dt", extra=("--sweep", "2", "--dt", "-1"))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: dt must be positive, got -1.0\n"
+    assert captured.out == "--- seed 11 ---\n"
+    assert multiprocessing.active_children() == []
+    checked_in = set(pids.read_text().split())
+    assert checked_in and str(os.getpid()) not in checked_in
+
+
+def test_sweep_solves_each_mode_certificate_once(tmp_path, demo_dict, capsys, monkeypatch):
+    import omaslab.scenario
+
+    solved = []
+    solve = omaslab.scenario.solve_mode_certificate
+
+    def counting_solve(mm, *args, **kwargs):
+        solved.append(mm.mode_id)
+        return solve(mm, *args, **kwargs)
+
+    monkeypatch.setattr(omaslab.scenario, "solve_mode_certificate", counting_solve)
+    rc, out = run_simulate(tmp_path, demo_dict, "sweep", extra=("--sweep", "3"))
+    capsys.readouterr()
+    assert rc == 0
+    assert sorted(solved) == [1, 2, 3, 4]
+    assert all(read_json(out / f"seed_{s}" / "summary.json")["certified"]
+               for s in (11, 12, 13))
+
+
 # --------------------------------------------------------------------------
 # gen-signal and file-referenced signals
 
@@ -404,6 +471,30 @@ def test_schema_error_exits_2(tmp_path, demo_dict, capsys):
     rc = main(["analyze", "--scenario", write(tmp_path, demo_dict)])
     assert rc == 2
     assert "dynamics.A" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify", "simulate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("section, key", [("perturbation", "bound"),
+                                          ("dynamics", "coupling_gain")])
+def test_non_finite_number_exits_2(tmp_path, demo_dict, capsys, command, value,
+                                   section, key):
+    # JSON as Python reads it admits NaN and Infinity
+    demo_dict[section][key] = value
+    rc = main([command, "--scenario", write(tmp_path, demo_dict),
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"error: {section}.{key}: expected a finite number" in captured.err
+
+
+def test_jsonable_maps_only_non_finite_floats():
+    assert _jsonable([0.5, -2.0]) == [0.5, -2.0]
+    assert _jsonable({"a": [[1.0, math.nan], [-math.inf, 2.0]]}) == {
+        "a": [[1.0, "nan"], ["-inf", 2.0]]
+    }
+    # finite terms whose sum overflows are kept as they are
+    assert _jsonable([1e308, 1e308]) == [1e308, 1e308]
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

@@ -191,6 +191,15 @@ def _expect(data, fragment):
         parse_scenario(data)
 
 
+@pytest.mark.parametrize("value", [float("-inf"), 10 ** 400], ids=["-inf", "10**400"])
+def test_non_finite_number_rejected(value):
+    # an integer past the float range is as infinite as the float it makes;
+    # the demo's matrix rows are shared, so the document is copied whole
+    d = copy.deepcopy(practical_dict())
+    d["dynamics"]["A"][0][0] = value
+    _expect(d, r"dynamics\.A\[0\]\[0\]: expected a finite number")
+
+
 def test_root_must_be_object():
     _expect([1, 2, 3], "scenario: expected an object")
 
