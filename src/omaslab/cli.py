@@ -279,6 +279,8 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
         "n_switches": signal.n_switches,
     }
     report["validation"] = {**dataclasses.asdict(verdict), "suffixes": args.validate_suffixes}
+    # the bound holds only for a signal within its switching budget
+    report["bound_applies"] = math.isfinite(bundle.ultimate_bound) and verdict.ok
     print(_write_json(report, args.out, "certify.json"))
     if bundle.unbounded:
         raise UnboundedCertificate(
@@ -312,6 +314,8 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
         summary["switching_ok"] = validate_switching(
             result.signal, bundle.budget, bundle.stable_set, suffixes=args.validate_suffixes,
         ).ok
+    # bound_applies: the bound is certified and this signal keeps its budget
+    summary["bound_applies"] = summary["certified"] and summary["switching_ok"] is True
 
     os.makedirs(out, exist_ok=True)
     export_trajectory_csv(result.trajectory, os.path.join(out, "trajectory.csv"))
@@ -321,9 +325,12 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
     print(f"integrated {result.signal.tf - result.signal.t0:g}s "
           f"across {len(result.trajectory.segments)} segments "
           f"({summary['n_events']} migrations)")
-    print(f"tail sup error: {summary['tail_sup_error']:.6g}"
-          + ("" if summary["ultimate_bound"] is None
-             else f"  (certified bound {summary['ultimate_bound']:.6g})"))
+    bound, note = summary["ultimate_bound"], ""
+    if summary["bound_applies"]:
+        note = f"  (certified bound {bound:.6g})"
+    elif bound is not None:
+        note = f"  (bound {bound:.6g} does not apply: the signal breaks its budget)"
+    print(f"tail sup error: {summary['tail_sup_error']:.6g}{note}")
     if summary["diverged"]:
         print(f"DIVERGED at t = {summary['diverged_at']:.6g}")
     elif summary["converged"]:
@@ -399,6 +406,9 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
         "any_diverged": any(s["diverged"] for s in summaries.values()),
         "all_bounds_respected": all(
             s["bound_respected"] is not False for s in summaries.values()
+        ),
+        "all_applicable_bounds_respected": all(
+            s["bound_respected"] for s in summaries.values() if s["bound_applies"]
         ),
     }
     _write_json(aggregate, out, "sweep.json")

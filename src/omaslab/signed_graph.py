@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError
 
 _EIG_NEG_TOL = 1e-10  # threshold below which a real part counts as negative
+_DENSE_ATOL = 1e-12  # how far a dense diagonal may stray from its in-weight sum
 
 
 class Edge(NamedTuple):
@@ -256,7 +257,6 @@ def mode_from_dense(
     laplacian: Iterable[Iterable[float]],
     leader_diag: Iterable[float],
     mode_id: int | None = None,
-    atol: float = 1e-12,
 ) -> AugmentedMode:
     """Rebuild an AugmentedMode from a dense repelling Laplacian and the
     leader-link diagonal.
@@ -279,7 +279,7 @@ def mode_from_dense(
                 edges.append(Edge(src=j + 1, dst=i + 1, weight=-L[i, j]))
     g = SignedDigraph(n_agents=n, edges=tuple(edges))
     rebuilt = repelling_laplacian(g)
-    if not np.allclose(rebuilt, L, atol=atol, rtol=0.0):
+    if not np.allclose(rebuilt, L, atol=_DENSE_ATOL, rtol=0.0):
         bad = np.unravel_index(np.argmax(np.abs(rebuilt - L)), L.shape)
         raise ConfigError(
             f"dense matrix is not a repelling Laplacian: diagonal entry {bad} "

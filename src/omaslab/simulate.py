@@ -94,17 +94,12 @@ class PerturbationModel:
             v *= self.bound / norm
         return v
 
+    # kept for the bench tracer (perfbench/tracing.py), which wraps this name;
+    # the library itself samples through sample_grid
     def sample(self, t: float, n_agents: int, p: int) -> np.ndarray:
-        dim = n_agents * p
-        if self.kind == "zero" or self.bound == 0.0:
-            return np.zeros(dim)
-        if self.kind == "constant":
-            return self._tiled(n_agents, p)
-        if self.kind == "sinusoidal":
-            return self._tiled(n_agents, p) * math.sin(2.0 * math.pi * self.frequency * t)
-        # random piecewise-constant: one ball draw per (hold index, dimension)
-        k = int(math.floor(t / self.hold + _GRID_EPS))
-        return self._hold_draw(k, dim)
+        """The forcing at one time: sample_grid's row, zeros when it is None."""
+        rows = self.sample_grid(np.array([t]), n_agents, p)
+        return np.zeros(n_agents * p) if rows is None else rows[0]
 
     def _hold_draw(self, k: int, dim: int) -> np.ndarray:
         # holds before t = 0 have their own stream, keyed by -k >= 1, so
@@ -118,11 +113,12 @@ class PerturbationModel:
     def sample_grid(
         self, times: np.ndarray, n_agents: int, p: int, first: np.ndarray | None = None
     ) -> np.ndarray | None:
-        """sample() at every time of a grid, as one (len(times), n_agents * p) array.
+        """The forcing at every time of a grid, as one (len(times), n_agents * p) array.
 
-        Row i equals sample(times[i], n_agents, p) bit for bit. Returns None
-        when the perturbation is identically zero. The random kind draws each
-        hold once, however many grid points fall inside it. first, when
+        Returns None when the perturbation is identically zero. Row i
+        depends on times[i] alone, so any split of a grid into chunks gives
+        the same rows. The random kind draws each hold once, however many
+        grid points fall inside it. first, when
         given, is the row already sampled at times[0] (by the previous chunk
         of a segment); the random kind reuses it for its hold instead of
         drawing that hold again.
@@ -134,7 +130,7 @@ class PerturbationModel:
         if self.kind == "constant":
             return np.broadcast_to(self._tiled(n_agents, p), (len(times), dim))
         if self.kind == "sinusoidal":
-            # math.sin per point: np.sin may round differently from sample()
+            # math.sin per point: np.sin may round differently in the last bit
             w = 2.0 * math.pi * self.frequency
             s = np.array([math.sin(w * t) for t in times.tolist()])
             return self._tiled(n_agents, p) * s[:, None]
@@ -212,14 +208,6 @@ class Trajectory:
                 if mask.any():
                     sup = max(sup, float(np.linalg.norm(seg.errs[mask], axis=1).max()))
         return sup
-
-
-@dataclass(eq=False)
-class SegmentResult:
-    t: np.ndarray
-    states: np.ndarray  # (len(t), p * (n_agents + 1)): leader, then errors
-    diverged_at: float | None
-    max_h_norm: float
 
 
 def _grid(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
@@ -321,64 +309,6 @@ def _max_row_norm(F: np.ndarray) -> float:
     return max(float(np.linalg.norm(F[i])) for i in fresh)
 
 
-def integrate_segment(
-    mode: ModeMatrix,
-    x0: np.ndarray,
-    h: PerturbationModel,
-    t_span: tuple[float, float],
-    dt: float = DEFAULT_DT,
-    method: str = "exact",
-    sample_stride: int = 1,
-) -> SegmentResult:
-    """Integrate z = (leader, stacked errors) over one constant-mode window.
-
-    x0 is z at t_span[0]; z flows by block_diag(mode.A, mode.A_err) and the
-    forcing h drives the error rows only.
-
-    Both methods sample the forcing only at grid points and treat it as
-    piecewise-linear between samples. method "exact" integrates that
-    interpolant in closed form (matrix exponential plus its zeroth and
-    first forcing moments, so the flow is exact and the forcing exact for
-    the interpolant); "rk4" is the classical fixed-step scheme fed the same
-    interpolant. Their difference is then purely the RK4 flow truncation,
-    O(dt^4) globally, which is what the cross-check relies on. The step
-    matrices inherit the block-diagonal form, so the leader flows by its
-    own dynamics untouched by either the coupling or the forcing.
-
-    Either method is one linear step x' = E x + A0 f0 + A1 f1, applied in
-    chunks of steps whose forcing terms are computed at once; only the
-    sampled rows are kept. Integration stops early (diverged_at set) at the
-    first step with a non-finite state, which is not kept.
-    """
-    _check_stepping(dt, method, sample_stride)
-    t_start, t_end = float(t_span[0]), float(t_span[1])
-    if t_end <= t_start:
-        raise ConfigError(f"empty time span {t_span}")
-    x = _start_state(mode, x0)
-    grid = _grid(t_start, t_end, dt)
-    M = _stacked(mode)
-    steps = {s: _step_matrices(M, s, method, mode.p) for s in _step_lengths(dt, grid)}
-    return _integrate(mode, x, h, (t_start, t_end), dt, grid, steps, sample_stride)
-
-
-def _check_stepping(dt: float, method: str, sample_stride: int) -> None:
-    if method not in ("exact", "rk4"):
-        raise ConfigError(f"unknown integrator {method!r}")
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if sample_stride < 1:
-        raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
-
-
-def _start_state(mode: ModeMatrix, x0: np.ndarray) -> np.ndarray:
-    """x0 as a float vector, checked against the size of (leader, errors)."""
-    dim = mode.p * (mode.n_agents + 1)
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (dim,):
-        raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
-    return x
-
-
 def _step_lengths(dt: float, grid: tuple[int, float]) -> tuple[float, ...]:
     """The step lengths a grid from _grid takes: dt, the remainder, or both."""
     n_full, rem = grid
@@ -395,11 +325,13 @@ def _integrate(
     grid: tuple[int, float],
     steps: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]],
     sample_stride: int,
-) -> SegmentResult:
-    """The stepping of integrate_segment on a grid laid out by _grid.
+) -> tuple[np.ndarray, np.ndarray, float | None, float]:
+    """Step z = (leader, errors) over one constant-mode window of run_switched.
 
-    steps maps each of the grid's step lengths to its (E, A0, A1); x is
-    the checked state at t_span[0].
+    The grid is laid out by _grid, steps maps each of its step lengths to
+    its (E, A0, A1), and x is the checked state at t_span[0]. Returns the
+    kept sample times, the states at them, the time of the first non-finite
+    step (None when there is none) and the largest forcing norm.
     """
     t_start, t_end = t_span
     p, n = mode.p, mode.n_agents
@@ -444,12 +376,7 @@ def _integrate(
             break
         x = out[-1]
 
-    return SegmentResult(
-        t=np.concatenate(times),
-        states=np.vstack(states),
-        diverged_at=diverged_at,
-        max_h_norm=max_h,
-    )
+    return np.concatenate(times), np.vstack(states), diverged_at, max_h
 
 
 @dataclass(eq=False)
@@ -489,17 +416,39 @@ def run_switched(
 ) -> Trajectory:
     """Integrate across all segments of a signal, applying jumps at boundaries.
 
-    x0 is the stacked (leader, errors) vector at signal.t0. Each jump acts
-    on the errors alone; the leader carries over unchanged.
+    x0 is the stacked (leader, errors) vector at signal.t0. Within a segment
+    z flows by block_diag(A, A_err) of its mode and the forcing drives the
+    error rows only; each jump acts on the errors alone, and the leader
+    carries over unchanged.
+
+    Both methods sample the forcing only at grid points and treat it as
+    piecewise-linear between samples. method "exact" integrates that
+    interpolant in closed form (matrix exponential plus its zeroth and
+    first forcing moments, so the flow is exact and the forcing exact for
+    the interpolant); "rk4" is the classical fixed-step scheme fed the same
+    interpolant. Their difference is then purely the RK4 flow truncation,
+    O(dt^4) globally, which is what the cross-check relies on. The step
+    matrices inherit the block-diagonal form, so the leader flows by its
+    own dynamics untouched by either the coupling or the forcing.
+
+    Either method is one linear step x' = E x + A0 f0 + A1 f1, applied in
+    chunks of steps whose forcing terms are computed at once. Every
+    sample_stride-th step and each segment's last are kept; None picks the
+    stride from the horizon. The run stops (diverged_at set) at the first
+    step with a non-finite state, which is not kept.
     """
-    first = matrices[signal.segments[0].mode]
-    p = first.p
+    if method not in ("exact", "rk4"):
+        raise ConfigError(f"unknown integrator {method!r}")
+    if dt <= 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    p = matrices[signal.segments[0].mode].p
     if sample_stride is None:
         horizon = signal.tf - signal.t0
         sample_stride = 1 if horizon <= _FULL_RETENTION_HORIZON else int(
             math.ceil(horizon / _FULL_RETENTION_HORIZON)
         )
-    _check_stepping(dt, method, sample_stride)
+    if sample_stride < 1:
+        raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
     traj = Trajectory(p=p, t0=signal.t0, tf=signal.tf)
     spans = [signal.segment_bounds(i) for i in range(len(signal.segments))]
     grids = [_grid(a, b, dt) for a, b in spans]
@@ -516,32 +465,35 @@ def run_switched(
     for i, seg in enumerate(signal.segments):
         mm = matrices[seg.mode]
         bounds = spans[i]
-        x = _start_state(mm, z)
+        x = np.asarray(z, dtype=float)
+        dim = p * (mm.n_agents + 1)
+        if x.shape != (dim,):
+            raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
         for key in keys[i]:
             if key not in kept:
                 M = _stacked(mm)
                 kept[key] = _step_matrices(M, key[1], method, p)
-        res = _integrate(
+        t, states, diverged_at, max_h = _integrate(
             mm, x, perturbation, bounds, dt, grids[i],
             {key[1]: kept[key] for key in keys[i]}, sample_stride,
         )
         for key in keys[i]:
             if last_use[key] == i:
                 del kept[key]
-        leader, errs = res.states[:, :p], res.states[:, p:]
+        leader, errs = states[:, :p], states[:, p:]
         traj.segments.append(
             SegmentTrace(
                 index=i,
                 mode_id=seg.mode,
                 n_agents=mm.n_agents,
-                t=res.t,
+                t=t,
                 leader=leader,
                 errs=errs,
             )
         )
-        traj.max_h_norm = max(traj.max_h_norm, res.max_h_norm)
-        if res.diverged_at is not None:
-            traj.diverged_at = res.diverged_at
+        traj.max_h_norm = max(traj.max_h_norm, max_h)
+        if diverged_at is not None:
+            traj.diverged_at = diverged_at
             break
         if i < len(signal.segments) - 1:
             ev = signal.events[i]

@@ -13,9 +13,8 @@ adt the piecewise average dwell time. Switches are counted strictly after
 t_j: each suffix is treated as a fresh run whose jump at t_j was billed to
 the previous suffix.
 
-activation_times and piecewise_adt define these quantities for one suffix;
-suffix_sweep computes them for every suffix in one pass, and validation and
-certification use it.
+suffix_sweep computes these quantities for every suffix in one pass; it is
+their one definition, which validation and certification share.
 """
 
 from __future__ import annotations
@@ -86,53 +85,6 @@ class SwitchingSignal:
         end = self.segments[i + 1].start if i + 1 < len(self.segments) else self.tf
         return self.segments[i].start, end
 
-    def suffix_start(self, j: int) -> float:
-        """t_0 for j = 0, the j-th switching instant for j >= 1."""
-        if j < 0 or j > self.n_switches:
-            raise ConfigError(f"suffix index {j} outside 0..{self.n_switches}")
-        return self.t0 if j == 0 else self.segments[j].start
-
-
-def activation_times(
-    sig: SwitchingSignal, stable_set: set[int], from_time: float | None = None
-) -> tuple[float, float]:
-    """Stable and unstable activation time over [from_time, tf]."""
-    start = sig.t0 if from_time is None else float(from_time)
-    if start < sig.t0 - _TIME_EPS or start > sig.tf + _TIME_EPS:
-        raise ConfigError(f"from_time {start} outside [{sig.t0}, {sig.tf}]")
-    t_s = 0.0
-    t_u = 0.0
-    for i in range(len(sig.segments)):
-        a, b = sig.segment_bounds(i)
-        lo, hi = max(a, start), min(b, sig.tf)
-        if hi <= lo:
-            continue
-        if sig.segments[i].mode in stable_set:
-            t_s += hi - lo
-        else:
-            t_u += hi - lo
-    return t_s, t_u
-
-
-def count_switches_after(sig: SwitchingSignal, t: float) -> int:
-    """Switching instants strictly inside (t, tf]."""
-    return sum(1 for tk in sig.switch_times if tk > t + _TIME_EPS)
-
-
-def piecewise_adt(sig: SwitchingSignal, chatter_bound: float, j: int) -> float:
-    """Average dwell time of the suffix starting at index j.
-
-    Returns (tf - t_j) / (N - chatter_bound) where N counts switches strictly
-    after t_j, or +inf when N <= chatter_bound (the suffix is unconstrained).
-    """
-    if chatter_bound < 0:
-        raise ConfigError(f"chatter_bound must be >= 0, got {chatter_bound}")
-    t_j = sig.suffix_start(j)
-    n = count_switches_after(sig, t_j)
-    if n <= chatter_bound:
-        return math.inf
-    return (sig.tf - t_j) / (n - chatter_bound)
-
 
 @dataclass(frozen=True, eq=False)
 class SuffixSweep:
@@ -149,14 +101,13 @@ def suffix_sweep(
 ) -> SuffixSweep:
     """Activation times and average dwell time of every suffix in one pass.
 
-    T_s(j) and T_u(j) are running sums of the segment lengths taken backwards
-    from tf down to segment j. The switch count of suffix j comes from a
-    binary search over the sorted switching instants, with the same strict
-    test t_k > t_j + _TIME_EPS as count_switches_after, so it is not always
-    n_switches - j. adt(j) therefore equals piecewise_adt(sig, chatter_bound,
-    j) bit for bit; the activation times equal activation_times(sig,
-    stable_set, t_j) up to the rounding of adding the same lengths in
-    reverse order. chatter_bound is taken as given; SwitchingBudget checks it.
+    t_j is t0 for j = 0 and the j-th switching instant for j >= 1. T_s(j)
+    and T_u(j) are running sums of the segment lengths taken backwards from
+    tf down to segment j. adt(j) is (tf - t_j) / (N_j - chatter_bound), or
+    +inf when N_j <= chatter_bound (the suffix is unconstrained), where N_j
+    counts the switching instants strictly after t_j: t_k > t_j + _TIME_EPS,
+    found by a binary search, so N_j is not always n_switches - j.
+    chatter_bound is taken as given; SwitchingBudget checks it.
     """
     seg_starts = np.array(sig._starts, dtype=float)
     start = seg_starts.copy()

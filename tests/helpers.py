@@ -12,8 +12,15 @@ import math
 
 import numpy as np
 
+from omaslab.seeding import (
+    STREAM_PERTURBATION,
+    STREAM_PERTURBATION_PAST,
+    stream_rng,
+    uniform_in_ball,
+)
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.switching import Segment, SwitchingBudget, SwitchingSignal
+from omaslab.simulate import _GRID_EPS
+from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
 from omaslab.transition import MigrationEvent
 
 
@@ -250,3 +257,56 @@ def envelope_by_direct_sums(traj, bundle) -> np.ndarray:
             env = env + bundle.jump_offset * mu ** (i - m) * decay
         out.append(env)
     return np.concatenate(out)
+
+
+def forcing_at(h, t: float, n_agents: int, p: int) -> np.ndarray:
+    """The forcing of perturbation model h at one time, recounted by kind.
+
+    Tiles the amplitude across agents and rescales it into the ball; the
+    random kind draws its hold from its own seeded stream, holds before
+    t = 0 from the past stream keyed by -k. The per-point oracle for
+    PerturbationModel.sample_grid.
+    """
+    dim = n_agents * p
+    if h.kind == "zero" or h.bound == 0.0:
+        return np.zeros(dim)
+    if h.kind == "random":
+        k = int(math.floor(t / h.hold + _GRID_EPS))
+        if k >= 0:
+            rng = stream_rng(h.seed or 0, STREAM_PERTURBATION, k, dim)
+        else:
+            rng = stream_rng(h.seed or 0, STREAM_PERTURBATION_PAST, -k, dim)
+        return uniform_in_ball(rng, dim, h.bound)
+    v = np.tile(np.asarray(h.amplitude, dtype=float), n_agents)
+    norm = float(np.linalg.norm(v))
+    if norm > h.bound and norm > 0.0:
+        v *= h.bound / norm
+    if h.kind == "sinusoidal":
+        v = v * math.sin(2.0 * math.pi * h.frequency * t)
+    return v
+
+
+def suffix_by_intervals(
+    sig: SwitchingSignal, stable_set: set[int], chatter_bound: float, j: int
+) -> tuple[float, float, float, float]:
+    """(t_j, T_s, T_u, adt) of suffix j, recounted by direct interval arithmetic.
+
+    t_j is t0 for j = 0 and the j-th switching instant otherwise. T_s and
+    T_u clip every segment to [t_j, tf]; adt counts the switching instants
+    strictly after t_j (t_k > t_j + _TIME_EPS). The per-suffix oracle for
+    suffix_sweep.
+    """
+    t_j = sig.t0 if j == 0 else sig.segments[j].start
+    t_s = t_u = 0.0
+    for i, seg in enumerate(sig.segments):
+        end = sig.segments[i + 1].start if i + 1 < len(sig.segments) else sig.tf
+        lo = max(seg.start, t_j)
+        if end <= lo:
+            continue
+        if seg.mode in stable_set:
+            t_s += end - lo
+        else:
+            t_u += end - lo
+    n = sum(1 for seg in sig.segments[1:] if seg.start > t_j + _TIME_EPS)
+    adt = math.inf if n <= chatter_bound else (sig.tf - t_j) / (n - chatter_bound)
+    return t_j, t_s, t_u, adt

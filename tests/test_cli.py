@@ -12,11 +12,11 @@ import sys
 
 import pytest
 
-from omaslab.cli import _jsonable, main
+from omaslab.cli import _jsonable, build_bundle, main
 from omaslab.demo import demo_scenario_dict
-from omaslab.scenario import signal_from_dict
+from omaslab.scenario import load_scenario, signal_from_dict
 from omaslab.simulate import RunSummary
-from omaslab.switching import ValidationReport
+from omaslab.switching import ValidationReport, brute_force_suffix_scan
 
 BASE = demo_scenario_dict("practical", seed=11)
 
@@ -96,6 +96,7 @@ def test_certify_report(tmp_path, demo_dict, capsys):
     assert v["ratio_slack_min"] >= 0 and v["adt_slack_min"] >= 0
     assert set(report["modes"]) == {"1", "2", "3", "4"}
     assert report["modes"]["1"]["stable"] is True
+    assert report["bound_applies"] is True
 
 
 VALIDATION_KEYS = {
@@ -103,14 +104,22 @@ VALIDATION_KEYS = {
     "ratio_slack_min", "adt_slack_min",
 }
 
+CERTIFY_KEYS = {
+    "modes", "gamma", "p_under", "p_over", "jump_gain", "flow_offset", "jump_offset",
+    "settled_flow", "contraction_worst", "h_bound", "impulse_norm_max",
+    "err_jump_norm_max", "floors", "chatter_bound", "ultimate_bound", "unbounded",
+    "signal", "validation", "bound_applies",
+}
+
 
 def test_certify_validation_keys_are_the_report_fields(tmp_path, demo_dict, capsys):
     # the JSON keys are the ValidationReport fields, and those are the keys
     # certify.json has always had: renaming a field must not rename a key
     assert main(["certify", "--scenario", write(tmp_path, demo_dict)]) == 0
-    keys = set(json.loads(capsys.readouterr().out)["validation"])
+    report = json.loads(capsys.readouterr().out)
     fields = {f.name for f in dataclasses.fields(ValidationReport)}
-    assert keys == fields | {"suffixes"} == VALIDATION_KEYS
+    assert set(report["validation"]) == fields | {"suffixes"} == VALIDATION_KEYS
+    assert set(report) == CERTIFY_KEYS
 
 
 def test_certify_first_suffix_only(tmp_path, demo_dict, capsys):
@@ -172,8 +181,10 @@ def test_simulate_outputs(tmp_path, demo_dict, capsys):
     assert summary["diverged"] is False
     assert summary["certified"] is True
     assert summary["switching_ok"] is True
+    assert summary["bound_applies"] is True
     assert summary["bound_respected"] is True
     assert summary["tail_sup_error"] <= summary["ultimate_bound"]
+    assert f"(certified bound {summary['ultimate_bound']:.6g})" in stdout
     assert summary["max_h_norm"] <= 0.2 + 1e-12
 
     traj_rows = (out / "trajectory.csv").read_text().splitlines()
@@ -247,6 +258,7 @@ SUMMARY_KEYS = {
     "seed", "dt", "method", "t0", "tf", "tail_fraction", "tail_sup_error",
     "convergence_tol", "converged", "diverged", "diverged_at", "n_events",
     "max_h_norm", "ultimate_bound", "bound_respected", "switching_ok", "certified",
+    "bound_applies",
 }
 
 
@@ -256,8 +268,9 @@ def test_summary_keys_are_the_run_summary_fields(tmp_path, demo_dict, capsys):
     fields = {f.name for f in dataclasses.fields(RunSummary)}
     rc, out = run_simulate(tmp_path, demo_dict, "keys")
     assert rc == 0
-    assert set(read_json(out / "summary.json")) == fields | {"switching_ok", "certified"}
-    assert fields | {"switching_ok", "certified"} == SUMMARY_KEYS
+    added = {"switching_ok", "certified", "bound_applies"}
+    assert set(read_json(out / "summary.json")) == fields | added
+    assert fields | added == SUMMARY_KEYS
     # a refused certification adds its reason
     demo_dict["dynamics"]["coupling_gain"] = -0.01
     rc, out = run_simulate(tmp_path, demo_dict, "refused")
@@ -274,7 +287,7 @@ def test_simulate_reports_inadmissible_gain(tmp_path, demo_dict, capsys):
     capsys.readouterr()
     assert rc == 0
     summary = read_json(out / "summary.json")
-    assert summary["certified"] is False
+    assert summary["certified"] is False and summary["bound_applies"] is False
     assert summary["switching_ok"] is None and summary["ultimate_bound"] is None
     assert "admissible bound -0.025" in summary["certification_error"]
 
@@ -294,6 +307,7 @@ def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
     assert 110.0 < summary["diverged_at"] < 125.0
     assert summary["certified"] is True       # the bundle itself is fine
     assert summary["switching_ok"] is False   # this signal is not compliant
+    assert summary["bound_applies"] is False  # so its bound says nothing here
     assert summary["bound_respected"] is False
 
     # without --strict the same run reports but exits 0
@@ -313,6 +327,7 @@ def test_simulate_sweep(tmp_path, demo_dict, capsys):
     assert agg["all_converged"] in (True, False)
     assert agg["any_diverged"] is False
     assert agg["all_bounds_respected"] is True
+    assert agg["all_applicable_bounds_respected"] is True
     assert agg["tail_sup_error_max"] > 0
     for seed in (11, 12):
         for name in ("trajectory.csv", "events.csv", "summary.json"):
@@ -343,14 +358,14 @@ def test_sweep_error_in_a_worker_exits_2(tmp_path, demo_dict, capsys, monkeypatc
     # the step check runs with the integration, in the workers: each call
     # leaves the pid of the process that made it
     pids = tmp_path / "pids"
-    check = omaslab.simulate._check_stepping
+    run = omaslab.simulate.run_switched
 
-    def recording_check(*args):
+    def recording_run(*args, **kwargs):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return check(*args)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(omaslab.simulate, "_check_stepping", recording_check)
+    monkeypatch.setattr(omaslab.simulate, "run_switched", recording_run)
     rc, _ = run_simulate(tmp_path, demo_dict, "bad_dt", extra=("--sweep", "2", "--dt", "-1"))
     captured = capsys.readouterr()
     assert rc == 2
@@ -378,6 +393,63 @@ def test_sweep_solves_each_mode_certificate_once(tmp_path, demo_dict, capsys, mo
     assert sorted(solved) == [1, 2, 3, 4]
     assert all(read_json(out / f"seed_{s}" / "summary.json")["certified"]
                for s in (11, 12, 13))
+
+
+# --------------------------------------------------------------------------
+# a certified bound applies only to a signal within its switching budget
+
+
+def test_bound_does_not_apply_to_a_signal_over_budget(tmp_path, demo_dict, capsys):
+    # a ratio floor of 0.25 against the certified 13.16: the bundle still
+    # has a finite bound, and the run's tail overflows it by about 1e47
+    demo_dict["signal"].update(ratio_floor=0.25, dwell_floor=2.68, horizon=120.0)
+    scenario = write(tmp_path, demo_dict)
+    assert main(["certify", "--scenario", scenario, "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ultimate_bound"] == pytest.approx(6723.8, abs=0.1)
+    assert report["validation"]["ok"] is False and report["bound_applies"] is False
+
+    rc, out = run_simulate(tmp_path, demo_dict, "single", extra=("--seed", "1"))
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["certified"] is True and summary["switching_ok"] is False
+    assert summary["bound_applies"] is False and summary["tail_sup_error"] > 1e50
+    assert "certified bound" not in stdout
+    assert "(bound 6723.81 does not apply" in stdout
+
+    rc, out = run_simulate(tmp_path, demo_dict, "sweep", extra=("--seed", "1", "--sweep", "2"))
+    capsys.readouterr()
+    assert rc == 0
+    agg = read_json(out / "sweep.json")
+    assert agg["all_bounds_respected"] is False
+    assert agg["all_applicable_bounds_respected"] is True  # no bound applies
+    for seed in (1, 2):
+        assert read_json(out / f"seed_{seed}" / "summary.json")["bound_applies"] is False
+
+
+# generator floors on the demo: the first four break the ratio condition
+# under a finite bound, the next two comply, the last leaves no finite bound
+@pytest.mark.parametrize("ratio_floor, dwell_floor", [
+    (0.25, 2.68), (5.0, 2.8), (10.0, 2.8), (6.0, 4.0), (12.0, 2.8), (14.5, 2.8), (14.5, 2.0),
+])
+def test_bound_applies_only_when_every_suffix_complies(tmp_path, demo_dict, capsys,
+                                                       ratio_floor, dwell_floor):
+    # the suffix verdict comes from the quadratic recount, not the validator
+    demo_dict["signal"].update(ratio_floor=ratio_floor, dwell_floor=dwell_floor)
+    demo_dict["simulation"]["dt"] = 0.05
+    path = write(tmp_path, demo_dict)
+    scenario = load_scenario(path)
+    signal = scenario.resolve_signal(11)
+    bundle = build_bundle(scenario, signal)
+    complies = brute_force_suffix_scan(signal, bundle.budget, bundle.stable_set)
+    applies = complies and math.isfinite(bundle.ultimate_bound)
+    assert main(["certify", "--scenario", path]) == (3 if bundle.unbounded else 0)
+    assert json.loads(capsys.readouterr().out)["bound_applies"] is applies
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_json(out / "summary.json")["bound_applies"] is applies
 
 
 # --------------------------------------------------------------------------

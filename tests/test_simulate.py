@@ -36,12 +36,16 @@ from omaslab.simulate import (
     _step_matrices,
     export_events_csv,
     export_trajectory_csv,
-    integrate_segment,
     run_switched,
 )
 from omaslab.switching import Segment, SwitchingSignal
 
-from helpers import envelope_by_direct_sums, pure_relabel_event, reference_trajectory_csv
+from helpers import (
+    envelope_by_direct_sums,
+    forcing_at,
+    pure_relabel_event,
+    reference_trajectory_csv,
+)
 
 ZERO = PerturbationModel(kind="zero", bound=0.0)
 
@@ -54,6 +58,12 @@ def scalar_follower(a: float) -> ModeMatrix:
         A_err=np.array([[a]]),
         alpha=a, stable=a < 0,
     )
+
+
+def run_one(mode: ModeMatrix, x0, h, t_span, **kwargs) -> Trajectory:
+    """run_switched on a one-segment signal of mode over t_span."""
+    sig = SwitchingSignal(t_span[0], t_span[1], (Segment(start=t_span[0], mode=mode.mode_id),))
+    return run_switched({mode.mode_id: mode}, sig, x0, h, **kwargs)
 
 
 def stacked(mode: ModeMatrix) -> np.ndarray:
@@ -70,17 +80,18 @@ def test_scalar_ode_against_closed_form(method):
     # xdot = -x + 1, x(0) = 0: x(1) = 1 - e^-1
     mode = scalar_follower(-1.0)
     drive = PerturbationModel(kind="constant", bound=10.0, amplitude=(1.0,))
-    res = integrate_segment(mode, np.zeros(2), drive, (0.0, 1.0), dt=1e-3, method=method)
-    assert res.diverged_at is None
-    assert res.states[-1][1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
-    assert res.states[-1][0] == 0.0  # leader untouched
-    assert res.max_h_norm == pytest.approx(1.0, rel=1e-12)
+    traj = run_one(mode, np.zeros(2), drive, (0.0, 1.0), dt=1e-3, method=method)
+    seg = traj.segments[0]
+    assert traj.diverged_at is None
+    assert seg.errs[-1][0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
+    assert seg.leader[-1][0] == 0.0  # leader untouched
+    assert traj.max_h_norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_pure_decay_against_exponential():
     mode = scalar_follower(-2.0)
-    res = integrate_segment(mode, np.array([0.0, 3.0]), ZERO, (0.0, 2.0), dt=1e-3)
-    np.testing.assert_allclose(res.states[:, 1], 3.0 * np.exp(-2.0 * res.t), rtol=1e-10)
+    seg = run_one(mode, np.array([0.0, 3.0]), ZERO, (0.0, 2.0), dt=1e-3).segments[0]
+    np.testing.assert_allclose(seg.errs[:, 0], 3.0 * np.exp(-2.0 * seg.t), rtol=1e-10)
 
 
 def test_unstable_mode_growth_rate(demo_matrices):
@@ -92,11 +103,10 @@ def test_unstable_mode_growth_rate(demo_matrices):
     rng = np.random.default_rng(5)
     leader = np.array([1.0, 0.5])
     z0 = np.concatenate([leader, 0.1 * rng.standard_normal(10)])
-    res = integrate_segment(mm, z0, ZERO, (0.0, 1.0 + period), dt=1e-3)
-    errs = res.states[:, 2:]
-    norms = np.linalg.norm(errs, axis=1)
-    mask = res.t >= 1.0  # skip the transient of the subdominant modes
-    slope = np.polyfit(res.t[mask], np.log(norms[mask]), 1)[0]
+    seg = run_one(mm, z0, ZERO, (0.0, 1.0 + period), dt=1e-3).segments[0]
+    norms = np.linalg.norm(seg.errs, axis=1)
+    mask = seg.t >= 1.0  # skip the transient of the subdominant modes
+    slope = np.polyfit(seg.t[mask], np.log(norms[mask]), 1)[0]
     assert slope == pytest.approx(5.925, rel=0.02)
 
 
@@ -159,34 +169,31 @@ def test_perturbation_norm_bound_on_run(practical_run):
 
 def test_random_perturbation_determinism_and_holds():
     h = PerturbationModel(kind="random", bound=0.5, hold=0.05, seed=7)
-    a = h.sample(0.01, 2, 2)
-    b = h.sample(0.04, 2, 2)
-    c = h.sample(0.06, 2, 2)
+    a, b, c = h.sample_grid(np.array([0.01, 0.04, 0.06]), 2, 2)
     np.testing.assert_array_equal(a, b)  # same hold window
     assert not np.array_equal(a, c)      # next hold redraws
-    np.testing.assert_array_equal(a, h.sample(0.01, 2, 2))  # reproducible
-    assert np.linalg.norm(h.sample(12.34, 3, 2)) <= 0.5
+    np.testing.assert_array_equal(a, h.sample_grid(np.array([0.01]), 2, 2)[0])  # reproducible
+    assert np.linalg.norm(h.sample_grid(np.array([12.34]), 3, 2)) <= 0.5
     # dimension changes rekey the draw instead of truncating it
-    assert not np.array_equal(a[:2], h.sample(0.01, 1, 2))
+    assert not np.array_equal(a[:2], h.sample_grid(np.array([0.01]), 1, 2)[0])
 
 
 def test_constant_perturbation_rescaled_into_ball():
     h = PerturbationModel(kind="constant", bound=1.0, amplitude=(3.0, 4.0))
-    v = h.sample(0.0, 1, 2)
-    np.testing.assert_allclose(v, [0.6, 0.8], rtol=1e-12)
-    v = h.sample(0.0, 2, 2)  # tiled across two agents, norm still 1
+    np.testing.assert_allclose(h.sample_grid(np.zeros(2), 1, 2), [[0.6, 0.8]] * 2, rtol=1e-12)
+    v = h.sample_grid(np.zeros(1), 2, 2)  # tiled across two agents, norm still 1
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sinusoidal_perturbation():
     h = PerturbationModel(kind="sinusoidal", bound=2.0, amplitude=(1.0, 0.0), frequency=1.0)
-    np.testing.assert_allclose(h.sample(0.25, 1, 2), [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(h.sample(0.5, 1, 2), [0.0, 0.0], atol=1e-12)
+    rows = h.sample_grid(np.array([0.25, 0.5]), 1, 2)
+    np.testing.assert_allclose(rows, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_zero_bound_silences_any_kind():
     h = PerturbationModel(kind="random", bound=0.0)
-    assert not h.sample(0.3, 2, 2).any()
+    assert h.sample_grid(np.array([0.3]), 2, 2) is None
 
 
 def test_perturbation_validation():
@@ -200,7 +207,7 @@ def test_perturbation_validation():
         PerturbationModel(kind="random", bound=1.0, hold=0.0)
     h = PerturbationModel(kind="constant", bound=1.0, amplitude=(1.0, 2.0, 3.0))
     with pytest.raises(ConfigError, match="amplitude"):
-        h.sample(0.0, 1, 2)
+        h.sample_grid(np.zeros(1), 1, 2)
 
 
 def test_with_seed_respects_explicit_seed():
@@ -212,18 +219,23 @@ def test_with_seed_respects_explicit_seed():
 # argument validation
 
 
-def test_integrate_segment_validation():
+def test_run_switched_validation():
     mode = scalar_follower(-1.0)
     with pytest.raises(ConfigError, match="integrator"):
-        integrate_segment(mode, np.zeros(2), ZERO, (0.0, 1.0), method="euler")
+        run_one(mode, np.zeros(2), ZERO, (0.0, 1.0), method="euler")
     with pytest.raises(ConfigError, match="dt"):
-        integrate_segment(mode, np.zeros(2), ZERO, (0.0, 1.0), dt=0.0)
+        run_one(mode, np.zeros(2), ZERO, (0.0, 1.0), dt=0.0)
     with pytest.raises(ConfigError, match="sample_stride"):
-        integrate_segment(mode, np.zeros(2), ZERO, (0.0, 1.0), sample_stride=0)
-    with pytest.raises(ConfigError, match="time span"):
-        integrate_segment(mode, np.zeros(2), ZERO, (1.0, 1.0))
-    with pytest.raises(ConfigError, match="state has shape"):
-        integrate_segment(mode, np.zeros(3), ZERO, (0.0, 1.0))
+        run_one(mode, np.zeros(2), ZERO, (0.0, 1.0), sample_stride=0)
+    with pytest.raises(ConfigError, match=r"state has shape \(3,\), expected \(2,\)"):
+        run_one(mode, np.zeros(3), ZERO, (0.0, 1.0))
+    # a state that fits the first mode but not the second, after the jump
+    sig = SwitchingSignal(0.0, 2.0, (Segment(0.0, 1), Segment(1.0, 2)),
+                          (pure_relabel_event(1, 1, 2, n=1),))
+    two = ModeMatrix(mode_id=2, n_agents=2, p=1, A=np.zeros((1, 1)), A_err=-np.eye(2),
+                     alpha=-1.0, stable=True)
+    with pytest.raises(ConfigError, match=r"state has shape \(2,\), expected \(3,\)"):
+        run_switched({1: mode, 2: two}, sig, np.zeros(2), ZERO)
 
 
 # --------------------------------------------------------------------------
@@ -232,11 +244,11 @@ def test_integrate_segment_validation():
 
 def test_explicit_stride_keeps_final_sample():
     mode = scalar_follower(-1.0)
-    res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 1.0), dt=1e-2,
-                            sample_stride=7)
-    assert res.t[0] == 0.0 and res.t[-1] == 1.0
+    t = run_one(mode, np.array([0.0, 1.0]), ZERO, (0.0, 1.0), dt=1e-2,
+                sample_stride=7).segments[0].t
+    assert t[0] == 0.0 and t[-1] == 1.0
     # interior samples arrive every 7 steps of 0.01
-    np.testing.assert_allclose(np.diff(res.t)[:-1], 0.07, rtol=1e-9)
+    np.testing.assert_allclose(np.diff(t)[:-1], 0.07, rtol=1e-9)
 
 
 def test_auto_stride_on_long_horizons():
@@ -254,11 +266,9 @@ def test_auto_stride_on_long_horizons():
 
 def test_uneven_final_step_hits_boundary_exactly():
     mode = scalar_follower(-1.0)
-    res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 0.0105), dt=1e-3)
-    assert res.t[-1] == 0.0105
-    np.testing.assert_allclose(
-        res.states[-1][1], math.exp(-0.0105), rtol=1e-12
-    )
+    seg = run_one(mode, np.array([0.0, 1.0]), ZERO, (0.0, 0.0105), dt=1e-3).segments[0]
+    assert seg.t[-1] == 0.0105
+    np.testing.assert_allclose(seg.errs[-1][0], math.exp(-0.0105), rtol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +310,9 @@ def test_divergence_detected_and_reported():
         A_err=np.array([[50.0]]),
         alpha=50.0, stable=False,
     )
-    res = integrate_segment(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=1e-3)
+    lone = run_one(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=1e-3)
     # e^(50 t) overflows float64 just past t = 709.78 / 50
-    assert res.diverged_at == pytest.approx(709.78 / 50.0, abs=0.5)
+    assert lone.diverged_at == pytest.approx(709.78 / 50.0, abs=0.5)
     # run_switched stops at the diverging segment and skips later ones
     sig = SwitchingSignal(
         0.0, 20.0,
@@ -457,7 +467,7 @@ def _hold_grid(hold: float, ks: list[int], offsets: list[float]) -> np.ndarray:
 
 
 def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """The grid integrate_segment samples the forcing on, remainder included."""
+    """The grid a segment samples the forcing on, remainder included."""
     n_full, rem = _grid(t_start, t_end, dt)
     times = [t_start + k * dt for k in range(n_full + 1)]
     return np.array(times + ([t_end] if rem > 0.0 else []))
@@ -479,18 +489,20 @@ def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
 )
 def test_sample_grid_equals_sample(kind, bound, n_agents, p, hold, ks, offsets,
                                    t_start, span, dt, seed):
+    # every row of a grid, and sample() at its time, is the per-point
+    # recount bit for bit
     h = PerturbationModel(kind=kind, bound=bound, amplitude=tuple(range(1, p + 1)),
                           frequency=1.7, hold=hold, seed=seed)
     grids = (_hold_grid(hold, ks, offsets), _segment_grid(t_start, t_start + span, dt))
     for times in grids:
         batch = h.sample_grid(times, n_agents, p)
+        expected = [forcing_at(h, float(t), n_agents, p).tobytes() for t in times]
+        assert [h.sample(float(t), n_agents, p).tobytes() for t in times] == expected
         if kind == "zero" or bound == 0.0:
             assert batch is None
-            assert not any(h.sample(t, n_agents, p).any() for t in times)
             continue
         assert batch.shape == (len(times), n_agents * p)
-        for t, row in zip(times, batch):
-            assert row.tobytes() == h.sample(float(t), n_agents, p).tobytes()
+        assert [row.tobytes() for row in batch] == expected
 
 
 def test_sample_grid_draws_each_hold_once(monkeypatch):
@@ -520,7 +532,7 @@ def test_hold_streams_before_and_after_zero(monkeypatch):
     assert len({r.tobytes() for r in rows}) == 4
 
 
-def test_integrate_segment_draws_each_hold_once(monkeypatch):
+def test_segment_draws_each_hold_once(monkeypatch):
     calls = []
     real = PerturbationModel._hold_draw
     monkeypatch.setattr(PerturbationModel, "_hold_draw",
@@ -529,7 +541,7 @@ def test_integrate_segment_draws_each_hold_once(monkeypatch):
     # three chunks whose boundaries (1.123 s, 2.123 s) fall inside holds,
     # then a remainder step inside the last hold
     t_span = (0.123, 2.6237)
-    integrate_segment(scalar_follower(-1.0), np.array([0.0, 1.0]), h, t_span)
+    run_one(scalar_follower(-1.0), np.array([0.0, 1.0]), h, t_span)
     grid = _segment_grid(*t_span, DEFAULT_DT)
     assert len(grid) - 1 > 2 * _CHUNK_STEPS
     holds = np.unique(np.floor(grid / 0.05 + _GRID_EPS).astype(np.int64))
@@ -594,12 +606,8 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
     )
     dt = 1e-3
     x0 = np.array([0.0, 1.0])
-    res = integrate_segment(mode, x0, ZERO, (0.0, 20.0), dt=dt,
-                            method=method, sample_stride=stride)
-    # a run with kept step matrices diverges exactly as the lone segment
-    sig = SwitchingSignal(0.0, 20.0, (Segment(start=0.0, mode=1),))
-    traj = run_switched({1: mode}, sig, x0, ZERO, dt=dt, method=method, sample_stride=stride)
-    assert_same_run(traj, [res], [])
+    traj = run_one(mode, x0, ZERO, (0.0, 20.0), dt=dt, method=method, sample_stride=stride)
+    seg = traj.segments[0]
     E, _, _ = _step_matrices(stacked(mode), dt, method, 1)
     x, k = np.array([0.0, 1.0]), 0
     kept = [0.0]
@@ -612,9 +620,9 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
             if k % stride == 0:
                 kept.append(k * dt)
     assert k > 3 * _CHUNK_STEPS
-    assert res.diverged_at == k * dt
-    np.testing.assert_array_equal(res.t, kept)
-    assert np.isfinite(res.states).all()
+    assert traj.diverged_at == k * dt
+    np.testing.assert_array_equal(seg.t, kept)
+    assert np.isfinite(seg.leader).all() and np.isfinite(seg.errs).all()
 
 
 def revisiting_run(scenario):
@@ -676,34 +684,35 @@ def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, metho
 
 
 def reference_run(matrices, sig, x0, h, dt, method, stride):
-    """run_switched rebuilt from public pieces: integrate_segment for each
-    segment, apply_error_jump at each switch."""
+    """run_switched rebuilt from public pieces: a one-segment run for each
+    segment, with step matrices built afresh, and apply_error_jump at each
+    switch."""
     p = matrices[sig.segments[0].mode].p
     parts, jumps, z = [], [], x0
     for i, seg in enumerate(sig.segments):
-        res = integrate_segment(matrices[seg.mode], z, h, sig.segment_bounds(i),
-                                dt=dt, method=method, sample_stride=stride)
-        parts.append(res)
-        if res.diverged_at is not None or i == len(sig.events):
+        part = run_one(matrices[seg.mode], z, h, sig.segment_bounds(i),
+                       dt=dt, method=method, sample_stride=stride)
+        parts.append(part)
+        if part.diverged or i == len(sig.events):
             break
-        pre = res.states[-1, p:]
+        pre = part.segments[0].errs[-1]
         post = apply_error_jump(build_transition_map(sig.events[i], p), pre)
         jumps.append((pre, post))
-        z = np.concatenate([res.states[-1, :p], post])
+        z = np.concatenate([part.segments[0].leader[-1], post])
     return parts, jumps
 
 
 def assert_same_run(traj, parts, jumps):
     assert len(traj.segments) == len(parts) and len(traj.events) == len(jumps)
-    for seg, res in zip(traj.segments, parts):
-        np.testing.assert_array_equal(seg.t, res.t, strict=True)
-        np.testing.assert_array_equal(seg.leader, res.states[:, :traj.p], strict=True)
-        np.testing.assert_array_equal(seg.errs, res.states[:, traj.p:], strict=True)
+    for seg, part in zip(traj.segments, parts):
+        np.testing.assert_array_equal(seg.t, part.segments[0].t, strict=True)
+        np.testing.assert_array_equal(seg.leader, part.segments[0].leader, strict=True)
+        np.testing.assert_array_equal(seg.errs, part.segments[0].errs, strict=True)
     for ev, (pre, post) in zip(traj.events, jumps):
         np.testing.assert_array_equal(ev.pre_err, pre, strict=True)
         np.testing.assert_array_equal(ev.post_err, post, strict=True)
     assert traj.diverged_at == parts[-1].diverged_at
-    assert traj.max_h_norm == max(res.max_h_norm for res in parts)
+    assert traj.max_h_norm == max(part.max_h_norm for part in parts)
 
 
 @pytest.mark.parametrize("method", ["exact", "rk4"])
@@ -729,9 +738,9 @@ def test_zero_perturbation_has_no_forcing_and_no_draws(monkeypatch):
 
     monkeypatch.setattr(simulate, "stream_rng", None)  # any draw would raise
     assert PerturbationModel(kind="random", bound=0.0).sample_grid(np.zeros(3), 2, 2) is None
-    res = integrate_segment(scalar_follower(-1.0), np.array([0.0, 1.0]),
-                            PerturbationModel(kind="random", bound=0.0), (0.0, 1.0))
-    assert res.max_h_norm == 0.0
+    traj = run_one(scalar_follower(-1.0), np.array([0.0, 1.0]),
+                   PerturbationModel(kind="random", bound=0.0), (0.0, 1.0))
+    assert traj.max_h_norm == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -16,16 +16,13 @@ from omaslab.switching import (
     SignalGenSpec,
     SwitchingBudget,
     SwitchingSignal,
-    activation_times,
     brute_force_suffix_scan,
-    count_switches_after,
     generate_signal,
-    piecewise_adt,
     suffix_sweep,
 )
 from omaslab.transition import ImpulseBounds
 
-from helpers import pure_relabel_event, random_signal_and_budget
+from helpers import pure_relabel_event, random_signal_and_budget, suffix_by_intervals
 
 
 def _signal(starts_modes, tf, with_events=True, t0=None):
@@ -48,22 +45,18 @@ def test_mode_at_is_cadlag():
     sig = _signal([(0.0, 1), (2.0, 3)], tf=5.0)
     assert sig.segment_bounds(0) == (0.0, 2.0)
     assert sig.segment_bounds(1) == (2.0, 5.0)
-    t_s, t_u = activation_times(sig, {1}, from_time=1.999)
-    assert t_s == pytest.approx(0.001, abs=1e-12)
-    assert t_u == pytest.approx(3.0, abs=1e-12)
+    sweep = suffix_sweep(_signal([(1.999, 1), (2.0, 3)], tf=5.0), {1}, 0.0)
+    assert sweep.t_stable[0] == pytest.approx(0.001, abs=1e-12)
+    assert sweep.t_unstable[0] == pytest.approx(3.0, abs=1e-12)
     # right-continuous at the switch: from t = 2.0 on only mode 3 is active
-    assert activation_times(sig, {3}, from_time=2.0) == (3.0, 0.0)
-    assert activation_times(sig, {3}, from_time=5.0) == (0.0, 0.0)
-    with pytest.raises(ConfigError):
-        activation_times(sig, {1}, from_time=-0.5)
-    with pytest.raises(ConfigError, match=r"from_time 5\.5 outside \[0\.0, 5\.0\]"):
-        activation_times(sig, {1}, from_time=5.5)
+    sweep = suffix_sweep(sig, {3}, 0.0)
+    assert (sweep.t_stable[1], sweep.t_unstable[1]) == (3.0, 0.0)
     # the first segment may start up to _TIME_EPS after t0
     late = _signal([(0.5e-12, 2), (1.0, 1)], tf=3.0, t0=0.0)
-    t_s, t_u = activation_times(late, {2})
-    assert t_s == pytest.approx(1.0, abs=1e-11)
-    assert t_u == pytest.approx(2.0, abs=1e-12)
-    assert late.suffix_start(0) == 0.0
+    sweep = suffix_sweep(late, {2}, 0.0)
+    assert sweep.t_stable[0] == pytest.approx(1.0, abs=1e-11)
+    assert sweep.t_unstable[0] == pytest.approx(2.0, abs=1e-12)
+    assert sweep.start[0] == 0.0
 
 
 def test_switch_times_and_bounds():
@@ -76,46 +69,35 @@ def test_switch_times_and_bounds():
 
 def test_suffix_start_indexing():
     sig = _signal([(0.0, 1), (2.0, 3)], tf=5.0)
-    assert sig.suffix_start(0) == 0.0
-    assert sig.suffix_start(1) == 2.0
-    with pytest.raises(ConfigError):
-        sig.suffix_start(-1)
-    with pytest.raises(ConfigError, match=r"suffix index 2 outside 0\.\.1"):
-        sig.suffix_start(2)
+    np.testing.assert_array_equal(suffix_sweep(sig, {1}, 0.0).start, [0.0, 2.0])
     # the first segment may start up to _TIME_EPS after t0; suffix 0 starts at t0
     late = _signal([(0.5e-12, 2), (1.0, 1)], tf=3.0, t0=0.0)
-    assert late.suffix_start(0) == 0.0
+    np.testing.assert_array_equal(suffix_sweep(late, {2}, 0.0).start, [0.0, 1.0])
 
 
 def test_activation_times_hand_case():
     sig = _signal([(0.0, 1), (2.0, 3), (5.0, 1)], tf=8.0)
-    t_s, t_u = activation_times(sig, {1})
-    assert t_s == pytest.approx(5.0, abs=1e-12)
-    assert t_u == pytest.approx(3.0, abs=1e-12)
-    t_s, t_u = activation_times(sig, {1}, from_time=3.0)
-    assert t_s == pytest.approx(3.0, abs=1e-12)
-    assert t_u == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ConfigError):
-        activation_times(sig, {1}, from_time=9.0)
+    sweep = suffix_sweep(sig, {1}, 0.0)
+    np.testing.assert_allclose(sweep.t_stable, [5.0, 3.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(sweep.t_unstable, [3.0, 3.0, 0.0], atol=1e-12)
 
 
 def test_count_switches_strictly_after():
+    # with no chatter allowance adt = (tf - t_j) / N_j, N_j the switches after t_j
     sig = _signal([(0.0, 1), (2.0, 3), (5.0, 1)], tf=8.0)
-    assert count_switches_after(sig, 0.0) == 2
-    assert count_switches_after(sig, 1.999) == 2
-    assert count_switches_after(sig, 2.0) == 1  # the instant itself is excluded
-    assert count_switches_after(sig, 5.0) == 0
+    adt = suffix_sweep(sig, {1}, 0.0).adt
+    assert adt[0] == 8.0 / 2
+    assert adt[1] == 6.0 / 1  # the instant t_1 itself is excluded
+    assert adt[2] == math.inf
 
 
 def test_piecewise_adt_hand_case():
     # 4 switches over 12 seconds
     sig = _signal([(0.0, 1), (2.0, 3), (4.0, 1), (6.0, 3), (8.0, 1)], tf=12.0)
-    assert piecewise_adt(sig, 0.0, 0) == pytest.approx(3.0, abs=1e-12)
-    assert piecewise_adt(sig, 1.0, 0) == pytest.approx(4.0, abs=1e-12)
-    assert piecewise_adt(sig, 4.0, 0) == math.inf  # chatter allowance covers all
-    assert piecewise_adt(sig, 0.0, 2) == pytest.approx(4.0, abs=1e-12)  # (12-4)/2
-    with pytest.raises(ConfigError):
-        piecewise_adt(sig, -1.0, 0)
+    assert suffix_sweep(sig, {1}, 0.0).adt[0] == pytest.approx(3.0, abs=1e-12)
+    assert suffix_sweep(sig, {1}, 1.0).adt[0] == pytest.approx(4.0, abs=1e-12)
+    assert suffix_sweep(sig, {1}, 4.0).adt[0] == math.inf  # chatter allowance covers all
+    assert suffix_sweep(sig, {1}, 0.0).adt[2] == pytest.approx(4.0, abs=1e-12)  # (12-4)/2
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +384,7 @@ def test_gen_spec_validation():
 
 
 # --------------------------------------------------------------------------
-# the one-pass suffix sweep against the per-suffix definitions
+# the one-pass suffix sweep against the per-suffix recount
 
 
 def _after(t: float, gap: float) -> float:
@@ -465,9 +447,9 @@ def test_validate_matches_per_suffix_definitions(case, first_only):
     assert len(sweep.start) == sig.n_switches + 1
     tol = 1e-12 * (sig.tf - sig.t0)
     for j in range(sig.n_switches + 1):
-        assert sweep.start[j] == sig.suffix_start(j)
-        assert sweep.adt[j].hex() == piecewise_adt(sig, K, j).hex()
-        t_s, t_u = activation_times(sig, stable, sweep.start[j])
+        t_j, t_s, t_u, adt = suffix_by_intervals(sig, stable, K, j)
+        assert sweep.start[j] == t_j
+        assert sweep.adt[j].hex() == adt.hex()
         assert abs(sweep.t_stable[j] - t_s) <= tol
         assert abs(sweep.t_unstable[j] - t_u) <= tol
     n = 1 if first_only else sig.n_switches + 1
@@ -505,7 +487,7 @@ def test_bundle_contraction_matches_per_suffix_adt(case):
     ln_mu = math.log(mu)
     expected = -math.inf
     for j in range(sig.n_switches + 1):
-        adt = piecewise_adt(sig, K, j)
+        adt = suffix_by_intervals(sig, stable, K, j)[3]
         if not math.isinf(adt):
             expected = max(expected, adt * g + ln_mu)
     assert bundle.contraction_worst.hex() == expected.hex()
@@ -518,10 +500,10 @@ def test_suffix_sweep_counts_switches_as_the_oracle_does():
     t2 = 1.0 + 4504 * 2.0**-52
     sig = _signal([(0.0, 1), (1.0, 3), (t2, 1)], tf=5.0)
     assert t2 - 1.0 > _TIME_EPS and not t2 > 1.0 + _TIME_EPS
-    assert count_switches_after(sig, 1.0) == 0
     sweep = suffix_sweep(sig, {1}, 0.0)
-    assert sweep.adt[1] == piecewise_adt(sig, 0.0, 1) == math.inf
-    assert list(sweep.adt) == [piecewise_adt(sig, 0.0, j) for j in range(3)]
+    oracle = [suffix_by_intervals(sig, {1}, 0.0, j) for j in range(3)]
+    assert sweep.adt[1] == oracle[1][3] == math.inf
+    assert list(sweep.adt) == [o[3] for o in oracle]
     np.testing.assert_array_equal(sweep.start, [0.0, 1.0, t2])
     np.testing.assert_allclose(sweep.t_stable, [1.0 + 5.0 - t2, 5.0 - t2, 5.0 - t2],
                                rtol=1e-15)
