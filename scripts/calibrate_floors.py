@@ -29,7 +29,7 @@ def main() -> None:
     sc = demo_scenario("practical", seed=args.seed)
     mats = sc.mode_matrices()
     signal = sc.resolve_signal(args.seed)
-    bounds = impulse_bounds(list(signal.events), sc.dynamics.p)
+    bounds = impulse_bounds(signal.events)
 
     res = calibrate_switching_floors(
         mats, bounds.err_jump_norm_max,

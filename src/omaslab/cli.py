@@ -220,7 +220,7 @@ def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBund
     """
     return assemble_bundle(
         _certified_modes(scenario),
-        impulse_bounds(list(signal.events), scenario.p),
+        impulse_bounds(signal.events),
         h_bound=scenario.perturbation.bound,
         signal=signal,
         chatter_bound=scenario.certification.chatter_bound,
@@ -266,6 +266,18 @@ def _bundle_report(bundle: CertificateBundle) -> dict:
     }
 
 
+def _bound_applies(bundle: CertificateBundle, signal: SwitchingSignal, verdict_ok: bool,
+                   suffixes: str) -> bool:
+    """Whether the bound holds: it must be finite and the signal must keep
+    its budget. The asymptotic bound 0 takes the verdict on the requested
+    suffixes; any other bound needs every suffix to pass."""
+    if not (math.isfinite(bundle.ultimate_bound) and verdict_ok):
+        return False
+    if suffixes == "all" or bundle.ultimate_bound == 0.0:
+        return True
+    return validate_switching(signal, bundle.budget, bundle.stable_set).ok
+
+
 def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
     signal = scenario.resolve_signal(args.seed)
     bundle = build_bundle(scenario, signal)
@@ -279,8 +291,8 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
         "n_switches": signal.n_switches,
     }
     report["validation"] = {**dataclasses.asdict(verdict), "suffixes": args.validate_suffixes}
-    # the bound holds only for a signal within its switching budget
-    report["bound_applies"] = math.isfinite(bundle.ultimate_bound) and verdict.ok
+    report["bound_applies"] = _bound_applies(bundle, signal, verdict.ok,
+                                             args.validate_suffixes)
     print(_write_json(report, args.out, "certify.json"))
     if bundle.unbounded:
         raise UnboundedCertificate(
@@ -310,12 +322,14 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
     if bundle is None:
         summary["switching_ok"] = None
         summary["certification_error"] = cert_error
+        summary["bound_applies"] = False
     else:
         summary["switching_ok"] = validate_switching(
             result.signal, bundle.budget, bundle.stable_set, suffixes=args.validate_suffixes,
         ).ok
-    # bound_applies: the bound is certified and this signal keeps its budget
-    summary["bound_applies"] = summary["certified"] and summary["switching_ok"] is True
+        summary["bound_applies"] = _bound_applies(
+            bundle, result.signal, summary["switching_ok"], args.validate_suffixes
+        )
 
     os.makedirs(out, exist_ok=True)
     export_trajectory_csv(result.trajectory, os.path.join(out, "trajectory.csv"))

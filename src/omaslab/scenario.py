@@ -212,6 +212,7 @@ class Scenario:
             mode_after=mode_after,
             n_before=nb,
             n_after=na,
+            p=p,
             joins=joins,
             leaves=leaves,
             impulse=impulse,
@@ -227,10 +228,7 @@ class Scenario:
                 return np.zeros(dim)
             rng = stream_rng(master if spec.seed is None else spec.seed, STREAM_IMPULSE, k)
             return uniform_on_sphere(rng, dim, spec.radius)
-        arr = np.asarray(spec, dtype=float)
-        if arr.shape != (dim,):
-            raise ConfigError(f"impulse has shape {arr.shape}, expected ({dim},)")
-        return arr
+        return spec
 
     def _materialize_dep_gain(self, spec, k: int, n_before: int, n_after: int, master: int):
         if spec is None:
@@ -243,10 +241,7 @@ class Scenario:
             if top < 1e-300 or spec.scale == 0.0:
                 return np.zeros(shape)
             return raw * (spec.scale / top)
-        arr = np.asarray(spec, dtype=float)
-        if arr.shape != shape:
-            raise ConfigError(f"dep_gain has shape {arr.shape}, expected {shape}")
-        return arr
+        return spec
 
     # -- signal resolution -------------------------------------------------
 
@@ -262,7 +257,7 @@ class Scenario:
                 path = spec.path
                 if not os.path.isabs(path) and self.source_dir:
                     path = os.path.join(self.source_dir, path)
-                signal = signal_from_dict(_load_json(path, "signal"))
+                signal = signal_from_dict(_load_json(path, "signal"), self.p)
                 self._check_modes(signal, path)
                 self._file_signal = signal
             return self._file_signal
@@ -433,14 +428,14 @@ def _has_default(cls: type, name: str) -> bool:
 
 
 def _section(d: Any, path: str, cls: type, parsers: dict[str, Parser],
-             names: dict[str, str] | None = None) -> Any:
+             names: dict[str, str] | None = None, **fixed: Any) -> Any:
     """cls built from the JSON object d.
 
     parsers maps each allowed key to its parser; names maps a key to the
     field of cls it fills when the two differ. Only the keys d gives are
     passed on, so every absent field takes the default cls declares, and a
-    field without a default is a required key. cls's own checks fail as
-    schema errors at path.
+    field without a default is a required key; fixed fills fields that are
+    no key of d. cls's own checks fail as schema errors at path.
     """
     d = _obj(d, path)
     _reject_unknown(d, set(parsers), path)
@@ -453,7 +448,7 @@ def _section(d: Any, path: str, cls: type, parsers: dict[str, Parser],
         elif not _has_default(cls, name):
             _get(d, key, path)
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **fixed)
     except ConfigError as exc:
         _fail(path, str(exc))
 
@@ -719,30 +714,6 @@ def load_scenario(path: str) -> Scenario:
 # materialized signal files (written by gen-signal, referenced by type "file")
 
 
-def signal_to_dict(sig: SwitchingSignal) -> dict:
-    events = []
-    for ev in sig.events:
-        events.append(
-            {
-                "k": ev.time_index,
-                "from": ev.mode_before,
-                "to": ev.mode_after,
-                "n_before": ev.n_before,
-                "n_after": ev.n_after,
-                "joins": list(ev.joins),
-                "leaves": list(ev.leaves),
-                "impulse": None if ev.impulse is None else ev.impulse.tolist(),
-                "dep_gain": None if ev.dep_gain is None else ev.dep_gain.tolist(),
-            }
-        )
-    return {
-        "t0": sig.t0,
-        "tf": sig.tf,
-        "segments": [{"t": seg.start, "mode": seg.mode} for seg in sig.segments],
-        "events": events,
-    }
-
-
 _EVENT_RECORD = {
     "k": _int,
     "from": _int,
@@ -754,16 +725,37 @@ _EVENT_RECORD = {
     "impulse": _nullable(_vector),
     "dep_gain": _nullable(_matrix),
 }
+# the record keys that name a MigrationEvent field differently
+_EVENT_FIELDS = {"k": "time_index", "from": "mode_before", "to": "mode_after"}
 
 
-def _event_records(v: Any, path: str) -> tuple[MigrationEvent, ...]:
-    names = {"k": "time_index", "from": "mode_before", "to": "mode_after"}
-    return tuple(
-        _section(e, f"{path}[{i}]", MigrationEvent, _EVENT_RECORD, names)
-        for i, e in enumerate(_arr(v, path))
-    )
+def _plain(v: Any) -> Any:
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return list(v) if isinstance(v, tuple) else v
 
 
-def signal_from_dict(data: dict) -> SwitchingSignal:
-    parsers = {"t0": _num, "tf": _num, "segments": _segments, "events": _event_records}
+def signal_to_dict(sig: SwitchingSignal) -> dict:
+    """The signal-file document that signal_from_dict reads back."""
+    return {
+        "t0": sig.t0,
+        "tf": sig.tf,
+        "segments": [{"t": seg.start, "mode": seg.mode} for seg in sig.segments],
+        "events": [
+            {key: _plain(getattr(ev, _EVENT_FIELDS.get(key, key))) for key in _EVENT_RECORD}
+            for ev in sig.events
+        ],
+    }
+
+
+def signal_from_dict(data: dict, p: int) -> SwitchingSignal:
+    """The signal of a signal-file document whose agents have dimension p."""
+
+    def events(v: Any, path: str) -> tuple[MigrationEvent, ...]:
+        return tuple(
+            _section(e, f"{path}[{i}]", MigrationEvent, _EVENT_RECORD, _EVENT_FIELDS, p=p)
+            for i, e in enumerate(_arr(v, path))
+        )
+
+    parsers = {"t0": _num, "tf": _num, "segments": _segments, "events": events}
     return _section(data, "signal", SwitchingSignal, parsers)

@@ -144,12 +144,6 @@ def _signed_counts(m: AugmentedMode) -> tuple[int, int]:
     return pos, neg
 
 
-def _unit_weights(m: AugmentedMode) -> bool:
-    return all(abs(e.weight) == 1.0 for e in m.graph.edges) and all(
-        d == 0.0 or abs(d) == 1.0 for d in m.leader_links
-    )
-
-
 def leader_reachable_set(m: AugmentedMode) -> set[int]:
     """Agents reachable from the leader along directed edges of the
     augmented graph (any sign)."""
@@ -179,10 +173,11 @@ def classify_mode(m: AugmentedMode) -> ModeClass:
 
     Purely cooperative modes split on leader reachability. Modes with
     antagonistic edges split on whether the negative interactions dominate:
-    for unit weights this is a simple edge count over the augmented graph;
-    for general weights the sum of off-diagonal augmented-Laplacian entries
-    decides, and a disagreement between the two readings is flagged with a
-    warning (the weighted reading wins).
+    the sum of off-diagonal augmented-Laplacian entries decides. On unit
+    weights that sum is the count of negative minus positive edges, exact in
+    floats, so the weighted test is the count test; on other weights a
+    disagreement between the two readings is flagged with a warning (the
+    weighted reading wins).
     """
     pos, neg = _signed_counts(m)
     if neg == 0:
@@ -190,20 +185,16 @@ def classify_mode(m: AugmentedMode) -> ModeClass:
             return ModeClass.POSITIVE_SPANNING
         return ModeClass.POSITIVE_NO_SPANNING
 
-    count_majority = neg > pos
-    if _unit_weights(m):
-        majority = count_majority
-    else:
-        lt = augmented_laplacian(m)
-        off_sum = lt.sum() - np.trace(lt)
-        majority = off_sum > 0.0
-        if majority != count_majority:
-            warnings.warn(
-                f"{m.label()}: weighted and counted negative-majority tests disagree "
-                f"(off-diagonal sum {off_sum:.6g}, counts {neg} negative vs {pos} positive); "
-                "using the weighted test",
-                stacklevel=2,
-            )
+    lt = augmented_laplacian(m)
+    off_sum = lt.sum() - np.trace(lt)
+    majority = off_sum > 0.0
+    if majority != (neg > pos):
+        warnings.warn(
+            f"{m.label()}: weighted and counted negative-majority tests disagree "
+            f"(off-diagonal sum {off_sum:.6g}, counts {neg} negative vs {pos} positive); "
+            "using the weighted test",
+            stacklevel=2,
+        )
     return ModeClass.NEGATIVE_MAJORITY if majority else ModeClass.NEGATIVE_MINORITY
 
 

@@ -33,7 +33,7 @@ from .seeding import (
     uniform_in_ball,
 )
 from .switching import SwitchingSignal
-from .transition import apply_error_jump, build_transition_map
+from .transition import apply_error_jump
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -497,9 +497,8 @@ def run_switched(
             break
         if i < len(signal.segments) - 1:
             ev = signal.events[i]
-            tm = build_transition_map(ev, p)
             pre_err = errs[-1]
-            post_err = apply_error_jump(tm, pre_err)
+            post_err = apply_error_jump(ev, pre_err)
             traj.events.append(
                 EventRecord(
                     index=i + 1,
@@ -510,7 +509,7 @@ def run_switched(
                     n_after=ev.n_after,
                     pre_err=pre_err,
                     post_err=post_err,
-                    impulse_norm=tm.impulse_norm,
+                    impulse_norm=ev.impulse_norm,
                 )
             )
             z = np.concatenate([leader[-1], post_err])

@@ -21,7 +21,7 @@ from omaslab.seeding import (
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import _GRID_EPS
 from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
-from omaslab.transition import MigrationEvent
+from omaslab.transition import MigrationEvent, build_migration_matrix
 
 
 def char_poly_coeffs(M: np.ndarray) -> list[float]:
@@ -114,20 +114,32 @@ def random_negative_majority_mode(rng: np.random.Generator, max_agents: int = 8)
     return AugmentedMode(graph=g, leader_links=tuple(links))
 
 
-def pure_relabel_event(k: int, mode_before: int, mode_after: int, n: int) -> MigrationEvent:
-    """Population-preserving event with no impulses (sizes both n)."""
+def pure_relabel_event(
+    k: int, mode_before: int, mode_after: int, n: int, p: int
+) -> MigrationEvent:
+    """Population-preserving event with no impulses (sizes both n, agent
+    dimension p)."""
     return MigrationEvent(
         time_index=k,
         mode_before=mode_before,
         mode_after=mode_after,
         n_before=n,
         n_after=n,
+        p=p,
     )
 
 
 def error_projector(n: int, p: int) -> np.ndarray:
     """Maps the leader-included stack to tracking errors: e_i = x_i - x_0."""
     return np.kron(np.hstack([-np.ones((n, 1)), np.eye(n)]), np.eye(p))
+
+
+def kron_err_jump(ev: MigrationEvent) -> np.ndarray:
+    """The error jump matrix as the model states it: the migration matrix
+    expanded blockwise over the agent dimension, plus the dependence gain."""
+    shape = (ev.p * ev.n_after, ev.p * ev.n_before)
+    dep = np.zeros(shape) if ev.dep_gain is None else ev.dep_gain
+    return np.kron(build_migration_matrix(ev), np.eye(ev.p)) + dep
 
 
 def apply_state_jump(ev: MigrationEvent, full_state: np.ndarray, p: int) -> np.ndarray:
@@ -187,7 +199,7 @@ def random_signal_and_budget(
     for t, m in zip(times, modes[1:]):
         segments.append(Segment(start=float(t), mode=m))
     events = tuple(
-        pure_relabel_event(k, segments[k - 1].mode, segments[k].mode, n=2)
+        pure_relabel_event(k, segments[k - 1].mode, segments[k].mode, n=2, p=1)
         for k in range(1, len(segments))
     )
     sig = SwitchingSignal(t0=0.0, tf=tf, segments=tuple(segments), events=events)

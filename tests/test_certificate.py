@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from omaslab import apply_error_jump, build_transition_map
+from omaslab import apply_error_jump
 from omaslab.certificate import (
     ModeCertificate,
     assemble_bundle,
@@ -120,12 +120,11 @@ def test_jump_inequality_on_demo_events(practical_bundle, practical_signal, rng)
     b = practical_bundle
     p = 2
     for ev in practical_signal.events:
-        tm = build_transition_map(ev, p)
         P_before = b.certificates[ev.mode_before].P
         P_after = b.certificates[ev.mode_after].P
         for _ in range(100):
             e = rng.standard_normal(p * ev.n_before) * rng.uniform(0.01, 5.0)
-            post = apply_error_jump(tm, e)
+            post = apply_error_jump(ev, e)
             v_minus = math.sqrt(float(e @ P_before @ e))
             v_plus = math.sqrt(float(post @ P_after @ post))
             assert v_plus <= b.jump_gain * v_minus + b.jump_offset + 1e-9
@@ -175,7 +174,7 @@ def _alternating_signal(tf=15.0, starts=(0.0, 5.0, 10.0)):
     modes = [1 if i % 2 == 0 else 2 for i in range(len(starts))]
     segs = tuple(Segment(start=t, mode=m) for t, m in zip(starts, modes))
     events = tuple(
-        pure_relabel_event(k, segs[k - 1].mode, segs[k].mode, n=1)
+        pure_relabel_event(k, segs[k - 1].mode, segs[k].mode, n=1, p=1)
         for k in range(1, len(segs))
     )
     return SwitchingSignal(t0=starts[0], tf=tf, segments=segs, events=events)

@@ -452,6 +452,50 @@ def test_bound_applies_only_when_every_suffix_complies(tmp_path, demo_dict, caps
     assert read_json(out / "summary.json")["bound_applies"] is applies
 
 
+def _stable_then_repelling(d):
+    # suffix j = 0 keeps the budget, 57 s stable against 3 s repelling; the
+    # last suffix is repelling alone
+    d["signal"] = {"type": "explicit", "t0": 0.0, "tf": 60.0,
+                   "segments": [{"t": 0.0, "mode": 1}, {"t": 57.0, "mode": 3}]}
+    return d
+
+
+def test_practical_bound_under_first_suffix_needs_every_suffix(tmp_path, demo_dict, capsys):
+    path = write(tmp_path, _stable_then_repelling(demo_dict))
+    for suffixes in ("first", "all"):
+        assert main(["certify", "--scenario", path, "--validate-suffixes", suffixes]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ultimate_bound"] == pytest.approx(4995.55, abs=0.01)
+        assert report["validation"]["ok"] is (suffixes == "first")
+        assert report["bound_applies"] is False
+
+    first = ("--dt", "1e-2", "--validate-suffixes", "first")
+    rc, out = run_simulate(tmp_path, demo_dict, "single", extra=first)
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["switching_ok"] is True and summary["bound_respected"] is False
+    assert summary["bound_applies"] is False and summary["tail_sup_error"] > 1e7
+    assert "certified bound" not in stdout
+    assert "(bound 4995.55 does not apply" in stdout
+
+    rc, out = run_simulate(tmp_path, demo_dict, "sweep", extra=(*first, "--sweep", "2"))
+    capsys.readouterr()
+    assert rc == 0
+    for seed in (11, 12):
+        assert read_json(out / f"seed_{seed}" / "summary.json")["bound_applies"] is False
+
+
+def test_asymptotic_bound_under_first_suffix_takes_its_verdict(tmp_path, capsys):
+    d = _stable_then_repelling(demo_scenario_dict("asymptotic", seed=11))
+    path = write(tmp_path, d)
+    for suffixes, applies in (("first", True), ("all", False)):
+        assert main(["certify", "--scenario", path, "--validate-suffixes", suffixes]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ultimate_bound"] == 0.0
+        assert report["validation"]["ok"] is applies and report["bound_applies"] is applies
+
+
 # --------------------------------------------------------------------------
 # gen-signal and file-referenced signals
 
@@ -461,7 +505,7 @@ def test_gen_signal_then_reference(tmp_path, demo_dict, capsys):
                "--out", str(tmp_path)])
     assert rc == 0
     assert "signal.json" in capsys.readouterr().out
-    sig = signal_from_dict(read_json(tmp_path / "signal.json"))
+    sig = signal_from_dict(read_json(tmp_path / "signal.json"), 2)
     assert (sig.t0, sig.tf, sig.n_switches) == (0.0, 30.0, 8)
 
     # a scenario can point at the materialized file by relative path
@@ -494,19 +538,32 @@ def _unknown_mode(sig):
 
 
 def _wrong_sizes(sig):
-    # one agent more on both sides: the bookkeeping holds, the sizes do not
+    # one agent more on both sides, with no impulse or gain to size: the
+    # event is consistent in itself, but not with the scenario's modes
     sig["events"][0]["n_before"] += 1
     sig["events"][0]["n_after"] += 1
+    sig["events"][0]["impulse"] = sig["events"][0]["dep_gain"] = None
     return r"event 1 maps 5 -> \d+ agents, but modes 1 -> \d have 4 -> \d"
 
 
-@pytest.mark.parametrize("edit", [_unknown_mode, _wrong_sizes])
+def _short_gain(sig):
+    # event 4's gain loses a column: the record fails as it is read, at its path
+    gain = sig["events"][3]["dep_gain"]
+    rows, cols = len(gain), len(gain[0])
+    for row in gain:
+        del row[-1]
+    return (rf"signal\.events\[3\]: dep_gain shape \({rows}, {cols - 1}\) "
+            rf"does not match \({rows}, {cols}\)")
+
+
+@pytest.mark.parametrize("edit", [_unknown_mode, _wrong_sizes, _short_gain])
 @pytest.mark.parametrize("command", ["certify", "simulate", "gen-signal"])
 def test_file_signal_checked_against_scenario(tmp_path, demo_dict, capsys, edit, command):
     path, expected = _file_signal_scenario(tmp_path, demo_dict, capsys, edit)
     rc = main([command, "--scenario", path, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert re.search(expected, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()  # refused before anything is written
 
 
 def test_file_signal_invalid_json_exits_2(tmp_path, demo_dict, capsys):

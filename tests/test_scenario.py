@@ -33,13 +33,16 @@ def practical_dict():
 
 def test_signal_dict_round_trip(practical_signal):
     d = signal_to_dict(practical_signal)
+    assert list(d["events"][0]) == [
+        "k", "from", "to", "n_before", "n_after", "joins", "leaves", "impulse", "dep_gain",
+    ]
     # must survive a JSON round trip, not only a dict one
-    sig = signal_from_dict(json.loads(json.dumps(d)))
+    sig = signal_from_dict(json.loads(json.dumps(d)), p=2)
     assert sig.t0 == practical_signal.t0 and sig.tf == practical_signal.tf
     assert sig.segments == practical_signal.segments
     for a, b in zip(sig.events, practical_signal.events):
-        assert (a.mode_before, a.mode_after, a.joins, a.leaves) == (
-            b.mode_before, b.mode_after, b.joins, b.leaves
+        assert (a.time_index, a.mode_before, a.mode_after, a.p, a.joins, a.leaves) == (
+            b.time_index, b.mode_before, b.mode_after, b.p, b.joins, b.leaves
         )
         if b.impulse is None:
             assert a.impulse is None
@@ -348,7 +351,7 @@ def _segment_errors(segments):
     with pytest.raises(SchemaError) as spec_error:
         parse_scenario(d)
     with pytest.raises(SchemaError) as file_error:
-        signal_from_dict({"t0": 0.0, "tf": 1.0, "segments": segments, "events": []})
+        signal_from_dict({"t0": 0.0, "tf": 1.0, "segments": segments, "events": []}, 2)
     return str(spec_error.value), str(file_error.value)
 
 

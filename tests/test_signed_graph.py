@@ -1,5 +1,7 @@
 """Signed digraphs, repelling Laplacians and mode classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,31 @@ def test_weighted_majority_overrides_count():
     mode = AugmentedMode(graph=g, leader_links=(0.0, 0.0, 0.0))
     with pytest.warns(UserWarning, match="disagree"):
         assert classify_mode(mode) is ModeClass.NEGATIVE_MAJORITY
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 9), data=st.data())
+def test_unit_weight_modes_classify_by_count(n, data):
+    # on unit weights the weighted test is the count test: the same verdict
+    # and no disagreement warning, ties included
+    pairs = [(s, d) for s in range(1, n + 1) for d in range(1, n + 1) if s != d]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    weights = data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                 min_size=len(chosen), max_size=len(chosen)))
+    links = data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=n, max_size=n))
+    g = SignedDigraph(n_agents=n, edges=tuple(Edge(s, d, w) for (s, d), w in zip(chosen, weights)))
+    mode = AugmentedMode(graph=g, leader_links=tuple(links))
+    pos = sum(w > 0 for w in weights + links)
+    neg = sum(w < 0 for w in weights + links)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = classify_mode(mode)
+    if neg == 0:
+        assert cls in (ModeClass.POSITIVE_SPANNING, ModeClass.POSITIVE_NO_SPANNING)
+    elif neg > pos:
+        assert cls is ModeClass.NEGATIVE_MAJORITY
+    else:
+        assert cls is ModeClass.NEGATIVE_MINORITY
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from omaslab import (
     apply_error_jump,
-    build_transition_map,
     lyapunov_trace,
     run_scenario,
     validate_switching,
@@ -231,7 +230,7 @@ def test_run_switched_validation():
         run_one(mode, np.zeros(3), ZERO, (0.0, 1.0))
     # a state that fits the first mode but not the second, after the jump
     sig = SwitchingSignal(0.0, 2.0, (Segment(0.0, 1), Segment(1.0, 2)),
-                          (pure_relabel_event(1, 1, 2, n=1),))
+                          (pure_relabel_event(1, 1, 2, n=1, p=1),))
     two = ModeMatrix(mode_id=2, n_agents=2, p=1, A=np.zeros((1, 1)), A_err=-np.eye(2),
                      alpha=-1.0, stable=True)
     with pytest.raises(ConfigError, match=r"state has shape \(2,\), expected \(3,\)"):
@@ -317,7 +316,7 @@ def test_divergence_detected_and_reported():
     sig = SwitchingSignal(
         0.0, 20.0,
         (Segment(start=0.0, mode=1), Segment(start=19.0, mode=2)),
-        (pure_relabel_event(1, 1, 2, n=1),),
+        (pure_relabel_event(1, 1, 2, n=1, p=1),),
     )
     traj = run_switched({1: mode, 2: scalar_follower(-1.0)}, sig,
                         np.array([0.0, 1.0]), ZERO, dt=1e-3)
@@ -687,7 +686,6 @@ def reference_run(matrices, sig, x0, h, dt, method, stride):
     """run_switched rebuilt from public pieces: a one-segment run for each
     segment, with step matrices built afresh, and apply_error_jump at each
     switch."""
-    p = matrices[sig.segments[0].mode].p
     parts, jumps, z = [], [], x0
     for i, seg in enumerate(sig.segments):
         part = run_one(matrices[seg.mode], z, h, sig.segment_bounds(i),
@@ -696,7 +694,7 @@ def reference_run(matrices, sig, x0, h, dt, method, stride):
         if part.diverged or i == len(sig.events):
             break
         pre = part.segments[0].errs[-1]
-        post = apply_error_jump(build_transition_map(sig.events[i], p), pre)
+        post = apply_error_jump(sig.events[i], pre)
         jumps.append((pre, post))
         z = np.concatenate([part.segments[0].leader[-1], post])
     return parts, jumps

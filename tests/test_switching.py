@@ -28,7 +28,7 @@ from helpers import pure_relabel_event, random_signal_and_budget, suffix_by_inte
 def _signal(starts_modes, tf, with_events=True, t0=None):
     segs = tuple(Segment(start=t, mode=m) for t, m in starts_modes)
     events = tuple(
-        pure_relabel_event(k, segs[k - 1].mode, segs[k].mode, n=2)
+        pure_relabel_event(k, segs[k - 1].mode, segs[k].mode, n=2, p=1)
         for k in range(1, len(segs))
     ) if with_events else ()
     t0 = starts_modes[0][0] if t0 is None else t0
@@ -117,7 +117,7 @@ def test_signal_rejects_event_count_mismatch():
 
 def test_signal_rejects_event_mode_mismatch():
     segs = (Segment(0.0, 1), Segment(2.0, 3))
-    bad = (pure_relabel_event(1, 1, 2, n=2),)  # boundary switches 1 -> 3
+    bad = (pure_relabel_event(1, 1, 2, n=2, p=1),)  # boundary switches 1 -> 3
     with pytest.raises(ConfigError, match="maps modes"):
         SwitchingSignal(t0=0.0, tf=5.0, segments=segs, events=bad)
 
@@ -262,7 +262,7 @@ def test_validate_agrees_with_brute_force_on_random_signals():
 
 
 def _gen(spec):
-    return generate_signal(spec, lambda k, mb, ma: pure_relabel_event(k, mb, ma, n=2))
+    return generate_signal(spec, lambda k, mb, ma: pure_relabel_event(k, mb, ma, n=2, p=1))
 
 
 def test_generated_signal_is_compliant():

@@ -1,13 +1,15 @@
-"""Migration matrices, jump maps and the error/state consistency identity."""
+"""Migration matrices, error jumps and the error/state consistency identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omaslab import apply_error_jump, build_transition_map
 from omaslab.errors import ConfigError
 from omaslab.transition import MigrationEvent, build_migration_matrix, impulse_bounds
 
-from helpers import apply_state_jump, error_projector
+from helpers import apply_state_jump, error_projector, kron_err_jump
 
 P_DIM = 2  # agent dimension used throughout, matching the demo network
 
@@ -65,6 +67,7 @@ def _event(pair, impulse=None, dep_gain=None):
         mode_after=pair[1],
         n_before=nb,
         n_after=na,
+        p=P_DIM,
         joins=positions if kind == "joins" else (),
         leaves=positions if kind == "leaves" else (),
         impulse=impulse,
@@ -81,15 +84,14 @@ def test_demo_migration_matrices(pair):
 def test_migration_stacked_is_kron(rng):
     for pair in HAND_MIGRATIONS:
         ev = _event(pair)
-        tm = build_transition_map(ev, P_DIM)
         np.testing.assert_array_equal(
-            tm.err_jump, np.kron(build_migration_matrix(ev), np.eye(P_DIM))
+            ev.err_jump, np.kron(build_migration_matrix(ev), np.eye(P_DIM))
         )
         # pure relabelling never amplifies: unit rows or zero rows
-        assert np.linalg.norm(tm.err_jump, 2) <= 1.0 + 1e-12
+        assert np.linalg.norm(ev.err_jump, 2) <= 1.0 + 1e-12
 
 
-def random_event(rng) -> MigrationEvent:
+def random_event(rng, p: int = P_DIM) -> MigrationEvent:
     nb = int(rng.integers(1, 7))
     leaves = tuple(
         int(v) for v in sorted(rng.choice(nb, size=int(rng.integers(0, nb)), replace=False) + 1)
@@ -100,14 +102,15 @@ def random_event(rng) -> MigrationEvent:
     joins = tuple(
         int(v) for v in sorted(rng.choice(na, size=n_join, replace=False) + 1)
     )
-    impulse = rng.standard_normal(P_DIM * na) if rng.random() < 0.5 else None
-    dep = 0.3 * rng.standard_normal((P_DIM * na, P_DIM * nb)) if rng.random() < 0.5 else None
+    impulse = rng.standard_normal(p * na) if rng.random() < 0.5 else None
+    dep = 0.3 * rng.standard_normal((p * na, p * nb)) if rng.random() < 0.5 else None
     return MigrationEvent(
         time_index=1,
         mode_before=1,
         mode_after=2,
         n_before=nb,
         n_after=na,
+        p=p,
         joins=joins,
         leaves=leaves,
         impulse=impulse,
@@ -120,10 +123,9 @@ def test_consistency_identity_random(rng):
     # the errors directly, for any event shape, impulse and dependence gain
     for _ in range(200):
         ev = random_event(rng)
-        tm = build_transition_map(ev, P_DIM)
         x = rng.standard_normal(P_DIM * (ev.n_before + 1)) * rng.uniform(0.1, 10.0)
         err_after = error_projector(ev.n_after, P_DIM) @ apply_state_jump(ev, x, P_DIM)
-        direct = apply_error_jump(tm, error_projector(ev.n_before, P_DIM) @ x)
+        direct = apply_error_jump(ev, error_projector(ev.n_before, P_DIM) @ x)
         res = float(np.linalg.norm(err_after - direct))
         assert res <= 1e-10 * (1.0 + np.linalg.norm(x))
 
@@ -138,18 +140,41 @@ def test_leader_untouched_by_jumps(rng):
 
 def test_error_jump_matches_direct_formula(rng):
     ev = random_event(rng)
-    tm = build_transition_map(ev, P_DIM)
     e = rng.standard_normal(P_DIM * ev.n_before)
+    impulse = np.zeros(P_DIM * ev.n_after) if ev.impulse is None else ev.impulse
     np.testing.assert_allclose(
-        apply_error_jump(tm, e), tm.err_jump @ e + tm.impulse, atol=0
+        apply_error_jump(ev, e), ev.err_jump @ e + impulse, atol=0
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), signed_zeros=st.booleans())
+def test_err_jump_equals_kron_oracle_bit_for_bit(seed, p, signed_zeros):
+    rng = np.random.default_rng(seed)
+    ev = random_event(rng, p)
+    if signed_zeros and ev.dep_gain is not None:
+        # zeros of either sign in the gain, on and off the migration entries
+        dep = ev.dep_gain.copy()
+        dep[rng.random(dep.shape) < 0.5] = -0.0
+        ev = MigrationEvent(1, 1, 2, ev.n_before, ev.n_after, p, ev.joins, ev.leaves,
+                            ev.impulse, dep)
+    got, want = ev.err_jump, kron_err_jump(ev)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert ev.impulse_norm == (0.0 if ev.impulse is None else np.linalg.norm(ev.impulse))
+
+
+def test_transition_map_is_the_event_checked_against_p():
+    ev = _event((1, 2))
+    assert build_transition_map(ev, P_DIM) is ev
+    with pytest.raises(ConfigError, match="does not match"):
+        build_transition_map(ev, P_DIM + 1)
 
 
 def test_pure_relabel_jump_vanishes_at_zero_error():
     # no impulse, no gain: zero tracking error stays zero through any event
     ev = _event((2, 3))
-    tm = build_transition_map(ev, P_DIM)
-    np.testing.assert_allclose(apply_error_jump(tm, np.zeros(P_DIM * 3)), 0.0, atol=0)
+    np.testing.assert_allclose(apply_error_jump(ev, np.zeros(P_DIM * 3)), 0.0, atol=0)
     # equivalently: a perfectly synchronized stack stays synchronized
     leader = np.array([0.7, -1.2])
     x = np.tile(leader, 3 + 1)
@@ -159,12 +184,11 @@ def test_pure_relabel_jump_vanishes_at_zero_error():
 
 def test_joiners_enter_at_leader():
     ev = _event((2, 1))  # join at position 3
-    tm = build_transition_map(ev, P_DIM)
     x = np.concatenate([[1.0, 2.0], np.arange(6, dtype=float)])  # leader + 3 agents
     post = apply_state_jump(ev, x, P_DIM)
     np.testing.assert_allclose(post[P_DIM * 3 : P_DIM * 4], [1.0, 2.0], atol=1e-14)
     # so the error jump starts the joiner at zero error
-    e_post = apply_error_jump(tm, error_projector(3, P_DIM) @ x)
+    e_post = apply_error_jump(ev, error_projector(3, P_DIM) @ x)
     np.testing.assert_array_equal(e_post[P_DIM * 2 : P_DIM * 3], 0.0)
 
 
@@ -188,13 +212,13 @@ def test_impulse_bounds_over_demo_events(rng):
         expected_gain = max(
             expected_gain, float(np.linalg.norm(np.kron(np.array(mat, float), np.eye(P_DIM)), 2))
         )
-    b = impulse_bounds(events, P_DIM)
+    b = impulse_bounds(events)
     assert b.impulse_norm_max == pytest.approx(expected_phi, rel=1e-12)
     assert b.err_jump_norm_max == pytest.approx(expected_gain, rel=1e-12)
 
 
 def test_impulse_bounds_empty():
-    b = impulse_bounds([], P_DIM)
+    b = impulse_bounds([])
     assert b.impulse_norm_max == 0.0
     assert b.err_jump_norm_max == 0.0
 
@@ -205,34 +229,39 @@ def test_impulse_bounds_empty():
 
 def test_event_rejects_repeated_positions():
     with pytest.raises(ConfigError):
-        MigrationEvent(1, 1, 2, n_before=3, n_after=5, joins=(2, 2))
+        MigrationEvent(1, 1, 2, n_before=3, n_after=5, p=P_DIM, joins=(2, 2))
 
 
 def test_event_rejects_out_of_range():
     with pytest.raises(ConfigError):
-        MigrationEvent(1, 1, 2, n_before=3, n_after=4, joins=(5,))
+        MigrationEvent(1, 1, 2, n_before=3, n_after=4, p=P_DIM, joins=(5,))
     with pytest.raises(ConfigError):
-        MigrationEvent(1, 1, 2, n_before=3, n_after=2, leaves=(4,))
+        MigrationEvent(1, 1, 2, n_before=3, n_after=2, p=P_DIM, leaves=(4,))
 
 
 def test_event_rejects_size_mismatch():
     with pytest.raises(ConfigError, match="bookkeeping"):
-        MigrationEvent(1, 1, 2, n_before=3, n_after=3, joins=(1,))
+        MigrationEvent(1, 1, 2, n_before=3, n_after=3, p=P_DIM, joins=(1,))
 
 
+# the event checks its shapes when it is made, before any jump is built
 def test_map_rejects_bad_impulse_shape():
-    ev = MigrationEvent(1, 1, 2, n_before=2, n_after=3, joins=(3,), impulse=np.zeros(4))
-    with pytest.raises(ConfigError, match="impulse"):
-        build_transition_map(ev, P_DIM)
+    with pytest.raises(ConfigError, match=r"impulse shape \(4,\) does not match \(6,\)"):
+        MigrationEvent(1, 1, 2, n_before=2, n_after=3, p=P_DIM, joins=(3,),
+                       impulse=np.zeros(4))
 
 
 def test_map_rejects_bad_gain_shape():
-    ev = MigrationEvent(1, 1, 2, n_before=2, n_after=3, joins=(3,), dep_gain=np.zeros((2, 2)))
-    with pytest.raises(ConfigError, match="dep_gain"):
-        build_transition_map(ev, P_DIM)
+    with pytest.raises(ConfigError, match=r"dep_gain shape \(2, 2\) does not match \(6, 4\)"):
+        MigrationEvent(1, 1, 2, n_before=2, n_after=3, p=P_DIM, joins=(3,),
+                       dep_gain=np.zeros((2, 2)))
+
+
+def test_event_rejects_bad_dimension():
+    with pytest.raises(ConfigError, match="p must be >= 1"):
+        MigrationEvent(1, 1, 2, n_before=2, n_after=2, p=0)
 
 
 def test_jump_rejects_bad_state_shape():
-    tm = build_transition_map(_event((1, 2)), P_DIM)
     with pytest.raises(ConfigError):
-        apply_error_jump(tm, np.zeros(3))
+        apply_error_jump(_event((1, 2)), np.zeros(3))
