@@ -26,7 +26,6 @@ from omaslab.simulate import (
     lyapunov_trace,
     run_scenario,
 )
-from omaslab.switching import validate_switching
 
 
 def main() -> int:
@@ -58,7 +57,7 @@ def main() -> int:
         t_cert = time.perf_counter()
         bundle = build_bundle(sc, signal)
         t_cert = time.perf_counter() - t_cert
-        verdict = validate_switching(signal, bundle.budget, bundle.stable_set)
+        verdict = bundle.validation()
         print(f"  certified in {t_cert * 1e3:.1f} ms: "
               f"jump_gain = {bundle.jump_gain:.4f}, "
               f"floors = ({bundle.budget.ratio_floor:.4f}, "

@@ -24,11 +24,14 @@ import scipy.linalg
 from .errors import AssumptionViolation, CertificateError, ConfigError
 from .mode_dynamics import ModeMatrix
 from .switching import (
+    SuffixSweep,
     SwitchingBudget,
     SwitchingSignal,
+    ValidationReport,
     dwell_floor_at,
     ratio_floor_at,
     suffix_sweep,
+    sweep_verdict,
 )
 from .transition import ImpulseBounds
 
@@ -170,7 +173,8 @@ class CertificateBundle:
     """Everything the validator and the simulator need from certification.
 
     The chatter bound, the rates and the jump gain live in budget alone;
-    the bundle reads them through it.
+    the bundle reads them through it. sweep is the suffix sweep of the
+    certified signal, from which the bundle reads that signal's verdict.
     """
 
     certificates: dict[int, ModeCertificate]
@@ -186,6 +190,7 @@ class CertificateBundle:
     err_jump_norm_max: float
     ultimate_bound: float
     unbounded: bool
+    sweep: SuffixSweep
 
     chatter_bound = property(lambda self: self.budget.chatter_bound)
     gamma_common = property(lambda self: self.budget.gamma_common)
@@ -196,6 +201,18 @@ class CertificateBundle:
     @property
     def stable_set(self) -> set[int]:
         return {mid for mid, c in self.certificates.items() if c.stable}
+
+    def validation(self, suffixes: str = "all") -> ValidationReport:
+        """The certified signal's switching verdict on the given suffixes."""
+        return sweep_verdict(self.sweep, self.budget, suffixes)
+
+    def bound_applies(self, suffixes: str = "all") -> bool:
+        """Whether the ultimate bound speaks for the certified signal: it
+        must be finite and the signal must pass on every suffix. The
+        asymptotic bound 0 rests on the suffixes asked for alone."""
+        if not math.isfinite(self.ultimate_bound):
+            return False
+        return self.validation(suffixes if self.ultimate_bound == 0.0 else "all").ok
 
 
 def assemble_bundle(
@@ -240,8 +257,8 @@ def assemble_bundle(
 
     ln_mu = math.log(mu)
     stable_set = {mid for mid, c in certs.items() if c.stable}
-    adt = suffix_sweep(signal, stable_set, k).adt
-    adt = adt[np.isfinite(adt)]  # an unconstrained suffix contributes -inf
+    sweep = suffix_sweep(signal, stable_set, k)
+    adt = sweep.adt[np.isfinite(sweep.adt)]  # an unconstrained suffix contributes -inf
     contraction = float(np.max(adt * g + ln_mu)) if adt.size else -math.inf
 
     # both drives zero: the asymptotic setting, the bound is exactly zero
@@ -278,6 +295,7 @@ def assemble_bundle(
         err_jump_norm_max=bounds.err_jump_norm_max,
         ultimate_bound=float(epsilon),
         unbounded=unbounded,
+        sweep=sweep,
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .certificate import CertificateBundle, ModeCertificate, assemble_bundle
+from .certificate import CertificateBundle, assemble_bundle
 from .errors import (
     AssumptionViolation,
     CertificateError,
@@ -47,7 +46,7 @@ from .signed_graph import (
     grounded_laplacian,
 )
 from .simulate import export_events_csv, export_trajectory_csv, run_scenario
-from .switching import SwitchingSignal, validate_switching
+from .switching import SwitchingSignal
 from .transition import impulse_bounds
 
 _KRON_CHECK_DIM_LIMIT = 64
@@ -105,15 +104,10 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
     dyn = scenario.dynamics
     modes = list(scenario.modes.values())
     mode_reports = []
-    any_spanning = False
-    any_negative = False
-    any_minority = False
+    found = set()  # the classes of the scenario's modes
     for m in sorted(modes, key=lambda m: m.mode_id):
         cls = classify_mode(m)
-        any_spanning |= cls is ModeClass.POSITIVE_SPANNING
-        is_negative = cls in (ModeClass.NEGATIVE_MAJORITY, ModeClass.NEGATIVE_MINORITY)
-        any_negative |= is_negative
-        any_minority |= cls is ModeClass.NEGATIVE_MINORITY
+        found.add(cls)
         Z = grounded_laplacian(m)
         Lt = augmented_laplacian(m)
         entry: dict[str, Any] = {
@@ -138,6 +132,8 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
                 scenario.coupling_gain * Z, dyn.A, tol=_KRON_REPORT_TOL
             )
         mode_reports.append(entry)
+    spanning = ModeClass.POSITIVE_SPANNING in found
+    minority = ModeClass.NEGATIVE_MINORITY in found
 
     coupling: dict[str, Any] = {"gain": scenario.coupling_gain}
     try:
@@ -162,10 +158,10 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         "modes": mode_reports,
         "coupling": coupling,
         "assumptions": {
-            "positive_spanning_exists": any_spanning,
-            "negative_mode_exists": any_negative,
-            "negative_minority_present": any_minority,
-            "ok": any_spanning and not any_minority,
+            "positive_spanning_exists": spanning,
+            "negative_mode_exists": minority or ModeClass.NEGATIVE_MAJORITY in found,
+            "negative_minority_present": minority,
+            "ok": spanning and not minority,
         },
         "stable_mode_ids": sorted(mid for mid, mm in matrices.items() if mm.stable),
     }
@@ -177,38 +173,9 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
 # certify
 
 
-def _require_assumptions(scenario: Scenario) -> None:
-    modes = list(scenario.modes.values())
-    classes = {m.mode_id: classify_mode(m) for m in modes}
-    if not any(c is ModeClass.POSITIVE_SPANNING for c in classes.values()):
-        raise AssumptionViolation(
-            "no mode is positive with a leader-rooted spanning tree; "
-            "nothing can contract the tracking errors"
-        )
-    minority = sorted(mid for mid, c in classes.items() if c is ModeClass.NEGATIVE_MINORITY)
-    if minority:
-        raise AssumptionViolation(
-            f"mode(s) {minority} have negative edges without a negative majority; "
-            "such modes are outside the certified family"
-        )
-
-
 # the errors by which certification refuses a scenario; simulate writes the
 # reason into the summary and runs uncertified
 _CERTIFICATION_ERRORS = (AssumptionViolation, CertificateError, ConfigError)
-
-
-def _certified_modes(scenario: Scenario) -> dict[int, ModeCertificate]:
-    """The half of certification no seed changes: the structural and gain
-    checks, then the scenario's per-mode certificates."""
-    _require_assumptions(scenario)
-    bound = coupling_gain_bound(scenario.dynamics, list(scenario.modes.values()))
-    if not scenario.coupling_gain < bound:
-        raise CertificateError(
-            f"coupling gain {scenario.coupling_gain} is not strictly below the "
-            f"admissible bound {bound:.6g}; certification refused"
-        )
-    return scenario.mode_certificates()
 
 
 def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBundle:
@@ -219,7 +186,7 @@ def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBund
     can report before deciding.
     """
     return assemble_bundle(
-        _certified_modes(scenario),
+        scenario.mode_certificates(),
         impulse_bounds(signal.events),
         h_bound=scenario.perturbation.bound,
         signal=signal,
@@ -256,43 +223,21 @@ def _bundle_report(bundle: CertificateBundle) -> dict:
         "h_bound": bundle.h_bound,
         "impulse_norm_max": bundle.impulse_norm_max,
         "err_jump_norm_max": bundle.err_jump_norm_max,
-        "floors": {
-            "ratio": bundle.budget.ratio_floor,
-            "dwell": bundle.budget.dwell_floor,
-        },
+        "floors": {"ratio": bundle.budget.ratio_floor, "dwell": bundle.budget.dwell_floor},
         "chatter_bound": bundle.chatter_bound,
         "ultimate_bound": None if bundle.unbounded else bundle.ultimate_bound,
         "unbounded": bundle.unbounded,
     }
 
 
-def _bound_applies(bundle: CertificateBundle, signal: SwitchingSignal, verdict_ok: bool,
-                   suffixes: str) -> bool:
-    """Whether the bound holds: it must be finite and the signal must keep
-    its budget. The asymptotic bound 0 takes the verdict on the requested
-    suffixes; any other bound needs every suffix to pass."""
-    if not (math.isfinite(bundle.ultimate_bound) and verdict_ok):
-        return False
-    if suffixes == "all" or bundle.ultimate_bound == 0.0:
-        return True
-    return validate_switching(signal, bundle.budget, bundle.stable_set).ok
-
-
 def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
     signal = scenario.resolve_signal(args.seed)
     bundle = build_bundle(scenario, signal)
-    verdict = validate_switching(
-        signal, bundle.budget, bundle.stable_set, suffixes=args.validate_suffixes
-    )
     report = _bundle_report(bundle)
-    report["signal"] = {
-        "t0": signal.t0,
-        "tf": signal.tf,
-        "n_switches": signal.n_switches,
-    }
-    report["validation"] = {**dataclasses.asdict(verdict), "suffixes": args.validate_suffixes}
-    report["bound_applies"] = _bound_applies(bundle, signal, verdict.ok,
-                                             args.validate_suffixes)
+    report["signal"] = {"t0": signal.t0, "tf": signal.tf, "n_switches": signal.n_switches}
+    report["validation"] = {**dataclasses.asdict(bundle.validation(args.validate_suffixes)),
+                            "suffixes": args.validate_suffixes}
+    report["bound_applies"] = bundle.bound_applies(args.validate_suffixes)
     print(_write_json(report, args.out, "certify.json"))
     if bundle.unbounded:
         raise UnboundedCertificate(
@@ -307,7 +252,8 @@ def cmd_certify(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: str,
-                  signal: SwitchingSignal) -> dict:
+                  signal: SwitchingSignal) -> tuple[dict, str]:
+    """One seed's run into out: its summary and the text it has for stdout."""
     # one signal serves certification and the run
     bundle = None
     cert_error = None
@@ -324,56 +270,50 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
         summary["certification_error"] = cert_error
         summary["bound_applies"] = False
     else:
-        summary["switching_ok"] = validate_switching(
-            result.signal, bundle.budget, bundle.stable_set, suffixes=args.validate_suffixes,
-        ).ok
-        summary["bound_applies"] = _bound_applies(
-            bundle, result.signal, summary["switching_ok"], args.validate_suffixes
-        )
+        summary["switching_ok"] = bundle.validation(args.validate_suffixes).ok
+        summary["bound_applies"] = bundle.bound_applies(args.validate_suffixes)
 
     os.makedirs(out, exist_ok=True)
     export_trajectory_csv(result.trajectory, os.path.join(out, "trajectory.csv"))
     export_events_csv(result.trajectory, os.path.join(out, "events.csv"))
     _write_json(summary, out, "summary.json")
 
-    print(f"integrated {result.signal.tf - result.signal.t0:g}s "
-          f"across {len(result.trajectory.segments)} segments "
-          f"({summary['n_events']} migrations)")
+    lines = [f"integrated {result.signal.tf - result.signal.t0:g}s "
+             f"across {len(result.trajectory.segments)} segments "
+             f"({summary['n_events']} migrations)"]
     bound, note = summary["ultimate_bound"], ""
     if summary["bound_applies"]:
         note = f"  (certified bound {bound:.6g})"
     elif bound is not None:
         note = f"  (bound {bound:.6g} does not apply: the signal breaks its budget)"
-    print(f"tail sup error: {summary['tail_sup_error']:.6g}{note}")
+    lines.append(f"tail sup error: {summary['tail_sup_error']:.6g}{note}")
     if summary["diverged"]:
-        print(f"DIVERGED at t = {summary['diverged_at']:.6g}")
+        lines.append(f"DIVERGED at t = {summary['diverged_at']:.6g}")
     elif summary["converged"]:
-        print("converged within tolerance")
-    return summary
+        lines.append("converged within tolerance")
+    return summary, "".join(line + "\n" for line in lines)
 
 
 # the seed runner of a forked sweep worker, set by _start_sweep_worker
-_sweep_run: Callable[[int], dict] | None = None
+_sweep_run: Callable[[int], tuple[dict, str]] | None = None
 
 
-def _start_sweep_worker(run: Callable[[int], dict]) -> None:
+def _start_sweep_worker(run: Callable[[int], tuple[dict, str]]) -> None:
     global _sweep_run
     _sweep_run = run
 
 
 def _sweep_seed(seed: int) -> tuple[dict, str]:
     """One seed of a sweep, run in a worker: its summary and its stdout."""
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        summary = _sweep_run(seed)
-    return summary, text.getvalue()
+    return _sweep_run(seed)
 
 
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     out = args.out or "."
     if args.sweep <= 1:
-        signal = scenario.resolve_signal(args.seed)
-        summary = _simulate_one(scenario, args, args.seed, out, signal)
+        summary, text = _simulate_one(scenario, args, args.seed, out,
+                                      scenario.resolve_signal(args.seed))
+        print(text, end="")
         return 4 if summary["diverged"] and args.strict else 0
 
     # batch mode: consecutive seeds, independent runs, one dir per seed.
@@ -386,9 +326,9 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     signals = {seed: scenario.resolve_signal(seed) for seed in seeds}
     # a refusal is the same for every seed, and each seed's summary says why
     with contextlib.suppress(*_CERTIFICATION_ERRORS):
-        _certified_modes(scenario)
+        scenario.mode_certificates()
 
-    def run(seed: int) -> dict:
+    def run(seed: int) -> tuple[dict, str]:
         return _simulate_one(scenario, args, seed, os.path.join(out, f"seed_{seed}"),
                              signals[seed])
 

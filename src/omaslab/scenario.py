@@ -24,8 +24,9 @@ from typing import Any, Callable, Union
 import numpy as np
 
 from .certificate import ModeCertificate, solve_mode_certificate
-from .errors import ConfigError, SchemaError
-from .mode_dynamics import DEFAULT_MAX_DIM, AgentDynamics, ModeMatrix, build_mode_matrices
+from .errors import AssumptionViolation, CertificateError, ConfigError, SchemaError
+from .mode_dynamics import (DEFAULT_MAX_DIM, AgentDynamics, ModeMatrix, build_mode_matrices,
+                            coupling_gain_bound)
 from .seeding import (
     STREAM_DEP_GAIN,
     STREAM_IMPULSE,
@@ -34,7 +35,7 @@ from .seeding import (
     uniform_in_ball,
     uniform_on_sphere,
 )
-from .signed_graph import AugmentedMode, SignedDigraph, mode_from_dense
+from .signed_graph import AugmentedMode, ModeClass, SignedDigraph, classify_mode, mode_from_dense
 from .simulate import DEFAULT_DT, PerturbationModel
 from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_signal
 from .transition import MigrationEvent
@@ -163,12 +164,34 @@ class Scenario:
 
     def mode_certificates(self) -> dict[int, ModeCertificate]:
         """Each mode's certificate at the scenario's gamma margin, keyed by
-        mode id.
+        mode id: the half of certification no seed changes.
 
-        Solved on the first call and kept, as the mode matrices are: they do
-        not depend on the seed, so every seed of a sweep shares one set.
+        AssumptionViolation when no mode is positive spanning or one is
+        negative-minority, CertificateError when the coupling gain is not
+        strictly below its admissible bound. Solved on the first call that
+        passes and kept, as the mode matrices are; a refusal is not kept.
         """
         if self._certificates is None:
+            modes = list(self.modes.values())
+            classes = {m.mode_id: classify_mode(m) for m in modes}
+            if ModeClass.POSITIVE_SPANNING not in classes.values():
+                raise AssumptionViolation(
+                    "no mode is positive with a leader-rooted spanning tree; "
+                    "nothing can contract the tracking errors"
+                )
+            minority = sorted(mid for mid, c in classes.items()
+                              if c is ModeClass.NEGATIVE_MINORITY)
+            if minority:
+                raise AssumptionViolation(
+                    f"mode(s) {minority} have negative edges without a negative majority; "
+                    "such modes are outside the certified family"
+                )
+            bound = coupling_gain_bound(self.dynamics, modes)
+            if not self.coupling_gain < bound:
+                raise CertificateError(
+                    f"coupling gain {self.coupling_gain} is not strictly below the "
+                    f"admissible bound {bound:.6g}; certification refused"
+                )
             margin = self.certification.gamma_margin
             self._certificates = {
                 mid: solve_mode_certificate(mm, gamma_margin=margin)
@@ -199,11 +222,6 @@ class Scenario:
             dep = None
         else:
             joins, leaves = spec.joins, spec.leaves
-            if na != nb + len(joins) - len(leaves):
-                raise ConfigError(
-                    f"event {mode_before}->{mode_after}: joins/leaves give "
-                    f"{nb + len(joins) - len(leaves)} agents, mode {mode_after} has {na}"
-                )
             impulse = self._materialize_impulse(spec.impulse, k, na, master_seed)
             dep = self._materialize_dep_gain(spec.dep_gain, k, nb, na, master_seed)
         return MigrationEvent(
@@ -603,7 +621,7 @@ def _parse_signal(d: dict, path: str):
     _fail(f"{path}.type", f"expected 'explicit', 'generate' or 'file', got {kind!r}")
 
 
-def _parse_events(v: Any, path: str, modes: dict) -> dict[tuple[int, int], EventSpec]:
+def _parse_events(v: Any, path: str, modes: dict, p: int) -> dict[tuple[int, int], EventSpec]:
     parsers = {
         "from": _int,
         "to": _int,
@@ -622,6 +640,19 @@ def _parse_events(v: Any, path: str, modes: dict) -> dict[tuple[int, int], Event
         for m, side in ((spec.from_mode, "from"), (spec.to_mode, "to")):
             if m not in modes:
                 _fail(f"{at}.{side}", f"unknown mode id {m}")
+        # the row's jump, checked once here whether or not the pair occurs:
+        # sizes, positions, and the shapes of an explicit impulse and gain
+        try:
+            MigrationEvent(
+                time_index=0, mode_before=spec.from_mode, mode_after=spec.to_mode,
+                n_before=modes[spec.from_mode].graph.n_agents,
+                n_after=modes[spec.to_mode].graph.n_agents, p=p,
+                joins=spec.joins, leaves=spec.leaves,
+                impulse=None if isinstance(spec.impulse, RandomVectorSpec) else spec.impulse,
+                dep_gain=None if isinstance(spec.dep_gain, RandomMatrixSpec) else spec.dep_gain,
+            )
+        except ConfigError as exc:
+            _fail(at, str(exc))
         events[key] = spec
     return events
 
@@ -669,7 +700,7 @@ def parse_scenario(data: dict, source_dir: str | None = None) -> Scenario:
         if key in data
     }
     if "events" in data:
-        optional["event_specs"] = _parse_events(data["events"], "events", modes)
+        optional["event_specs"] = _parse_events(data["events"], "events", modes, dyn.p)
     initial = _section(
         _get(data, "initial_state", "scenario"), "initial_state", InitialStateSpec,
         {"leader": _agent_vector(dyn.p),

@@ -557,14 +557,10 @@ def run_scenario(
     # alike certify nothing
     bound = math.inf if bundle is None else bundle.ultimate_bound
     ub = bound if math.isfinite(bound) else None
+    converged = bool(not traj.diverged and tail < tol)
     # an ultimate bound of exactly 0 certifies asymptotic decay, which a
     # finite horizon can only witness up to the convergence tolerance
-    if ub is None:
-        respected = None
-    elif ub == 0.0:
-        respected = bool(not traj.diverged and tail < tol)
-    else:
-        respected = bool(tail <= ub)
+    respected = None if ub is None else converged if ub == 0.0 else bool(tail <= ub)
     summary = RunSummary(
         seed=master,
         dt=dt_eff,
@@ -574,7 +570,7 @@ def run_scenario(
         tail_fraction=scenario.simulation.tail_fraction,
         tail_sup_error=tail,
         convergence_tol=tol,
-        converged=bool(not traj.diverged and tail < tol),
+        converged=converged,
         diverged=traj.diverged,
         diverged_at=traj.diverged_at,
         n_events=len(traj.events),

@@ -14,7 +14,8 @@ t_j: each suffix is treated as a fresh run whose jump at t_j was billed to
 the previous suffix.
 
 suffix_sweep computes these quantities for every suffix in one pass; it is
-their one definition, which validation and certification share.
+their one definition. sweep_verdict reads both conditions from a sweep, and
+a certificate bundle keeps its signal's sweep for that verdict.
 """
 
 from __future__ import annotations
@@ -203,13 +204,20 @@ def validate_switching(
     j = 0, the weaker variant appropriate for the vanishing-perturbation
     (asymptotic) setting. Slacks are signed so that >= 0 means satisfied.
     """
+    return sweep_verdict(suffix_sweep(sig, stable_set, budget.chatter_bound), budget, suffixes)
+
+
+def sweep_verdict(
+    sweep: SuffixSweep, budget: SwitchingBudget, suffixes: str = "all"
+) -> ValidationReport:
+    """validate_switching's verdict, read from a signal's suffix sweep made
+    with the budget's chatter bound."""
     if suffixes not in ("all", "first"):
         raise ConfigError(f"suffixes must be 'all' or 'first', got {suffixes!r}")
     g = budget.gamma_common
     g_s = budget.gamma_stable_max
     g_u = budget.gamma_unstable_max
-    sweep = suffix_sweep(sig, stable_set, budget.chatter_bound)
-    n = sig.n_switches + 1 if suffixes == "all" else 1
+    n = len(sweep.start) if suffixes == "all" else 1
     t_s, t_u = sweep.t_stable[:n], sweep.t_unstable[:n]
     ratio_slack = -(t_s * (g_s - g) + (0.0 if g_u is None else t_u * (g_u - g)))
     adt_slack = sweep.adt[:n] - budget.dwell_floor

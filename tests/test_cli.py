@@ -16,7 +16,7 @@ from omaslab.cli import _jsonable, build_bundle, main
 from omaslab.demo import demo_scenario_dict
 from omaslab.scenario import load_scenario, signal_from_dict
 from omaslab.simulate import RunSummary
-from omaslab.switching import ValidationReport, brute_force_suffix_scan
+from omaslab.switching import ValidationReport, brute_force_suffix_scan, validate_switching
 
 BASE = demo_scenario_dict("practical", seed=11)
 
@@ -395,6 +395,45 @@ def test_sweep_solves_each_mode_certificate_once(tmp_path, demo_dict, capsys, mo
                for s in (11, 12, 13))
 
 
+def test_one_suffix_sweep_per_certification(tmp_path, demo_dict, capsys, monkeypatch):
+    # the bundle keeps its signal's sweep, and the verdicts are read from it
+    import omaslab.certificate
+    import omaslab.scenario
+    import omaslab.switching
+
+    calls = {"sweep": 0, "gain_bound": 0}
+    sweep, gain_bound = omaslab.switching.suffix_sweep, omaslab.scenario.coupling_gain_bound
+
+    def counting_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return sweep(*args, **kwargs)
+
+    def counting_gain_bound(*args, **kwargs):
+        calls["gain_bound"] += 1
+        return gain_bound(*args, **kwargs)
+
+    for module in (omaslab.certificate, omaslab.switching):
+        monkeypatch.setattr(module, "suffix_sweep", counting_sweep)
+    monkeypatch.setattr(omaslab.scenario, "coupling_gain_bound", counting_gain_bound)
+    path = write(tmp_path, demo_dict)
+    for suffixes in ("all", "first"):
+        calls["sweep"] = 0
+        assert main(["certify", "--scenario", path, "--validate-suffixes", suffixes]) == 0
+        assert calls["sweep"] == 1, suffixes
+        calls["sweep"] = 0
+        rc, _ = run_simulate(tmp_path, demo_dict, f"run_{suffixes}",
+                             extra=("--validate-suffixes", suffixes))
+        assert rc == 0 and calls["sweep"] == 1, suffixes
+    capsys.readouterr()
+
+    # the structural and gain checks are kept with the scenario's certificates
+    calls["gain_bound"] = 0
+    scenario = load_scenario(path)
+    for seed in (11, 12):
+        build_bundle(scenario, scenario.resolve_signal(seed))
+    assert calls["gain_bound"] == 1
+
+
 # --------------------------------------------------------------------------
 # a certified bound applies only to a signal within its switching budget
 
@@ -435,7 +474,7 @@ def test_bound_does_not_apply_to_a_signal_over_budget(tmp_path, demo_dict, capsy
 ])
 def test_bound_applies_only_when_every_suffix_complies(tmp_path, demo_dict, capsys,
                                                        ratio_floor, dwell_floor):
-    # the suffix verdict comes from the quadratic recount, not the validator
+    # the every-suffix verdict comes from the quadratic recount, not the validator
     demo_dict["signal"].update(ratio_floor=ratio_floor, dwell_floor=dwell_floor)
     demo_dict["simulation"]["dt"] = 0.05
     path = write(tmp_path, demo_dict)
@@ -443,13 +482,20 @@ def test_bound_applies_only_when_every_suffix_complies(tmp_path, demo_dict, caps
     signal = scenario.resolve_signal(11)
     bundle = build_bundle(scenario, signal)
     complies = brute_force_suffix_scan(signal, bundle.budget, bundle.stable_set)
-    applies = complies and math.isfinite(bundle.ultimate_bound)
-    assert main(["certify", "--scenario", path]) == (3 if bundle.unbounded else 0)
-    assert json.loads(capsys.readouterr().out)["bound_applies"] is applies
-    out = tmp_path / "run"
-    assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert read_json(out / "summary.json")["bound_applies"] is applies
+    for suffixes in ("all", "first"):
+        verdict = validate_switching(signal, bundle.budget, bundle.stable_set, suffixes)
+        assert bundle.validation(suffixes) == verdict
+        # only the asymptotic bound 0 rests on the first suffix alone
+        passes = verdict.ok if bundle.ultimate_bound == 0.0 else complies
+        applies = passes and math.isfinite(bundle.ultimate_bound)
+        assert bundle.bound_applies(suffixes) is applies
+        flag = ("--validate-suffixes", suffixes)
+        assert main(["certify", "--scenario", path, *flag]) == (3 if bundle.unbounded else 0)
+        assert json.loads(capsys.readouterr().out)["bound_applies"] is applies
+        out = tmp_path / f"run_{suffixes}"
+        assert main(["simulate", "--scenario", path, "--out", str(out), *flag]) == 0
+        capsys.readouterr()
+        assert read_json(out / "summary.json")["bound_applies"] is applies
 
 
 def _stable_then_repelling(d):
@@ -572,6 +618,27 @@ def test_file_signal_invalid_json_exits_2(tmp_path, demo_dict, capsys):
     rc = main(["certify", "--scenario", write(tmp_path, demo_dict)])
     assert rc == 2
     assert "signal: invalid JSON" in capsys.readouterr().err
+
+
+def _short_impulse(events):
+    events[0]["impulse"] = [0.1, 0.2, 0.3]
+    return r"events\[0\]: impulse shape \(3,\) does not match \(6,\)"
+
+
+def _unused_join(events):
+    # the pair 2 -> 3 never occurs in the generated signal: 3 + 1 != 5
+    events[6]["joins"] = [2]
+    return r"events\[6\]: size bookkeeping broken: 3 agents \+ 1 joins"
+
+
+@pytest.mark.parametrize("edit", [_short_impulse, _unused_join])
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+def test_event_table_checked_at_load(tmp_path, demo_dict, capsys, edit, command):
+    expected = edit(demo_dict["events"])
+    rc = main([command, "--scenario", write(tmp_path, demo_dict)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert re.search(expected, captured.err)
 
 
 def test_invalid_generate_spec_exits_2_at_load(tmp_path, demo_dict, capsys):

@@ -168,9 +168,9 @@ def test_absent_pair_gets_pure_size_default(practical_scenario):
 def test_event_size_inconsistency_rejected():
     data = practical_dict()
     data["events"][0] = {"from": 1, "to": 2, "joins": [1]}  # 4 + 1 != 3
-    scen = parse_scenario(data)
-    with pytest.raises(ConfigError, match="joins/leaves"):
-        scen.build_event(1, 1, 2, master_seed=0)
+    # each row's jump is checked at load, whether or not the signal uses it
+    with pytest.raises(SchemaError, match=r"events\[0\]: size bookkeeping broken"):
+        parse_scenario(data)
 
 
 def test_recurring_pair_draws_fresh_impulses(practical_scenario):
