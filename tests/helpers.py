@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from omaslab.seeding import (
     STREAM_PERTURBATION,
@@ -39,6 +40,34 @@ def char_poly_coeffs(M: np.ndarray) -> list[float]:
         Mk = M @ Mk + coeffs[-1] * np.eye(n)
         coeffs.append(float(-np.trace(M @ Mk) / k))
     return coeffs
+
+
+def van_loan_propagators(
+    M: np.ndarray, step: float, digits: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, Phi1, Phi2) of one exact step by Van Loan's block construction.
+
+    The top block row of expm([[M, I, 0], [0, 0, I], [0, 0, 0]] * step)
+    carries E = e^(M step), Phi1 = int_0^step e^(M (step-s)) ds and Phi2 =
+    int_0^step e^(M (step-s)) s ds. The block is exponentiated by scipy in
+    double precision, or with digits by mpmath at that many significant
+    digits and rounded to doubles at the end. Either way the product
+    M * step is the one simulate._propagators forms, so both see one input.
+    """
+    n = M.shape[0]
+    B = np.zeros((3 * n, 3 * n))
+    B[:n, :n] = M
+    B[:n, n : 2 * n] = np.eye(n)
+    B[n : 2 * n, 2 * n :] = np.eye(n)
+    B *= step
+    if digits is None:
+        EB = scipy.linalg.expm(B)
+    else:
+        import mpmath
+
+        with mpmath.workdps(digits):
+            EB = np.array(mpmath.expm(mpmath.matrix(B.tolist())).tolist(), dtype=float)
+    return EB[:n, :n].copy(), EB[:n, n : 2 * n].copy(), EB[:n, 2 * n :].copy()
 
 
 def poly_from_roots(roots) -> list[float]:

@@ -164,6 +164,22 @@ def test_err_jump_equals_kron_oracle_bit_for_bit(seed, p, signed_zeros):
     assert ev.impulse_norm == (0.0 if ev.impulse is None else np.linalg.norm(ev.impulse))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_before=st.integers(1, 200), n_join=st.integers(0, 6))
+def test_survivors_equal_np_delete(seed, n_before, n_join):
+    # leaves and joins drawn at any count, none included
+    rng = np.random.default_rng(seed)
+    leaves = rng.choice(n_before, size=int(rng.integers(0, n_before + 1)), replace=False) + 1
+    n_after = n_before - len(leaves) + n_join
+    joins = rng.choice(n_after, size=n_join, replace=False) + 1
+    ev = MigrationEvent(1, 1, 2, n_before, n_after, 1, tuple(joins), tuple(leaves))
+    before, after = ev._survivors()
+    for got, n, dropped in ((before, n_before, ev.leaves), (after, n_after, ev.joins)):
+        want = np.delete(np.arange(n), np.array(dropped, dtype=int) - 1)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_transition_map_is_the_event_checked_against_p():
     ev = _event((1, 2))
     assert build_transition_map(ev, P_DIM) is ev
