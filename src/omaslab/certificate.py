@@ -116,19 +116,9 @@ def solve_mode_certificate(mm: ModeMatrix, gamma_margin: float | None = None) ->
     )
 
 
-@dataclass(frozen=True)
-class GammaAggregates:
-    gamma_stable_max: float
-    gamma_unstable_max: float | None
-    gamma_common_default: float
-
-
-def gamma_aggregates(certs: dict[int, ModeCertificate]) -> GammaAggregates:
-    """Worst certificate rate per class, plus the default common rate.
-
-    The default common rate is the midpoint gamma_stable_max / 2, which is
-    always inside the admissible interval (gamma_stable_max, 0).
-    """
+def _class_rates(certs: dict[int, ModeCertificate]) -> tuple[float, float | None]:
+    """(g_s, g_u): the worst certificate rate of the stable modes and of the
+    unstable ones, g_u None when there are none."""
     stable = [c.gamma for c in certs.values() if c.stable]
     unstable = [c.gamma for c in certs.values() if not c.stable]
     if not stable:
@@ -136,12 +126,7 @@ def gamma_aggregates(certs: dict[int, ModeCertificate]) -> GammaAggregates:
     g_s = max(stable)
     if g_s >= 0.0:
         raise CertificateError(f"stable class has nonnegative worst rate {g_s}")
-    g_u = max(unstable) if unstable else None
-    return GammaAggregates(
-        gamma_stable_max=float(g_s),
-        gamma_unstable_max=None if g_u is None else float(g_u),
-        gamma_common_default=float(g_s / 2.0),
-    )
+    return float(g_s), float(max(unstable)) if unstable else None
 
 
 def _energy_constants(
@@ -241,13 +226,14 @@ def assemble_bundle(
     """
     if h_bound < 0.0:
         raise ConfigError(f"perturbation bound must be >= 0, got {h_bound}")
-    agg = gamma_aggregates(certs)
+    g_s, g_u = _class_rates(certs)
     p_under, p_over, mu = _energy_constants(certs, bounds.err_jump_norm_max)
     budget = SwitchingBudget(
         chatter_bound=float(chatter_bound),
-        gamma_common=float(agg.gamma_common_default if gamma_common is None else gamma_common),
-        gamma_stable_max=agg.gamma_stable_max,
-        gamma_unstable_max=agg.gamma_unstable_max,
+        # the default common rate, g_s / 2, lies inside (g_s, 0) for any g_s < 0
+        gamma_common=float(g_s / 2.0 if gamma_common is None else gamma_common),
+        gamma_stable_max=g_s,
+        gamma_unstable_max=g_u,
         jump_gain=float(mu),
     )
     g, mu, k = budget.gamma_common, budget.jump_gain, budget.chatter_bound
@@ -349,13 +335,12 @@ def _calibrate_over(
                 mid: solve_mode_certificate(mm, gamma_margin=float(margin))
                 for mid, mm in matrices.items()
             }
-            agg = gamma_aggregates(certs)
+            g_s, g_u = _class_rates(certs)
         except (CertificateError, AssumptionViolation):
             continue
-        if agg.gamma_unstable_max is None:
+        if g_u is None:
             raise AssumptionViolation("calibration needs at least one unstable mode")
         mu = _energy_constants(certs, err_jump_norm_max)[2]
-        g_s, g_u = agg.gamma_stable_max, agg.gamma_unstable_max
         lo, hi = g_s * (1.0 - 1e-9), g_s * 1e-9
         candidates = list(np.linspace(lo, hi, _CALIBRATION_RATES))
         # exact-ratio and exact-dwell rates, when they fall inside the interval

@@ -61,22 +61,9 @@ def _jsonable(x: Any) -> Any:
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        # a sum of floats is finite only when every term is: such a list,
-        # a signal's impulse or a row of its gain, needs no mapping
-        if all(type(v) is float for v in x) and math.isfinite(sum(x)):
-            return list(x)
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, float)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else "inf" if x > 0 else "-inf"
     return x
 
 
@@ -195,38 +182,26 @@ def build_bundle(scenario: Scenario, signal: SwitchingSignal) -> CertificateBund
     )
 
 
+def _fields_of(obj: Any, *skip: str) -> dict:
+    """A dataclass instance's fields by name, but those named in skip."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
 def _bundle_report(bundle: CertificateBundle) -> dict:
+    """certify.json's bundle part: the bundle's scalar fields, each mode's
+    certificate without its matrix, and the budget's gains, rates and floors."""
+    budget = bundle.budget
     return {
-        "modes": {
-            str(mid): {
-                "alpha": c.alpha,
-                "stable": c.stable,
-                "gamma": c.gamma,
-                "lambda_min": c.lambda_min,
-                "lambda_max": c.lambda_max,
-                "residual": c.residual,
-            }
-            for mid, c in sorted(bundle.certificates.items())
-        },
-        "gamma": {
-            "stable_max": bundle.gamma_stable_max,
-            "unstable_max": bundle.gamma_unstable_max,
-            "common": bundle.gamma_common,
-        },
-        "p_under": bundle.p_under,
-        "p_over": bundle.p_over,
-        "jump_gain": bundle.jump_gain,
-        "flow_offset": bundle.flow_offset,
-        "jump_offset": bundle.jump_offset,
-        "settled_flow": bundle.settled_flow,
-        "contraction_worst": bundle.contraction_worst,
-        "h_bound": bundle.h_bound,
-        "impulse_norm_max": bundle.impulse_norm_max,
-        "err_jump_norm_max": bundle.err_jump_norm_max,
-        "floors": {"ratio": bundle.budget.ratio_floor, "dwell": bundle.budget.dwell_floor},
-        "chatter_bound": bundle.chatter_bound,
+        **_fields_of(bundle, "certificates", "budget", "sweep"),
+        # an unbounded bundle has no bound to report
         "ultimate_bound": None if bundle.unbounded else bundle.ultimate_bound,
-        "unbounded": bundle.unbounded,
+        "modes": {str(mid): _fields_of(c, "mode_id", "P")
+                  for mid, c in sorted(bundle.certificates.items())},
+        "jump_gain": budget.jump_gain,
+        "chatter_bound": budget.chatter_bound,
+        "gamma": {"stable_max": budget.gamma_stable_max,
+                  "unstable_max": budget.gamma_unstable_max, "common": budget.gamma_common},
+        "floors": {"ratio": budget.ratio_floor, "dwell": budget.dwell_floor},
     }
 
 
@@ -379,7 +354,8 @@ def cmd_gen_signal(scenario: Scenario, args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "signal.json")
     with open(path, "w") as fh:
-        fh.write(json.dumps(_jsonable(signal_to_dict(signal)), indent=2) + "\n")
+        # load rejects non-finite numbers and every draw is finite
+        fh.write(json.dumps(signal_to_dict(signal), indent=2, allow_nan=False) + "\n")
     print(f"wrote {path}: {signal.n_switches} switches on "
           f"[{signal.t0:g}, {signal.tf:g}]")
     return 0

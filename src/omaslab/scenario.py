@@ -35,9 +35,10 @@ from .seeding import (
     uniform_in_ball,
     uniform_on_sphere,
 )
-from .signed_graph import AugmentedMode, ModeClass, SignedDigraph, classify_mode, mode_from_dense
+from .signed_graph import (AugmentedMode, Edge, ModeClass, SignedDigraph, check_edge,
+                           classify_mode, mode_from_dense)
 from .simulate import DEFAULT_DT, PerturbationModel
-from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_signal
+from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_segments
 from .transition import MigrationEvent
 
 
@@ -280,16 +281,15 @@ class Scenario:
                 self._file_signal = signal
             return self._file_signal
 
-        def build(k: int, mode_before: int, mode_after: int) -> MigrationEvent:
-            return self.build_event(k, mode_before, mode_after, master_seed)
-
         if isinstance(spec, ExplicitSignalSpec):
-            segs = spec.segments
-            events = tuple(build(k, segs[k - 1].mode, segs[k].mode) for k in range(1, len(segs)))
-            return SwitchingSignal(t0=spec.t0, tf=spec.tf, segments=segs, events=events)
-        if spec.seed is None:
-            spec = replace(spec, seed=master_seed)
-        return generate_signal(spec, event_builder=build)
+            t0, tf, segs = spec.t0, spec.tf, spec.segments
+        else:
+            if spec.seed is None:
+                spec = replace(spec, seed=master_seed)
+            t0, tf, segs = spec.t0, spec.t0 + spec.horizon, generate_segments(spec)
+        events = tuple(self.build_event(k, segs[k - 1].mode, segs[k].mode, master_seed)
+                       for k in range(1, len(segs)))
+        return SwitchingSignal(t0=t0, tf=tf, segments=segs, events=events)
 
     def _check_modes(self, sig: SwitchingSignal, source: str) -> None:
         """A signal from elsewhere must switch among this scenario's modes,
@@ -552,18 +552,19 @@ def _parse_mode(d: dict, path: str) -> AugmentedMode:
             _fail(path, str(exc))
     _reject_unknown(d, {"id", "n_agents", "edges", "leader_links"}, path)
     n = _int(_get(d, "n_agents", path), f"{path}.n_agents")
-    edges = []
+    edges: list[Edge] = []
+    seen: set[tuple[int, int]] = set()
     for i, e in enumerate(_arr(_get(d, "edges", path), f"{path}.edges")):
-        row = _arr(e, f"{path}.edges[{i}]")
+        at = f"{path}.edges[{i}]"
+        row = _arr(e, at)
         if len(row) != 3:
-            _fail(f"{path}.edges[{i}]", "expected [src, dst, weight]")
-        edges.append(
-            (
-                _int(row[0], f"{path}.edges[{i}][0]"),
-                _int(row[1], f"{path}.edges[{i}][1]"),
-                _num(row[2], f"{path}.edges[{i}][2]"),
-            )
-        )
+            _fail(at, "expected [src, dst, weight]")
+        edges.append(Edge(_int(row[0], f"{at}[0]"), _int(row[1], f"{at}[1]"),
+                          _num(row[2], f"{at}[2]")))
+        try:
+            check_edge(edges[-1], n, seen)
+        except ConfigError as exc:
+            _fail(at, str(exc))
     links = _vector(_get(d, "leader_links", path), f"{path}.leader_links")
     try:
         graph = SignedDigraph(n_agents=n, edges=tuple(edges))

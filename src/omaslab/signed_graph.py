@@ -58,15 +58,7 @@ class SignedDigraph:
         )
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
-            if not (1 <= e.src <= self.n_agents and 1 <= e.dst <= self.n_agents):
-                raise ConfigError(f"edge {e} references an agent outside 1..{self.n_agents}")
-            if e.src == e.dst:
-                raise ConfigError(f"self-loop on agent {e.src} is not allowed")
-            if (e.src, e.dst) in seen:
-                raise ConfigError(f"duplicate edge {e.src}->{e.dst}")
-            if e.weight == 0.0:
-                raise ConfigError(f"edge {e.src}->{e.dst} has zero weight")
-            seen.add((e.src, e.dst))
+            check_edge(e, self.n_agents, seen)
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -75,6 +67,20 @@ class SignedDigraph:
         for e in self.edges:
             a[e.dst - 1, e.src - 1] = e.weight
         return a
+
+
+def check_edge(e: Edge, n_agents: int, seen: set[tuple[int, int]]) -> None:
+    """Refuse an agent outside 1..n_agents, a self-loop, a pair already in
+    seen and a zero weight; an edge that passes joins seen."""
+    if not (1 <= e.src <= n_agents and 1 <= e.dst <= n_agents):
+        raise ConfigError(f"edge {e} references an agent outside 1..{n_agents}")
+    if e.src == e.dst:
+        raise ConfigError(f"self-loop on agent {e.src} is not allowed")
+    if (e.src, e.dst) in seen:
+        raise ConfigError(f"duplicate edge {e.src}->{e.dst}")
+    if e.weight == 0.0:
+        raise ConfigError(f"edge {e.src}->{e.dst} has zero weight")
+    seen.add((e.src, e.dst))
 
 
 @dataclass(frozen=True, eq=False)

@@ -200,9 +200,13 @@ class Trajectory:
         return max(seg.n_agents for seg in self.segments)
 
     def tail_sup_error(self, tail_fraction: float = 0.2) -> float:
+        """The largest error norm over the last tail_fraction of the horizon;
+        inf for a diverged run, whose non-finite step is not kept."""
+        if self.diverged:
+            return math.inf
         cutoff = self.tf - tail_fraction * (self.tf - self.t0)
         sup = 0.0
-        # norms of a diverged tail overflow to inf, which is the right answer
+        # norms of a huge but finite tail overflow to inf, which is the right answer
         with np.errstate(over="ignore"):
             for seg in self.segments:
                 mask = seg.t >= cutoff - _GRID_EPS
@@ -215,7 +219,8 @@ def _grid(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
     span = t_end - t_start
     n_full = int(math.floor(span / dt + _GRID_EPS))
     rem = span - n_full * dt
-    if rem < dt * 1e-9:
+    # a remainder within rounding of a full step is none; a short segment is one step
+    if n_full > 0 and rem < dt * 1e-9:
         rem = 0.0
     return n_full, rem
 
@@ -472,8 +477,10 @@ def run_switched(
     """
     if method not in ("exact", "rk4"):
         raise ConfigError(f"unknown integrator {method!r}")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
+    if not math.isfinite(dt):
+        raise ConfigError(f"dt must be finite, got {dt}")
     p = matrices[signal.segments[0].mode].p
     if sample_stride is None:
         horizon = signal.tf - signal.t0

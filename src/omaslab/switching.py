@@ -269,8 +269,9 @@ class SignalGenSpec:
             raise ConfigError(f"margin must be positive, got {self.margin}")
 
 
-def generate_signal(spec: SignalGenSpec, event_builder) -> SwitchingSignal:
-    """Emit a signal satisfying both suffix conditions with margin.
+def generate_segments(spec: SignalGenSpec) -> tuple[Segment, ...]:
+    """The segments of a signal on [t0, t0 + horizon] satisfying both suffix
+    conditions with margin.
 
     Layout: stable lead-in, then alternating (unstable, stable) blocks, the
     stable tail absorbing the slack. Every unstable block of length u is
@@ -278,10 +279,8 @@ def generate_signal(spec: SignalGenSpec, event_builder) -> SwitchingSignal:
     suffix [t_j, tf] and every prefix window [t0, t] satisfies both
     conditions (the prefix windows are what make the energy envelope valid
     pointwise rather than only at tf). Unstable modes are used round-robin,
-    shuffled once by the seed.
-
-    event_builder(k, mode_before, mode_after) -> MigrationEvent supplies the
-    boundary events.
+    shuffled once by the seed. Without unstable modes the signal is one
+    stable segment.
     """
     if spec.seed is None:
         raise ConfigError("the spec has no seed; give it the run's master seed")
@@ -290,10 +289,7 @@ def generate_signal(spec: SignalGenSpec, event_builder) -> SwitchingSignal:
     rng = stream_rng(spec.seed, STREAM_SIGNAL)
 
     if not spec.unstable_modes:
-        segments = [Segment(start=spec.t0, mode=spec.stable_modes[0])]
-        return SwitchingSignal(
-            t0=spec.t0, tf=spec.t0 + spec.horizon, segments=tuple(segments), events=()
-        )
+        return (Segment(start=spec.t0, mode=spec.stable_modes[0]),)
 
     # block sizing: unstable length u, stable companions r*u, pair >= 2*dwell
     u = max(2.0 * dwell / (1.0 + r), 1e-3 * spec.horizon)
@@ -311,24 +307,15 @@ def generate_signal(spec: SignalGenSpec, event_builder) -> SwitchingSignal:
     unstable_seq = [spec.unstable_modes[i % len(spec.unstable_modes)] for i in range(n_pairs)]
     rng.shuffle(unstable_seq)
 
-    times_modes: list[tuple[float, int]] = []
+    segments = []
     t = spec.t0
     for i in range(n_pairs):
-        times_modes.append((t, stable_seq[i]))
+        segments.append(Segment(start=t, mode=stable_seq[i]))
         t += s
-        times_modes.append((t, unstable_seq[i]))
+        segments.append(Segment(start=t, mode=unstable_seq[i]))
         t += u
-    times_modes.append((t, stable_seq[n_pairs]))
-
-    segments = tuple(Segment(start=tm[0], mode=tm[1]) for tm in times_modes)
-    events = tuple(
-        event_builder(k, segments[k - 1].mode, segments[k].mode)
-        for k in range(1, len(segments))
-    )
-    sig = SwitchingSignal(
-        t0=spec.t0, tf=spec.t0 + spec.horizon, segments=segments, events=events
-    )
-    return sig
+    segments.append(Segment(start=t, mode=stable_seq[n_pairs]))
+    return tuple(segments)
 
 
 def brute_force_suffix_scan(

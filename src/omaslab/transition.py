@@ -111,18 +111,6 @@ def _kept(n: int, dropped: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def build_migration_matrix(ev: MigrationEvent) -> np.ndarray:
-    """0/1 matrix of shape (n_after, n_before).
-
-    Row r is the unit vector of the surviving agent that lands at position r,
-    or all zero when position r is a joiner. Columns of leavers are zero.
-    """
-    before, after = ev._survivors()
-    xi = np.zeros((ev.n_after, ev.n_before))
-    xi[after, before] = 1.0
-    return xi
-
-
 # kept only because the frozen acceptance test imports it
 def build_transition_map(ev: MigrationEvent, p: int) -> MigrationEvent:
     """The event, which is its own jump, once p is checked against it."""

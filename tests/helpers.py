@@ -22,7 +22,7 @@ from omaslab.seeding import (
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import _GRID_EPS
 from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
-from omaslab.transition import MigrationEvent, build_migration_matrix
+from omaslab.transition import MigrationEvent
 
 
 def char_poly_coeffs(M: np.ndarray) -> list[float]:
@@ -161,6 +161,20 @@ def pure_relabel_event(
 def error_projector(n: int, p: int) -> np.ndarray:
     """Maps the leader-included stack to tracking errors: e_i = x_i - x_0."""
     return np.kron(np.hstack([-np.ones((n, 1)), np.eye(n)]), np.eye(p))
+
+
+def build_migration_matrix(ev: MigrationEvent) -> np.ndarray:
+    """0/1 migration matrix of shape (n_after, n_before), as the model states
+    it: the identity with the leavers' rows deleted, then zero rows inserted
+    at the join positions.
+
+    Row r is the unit vector of the surviving agent that lands at position
+    r, or all zero when position r is a joiner; columns of leavers are zero.
+    """
+    xi = np.delete(np.eye(ev.n_before), [v - 1 for v in ev.leaves], axis=0)
+    for j in ev.joins:  # ascending, so no later insertion moves an earlier one
+        xi = np.insert(xi, j - 1, 0.0, axis=0)
+    return xi
 
 
 def kron_err_jump(ev: MigrationEvent) -> np.ndarray:

@@ -8,10 +8,10 @@ import pytest
 from omaslab import apply_error_jump
 from omaslab.certificate import (
     ModeCertificate,
+    _class_rates,
     assemble_bundle,
     calibrate_switching_floors,
     default_gamma_margin,
-    gamma_aggregates,
     solve_mode_certificate,
 )
 from omaslab.demo import DEMO_DWELL_FLOOR, DEMO_RATIO_FLOOR
@@ -142,22 +142,20 @@ def _cert(gamma: float, stable: bool) -> ModeCertificate:
 
 
 def test_gamma_aggregates_hand():
-    agg = gamma_aggregates({1: _cert(-2.8, True), 2: _cert(-3.5, True), 3: _cert(2.0, False)})
-    assert agg.gamma_stable_max == pytest.approx(-2.8, abs=1e-15)
-    assert agg.gamma_unstable_max == pytest.approx(2.0, abs=1e-15)
-    assert agg.gamma_common_default == pytest.approx(-1.4, abs=1e-15)
+    g_s, g_u = _class_rates({1: _cert(-2.8, True), 2: _cert(-3.5, True), 3: _cert(2.0, False)})
+    assert g_s == pytest.approx(-2.8, abs=1e-15)
+    assert g_u == pytest.approx(2.0, abs=1e-15)
 
 
 def test_gamma_aggregates_no_unstable():
-    agg = gamma_aggregates({1: _cert(-2.0, True)})
-    assert agg.gamma_unstable_max is None
+    assert _class_rates({1: _cert(-2.0, True)})[1] is None
 
 
 def test_gamma_aggregates_requires_stable_mode():
     with pytest.raises(AssumptionViolation, match="no stable mode"):
-        gamma_aggregates({1: _cert(1.0, False)})
+        _class_rates({1: _cert(1.0, False)})
     with pytest.raises(CertificateError, match="nonnegative"):
-        gamma_aggregates({1: _cert(0.1, True)})
+        _class_rates({1: _cert(0.1, True)})
 
 
 # --------------------------------------------------------------------------

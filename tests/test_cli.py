@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from omaslab.certificate import CertificateBundle, ModeCertificate
 from omaslab.cli import _jsonable, build_bundle, main
 from omaslab.demo import demo_scenario_dict
 from omaslab.scenario import load_scenario, signal_from_dict
@@ -120,6 +121,23 @@ def test_certify_validation_keys_are_the_report_fields(tmp_path, demo_dict, caps
     fields = {f.name for f in dataclasses.fields(ValidationReport)}
     assert set(report["validation"]) == fields | {"suffixes"} == VALIDATION_KEYS
     assert set(report) == CERTIFY_KEYS
+
+
+def test_certify_keys_are_the_bundle_fields(tmp_path, demo_dict, capsys):
+    # certify.json is read off the bundle: a field the bundle gains reaches
+    # the report with no second edit, and the keys are the ones it has had
+    assert main(["certify", "--scenario", write(tmp_path, demo_dict)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    fields = {f.name for f in dataclasses.fields(CertificateBundle)}
+    fields -= {"certificates", "budget", "sweep"}
+    added = {"modes", "jump_gain", "chatter_bound", "gamma", "floors",
+             "signal", "validation", "bound_applies"}
+    assert set(report) == fields | added == CERTIFY_KEYS
+    mode_fields = {f.name for f in dataclasses.fields(ModeCertificate)} - {"mode_id", "P"}
+    assert mode_fields == {"alpha", "stable", "gamma", "lambda_min", "lambda_max", "residual"}
+    assert all(set(entry) == mode_fields for entry in report["modes"].values())
+    assert set(report["gamma"]) == {"stable_max", "unstable_max", "common"}
+    assert set(report["floors"]) == {"ratio", "dwell"}
 
 
 def test_certify_first_suffix_only(tmp_path, demo_dict, capsys):
@@ -310,10 +328,62 @@ def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
     assert summary["bound_applies"] is False  # so its bound says nothing here
     assert summary["bound_respected"] is False
 
+    assert summary["tail_sup_error"] == "inf"
+
     # without --strict the same run reports but exits 0
     rc2, _ = run_simulate(tmp_path, demo_dict, "diverge2")
     capsys.readouterr()
     assert rc2 == 0
+
+    # diverged long before its tail window, which thus holds no sample: the
+    # tail is inf, not the empty window's 0, and no bound is respected
+    demo_dict["signal"] = {
+        "type": "explicit", "t0": 0.0, "tf": 1000.0,
+        "segments": [{"t": 0.0, "mode": 3}, {"t": 200.0, "mode": 1}],
+    }
+    rc3, out3 = run_simulate(tmp_path, demo_dict, "diverge_sweep",
+                             extra=("--dt", "1e-2", "--sweep", "2"))
+    stdout = capsys.readouterr().out
+    assert rc3 == 0
+    assert stdout.count("tail sup error: inf  (bound ") == 2
+    for seed in (11, 12):
+        summary = read_json(out3 / f"seed_{seed}" / "summary.json")
+        assert summary["diverged"] is True and summary["diverged_at"] < 200.0
+        assert summary["tail_sup_error"] == "inf"
+        assert summary["ultimate_bound"] is not None
+        assert summary["bound_respected"] is False
+    agg = read_json(out3 / "sweep.json")
+    assert agg["tail_sup_error_max"] == "inf"
+    assert agg["all_bounds_respected"] is False
+
+
+@pytest.mark.parametrize("dt, message", [("nan", "dt must be positive, got nan"),
+                                         ("inf", "dt must be finite, got inf")])
+def test_non_finite_dt_exits_2(tmp_path, demo_dict, capsys, dt, message):
+    rc, _ = run_simulate(tmp_path, demo_dict, "bad_dt", extra=("--dt", dt))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("where", ["flag", "scenario"])
+def test_step_longer_than_every_segment(tmp_path, demo_dict, capsys, where):
+    # every segment is then one step of its own length: the run still ends
+    # at tf, and the tail window holds its last samples
+    args = ["simulate", "--out", str(tmp_path / "out")]
+    if where == "flag":
+        args += ["--dt", "1e300"]
+    else:
+        demo_dict["simulation"]["dt"] = 1e300
+    assert main([*args, "--scenario", write(tmp_path, demo_dict)]) == 0
+    assert "converged" not in capsys.readouterr().out
+    summary = read_json(tmp_path / "out" / "summary.json")
+    assert summary["dt"] == 1e300 and summary["n_events"] == 8
+    assert summary["tail_sup_error"] > summary["convergence_tol"]
+    assert summary["converged"] is False
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    # a header, then each segment's start and end
+    assert len(rows) == 1 + 2 * 9
+    assert float(rows[-1].split(",")[0]) == 30.0
 
 
 def test_simulate_sweep(tmp_path, demo_dict, capsys):
@@ -540,6 +610,118 @@ def test_asymptotic_bound_under_first_suffix_takes_its_verdict(tmp_path, capsys)
         report = json.loads(capsys.readouterr().out)
         assert report["ultimate_bound"] == 0.0
         assert report["validation"]["ok"] is applies and report["bound_applies"] is applies
+
+
+# --------------------------------------------------------------------------
+# structural refusals
+
+
+NO_SPANNING = ("no mode is positive with a leader-rooted spanning tree; "
+               "nothing can contract the tracking errors")
+MINORITY = ("mode(s) [2] have negative edges without a negative majority; "
+            "such modes are outside the certified family")
+
+
+def _no_leader_links(d):
+    d["modes"][0]["D"] = [0.0, 0.0, 0.0, 0.0]
+    return NO_SPANNING
+
+
+def _negative_minority(d):
+    d["modes"][1]["L"] = [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 0.0]]
+    return MINORITY
+
+
+@pytest.mark.parametrize("edit", [_no_leader_links, _negative_minority])
+def test_structural_refusal(tmp_path, demo_dict, capsys, edit):
+    # analyze reports the failed assumption, certify refuses with exit 3,
+    # and simulate runs uncertified with the reason in its summary
+    message = edit(demo_dict)
+    path = write(tmp_path, demo_dict)
+    assert main(["analyze", "--scenario", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["assumptions"]["ok"] is False
+    if edit is _no_leader_links:
+        assert report["assumptions"]["positive_spanning_exists"] is False
+        assert report["coupling"]["ok"] is False and report["coupling"]["bound"] is None
+        assert report["coupling"]["note"]
+    else:
+        assert report["assumptions"]["negative_minority_present"] is True
+        assert {m["id"]: m["class"] for m in report["modes"]}[2] == "negative_minority"
+
+    assert main(["certify", "--scenario", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    rc, out = run_simulate(tmp_path, demo_dict, "run")
+    capsys.readouterr()
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["certified"] is False and summary["ultimate_bound"] is None
+    assert summary["certification_error"] == message
+
+
+# --------------------------------------------------------------------------
+# the edge-list mode form and explicit event draws
+
+
+def _edge_form(mode):
+    """A dense demo mode written as {n_agents, edges, leader_links}."""
+    L, n = mode["L"], len(mode["D"])
+    edges = [[j + 1, i + 1, -L[i][j]] for i in range(n) for j in range(n)
+             if i != j and L[i][j] != 0.0]
+    return {"id": mode["id"], "n_agents": n, "edges": edges, "leader_links": mode["D"]}
+
+
+def test_edge_list_modes_analyze_as_their_dense_form(tmp_path, demo_dict, capsys):
+    assert main(["analyze", "--scenario", write(tmp_path, demo_dict)]) == 0
+    dense = json.loads(capsys.readouterr().out)
+    demo_dict["modes"] = [_edge_form(m) for m in demo_dict["modes"]]
+    assert all(m["edges"] for m in demo_dict["modes"])
+    assert main(["analyze", "--scenario", write(tmp_path, demo_dict)]) == 0
+    assert json.loads(capsys.readouterr().out) == dense
+
+
+@pytest.mark.parametrize("edge, message", [
+    ([1, 2], "expected [src, dst, weight]"),
+    ([1, 9, 1.0], "references an agent outside 1..4"),
+    ([2, 3, -1.0], "duplicate edge 2->3"),
+])
+def test_bad_edge_exits_2_with_its_path(tmp_path, demo_dict, capsys, edge, message):
+    demo_dict["modes"][0] = _edge_form(demo_dict["modes"][0])
+    edges = demo_dict["modes"][0]["edges"]
+    assert [2, 3, 1.0] in edges
+    edges.append(edge)
+    rc = main(["analyze", "--scenario", write(tmp_path, demo_dict)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: modes[0].edges[{len(edges) - 1}]: ")
+    assert message in captured.err
+
+
+def test_explicit_event_draws(tmp_path, demo_dict, capsys):
+    # the 1 -> 2 row (4 -> 3 agents of dimension 2) with a given impulse and
+    # gain: every such event carries exactly these
+    row = demo_dict["events"][0]
+    assert (row["from"], row["to"]) == (1, 2)
+    impulse = [0.3, 0.0, 0.0, 0.4, 0.0, 0.0]
+    gain = [[0.01 * (r - c) for c in range(8)] for r in range(6)]
+    row["impulse"], row["dep_gain"] = impulse, gain
+    rc, out = run_simulate(tmp_path, demo_dict, "run")
+    assert rc == 0
+    events = [line.split(",") for line in (out / "events.csv").read_text().splitlines()]
+    header, events = events[0], events[1:]
+    explicit = [e for e in events if e[2:4] == ["1", "2"]]
+    assert explicit
+    assert all(float(e[header.index("impulse_norm")]) == 0.5 for e in explicit)
+
+    assert main(["gen-signal", "--scenario", write(tmp_path, demo_dict),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    records = [e for e in read_json(tmp_path / "signal.json")["events"]
+               if (e["from"], e["to"]) == (1, 2)]
+    assert len(records) == len(explicit)
+    assert all(e["impulse"] == impulse and e["dep_gain"] == gain for e in records)
 
 
 # --------------------------------------------------------------------------

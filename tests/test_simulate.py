@@ -300,6 +300,17 @@ def test_tail_sup_error_hand_case():
     )
     assert traj.tail_sup_error(0.2) == pytest.approx(7.0, abs=1e-12)
     assert traj.tail_sup_error(1.0) == pytest.approx(100.0, abs=1e-12)
+    # a diverged run has no tail, whatever its kept samples read
+    traj.diverged_at = 9.5
+    assert traj.tail_sup_error(0.2) == math.inf
+
+
+def test_grid_steps_a_short_segment_once():
+    # the rounding tolerance applies only after a full step: a segment
+    # shorter than dt is one step of its own length, not none
+    assert _grid(0.0, 2.5, 1e300) == (0, 2.5)
+    assert _grid(3.0, 3.0 + 1e-12, 0.05) == (0, pytest.approx(1e-12, rel=1e-3))
+    assert _grid(0.0, 0.3, 0.1) == (3, 0.0)
 
 
 def test_divergence_detected_and_reported():

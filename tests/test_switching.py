@@ -17,7 +17,7 @@ from omaslab.switching import (
     SwitchingBudget,
     SwitchingSignal,
     brute_force_suffix_scan,
-    generate_signal,
+    generate_segments,
     suffix_sweep,
 )
 from omaslab.transition import ImpulseBounds
@@ -262,7 +262,10 @@ def test_validate_agrees_with_brute_force_on_random_signals():
 
 
 def _gen(spec):
-    return generate_signal(spec, lambda k, mb, ma: pure_relabel_event(k, mb, ma, n=2, p=1))
+    segs = generate_segments(spec)
+    events = tuple(pure_relabel_event(k, segs[k - 1].mode, segs[k].mode, n=2, p=1)
+                   for k in range(1, len(segs)))
+    return SwitchingSignal(t0=spec.t0, tf=spec.t0 + spec.horizon, segments=segs, events=events)
 
 
 def test_generated_signal_is_compliant():

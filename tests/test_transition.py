@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from omaslab import apply_error_jump, build_transition_map
 from omaslab.errors import ConfigError
-from omaslab.transition import MigrationEvent, build_migration_matrix, impulse_bounds
+from omaslab.transition import MigrationEvent, impulse_bounds
 
-from helpers import apply_state_jump, error_projector, kron_err_jump
+from helpers import apply_state_jump, build_migration_matrix, error_projector, kron_err_jump
 
 P_DIM = 2  # agent dimension used throughout, matching the demo network
 
