@@ -253,9 +253,13 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
     export_events_csv(result.trajectory, os.path.join(out, "events.csv"))
     _write_json(summary, out, "summary.json")
 
-    lines = [f"integrated {result.signal.tf - result.signal.t0:g}s "
-             f"across {len(result.trajectory.segments)} segments "
-             f"({summary['n_events']} migrations)"]
+    sig, n_run = result.signal, len(result.trajectory.segments)
+    if summary["diverged"]:  # the run stopped there: say how far it got
+        span = (f"{summary['diverged_at'] - sig.t0:g}s of {sig.tf - sig.t0:g}s "
+                f"across {n_run} of {len(sig.segments)} segments")
+    else:
+        span = f"{sig.tf - sig.t0:g}s across {n_run} segments"
+    lines = [f"integrated {span} ({summary['n_events']} migrations)"]
     bound, note = summary["ultimate_bound"], ""
     if summary["bound_applies"]:
         note = f"  (certified bound {bound:.6g})"

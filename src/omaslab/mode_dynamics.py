@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AssumptionViolation, ConfigError, NumericalError
 from .signed_graph import (
@@ -58,19 +58,25 @@ class AgentDynamics:
 class ModeMatrix:
     """Assembled stacked matrices for one mode.
 
-    A is the agent drift (p x p), by which the leader flows; A_err drives
-    the stacked tracking errors (dimension p*N). The leader is coupled to
-    no follower, so (leader, errors) flows by block_diag(A, A_err). alpha
-    is the spectral abscissa of A_err and decides the stable flag.
+    A is the agent drift (p x p), by which the leader flows; cZ is the
+    coupling gain times the grounded Laplacian (N x N). The stacked tracking
+    errors (dimension p*N) flow by A_err = I_N (x) A + cZ (x) I_p. The leader
+    is coupled to no follower, so (leader, errors) flows by
+    block_diag(A, A_err). alpha is the spectral abscissa of A_err and
+    decides the stable flag.
     """
 
     mode_id: int | None
     n_agents: int
     p: int
     A: np.ndarray
-    A_err: np.ndarray
+    cZ: np.ndarray
     alpha: float
     stable: bool
+
+    @cached_property
+    def A_err(self) -> np.ndarray:
+        return np.kron(np.eye(self.n_agents), self.A) + np.kron(self.cZ, np.eye(self.p))
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
@@ -129,7 +135,6 @@ def build_mode_matrix(
             f"{mode.label()} stacks to dimension {p * n}, above the limit {max_dim}"
         )
     Z = grounded_laplacian(mode)
-    A_err = np.kron(np.eye(n), dyn.A) + coupling * np.kron(Z, np.eye(p))
     try:
         ev_a = np.linalg.eigvals(dyn.A)
         ev_z = np.linalg.eigvals(Z)
@@ -141,7 +146,7 @@ def build_mode_matrix(
         n_agents=n,
         p=p,
         A=dyn.A,
-        A_err=A_err,
+        cZ=coupling * Z,
         alpha=alpha,
         stable=alpha < 0.0,
     )
@@ -172,6 +177,9 @@ def kronecker_sum_spectrum_check(
     The two multisets are matched by minimum-cost assignment; the check
     passes when the worst matched distance is within tol.
     """
+    # imported here: scipy.optimize would add about 0.2 s to every start
+    from scipy.optimize import linear_sum_assignment
+
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     n, r = F.shape[0], G.shape[0]

@@ -70,6 +70,14 @@ def van_loan_propagators(
     return EB[:n, :n].copy(), EB[:n, n : 2 * n].copy(), EB[:n, 2 * n :].copy()
 
 
+def dense_shifted_lyapunov(A_err: np.ndarray, gamma: float) -> np.ndarray:
+    """P with S' P + P S = -I for S = A_err - gamma I, by scipy's dense
+    Bartels-Stewart on the whole pN x pN matrix: one Schur decomposition of S
+    itself, blind to the Kronecker structure the library solve works from."""
+    S = A_err - gamma * np.eye(A_err.shape[0])
+    return scipy.linalg.solve_continuous_lyapunov(S.T, -np.eye(S.shape[0]))
+
+
 def poly_from_roots(roots) -> list[float]:
     """Monic coefficients [1, c1, ..., cn] from a root multiset."""
     out = np.array([1.0])

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from omaslab import apply_error_jump
+from omaslab import apply_error_jump, certificate
 from omaslab.certificate import (
     ModeCertificate,
     _class_rates,
@@ -17,10 +19,11 @@ from omaslab.certificate import (
 from omaslab.demo import DEMO_DWELL_FLOOR, DEMO_RATIO_FLOOR
 from omaslab.errors import AssumptionViolation, CertificateError, ConfigError
 from omaslab.mode_dynamics import ModeMatrix
+from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph, grounded_laplacian
 from omaslab.switching import Segment, SwitchingSignal
 from omaslab.transition import ImpulseBounds
 
-from helpers import pure_relabel_event, ultimate_bound_reference
+from helpers import dense_shifted_lyapunov, pure_relabel_event, ultimate_bound_reference
 
 
 def scalar_mode(a: float, mode_id: int | None = None) -> ModeMatrix:
@@ -29,7 +32,7 @@ def scalar_mode(a: float, mode_id: int | None = None) -> ModeMatrix:
         n_agents=1,
         p=1,
         A=np.zeros((1, 1)),
-        A_err=np.array([[a]]),
+        cZ=np.array([[a]]),
         alpha=a,
         stable=a < 0,
     )
@@ -49,7 +52,7 @@ def test_diagonal_certificate_hand_solution():
     # raw P = diag(1/2, 1/4), normalized to lambda_min = 1 -> diag(2, 1)
     mm = ModeMatrix(
         mode_id=None, n_agents=2, p=1,
-        A=np.zeros((1, 1)), A_err=np.diag([-2.0, -3.0]),
+        A=np.zeros((1, 1)), cZ=np.diag([-2.0, -3.0]),
         alpha=-2.0, stable=True,
     )
     cert = solve_mode_certificate(mm, gamma_margin=1.0)
@@ -76,6 +79,107 @@ def test_margin_must_be_positive():
         solve_mode_certificate(scalar_mode(-1.0), gamma_margin=0.0)
     with pytest.raises(CertificateError, match="margin"):
         solve_mode_certificate(scalar_mode(-1.0), gamma_margin=-0.5)
+
+
+def signed_grounded_laplacian(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Grounded Laplacian of a signed digraph on n agents.
+
+    "ring": one directed ring, complex eigenvalue pairs from n = 3 on.
+    "rings": two equal rings, so every eigenvalue of a ring repeats.
+    "chain": a directed path fed by the leader, all weights equal, so the
+    Laplacian is one Jordan block. "random": signed edges and leader links
+    drawn at random.
+    """
+    w = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    links = [0.0] * n
+    edges: list[tuple[int, int, float]] = []
+    if kind == "chain":
+        edges = [(i, i + 1, w) for i in range(1, n)]
+        links[0] = w
+    elif kind in ("ring", "rings"):
+        k = n // 2 if kind == "rings" and n > 1 else n
+        for start in range(0, n - k + 1, max(k, 1)):
+            if k > 1:
+                edges += [(start + i, start + i % k + 1, w) for i in range(1, k + 1)]
+            links[start] = abs(w)
+    else:
+        for src in range(1, n + 1):
+            for dst in range(1, n + 1):
+                if src != dst and rng.random() < 0.3:
+                    edges.append((src, dst, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))))
+        links = [float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0 for _ in range(n)]
+    graph = SignedDigraph(n_agents=n, edges=tuple(Edge(*e) for e in edges))
+    return grounded_laplacian(AugmentedMode(graph=graph, leader_links=tuple(links)))
+
+
+def agent_drift(kind: str, p: int, rng: np.random.Generator) -> np.ndarray:
+    """p x p drift: "random" entries, a "rotation" (a complex pair for
+    p >= 2) or a "jordan" block (defective for p >= 2)."""
+    if kind == "jordan":
+        return rng.standard_normal() * np.eye(p) + np.eye(p, k=1)
+    A = rng.standard_normal((p, p))
+    if kind == "rotation" and p > 1:
+        b = rng.uniform(0.5, 3.0)
+        A[:2, :2] = [[A[0, 0], b], [-b, A[1, 1]]]
+        A[1:, 0] = 0.0
+        A[2:, 1] = 0.0
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graph=st.sampled_from(["ring", "rings", "chain", "random"]),
+    drift=st.sampled_from(["random", "rotation", "jordan"]),
+    n=st.integers(1, 12),
+    p=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    log_coupling=st.floats(-1.0, 0.5),
+    coupling_sign=st.sampled_from([-1.0, 1.0]),
+    log_margin=st.floats(-2.0, 0.5),
+)
+def test_structured_solve_matches_dense_oracle(
+    graph, drift, n, p, seed, log_coupling, coupling_sign, log_margin
+):
+    # the library works from the factors A and cZ; the oracle solves the
+    # same shifted equation on the dense A_err
+    rng = np.random.default_rng(seed)
+    A = agent_drift(drift, p, rng)
+    cZ = coupling_sign * 10.0**log_coupling * signed_grounded_laplacian(graph, n, rng)
+    alpha = max(float((la + lz).real) for la in np.linalg.eigvals(A) for lz in np.linalg.eigvals(cZ))
+    margin = 10.0**log_margin * (1.0 + np.abs(A).max() + np.abs(cZ).max())
+    # stable=False keeps gamma = alpha + margin, so S has abscissa -margin
+    mm = ModeMatrix(mode_id=7, n_agents=n, p=p, A=A, cZ=cZ, alpha=alpha, stable=False)
+    want = dense_shifted_lyapunov(mm.A_err, alpha + margin)
+    want = 0.5 * (want + want.T)
+    lam = np.linalg.eigvalsh(want)
+    # a Hurwitz S whose Jordan chains leave the oracle itself indefinite or
+    # near-singular in double precision is a draw neither solve can decide
+    assume(lam[0] > 0.0 and lam[-1] / lam[0] < 1e10)
+    cond = lam[-1] / lam[0]
+    cert = solve_mode_certificate(mm, gamma_margin=margin)  # raises on a failed residual check
+    err = np.linalg.norm(cert.P - want / lam[0], 2) / np.linalg.norm(want / lam[0], 2)
+    assert err <= 100.0 * np.finfo(float).eps * n * p * cond
+    # P normalised by 1 / lam[0] turns the right-hand side -I into -I / lam[0]
+    assert abs(cert.residual + 1.0 / lam[0]) <= 1e-8 * cond / lam[0]
+
+
+def test_structured_solve_divides_by_the_lapack_scale(monkeypatch, demo_matrices):
+    # dtrsyl returns Y with R' Y + Y R = -scale I; the solve must undo scale
+    want = solve_mode_certificate(demo_matrices[3]).P
+    real = certificate.dtrsyl
+
+    def halved(*args, **kwargs):
+        y, scale, info = real(*args, **kwargs)
+        return 0.5 * y, 0.5 * scale, info
+
+    monkeypatch.setattr(certificate, "dtrsyl", halved)
+    np.testing.assert_allclose(solve_mode_certificate(demo_matrices[3]).P, want, rtol=1e-14)
+
+
+def test_illegal_sylvester_argument_names_the_mode(monkeypatch, demo_matrices):
+    monkeypatch.setattr(certificate, "dtrsyl", lambda *a, **k: (a[2], 1.0, -3))
+    with pytest.raises(CertificateError, match="mode 3: dtrsyl argument 3 is illegal"):
+        solve_mode_certificate(demo_matrices[3])
 
 
 def test_default_margin_formula():

@@ -357,6 +357,22 @@ def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
     assert agg["all_bounds_respected"] is False
 
 
+def test_diverged_run_says_how_far_it_got(tmp_path, demo_dict, capsys):
+    # CI's diverging scenario: parked in mode 3 the run stops near t = 120 of
+    # 1000, inside the first of its two segments
+    demo_dict["signal"] = {
+        "type": "explicit", "t0": 0.0, "tf": 1000.0,
+        "segments": [{"t": 0.0, "mode": 3}, {"t": 200.0, "mode": 1}],
+    }
+    rc, out = run_simulate(tmp_path, demo_dict, "diverging", extra=("--dt", "1e-2"))
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    at = read_json(out / "summary.json")["diverged_at"]
+    assert 110.0 < at < 125.0
+    assert stdout.startswith(f"integrated {at:g}s of 1000s across 1 of 2 segments (0 migrations)\n")
+    assert f"DIVERGED at t = {at:.6g}\n" in stdout
+
+
 @pytest.mark.parametrize("dt, message", [("nan", "dt must be positive, got nan"),
                                          ("inf", "dt must be finite, got inf")])
 def test_non_finite_dt_exits_2(tmp_path, demo_dict, capsys, dt, message):
@@ -901,3 +917,15 @@ def test_module_entry_point(tmp_path, demo_dict):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stable_mode_ids"] == [1]
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 0.2 s per start, and only analyze's
+    # spectrum check needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, omaslab.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

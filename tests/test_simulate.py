@@ -54,7 +54,7 @@ def scalar_follower(a: float) -> ModeMatrix:
     return ModeMatrix(
         mode_id=1, n_agents=1, p=1,
         A=np.array([[0.0]]),
-        A_err=np.array([[a]]),
+        cZ=np.array([[a]]),
         alpha=a, stable=a < 0,
     )
 
@@ -231,7 +231,7 @@ def test_run_switched_validation():
     # a state that fits the first mode but not the second, after the jump
     sig = SwitchingSignal(0.0, 2.0, (Segment(0.0, 1), Segment(1.0, 2)),
                           (pure_relabel_event(1, 1, 2, n=1, p=1),))
-    two = ModeMatrix(mode_id=2, n_agents=2, p=1, A=np.zeros((1, 1)), A_err=-np.eye(2),
+    two = ModeMatrix(mode_id=2, n_agents=2, p=1, A=np.zeros((1, 1)), cZ=-np.eye(2),
                      alpha=-1.0, stable=True)
     with pytest.raises(ConfigError, match=r"state has shape \(2,\), expected \(3,\)"):
         run_switched({1: mode, 2: two}, sig, np.zeros(2), ZERO)
@@ -317,7 +317,7 @@ def test_divergence_detected_and_reported():
     mode = ModeMatrix(
         mode_id=1, n_agents=1, p=1,
         A=np.array([[0.0]]),
-        A_err=np.array([[50.0]]),
+        cZ=np.array([[50.0]]),
         alpha=50.0, stable=False,
     )
     lone = run_one(mode, np.array([0.0, 1.0]), ZERO, (0.0, 20.0), dt=1e-3)
@@ -612,7 +612,7 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
     # sampled rows must be those of a plain step-by-step loop
     mode = ModeMatrix(
         mode_id=1, n_agents=1, p=1, A=np.array([[0.0]]),
-        A_err=np.array([[50.0]]), alpha=50.0, stable=False,
+        cZ=np.array([[50.0]]), alpha=50.0, stable=False,
     )
     dt = 1e-3
     x0 = np.array([0.0, 1.0])
