@@ -40,7 +40,6 @@ from .mode_dynamics import (
 from .scenario import Scenario, load_scenario, signal_to_dict
 from .signed_graph import (
     ModeClass,
-    augmented_laplacian,
     check_negative_majority_instability,
     classify_mode,
     grounded_laplacian,
@@ -67,8 +66,8 @@ def _jsonable(x: Any) -> Any:
     return x
 
 
-def _spectrum(M: np.ndarray) -> list[list[float]]:
-    ev = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
+def _spectrum(eigvals: np.ndarray) -> list[list[float]]:
+    ev = sorted(eigvals, key=lambda z: (z.real, z.imag))
     return [[float(z.real), float(z.imag)] for z in ev]
 
 
@@ -95,14 +94,12 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
     for m in sorted(modes, key=lambda m: m.mode_id):
         cls = classify_mode(m)
         found.add(cls)
-        Z = grounded_laplacian(m)
-        Lt = augmented_laplacian(m)
         entry: dict[str, Any] = {
             "id": m.mode_id,
             "n_agents": m.graph.n_agents,
             "class": cls.value,
-            "grounded_spectrum": _spectrum(Z),
-            "augmented_spectrum": _spectrum(Lt),
+            "grounded_spectrum": _spectrum(m.grounded_eigvals),
+            "augmented_spectrum": _spectrum(m.augmented_eigvals),
         }
         if cls is ModeClass.NEGATIVE_MAJORITY:
             rep = check_negative_majority_instability(m)
@@ -116,7 +113,7 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         dim = dyn.p * m.graph.n_agents
         if dim <= _KRON_CHECK_DIM_LIMIT:
             entry["kronecker_spectrum_ok"] = kronecker_sum_spectrum_check(
-                scenario.coupling_gain * Z, dyn.A, tol=_KRON_REPORT_TOL
+                scenario.coupling_gain * grounded_laplacian(m), dyn.A, tol=_KRON_REPORT_TOL
             )
         mode_reports.append(entry)
     spanning = ModeClass.POSITIVE_SPANNING in found

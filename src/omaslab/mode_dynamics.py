@@ -134,10 +134,9 @@ def build_mode_matrix(
         raise ConfigError(
             f"{mode.label()} stacks to dimension {p * n}, above the limit {max_dim}"
         )
-    Z = grounded_laplacian(mode)
     try:
         ev_a = np.linalg.eigvals(dyn.A)
-        ev_z = np.linalg.eigvals(Z)
+        ev_z = mode.grounded_eigvals
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed on {mode.label()}: {exc}") from exc
     alpha = float(max((la + coupling * lz).real for la in ev_a for lz in ev_z))
@@ -146,7 +145,7 @@ def build_mode_matrix(
         n_agents=n,
         p=p,
         A=dyn.A,
-        cZ=coupling * Z,
+        cZ=coupling * grounded_laplacian(mode),
         alpha=alpha,
         stable=alpha < 0.0,
     )

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, Callable, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .signed_graph import (AugmentedMode, Edge, ModeClass, SignedDigraph, check_
                            classify_mode, mode_from_dense)
 from .simulate import DEFAULT_DT, PerturbationModel
 from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_segments
-from .transition import MigrationEvent
+from .transition import MigrationEvent, spectral_norms
 
 
 # ---------------------------------------------------------------------------
@@ -202,41 +202,57 @@ class Scenario:
 
     # -- event materialization -------------------------------------------
 
-    def build_event(
-        self, k: int, mode_before: int, mode_after: int, master_seed: int
-    ) -> MigrationEvent:
-        """Materialize the k-th migration from the event table.
+    def build_events(
+        self, switches: Sequence[tuple[int, int, int]], master_seed: int
+    ) -> tuple[MigrationEvent, ...]:
+        """Materialize the migrations (k, mode_before, mode_after) from the
+        event table, in the order given.
 
         Pairs absent from the table get a pure-size default: trailing agents
         join or leave as needed, no impulse, no dependence gain. Random
         impulses and gains are keyed by the switch index k so a pair that
-        recurs in the signal draws fresh values each occurrence.
+        recurs in the signal draws fresh values each occurrence. A random
+        gain is a Gaussian draw rescaled to spectral norm `scale`; the norms
+        of all draws of one shape are taken as one stack.
         """
-        nb = self.n_agents_of(mode_before)
-        na = self.n_agents_of(mode_after)
         p = self.p
-        spec = self.event_specs.get((mode_before, mode_after))
-        if spec is None:
-            joins = tuple(range(nb + 1, na + 1)) if na > nb else ()
-            leaves = tuple(range(na + 1, nb + 1)) if na < nb else ()
-            impulse = None
-            dep = None
-        else:
-            joins, leaves = spec.joins, spec.leaves
-            impulse = self._materialize_impulse(spec.impulse, k, na, master_seed)
-            dep = self._materialize_dep_gain(spec.dep_gain, k, nb, na, master_seed)
-        return MigrationEvent(
-            time_index=k,
-            mode_before=mode_before,
-            mode_after=mode_after,
-            n_before=nb,
-            n_after=na,
-            p=p,
-            joins=joins,
-            leaves=leaves,
-            impulse=impulse,
-            dep_gain=dep,
-        )
+        events: list[dict[str, Any]] = []
+        draws: dict[tuple[int, int], list[tuple[dict, float]]] = {}
+        for k, mode_before, mode_after in switches:
+            nb = self.n_agents_of(mode_before)
+            na = self.n_agents_of(mode_after)
+            ev: dict[str, Any] = dict(time_index=k, mode_before=mode_before,
+                                      mode_after=mode_after, n_before=nb, n_after=na, p=p)
+            spec = self.event_specs.get((mode_before, mode_after))
+            if spec is None:
+                ev["joins"] = tuple(range(nb + 1, na + 1)) if na > nb else ()
+                ev["leaves"] = tuple(range(na + 1, nb + 1)) if na < nb else ()
+            else:
+                ev["joins"], ev["leaves"] = spec.joins, spec.leaves
+                ev["impulse"] = self._materialize_impulse(spec.impulse, k, na, master_seed)
+                gain = spec.dep_gain
+                if isinstance(gain, RandomMatrixSpec):
+                    seed = master_seed if gain.seed is None else gain.seed
+                    shape = (p * na, p * nb)
+                    ev["dep_gain"] = stream_rng(seed, STREAM_DEP_GAIN, k).standard_normal(shape)
+                    draws.setdefault(shape, []).append((ev, gain.scale))
+                else:
+                    ev["dep_gain"] = gain
+            events.append(ev)
+        for shape, drawn in draws.items():
+            tops = spectral_norms([ev["dep_gain"] for ev, _ in drawn])
+            for (ev, scale), top in zip(drawn, tops.tolist()):
+                if top < 1e-300 or scale == 0.0:
+                    ev["dep_gain"] = np.zeros(shape)
+                else:
+                    ev["dep_gain"] *= scale / top
+        return tuple(MigrationEvent(**ev) for ev in events)
+
+    def build_event(
+        self, k: int, mode_before: int, mode_after: int, master_seed: int
+    ) -> MigrationEvent:
+        """The k-th migration alone, as build_events materializes it."""
+        return self.build_events(((k, mode_before, mode_after),), master_seed)[0]
 
     def _materialize_impulse(self, spec, k: int, n_after: int, master: int):
         if spec is None:
@@ -247,19 +263,6 @@ class Scenario:
                 return np.zeros(dim)
             rng = stream_rng(master if spec.seed is None else spec.seed, STREAM_IMPULSE, k)
             return uniform_on_sphere(rng, dim, spec.radius)
-        return spec
-
-    def _materialize_dep_gain(self, spec, k: int, n_before: int, n_after: int, master: int):
-        if spec is None:
-            return None
-        shape = (self.p * n_after, self.p * n_before)
-        if isinstance(spec, RandomMatrixSpec):
-            rng = stream_rng(master if spec.seed is None else spec.seed, STREAM_DEP_GAIN, k)
-            raw = rng.standard_normal(shape)
-            top = float(np.linalg.norm(raw, 2))
-            if top < 1e-300 or spec.scale == 0.0:
-                return np.zeros(shape)
-            return raw * (spec.scale / top)
         return spec
 
     # -- signal resolution -------------------------------------------------
@@ -287,8 +290,9 @@ class Scenario:
             if spec.seed is None:
                 spec = replace(spec, seed=master_seed)
             t0, tf, segs = spec.t0, spec.t0 + spec.horizon, generate_segments(spec)
-        events = tuple(self.build_event(k, segs[k - 1].mode, segs[k].mode, master_seed)
-                       for k in range(1, len(segs)))
+        events = self.build_events(
+            [(k, segs[k - 1].mode, segs[k].mode) for k in range(1, len(segs))], master_seed
+        )
         return SwitchingSignal(t0=t0, tf=tf, segments=segs, events=events)
 
     def _check_modes(self, sig: SwitchingSignal, source: str) -> None:

@@ -110,6 +110,23 @@ class AugmentedMode:
     def label(self) -> str:
         return f"mode {self.mode_id}" if self.mode_id is not None else "mode"
 
+    # the spectra analyze, the instability check and the mode matrix all
+    # read, taken once per mode; read-only since they are shared
+    @cached_property
+    def grounded_eigvals(self) -> np.ndarray:
+        """Eigenvalues of the grounded Laplacian."""
+        return _read_only(np.linalg.eigvals(grounded_laplacian(self)))
+
+    @cached_property
+    def augmented_eigvals(self) -> np.ndarray:
+        """Eigenvalues of the leader-augmented Laplacian."""
+        return _read_only(np.linalg.eigvals(augmented_laplacian(self)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def repelling_laplacian(g: SignedDigraph) -> np.ndarray:
     """Repelling Laplacian: l_ij = -a_ij off the diagonal, l_ii = sum_j a_ij.
@@ -236,13 +253,11 @@ def check_negative_majority_instability(m: AugmentedMode) -> InstabilityReport:
     """
     if classify_mode(m) is not ModeClass.NEGATIVE_MAJORITY:
         raise ConfigError(f"{m.label()} is not negative-majority")
-    lt = augmented_laplacian(m)
-    z = grounded_laplacian(m)
-    ev_lt = np.linalg.eigvals(lt)
-    ev_z = np.linalg.eigvals(z)
+    ev_lt = m.augmented_eigvals
+    ev_z = m.grounded_eigvals
     return InstabilityReport(
-        trace_augmented=float(np.trace(lt)),
-        trace_grounded=float(np.trace(z)),
+        trace_augmented=float(np.trace(augmented_laplacian(m))),
+        trace_grounded=float(np.trace(grounded_laplacian(m))),
         min_real_eig_augmented=float(ev_lt.real.min()),
         min_real_eig_grounded=float(ev_z.real.min()),
         has_negative_eig_augmented=bool(ev_lt.real.min() < -_EIG_NEG_TOL),

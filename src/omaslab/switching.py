@@ -277,10 +277,13 @@ def generate_segments(spec: SignalGenSpec) -> tuple[Segment, ...]:
     stable tail absorbing the slack. Every unstable block of length u is
     preceded and followed by at least ratio * u of stable time, so every
     suffix [t_j, tf] and every prefix window [t0, t] satisfies both
-    conditions (the prefix windows are what make the energy envelope valid
-    pointwise rather than only at tf). Unstable modes are used round-robin,
-    shuffled once by the seed. Without unstable modes the signal is one
-    stable segment.
+    conditions. That does not make the energy envelope hold pointwise: a
+    window that starts and ends inside one unstable block is checked by
+    neither condition, and u grows with the horizon (at least 1e-3 of it).
+    On the demo practical scenario the envelope and the certified bound
+    hold up to a horizon of 1500 s and break from 2000 s on. Unstable modes
+    are used round-robin, shuffled once by the seed. Without unstable modes
+    the signal is one stable segment.
     """
     if spec.seed is None:
         raise ConfigError("the spec has no seed; give it the run's master seed")

@@ -13,11 +13,15 @@ import math
 import numpy as np
 import scipy.linalg
 
+from omaslab.scenario import RandomMatrixSpec, RandomVectorSpec
 from omaslab.seeding import (
+    STREAM_DEP_GAIN,
+    STREAM_IMPULSE,
     STREAM_PERTURBATION,
     STREAM_PERTURBATION_PAST,
     stream_rng,
     uniform_in_ball,
+    uniform_on_sphere,
 )
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import _GRID_EPS
@@ -191,6 +195,47 @@ def kron_err_jump(ev: MigrationEvent) -> np.ndarray:
     shape = (ev.p * ev.n_after, ev.p * ev.n_before)
     dep = np.zeros(shape) if ev.dep_gain is None else ev.dep_gain
     return np.kron(build_migration_matrix(ev), np.eye(ev.p)) + dep
+
+
+def event_by_itself(scenario, k: int, mode_before: int, mode_after: int,
+                    master_seed: int) -> MigrationEvent:
+    """The k-th migration of a scenario's event table, materialized on its
+    own: one seeded draw per random impulse and gain, and the gain's own
+    2-norm taken from that draw alone. The per-event oracle for
+    Scenario.build_events, which takes the norms of many draws at once."""
+    nb = scenario.modes[mode_before].n_agents
+    na = scenario.modes[mode_after].n_agents
+    p = scenario.p
+    spec = scenario.event_specs.get((mode_before, mode_after))
+    if spec is None:
+        return MigrationEvent(k, mode_before, mode_after, nb, na, p,
+                              joins=tuple(range(nb + 1, na + 1)),
+                              leaves=tuple(range(na + 1, nb + 1)))
+    impulse = spec.impulse
+    if isinstance(impulse, RandomVectorSpec):
+        seed = master_seed if impulse.seed is None else impulse.seed
+        impulse = (np.zeros(p * na) if impulse.radius == 0.0 else
+                   uniform_on_sphere(stream_rng(seed, STREAM_IMPULSE, k), p * na, impulse.radius))
+    gain = spec.dep_gain
+    if isinstance(gain, RandomMatrixSpec):
+        seed = master_seed if gain.seed is None else gain.seed
+        raw = stream_rng(seed, STREAM_DEP_GAIN, k).standard_normal((p * na, p * nb))
+        top = float(np.linalg.norm(raw, 2))
+        scale = gain.scale
+        gain = np.zeros(raw.shape) if top < 1e-300 or scale == 0.0 else raw * (scale / top)
+    return MigrationEvent(k, mode_before, mode_after, nb, na, p, spec.joins, spec.leaves,
+                          impulse, gain)
+
+
+def impulse_bounds_by_event(events) -> tuple[float, float]:
+    """(max impulse norm, max error jump 2-norm), one event at a time, each
+    jump built as the model states it. The oracle for impulse_bounds."""
+    phi = gain = 0.0
+    for ev in events:
+        if ev.impulse is not None:
+            phi = max(phi, float(np.linalg.norm(ev.impulse)))
+        gain = max(gain, float(np.linalg.norm(kron_err_jump(ev), 2)))
+    return phi, gain
 
 
 def apply_state_jump(ev: MigrationEvent, full_state: np.ndarray, p: int) -> np.ndarray:

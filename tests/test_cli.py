@@ -74,6 +74,25 @@ def test_analyze_report(tmp_path, demo_dict, capsys):
     assert read_json(out / "analyze.json") == report
 
 
+def test_analyze_takes_each_spectrum_once(tmp_path, demo_dict, capsys, monkeypatch):
+    # the report, the instability check and the mode matrices share each
+    # mode's spectra; only the 2 x 2 drift A is small enough to re-solve
+    import numpy as np
+
+    eigvals, seen = np.linalg.eigvals, []
+
+    def recording(a):
+        a = np.asarray(a)
+        if a.shape[0] > 2:
+            seen.append((a.shape, a.tobytes()))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    assert main(["analyze", "--scenario", write(tmp_path, demo_dict)]) == 0
+    capsys.readouterr()
+    assert seen and len(seen) == len(set(seen))
+
+
 # --------------------------------------------------------------------------
 # certify
 

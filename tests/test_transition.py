@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from omaslab import apply_error_jump, build_transition_map
 from omaslab.errors import ConfigError
-from omaslab.transition import MigrationEvent, impulse_bounds
+from omaslab.transition import MigrationEvent, _kept, impulse_bounds
 
 from helpers import apply_state_jump, build_migration_matrix, error_projector, kron_err_jump
 
@@ -173,7 +173,8 @@ def test_survivors_equal_np_delete(seed, n_before, n_join):
     n_after = n_before - len(leaves) + n_join
     joins = rng.choice(n_after, size=n_join, replace=False) + 1
     ev = MigrationEvent(1, 1, 2, n_before, n_after, 1, tuple(joins), tuple(leaves))
-    before, after = ev._survivors()
+    # the 0-based positions of the surviving agents before and after
+    before, after = _kept(n_before, ev.leaves), _kept(n_after, ev.joins)
     for got, n, dropped in ((before, n_before, ev.leaves), (after, n_after, ev.joins)):
         want = np.delete(np.arange(n), np.array(dropped, dtype=int) - 1)
         assert got.dtype == want.dtype
