@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import AssumptionViolation, CertificateError, ConfigError
 from .mode_dynamics import ModeMatrix
@@ -36,8 +35,6 @@ from .switching import (
     SwitchingBudget,
     SwitchingSignal,
     ValidationReport,
-    dwell_floor_at,
-    ratio_floor_at,
     suffix_sweep,
     sweep_verdict,
 )
@@ -45,8 +42,6 @@ from .transition import ImpulseBounds
 
 _STABLE_CLAMP = 0.1    # fallback: gamma = (1 - clamp) * alpha when alpha + margin >= 0
 _RESIDUAL_REL_TOL = 1e-8
-_CALIBRATION_MARGINS = np.logspace(-6.0, 0.0, 31)  # coarse grid, refined around its winner
-_CALIBRATION_RATES = 2000  # common rates tried per margin
 
 
 def default_gamma_margin(alpha: float) -> float:
@@ -68,12 +63,6 @@ class ModeCertificate:
     lambda_max: float
 
 
-def _kron(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """np.kron(X, Y) of two matrices, entry for entry, without its overhead."""
-    (m, n), (p, q) = X.shape, Y.shape
-    return (X[:, None, :, None] * Y[None, :, None, :]).reshape(m * p, n * q)
-
-
 def _no_sort(wr: float, wi: float) -> int:
     return 0
 
@@ -81,6 +70,8 @@ def _no_sort(wr: float, wi: float) -> int:
 def _real_schur(M: np.ndarray, mode_id: int | None) -> tuple[np.ndarray, np.ndarray]:
     """(T, U) with M = U T U', U orthogonal and T quasi-upper-triangular,
     zero below its subdiagonal and nonzero on it only at complex pairs."""
+    from scipy.linalg.lapack import dgees  # scipy.linalg loads only where a certificate is solved
+
     T, _, _, _, U, _, info = dgees(_no_sort, M)
     if info != 0:
         raise CertificateError(f"real Schur decomposition failed for mode {mode_id} (dgees info {info})")
@@ -97,11 +88,13 @@ def _shifted_lyapunov(mm: ModeMatrix, gamma: float) -> np.ndarray:
     quasi-triangular, R' Y + Y R = -I is one triangular Sylvester solve, and
     P = Q Y Q'.
     """
+    from scipy.linalg.lapack import dtrsyl
+
     n, p = mm.n_agents, mm.p
     T, U = _real_schur(mm.cZ, mm.mode_id)
     R_A, V = _real_schur(mm.A, mm.mode_id)
-    R = _kron(np.eye(n), R_A - gamma * np.eye(p)) + _kron(T, np.eye(p))
-    Q = _kron(U, V)
+    R = np.kron(np.eye(n), R_A - gamma * np.eye(p)) + np.kron(T, np.eye(p))
+    Q = np.kron(U, V)
     if p > 1:
         for i in np.flatnonzero(np.diag(T, -1)):
             b = slice(i * p, (i + 2) * p)
@@ -189,21 +182,6 @@ def _class_rates(certs: dict[int, ModeCertificate]) -> tuple[float, float | None
     return float(g_s), float(max(unstable)) if unstable else None
 
 
-def _energy_constants(
-    certs: dict[int, ModeCertificate], err_jump_norm_max: float
-) -> tuple[float, float, float]:
-    """(p_under, p_over, mu) over all modes.
-
-    p_under |e|^2 <= V^2 <= p_over |e|^2 in every mode, so an event whose
-    error jump has 2-norm at most err_jump_norm_max grows V by at most the
-    jump gain mu, the square root of the sandwich ratio times that norm
-    (or times 1, when the norm is smaller).
-    """
-    p_under = min(c.lambda_min for c in certs.values())
-    p_over = max(c.lambda_max for c in certs.values())
-    return p_under, p_over, math.sqrt(p_over / p_under) * max(1.0, err_jump_norm_max)
-
-
 def _geom_sum(mu: float, k: float) -> float:
     """(1 - mu^k) / (1 - mu), continuously extended to k at mu = 1."""
     if k <= 0.0:
@@ -287,7 +265,12 @@ def assemble_bundle(
     if h_bound < 0.0:
         raise ConfigError(f"perturbation bound must be >= 0, got {h_bound}")
     g_s, g_u = _class_rates(certs)
-    p_under, p_over, mu = _energy_constants(certs, bounds.err_jump_norm_max)
+    # p_under |e|^2 <= V^2 <= p_over |e|^2 in every mode, so an event whose
+    # error jump has 2-norm at most err_jump_norm_max grows V by at most mu,
+    # the square root of the sandwich ratio times that norm (or times 1)
+    p_under = min(c.lambda_min for c in certs.values())
+    p_over = max(c.lambda_max for c in certs.values())
+    mu = math.sqrt(p_over / p_under) * max(1.0, bounds.err_jump_norm_max)
     budget = SwitchingBudget(
         chatter_bound=float(chatter_bound),
         # the default common rate, g_s / 2, lies inside (g_s, 0) for any g_s < 0
@@ -343,87 +326,3 @@ def assemble_bundle(
         unbounded=unbounded,
         sweep=sweep,
     )
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    gamma_margin: float
-    gamma_common: float
-    ratio_floor: float
-    dwell_floor: float
-    max_rel_deviation: float
-
-
-def calibrate_switching_floors(
-    matrices: dict[int, ModeMatrix],
-    err_jump_norm_max: float,
-    target_ratio: float,
-    target_dwell: float,
-) -> CalibrationResult:
-    """Search (margin, gamma_common) configurations whose certified floors
-    reproduce a pair of reference switching bounds.
-
-    The ratio floor depends on the margin and the common rate only; the dwell
-    floor additionally involves the jump gain through the certificates. A log
-    grid over margins crossed with a dense rate grid is cheap (mode sizes are
-    small) and lands within a fraction of a percent of any reachable target
-    pair.
-    """
-    targets = (err_jump_norm_max, target_ratio, target_dwell)
-    best = _calibrate_over(matrices, *targets, _CALIBRATION_MARGINS)
-    if best is None:
-        raise CertificateError("calibration failed: no margin produced valid certificates")
-    # refine around the coarse winner
-    fine = best.gamma_margin * np.logspace(-0.25, 0.25, 21)
-    refined = _calibrate_over(matrices, *targets, fine)
-    if refined is not None and refined.max_rel_deviation < best.max_rel_deviation:
-        best = refined
-    return best
-
-
-def _calibrate_over(
-    matrices: dict[int, ModeMatrix],
-    err_jump_norm_max: float,
-    target_ratio: float,
-    target_dwell: float,
-    margins,
-) -> CalibrationResult | None:
-    best: CalibrationResult | None = None
-    for margin in margins:
-        try:
-            certs = {
-                mid: solve_mode_certificate(mm, gamma_margin=float(margin))
-                for mid, mm in matrices.items()
-            }
-            g_s, g_u = _class_rates(certs)
-        except (CertificateError, AssumptionViolation):
-            continue
-        if g_u is None:
-            raise AssumptionViolation("calibration needs at least one unstable mode")
-        mu = _energy_constants(certs, err_jump_norm_max)[2]
-        lo, hi = g_s * (1.0 - 1e-9), g_s * 1e-9
-        candidates = list(np.linspace(lo, hi, _CALIBRATION_RATES))
-        # exact-ratio and exact-dwell rates, when they fall inside the interval
-        g_ratio = (g_u + target_ratio * g_s) / (1.0 + target_ratio)
-        if lo < g_ratio < hi:
-            candidates.append(g_ratio)
-        if target_dwell > 0:
-            g_dwell = -math.log(mu) / target_dwell
-            if lo < g_dwell < hi:
-                candidates.append(g_dwell)
-        g = np.array(candidates)
-        ratio, dwell = ratio_floor_at(g_s, g_u, g), dwell_floor_at(mu, g)
-        dev = np.maximum(
-            np.abs(ratio / target_ratio - 1.0) if target_ratio else np.abs(ratio),
-            np.abs(dwell / target_dwell - 1.0) if target_dwell else np.abs(dwell),
-        )
-        i = int(np.argmin(dev))  # the first of equal minima, as a strict < scan
-        if best is None or dev[i] < best.max_rel_deviation:
-            best = CalibrationResult(
-                gamma_margin=float(margin),
-                gamma_common=float(g[i]),
-                ratio_floor=float(ratio[i]),
-                dwell_floor=float(dwell[i]),
-                max_rel_deviation=float(dev[i]),
-            )
-    return best

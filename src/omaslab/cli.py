@@ -415,10 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(args.scenario)
         args.seed = scenario.master_seed(args.seed)
         return _COMMANDS[args.command](scenario, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssumptionViolation, CertificateError, NumericalError) as exc:

@@ -63,7 +63,8 @@ DEMO_ALPHAS = {1: -2.925, 2: 0.025, 3: 5.925, 4: 2.975}
 
 # reference operating point: with a uniform certificate margin of 1.0 and
 # common rate -1.3 the certified floors land here (ratio to 4 significant
-# figures; the dwell floor tracks the jump gain, see the calibration tests)
+# figures; the dwell floor tracks the jump gain, see scripts/calibrate_floors.py
+# and its test in tests/test_certificate.py)
 DEMO_RATIO_FLOOR = 13.15
 DEMO_DWELL_FLOOR = 2.42
 DEMO_GAMMA_MARGIN = 1.0

@@ -1,18 +1,21 @@
 """Per-mode quadratic certificates, aggregate constants, ultimate bound."""
 
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from omaslab import apply_error_jump, certificate
+from omaslab import apply_error_jump
 from omaslab.certificate import (
     ModeCertificate,
     _class_rates,
     assemble_bundle,
-    calibrate_switching_floors,
     default_gamma_margin,
     solve_mode_certificate,
 )
@@ -166,18 +169,21 @@ def test_structured_solve_matches_dense_oracle(
 def test_structured_solve_divides_by_the_lapack_scale(monkeypatch, demo_matrices):
     # dtrsyl returns Y with R' Y + Y R = -scale I; the solve must undo scale
     want = solve_mode_certificate(demo_matrices[3]).P
-    real = certificate.dtrsyl
+    real, calls = lapack.dtrsyl, []
 
     def halved(*args, **kwargs):
+        calls.append(1)
         y, scale, info = real(*args, **kwargs)
         return 0.5 * y, 0.5 * scale, info
 
-    monkeypatch.setattr(certificate, "dtrsyl", halved)
+    # the solve imports dtrsyl from scipy.linalg.lapack when it runs
+    monkeypatch.setattr(lapack, "dtrsyl", halved)
     np.testing.assert_allclose(solve_mode_certificate(demo_matrices[3]).P, want, rtol=1e-14)
+    assert calls == [1]
 
 
 def test_illegal_sylvester_argument_names_the_mode(monkeypatch, demo_matrices):
-    monkeypatch.setattr(certificate, "dtrsyl", lambda *a, **k: (a[2], 1.0, -3))
+    monkeypatch.setattr(lapack, "dtrsyl", lambda *a, **k: (a[2], 1.0, -3))
     with pytest.raises(CertificateError, match="mode 3: dtrsyl argument 3 is illegal"):
         solve_mode_certificate(demo_matrices[3])
 
@@ -396,13 +402,28 @@ def test_demo_floors_near_reference_targets(practical_bundle):
     assert abs(budget.dwell_floor / DEMO_DWELL_FLOOR - 1.0) <= 0.15
 
 
-def test_calibration_reaches_reference_targets(demo_matrices, practical_bundle):
-    result = calibrate_switching_floors(
+CALIBRATE_FLOORS = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_floors.py"
+
+
+def test_calibration_reaches_reference_targets(demo_matrices, practical_signal):
+    search = runpy.run_path(str(CALIBRATE_FLOORS))["calibrate_switching_floors"]
+    result = search(
         demo_matrices,
-        err_jump_norm_max=practical_bundle.err_jump_norm_max,
+        practical_signal,
         target_ratio=DEMO_RATIO_FLOOR,
         target_dwell=DEMO_DWELL_FLOOR,
     )
     assert result.max_rel_deviation <= 0.15
     assert abs(result.ratio_floor / DEMO_RATIO_FLOOR - 1.0) <= 0.15
     assert abs(result.dwell_floor / DEMO_DWELL_FLOOR - 1.0) <= 0.15
+
+
+def test_calibration_script_prints_the_default_search(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(CALIBRATE_FLOORS)])
+    runpy.run_path(str(CALIBRATE_FLOORS), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "target floors:   (13.1500, 2.4200)",
+        "best found:      (14.1111, 2.5992)  at margin = 0.9441, gamma_common = -1.3953",
+        "max rel deviation: 7.40%",
+        "shipped config:  margin = 1.0, gamma_common = -1.3",
+    ]
