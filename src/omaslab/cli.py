@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
-from typing import Any, Callable
+from itertools import repeat
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -71,13 +73,83 @@ def _spectrum(eigvals: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in ev]
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
+    """Write obj to fh with the bytes json.dumps gives it under indent=2,
+    sort_keys=sort_keys and allow_nan=False, without building the whole text.
+
+    Containers that hold containers are walked here. A list or dict that
+    holds only scalars goes to the C encoder in one call, its item separator
+    carrying the newline and the pad of its depth, so the memory held is that
+    of the largest such container's text, not the file's.
+    """
+    encoders: dict[int, json.JSONEncoder] = {}
+
+    def flat(depth: int) -> json.JSONEncoder:
+        if depth not in encoders:
+            encoders[depth] = json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                                               sort_keys=sort_keys, allow_nan=False)
+        return encoders[depth]
+
+    def key(k: Any) -> str:
+        if not isinstance(k, str):  # json's rules: bool, None, int and float keys print as text
+            if not (k is None or isinstance(k, (int, float))):
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {k.__class__.__name__}")
+            k = flat(0).encode(k)
+        return flat(0).encode(k)
+
+    def node(v: Any, depth: int) -> None:
+        if not isinstance(v, _CONTAINERS):
+            fh.write(flat(0).encode(v))
+            return
+        is_dict = isinstance(v, dict)
+        open_, close = "{}" if is_dict else "[]"
+        if not v:
+            fh.write(open_ + close)
+            return
+        pad, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if not any(map(isinstance, v.values() if is_dict else v, repeat(_CONTAINERS))):
+            # the encoder's brackets are the first and last characters of its text
+            fh.write(open_ + pad + flat(depth + 1).encode(v)[1:-1] + outer + close)
+            return
+        sep = open_ + pad
+        for k, x in ((sorted(v.items()) if sort_keys else v.items()) if is_dict
+                     else enumerate(v)):
+            fh.write((sep + key(k) + ": ") if is_dict else sep)
+            node(x, depth + 1)
+            sep = "," + pad
+        fh.write(outer + close)
+
+    node(obj, 0)
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A file for path's new content. It replaces path only once the block
+    ends without an error; otherwise it is removed and path is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(report: dict, out: str | None, name: str) -> str:
     """report as strict JSON with sorted keys, written to out/name when out
     is given; returns the text."""
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    buf = io.StringIO()  # reports are small
+    write_json(_jsonable(report), buf, sort_keys=True)
+    text = buf.getvalue()
     if out:
         os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, name), "w") as fh:
+        with _replacing(os.path.join(out, name)) as fh:
             fh.write(text + "\n")
     return text
 
@@ -354,9 +426,10 @@ def cmd_gen_signal(scenario: Scenario, args: argparse.Namespace) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "signal.json")
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         # load rejects non-finite numbers and every draw is finite
-        fh.write(json.dumps(signal_to_dict(signal), indent=2, allow_nan=False) + "\n")
+        write_json(signal_to_dict(signal), fh)
+        fh.write("\n")
     print(f"wrote {path}: {signal.n_switches} switches on "
           f"[{signal.t0:g}, {signal.tf:g}]")
     return 0

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -10,13 +11,18 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from omaslab import cli
 from omaslab.certificate import CertificateBundle, ModeCertificate
-from omaslab.cli import _jsonable, build_bundle, main
+from omaslab.cli import _jsonable, build_bundle, main, write_json
 from omaslab.demo import demo_scenario_dict
-from omaslab.scenario import load_scenario, signal_from_dict
+from omaslab.scenario import load_scenario, signal_from_dict, signal_to_dict
 from omaslab.simulate import RunSummary
 from omaslab.switching import ValidationReport, brute_force_suffix_scan, validate_switching
 
@@ -797,6 +803,81 @@ def test_gen_signal_then_reference(tmp_path, demo_dict, capsys):
     assert report["validation"]["ok"] is True
 
 
+def test_gen_signal_failed_encode_leaves_no_file(tmp_path, demo_dict, monkeypatch):
+    path, out = write(tmp_path, demo_dict), tmp_path / "out"
+
+    def with_nan(sig):
+        # late in the document: a writer that streamed into signal.json
+        # would leave most of the file behind
+        doc = signal_to_dict(sig)
+        doc["events"][-1]["dep_gain"][-1][-1] = math.nan
+        return doc
+
+    monkeypatch.setattr(cli, "signal_to_dict", with_nan)
+    with pytest.raises(ValueError, match="Out of range float"):
+        main(["gen-signal", "--scenario", path, "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+    # a failed write leaves the file of an earlier run as it was
+    monkeypatch.undo()
+    assert main(["gen-signal", "--scenario", path, "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    monkeypatch.setattr(cli, "signal_to_dict", with_nan)
+    with pytest.raises(ValueError):
+        main(["gen-signal", "--scenario", path, "--out", str(out)])
+    assert tree_bytes(out) == before and list(before) == ["signal.json"]
+
+
+def _ring(n, hops, weight):
+    return [[i + 1, (i + h) % n + 1, weight] for i in range(n) for h in hops]
+
+
+def _wide_dict(demo_dict, n):
+    """The demo dynamics on three rings of about n agents, one cooperative
+    and two repelling, and four migrations, each with a dense dependence gain."""
+    sizes = {1: n, 2: n - 1, 3: n + 1}
+    hops = {1: (1,), 2: (1,), 3: (1, 2)}
+    demo_dict["modes"] = [
+        {"id": m, "n_agents": k, "edges": _ring(k, hops[m], 1.0 if m == 1 else -1.0),
+         "leader_links": [1.0] * k}
+        for m, k in sizes.items()
+    ]
+    demo_dict["events"] = [
+        {"from": 1, "to": 2, "leaves": [n // 2], "dep_gain": {"scale": 0.05}},
+        {"from": 2, "to": 1, "joins": [n // 3], "dep_gain": {"scale": 0.05},
+         "impulse": {"radius": 0.53}},
+        {"from": 1, "to": 3, "joins": [n // 4], "dep_gain": {"scale": 0.05},
+         "impulse": {"radius": 0.53}},
+        {"from": 3, "to": 1, "leaves": [n // 5], "dep_gain": {"scale": 0.05}},
+    ]
+    demo_dict["signal"] = {"type": "explicit", "t0": 0.0, "tf": 62.0, "segments": [
+        {"t": 0.0, "mode": 1}, {"t": 30.0, "mode": 2}, {"t": 30.5, "mode": 1},
+        {"t": 61.0, "mode": 3}, {"t": 61.5, "mode": 1}]}
+    return demo_dict
+
+
+def test_gen_signal_memory_is_bounded_by_the_document(tmp_path, demo_dict, capsys):
+    # json.dumps's indented encoder held five times the file's size in string
+    # chunks, and so set the command's peak
+    path, out = write(tmp_path, _wide_dict(demo_dict, 40)), tmp_path / "out"
+    # a first run makes the imports that resolving a signal does lazily
+    assert main(["gen-signal", "--scenario", path, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["gen-signal", "--scenario", path, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    text = (out / "signal.json").read_text()
+    assert len(text) > 500_000
+    assert peak < 2 * len(text)
+
+    scenario = load_scenario(path)
+    sig = scenario.resolve_signal(scenario.master_seed(None))
+    assert text == json.dumps(signal_to_dict(sig), indent=2, allow_nan=False) + "\n"
+
+
 def _file_signal_scenario(tmp_path, demo_dict, capsys, edit):
     """A scenario that references its own generated signal, edited by edit;
     returns its path and the error edit expects."""
@@ -988,3 +1069,58 @@ def test_cli_import_and_gen_signal_load_no_scipy(tmp_path, demo_dict):
     assert proc.stdout.splitlines() == ["[]", f"wrote {out / 'signal.json'}: 8 switches on [0, 30]",
                                         "[]"]
     assert hashlib.sha256((out / "signal.json").read_bytes()).hexdigest() == DEMO_SIGNAL_SHA256
+
+
+# --------------------------------------------------------------------------
+# the JSON writer
+
+
+_TRICKY_TEXT = ["", "\"quoted\"", "back\\slash", "\x00\x1f\n\t\x7f", "é ü 漢字 😀", "\ud800"]
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    _floats, st.text(), st.sampled_from(_TRICKY_TEXT),
+)
+_keys = st.one_of(st.text(max_size=6), st.sampled_from(_TRICKY_TEXT))
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(_scalars, max_size=6),
+        # str keys, or number keys, in one dict: sort_keys orders no mix of both
+        st.dictionaries(_keys, children, max_size=6),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), _floats), children, max_size=6),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=40,
+)
+
+
+def _written(doc, sort_keys):
+    buf = io.StringIO()
+    write_json(doc, buf, sort_keys=sort_keys)
+    return buf.getvalue()
+
+
+@settings(max_examples=300)
+@given(doc=_documents)
+def test_write_json_gives_the_bytes_of_json_dumps(doc):
+    for sort_keys in (False, True):
+        assert _written(doc, sort_keys) == json.dumps(doc, indent=2, sort_keys=sort_keys,
+                                                      allow_nan=False)
+
+
+@settings(max_examples=50)
+@given(doc=_documents, bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]))
+def test_write_json_refuses_non_finite_floats(doc, bad):
+    for bad_doc in ({"ok": doc, "z": [doc, bad]}, [[doc], {"k": bad}], {"k": {bad: 1}}):
+        for sort_keys in (False, True):
+            with pytest.raises(ValueError):
+                json.dumps(bad_doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+            with pytest.raises(ValueError):
+                _written(bad_doc, sort_keys)
