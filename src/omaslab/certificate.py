@@ -217,8 +217,6 @@ class CertificateBundle:
 
     chatter_bound = property(lambda self: self.budget.chatter_bound)
     gamma_common = property(lambda self: self.budget.gamma_common)
-    gamma_stable_max = property(lambda self: self.budget.gamma_stable_max)
-    gamma_unstable_max = property(lambda self: self.budget.gamma_unstable_max)
     jump_gain = property(lambda self: self.budget.jump_gain)  # worst growth across a switch
 
     @property

@@ -40,12 +40,7 @@ from .mode_dynamics import (
     spectral_abscissa,
 )
 from .scenario import Scenario, load_scenario, signal_to_dict
-from .signed_graph import (
-    ModeClass,
-    check_negative_majority_instability,
-    classify_mode,
-    grounded_laplacian,
-)
+from .signed_graph import ModeClass, check_negative_majority_instability
 from .simulate import export_events_csv, export_trajectory_csv, run_scenario
 from .switching import SwitchingSignal
 from .transition import impulse_bounds
@@ -160,40 +155,34 @@ def _write_json(report: dict, out: str | None, name: str) -> str:
 
 def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
     dyn = scenario.dynamics
-    modes = list(scenario.modes.values())
+    matrices = scenario.mode_matrices()
     mode_reports = []
-    found = set()  # the classes of the scenario's modes
-    for m in sorted(modes, key=lambda m: m.mode_id):
-        cls = classify_mode(m)
-        found.add(cls)
+    for mid, mm in sorted(matrices.items()):
+        m = scenario.modes[mid]
         entry: dict[str, Any] = {
-            "id": m.mode_id,
-            "n_agents": m.graph.n_agents,
-            "class": cls.value,
+            "id": mid,
+            "n_agents": m.n_agents,
+            "class": m.mode_class.value,
             "grounded_spectrum": _spectrum(m.grounded_eigvals),
             "augmented_spectrum": _spectrum(m.augmented_eigvals),
+            "alpha": mm.alpha,
+            "stable": mm.stable,
         }
-        if cls is ModeClass.NEGATIVE_MAJORITY:
+        if m.mode_class is ModeClass.NEGATIVE_MAJORITY:
             rep = check_negative_majority_instability(m)
-            entry["instability"] = {
-                "trace_augmented": rep.trace_augmented,
-                "trace_grounded": rep.trace_grounded,
-                "min_real_eig_augmented": rep.min_real_eig_augmented,
-                "min_real_eig_grounded": rep.min_real_eig_grounded,
-                "ok": rep.ok,
-            }
-        dim = dyn.p * m.graph.n_agents
-        if dim <= _KRON_CHECK_DIM_LIMIT:
+            entry["instability"] = {**dataclasses.asdict(rep), "ok": rep.ok}
+        if dyn.p * m.n_agents <= _KRON_CHECK_DIM_LIMIT:
             entry["kronecker_spectrum_ok"] = kronecker_sum_spectrum_check(
-                scenario.coupling_gain * grounded_laplacian(m), dyn.A, tol=_KRON_REPORT_TOL
+                mm.cZ, dyn.A, tol=_KRON_REPORT_TOL
             )
         mode_reports.append(entry)
+    found = {m.mode_class for m in scenario.modes.values()}
     spanning = ModeClass.POSITIVE_SPANNING in found
     minority = ModeClass.NEGATIVE_MINORITY in found
 
     coupling: dict[str, Any] = {"gain": scenario.coupling_gain}
     try:
-        bound = coupling_gain_bound(dyn, modes)
+        bound = coupling_gain_bound(dyn, list(scenario.modes.values()))
         coupling["bound"] = bound
         coupling["ok"] = scenario.coupling_gain < bound
         coupling["suggested"] = bound * 2.0
@@ -201,12 +190,6 @@ def cmd_analyze(scenario: Scenario, args: argparse.Namespace) -> int:
         coupling["bound"] = None
         coupling["ok"] = False
         coupling["note"] = str(exc)
-
-    matrices = scenario.mode_matrices()
-    for entry in mode_reports:
-        mm = matrices[entry["id"]]
-        entry["alpha"] = mm.alpha
-        entry["stable"] = mm.stable
 
     report = {
         "agent_dimension": dyn.p,
@@ -357,8 +340,10 @@ def _sweep_seed(seed: int) -> tuple[dict, str]:
 
 
 def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
+    if args.sweep < 1:
+        raise ConfigError(f"sweep must be >= 1, got {args.sweep}")
     out = args.out or "."
-    if args.sweep <= 1:
+    if args.sweep == 1:
         summary, text = _simulate_one(scenario, args, args.seed, out,
                                       scenario.resolve_signal(args.seed))
         print(text, end="")

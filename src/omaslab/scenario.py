@@ -36,9 +36,10 @@ from .seeding import (
     uniform_on_sphere,
 )
 from .signed_graph import (AugmentedMode, Edge, ModeClass, SignedDigraph, check_edge,
-                           classify_mode, mode_from_dense)
+                           mode_from_dense)
 from .simulate import DEFAULT_DT, PerturbationModel
-from .switching import Segment, SignalGenSpec, SwitchingSignal, generate_segments
+from .switching import (Segment, SignalGenSpec, SwitchingSignal, check_layout,
+                        generate_segments)
 from .transition import MigrationEvent, spectral_norms
 
 
@@ -77,6 +78,9 @@ class ExplicitSignalSpec:
     t0: float
     tf: float
     segments: tuple[Segment, ...]
+
+    def __post_init__(self) -> None:
+        check_layout(self.t0, self.tf, self.segments)
 
 
 @dataclass(frozen=True)
@@ -174,7 +178,7 @@ class Scenario:
         """
         if self._certificates is None:
             modes = list(self.modes.values())
-            classes = {m.mode_id: classify_mode(m) for m in modes}
+            classes = {m.mode_id: m.mode_class for m in modes}
             if ModeClass.POSITIVE_SPANNING not in classes.values():
                 raise AssumptionViolation(
                     "no mode is positive with a leader-rooted spanning tree; "
@@ -604,7 +608,7 @@ def _integrator(v: Any, path: str) -> str:
 _SIMULATION = {
     "dt": _checked(_num, lambda x: x > 0.0, "must be positive"),
     "seed": _int,
-    "convergence_tol": _num,
+    "convergence_tol": _checked(_num, lambda x: x > 0.0, "must be positive"),
     "tail_fraction": _checked(_num, lambda x: 0.0 < x <= 1.0, "must be in (0, 1]"),
     "max_dim": _int,
     "sample_stride": _nullable(_checked(_int, lambda x: x >= 1, "must be >= 1")),
@@ -620,7 +624,13 @@ def _parse_signal(d: dict, path: str):
         return _section(body, path, ExplicitSignalSpec,
                         {"t0": _num, "tf": _num, "segments": _segments})
     if kind == "generate":
-        return _section(body, path, SignalGenSpec, _GENERATE)
+        spec = _section(body, path, SignalGenSpec, _GENERATE)
+        if spec.unstable_modes:  # the horizon must hold a block, whatever the seed
+            try:
+                spec.block_sizes()
+            except ConfigError as exc:
+                _fail(path, str(exc))
+        return spec
     if kind == "file":
         return _section(body, path, FileSignalSpec, {"path": _str})
     _fail(f"{path}.type", f"expected 'explicit', 'generate' or 'file', got {kind!r}")

@@ -110,8 +110,13 @@ class AugmentedMode:
     def label(self) -> str:
         return f"mode {self.mode_id}" if self.mode_id is not None else "mode"
 
-    # the spectra analyze, the instability check and the mode matrix all
-    # read, taken once per mode; read-only since they are shared
+    # the class and the spectra every command reads, taken once per mode;
+    # the spectra are read-only since they are shared
+    @cached_property
+    def mode_class(self) -> ModeClass:
+        """The topology class classify_mode assigns."""
+        return classify_mode(self)
+
     @cached_property
     def grounded_eigvals(self) -> np.ndarray:
         """Eigenvalues of the grounded Laplacian."""
@@ -229,16 +234,14 @@ class InstabilityReport:
     trace_grounded: float
     min_real_eig_augmented: float
     min_real_eig_grounded: float
-    has_negative_eig_augmented: bool
-    has_negative_eig_grounded: bool
 
     @property
     def ok(self) -> bool:
         return (
             self.trace_augmented < 0.0
             and self.trace_grounded < 0.0
-            and self.has_negative_eig_augmented
-            and self.has_negative_eig_grounded
+            and self.min_real_eig_augmented < -_EIG_NEG_TOL
+            and self.min_real_eig_grounded < -_EIG_NEG_TOL
         )
 
 
@@ -251,17 +254,13 @@ def check_negative_majority_instability(m: AugmentedMode) -> InstabilityReport:
     eigenvalues is negative). The report carries traces and extreme real
     parts; violations are reported, not raised.
     """
-    if classify_mode(m) is not ModeClass.NEGATIVE_MAJORITY:
+    if m.mode_class is not ModeClass.NEGATIVE_MAJORITY:
         raise ConfigError(f"{m.label()} is not negative-majority")
-    ev_lt = m.augmented_eigvals
-    ev_z = m.grounded_eigvals
     return InstabilityReport(
         trace_augmented=float(np.trace(augmented_laplacian(m))),
         trace_grounded=float(np.trace(grounded_laplacian(m))),
-        min_real_eig_augmented=float(ev_lt.real.min()),
-        min_real_eig_grounded=float(ev_z.real.min()),
-        has_negative_eig_augmented=bool(ev_lt.real.min() < -_EIG_NEG_TOL),
-        has_negative_eig_grounded=bool(ev_z.real.min() < -_EIG_NEG_TOL),
+        min_real_eig_augmented=float(m.augmented_eigvals.real.min()),
+        min_real_eig_grounded=float(m.grounded_eigvals.real.min()),
     )
 
 

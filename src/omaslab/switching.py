@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +39,25 @@ class Segment:
     mode: int
 
 
+def check_layout(t0: float, tf: float, segments: Sequence[Segment]) -> None:
+    """Refuse segments that no signal on [t0, tf] can have: none at all, an
+    empty horizon, a first start away from t0, starts that do not increase,
+    a last start at or after tf, or a boundary that keeps its mode."""
+    if not segments:
+        raise ConfigError("a signal needs at least one segment")
+    if tf <= t0:
+        raise ConfigError(f"empty horizon [{t0}, {tf}]")
+    if abs(segments[0].start - t0) > _TIME_EPS:
+        raise ConfigError("first segment must start at t0")
+    starts = [s.start for s in segments]
+    if any(b - a <= _TIME_EPS for a, b in zip(starts, starts[1:])):
+        raise ConfigError("segment start times must be strictly increasing")
+    if starts[-1] >= tf - _TIME_EPS:
+        raise ConfigError("last segment starts at or after tf")
+    if any(a.mode == b.mode for a, b in zip(segments, segments[1:])):
+        raise ConfigError("consecutive segments must switch to a different mode")
+
+
 @dataclass(frozen=True, eq=False)
 class SwitchingSignal:
     """Piecewise-constant mode signal with per-boundary migration events."""
@@ -48,19 +68,7 @@ class SwitchingSignal:
     events: tuple[MigrationEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise ConfigError("a signal needs at least one segment")
-        if self.tf <= self.t0:
-            raise ConfigError(f"empty horizon [{self.t0}, {self.tf}]")
-        if abs(self.segments[0].start - self.t0) > _TIME_EPS:
-            raise ConfigError("first segment must start at t0")
-        starts = [s.start for s in self.segments]
-        if any(b - a <= _TIME_EPS for a, b in zip(starts, starts[1:])):
-            raise ConfigError("segment start times must be strictly increasing")
-        if starts[-1] >= self.tf - _TIME_EPS:
-            raise ConfigError("last segment starts at or after tf")
-        if any(a.mode == b.mode for a, b in zip(self.segments, self.segments[1:])):
-            raise ConfigError("consecutive segments must switch to a different mode")
+        check_layout(self.t0, self.tf, self.segments)
         if len(self.events) != len(self.segments) - 1:
             raise ConfigError(
                 f"{len(self.segments) - 1} boundaries but {len(self.events)} events"
@@ -72,7 +80,7 @@ class SwitchingSignal:
                     f"boundary switches {self.segments[k - 1].mode}->{self.segments[k].mode}"
                 )
         # segment starts, for switch_times and the suffix sweep
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_starts", tuple(s.start for s in self.segments))
 
     @property
     def switch_times(self) -> tuple[float, ...]:
@@ -268,6 +276,25 @@ class SignalGenSpec:
         if self.margin <= 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
 
+    def block_sizes(self) -> tuple[float, float, int]:
+        """(u, s, n_pairs): the unstable and the stable block lengths
+        generate_segments lays down with unstable modes, and its count of
+        (stable, unstable) pairs. ConfigError when the horizon holds no pair.
+        """
+        r = self.ratio_floor * (1.0 + self.margin)
+        dwell = self.dwell_floor * (1.0 + self.margin)
+        # block sizing: unstable length u, stable companions r*u, pair >= 2*dwell
+        u = max(2.0 * dwell / (1.0 + r), 1e-3 * self.horizon)
+        s = max(r * u, dwell)  # a lone stable block must itself clear the dwell floor
+        pair = u + s
+        n_pairs = int(math.floor((self.horizon - s) / pair))
+        if n_pairs < 1:
+            raise ConfigError(
+                f"horizon {self.horizon} too short for one compliant block "
+                f"(needs at least {pair + s:.3f})"
+            )
+        return u, s, n_pairs
+
 
 def generate_segments(spec: SignalGenSpec) -> tuple[Segment, ...]:
     """The segments of a signal on [t0, t0 + horizon] satisfying both suffix
@@ -287,24 +314,13 @@ def generate_segments(spec: SignalGenSpec) -> tuple[Segment, ...]:
     """
     if spec.seed is None:
         raise ConfigError("the spec has no seed; give it the run's master seed")
-    r = spec.ratio_floor * (1.0 + spec.margin)
-    dwell = spec.dwell_floor * (1.0 + spec.margin)
     rng = stream_rng(spec.seed, STREAM_SIGNAL)
 
     if not spec.unstable_modes:
         return (Segment(start=spec.t0, mode=spec.stable_modes[0]),)
 
-    # block sizing: unstable length u, stable companions r*u, pair >= 2*dwell
-    u = max(2.0 * dwell / (1.0 + r), 1e-3 * spec.horizon)
-    s = max(r * u, dwell)  # a lone stable block must itself clear the dwell floor
-    pair = u + s
-    n_pairs = int(math.floor((spec.horizon - s) / pair))
-    if n_pairs < 1:
-        raise ConfigError(
-            f"horizon {spec.horizon} too short for one compliant block "
-            f"(needs at least {pair + s:.3f})"
-        )
-    # the final stable block runs to tf and lasts at least s by the floor above
+    # the stable tail runs to tf and lasts at least s, since n_pairs is floored
+    u, s, n_pairs = spec.block_sizes()
 
     stable_seq = [spec.stable_modes[i % len(spec.stable_modes)] for i in range(n_pairs + 1)]
     unstable_seq = [spec.unstable_modes[i % len(spec.unstable_modes)] for i in range(n_pairs)]

@@ -54,6 +54,17 @@ def tree_bytes(directory):
 # analyze
 
 
+ANALYZE_MODE_KEYS = {
+    "id", "n_agents", "class", "grounded_spectrum", "augmented_spectrum", "alpha", "stable",
+    "kronecker_spectrum_ok",
+}
+
+# InstabilityReport's fields and its verdict
+INSTABILITY_KEYS = {
+    "trace_augmented", "trace_grounded", "min_real_eig_augmented", "min_real_eig_grounded", "ok",
+}
+
+
 def test_analyze_report(tmp_path, demo_dict, capsys):
     out = tmp_path / "out"
     rc = main(["analyze", "--scenario", write(tmp_path, demo_dict), "--out", str(out)])
@@ -71,6 +82,11 @@ def test_analyze_report(tmp_path, demo_dict, capsys):
     for mid in (3, 4):
         assert by_id[mid]["instability"]["ok"] is True
     assert "instability" not in by_id[1] and "instability" not in by_id[2]
+    for mid, entry in by_id.items():
+        extra = {"instability"} if mid in (3, 4) else set()
+        assert set(entry) == ANALYZE_MODE_KEYS | extra, f"mode {mid}"
+        if extra:
+            assert set(entry["instability"]) == INSTABILITY_KEYS
 
     assert report["stable_mode_ids"] == [1]
     assert report["assumptions"]["ok"] is True
@@ -82,8 +98,10 @@ def test_analyze_report(tmp_path, demo_dict, capsys):
 
 
 def test_analyze_takes_each_spectrum_once(tmp_path, demo_dict, capsys, monkeypatch):
-    # the report, the instability check and the mode matrices share each
-    # mode's spectra; only the 2 x 2 drift A is small enough to re-solve
+    # analyze, certify and simulate each take every spectrum once: the report,
+    # the instability check, the gain bound and the mode matrices share each
+    # mode's. A matrix and its negation have one spectrum up to sign, so they
+    # share a key. Only the 2 x 2 drift A is small enough to re-solve.
     import numpy as np
 
     eigvals, seen = np.linalg.eigvals, []
@@ -91,13 +109,40 @@ def test_analyze_takes_each_spectrum_once(tmp_path, demo_dict, capsys, monkeypat
     def recording(a):
         a = np.asarray(a)
         if a.shape[0] > 2:
-            seen.append((a.shape, a.tobytes()))
+            seen.append((a.shape, min(a.tobytes(), (-a).tobytes())))
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", recording)
-    assert main(["analyze", "--scenario", write(tmp_path, demo_dict)]) == 0
-    capsys.readouterr()
-    assert seen and len(seen) == len(set(seen))
+    path = write(tmp_path, demo_dict)
+    for command in ("analyze", "certify", "simulate"):
+        seen.clear()
+        assert main([command, "--scenario", path, "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        assert seen and len(seen) == len(set(seen)), command
+
+
+def test_each_command_classifies_each_mode_once(tmp_path, demo_dict, capsys, monkeypatch):
+    import collections
+
+    import omaslab.mode_dynamics
+    import omaslab.scenario
+    import omaslab.signed_graph
+
+    classify, counts = omaslab.signed_graph.classify_mode, collections.Counter()
+
+    def counting(m):
+        counts[m.mode_id] += 1
+        return classify(m)
+
+    for module in (omaslab.signed_graph, omaslab.mode_dynamics, omaslab.scenario, cli):
+        if hasattr(module, "classify_mode"):
+            monkeypatch.setattr(module, "classify_mode", counting)
+    path = write(tmp_path, demo_dict)
+    for command in ("analyze", "certify", "simulate"):
+        counts.clear()
+        assert main([command, "--scenario", path, "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        assert counts == {1: 1, 2: 1, 3: 1, 4: 1}, command
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +450,23 @@ def test_non_finite_dt_exits_2(tmp_path, demo_dict, capsys, dt, message):
     rc, _ = run_simulate(tmp_path, demo_dict, "bad_dt", extra=("--dt", dt))
     captured = capsys.readouterr()
     assert rc == 2 and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sweep", ["0", "-3"])
+def test_sweep_below_one_exits_2(tmp_path, demo_dict, capsys, sweep):
+    rc, out = run_simulate(tmp_path, demo_dict, "bad_sweep", extra=("--sweep", sweep))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: sweep must be >= 1, got {sweep}\n"
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_non_positive_convergence_tol_exits_2(tmp_path, demo_dict, capsys, tol):
+    demo_dict["simulation"]["convergence_tol"] = tol
+    rc, out = run_simulate(tmp_path, demo_dict, "bad_tol")
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "error: simulation.convergence_tol: must be positive\n"
 
 
 @pytest.mark.parametrize("where", ["flag", "scenario"])
@@ -964,6 +1026,41 @@ def test_invalid_generate_spec_exits_2_at_load(tmp_path, demo_dict, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "signal: horizon must be positive" in captured.err and captured.out == ""
+
+
+def _explicit(segments, t0=0.0, tf=30.0):
+    return {"type": "explicit", "t0": t0, "tf": tf,
+            "segments": [{"t": t, "mode": m} for t, m in segments]}
+
+
+BAD_SIGNALS = {
+    "decreasing": (_explicit([(0.0, 1), (5.0, 3), (3.0, 1)]),
+                   "segment start times must be strictly increasing"),
+    "late_first": (_explicit([(1.0, 1), (5.0, 3)]), "first segment must start at t0"),
+    "empty_horizon": (_explicit([(0.0, 1)], tf=0.0), "empty horizon [0.0, 0.0]"),
+    "start_at_tf": (_explicit([(0.0, 1), (30.0, 3)]), "last segment starts at or after tf"),
+    "same_mode": (_explicit([(0.0, 1), (5.0, 1)]),
+                  "consecutive segments must switch to a different mode"),
+    "short_horizon": ({"horizon": 1.0},
+                      "horizon 1.0 too short for one compliant block (needs at least 11.398)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNALS))
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+def test_bad_signal_exits_2_at_load(tmp_path, demo_dict, capsys, case, command):
+    # a signal no run can have is refused with its path when the scenario
+    # loads, so analyze, which never resolves the signal, refuses it too
+    edit, message = BAD_SIGNALS[case]
+    if edit.get("type") == "explicit":
+        demo_dict["signal"] = edit
+    else:
+        demo_dict["signal"].update(edit)
+    out = tmp_path / "out"
+    rc = main([command, "--scenario", write(tmp_path, demo_dict), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: signal: {message}\n"
 
 
 def test_infeasible_generation_exits_2(tmp_path, demo_dict, capsys):

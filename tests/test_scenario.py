@@ -317,6 +317,9 @@ def test_simulation_validation():
     d = practical_dict()
     d["simulation"]["tail_fraction"] = 1.5
     _expect(d, "simulation.tail_fraction")
+    d = practical_dict()
+    d["simulation"]["convergence_tol"] = -1.0
+    _expect(d, "simulation.convergence_tol: must be positive")
 
 
 def test_type_errors_are_pathed():
@@ -336,6 +339,8 @@ def test_generate_spec_checks_run_at_load():
         ("horizon", 0.0, "signal: horizon must be positive, got 0.0"),
         ("margin", 0.0, "signal: margin must be positive, got 0.0"),
         ("stable_modes", [], "signal: at least one stable mode is required"),
+        ("horizon", 1.0,
+         "signal: horizon 1.0 too short for one compliant block (needs at least 11.398)"),
     ):
         d = practical_dict()
         d["signal"][field] = value
@@ -362,6 +367,9 @@ def test_signal_file_segments_are_checked_as_spec_segments():
     assert spec == file == "signal.segments: must not be empty"
     spec, file = _segment_errors([{"mode": 1}])
     assert spec == file == "signal.segments[0].t: missing required field"
+    spec, file = _segment_errors([{"t": 0.0, "mode": 1}, {"t": 0.5, "mode": 3},
+                                  {"t": 0.25, "mode": 1}])
+    assert spec == file == "signal: segment start times must be strictly increasing"
 
 
 def test_absent_fields_take_the_defaults_of_their_types():
