@@ -19,6 +19,23 @@ give S a Schur form through U (x) V, once the 2p x 2p diagonal block at
 each complex eigenvalue pair of cZ is brought to Schur form itself. One
 N x N and one p x p decomposition, and one 2p x 2p per complex pair,
 replace the pN x pN one a dense solver computes.
+
+The triangular equation R' Y + Y R = C left in that basis is solved by the
+recursive blocked scheme of Jonsson & Kagstrom (ACM TOMS 28(4), 2002): R is
+split at a block boundary, never inside a 2 x 2 diagonal block, into R11,
+R12 and R22; Y11 solves the leading equation recursively, Y12 one
+triangular Sylvester equation R11' Y12 + Y12 R22 = C12 - Y11 R12, itself
+split along its larger side, and Y22 the trailing equation with
+C22 - S - S', S = R12' Y12. Y21 is Y12'. The updates are matrix products,
+so most of the work runs in level-3 BLAS, and LAPACK's unblocked dtrsyl
+solves only the leaves, blocks of at most _TRSYL_LEAF rows and columns. A
+triangular matrix no larger than a leaf is one dtrsyl call.
+
+dtrsyl returns its solution for scale * C, scale <= 1 keeping it finite.
+A leaf whose scale is below 1 rescales every block solved before it and
+the right-hand sides still to be solved, so the whole Y solves
+R' Y + Y R = scale * C for the product of the leaves' scales, which the
+solve returns as dtrsyl would.
 """
 
 from __future__ import annotations
@@ -42,6 +59,9 @@ from .transition import ImpulseBounds
 
 _STABLE_CLAMP = 0.1    # fallback: gamma = (1 - clamp) * alpha when alpha + margin >= 0
 _RESIDUAL_REL_TOL = 1e-8
+# largest block the triangular Lyapunov solve hands to dtrsyl unblocked; on
+# the wide bench modes (pN about 320) leaves of 32 to 128 rows ran alike
+_TRSYL_LEAF = 64
 
 
 def default_gamma_margin(alpha: float) -> float:
@@ -78,6 +98,93 @@ def _real_schur(M: np.ndarray, mode_id: int | None) -> tuple[np.ndarray, np.ndar
     return T, U
 
 
+def _split(R: np.ndarray) -> int:
+    """A row k near the middle of quasi-triangular R where R[:k, :k] and
+    R[k:, k:] split no 2x2 diagonal block (dtrsyl reads a nonzero
+    subdiagonal entry as one)."""
+    k = R.shape[0] // 2
+    return k + 1 if R[k, k - 1] != 0.0 else k
+
+
+def _triangular_lyapunov(R: np.ndarray, C: np.ndarray, mode_id: int | None) -> tuple[np.ndarray, float]:
+    """(Y, scale) with R' Y + Y R = scale * C for quasi-triangular R in
+    Schur canonical form and symmetric C, as dtrsyl(R, R, C, trana="T")
+    returns them, by the recursive blocked solve of the module docstring.
+
+    Every recursive step solves its blocks in place in one working copy of
+    C and returns the product of its leaves' scales; a step whose part
+    returns a scale below 1 multiplies its other blocks, solved or still
+    right-hand sides, by it. info < 0 at any leaf raises CertificateError
+    naming the mode; info 1 (near-singular, solved with perturbed values)
+    is left to the caller's checks.
+    """
+    from scipy.linalg.lapack import dtrsyl
+
+    def leaf(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
+        Y, scale, info = dtrsyl(A, B, X, trana="T")
+        if info < 0:
+            raise CertificateError(
+                f"Lyapunov solve failed for mode {mode_id}: dtrsyl argument {-info} is illegal"
+            )
+        return Y, scale
+
+    def sylvester(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> float:
+        # A' Y + Y B = X, Y written over X; split along the larger side
+        m, n = X.shape
+        if max(m, n) <= _TRSYL_LEAF:
+            X[...], scale = leaf(A, B, X)
+            return scale
+        if m >= n:
+            k = _split(A)
+            s1 = sylvester(A[:k, :k], B, X[:k])
+            if s1 != 1.0:
+                X[k:] *= s1
+            X[k:] -= A[:k, k:].T @ X[:k]
+            s2 = sylvester(A[k:, k:], B, X[k:])
+            if s2 != 1.0:
+                X[:k] *= s2
+        else:
+            k = _split(B)
+            s1 = sylvester(A, B[:k, :k], X[:, :k])
+            if s1 != 1.0:
+                X[:, k:] *= s1
+            X[:, k:] -= X[:, :k] @ B[:k, k:]
+            s2 = sylvester(A, B[k:, k:], X[:, k:])
+            if s2 != 1.0:
+                X[:, :k] *= s2
+        return s1 * s2
+
+    def lyapunov(T: np.ndarray, X: np.ndarray) -> float:
+        # T' Y + Y T = X, Y written over X; X21 is never read, and Y21 is Y12'
+        if T.shape[0] <= _TRSYL_LEAF:
+            X[...], scale = leaf(T, T, X)
+            return scale
+        k = _split(T)
+        T12 = T[:k, k:]
+        s1 = lyapunov(T[:k, :k], X[:k, :k])
+        if s1 != 1.0:
+            X[:k, k:] *= s1
+            X[k:, k:] *= s1
+        X[:k, k:] -= X[:k, :k] @ T12
+        s2 = sylvester(T[:k, :k], T[k:, k:], X[:k, k:])
+        if s2 != 1.0:
+            X[:k, :k] *= s2
+            X[k:, k:] *= s2
+        S = T12.T @ X[:k, k:]
+        X[k:, k:] -= S + S.T
+        s3 = lyapunov(T[k:, k:], X[k:, k:])
+        if s3 != 1.0:
+            X[:k] *= s3
+        X[k:, :k] = X[:k, k:].T
+        return s1 * s2 * s3
+
+    # one leaf keeps dtrsyl's own output, bit for bit
+    if R.shape[0] <= _TRSYL_LEAF:
+        return leaf(R, R, C)
+    Y = np.array(C, dtype=float)
+    return Y, lyapunov(R, Y)
+
+
 def _shifted_lyapunov(mm: ModeMatrix, gamma: float) -> np.ndarray:
     """P with S' P + P S = -I, S = I_N (x) A + cZ (x) I_p - gamma I.
 
@@ -85,11 +192,11 @@ def _shifted_lyapunov(mm: ModeMatrix, gamma: float) -> np.ndarray:
     Q' S Q = R = I_N (x) (R_A - gamma I) + T (x) I_p. Each 2x2 block of T
     leaves the 2p x 2p diagonal block at its rows non-triangular when p > 1;
     that block's own Schur rotation W is folded into R and Q. R is then
-    quasi-triangular, R' Y + Y R = -I is one triangular Sylvester solve, and
-    P = Q Y Q'.
+    quasi-triangular, and R' Y + Y R = -scale I is solved by recursive
+    blocked Bartels-Stewart (_triangular_lyapunov): dtrsyl on leaves of at
+    most _TRSYL_LEAF rows, matrix products between them, and scale the
+    product of the leaves' scales. P = Q (Y / scale) Q'.
     """
-    from scipy.linalg.lapack import dtrsyl
-
     n, p = mm.n_agents, mm.p
     T, U = _real_schur(mm.cZ, mm.mode_id)
     R_A, V = _real_schur(mm.A, mm.mode_id)
@@ -104,14 +211,10 @@ def _shifted_lyapunov(mm: ModeMatrix, gamma: float) -> np.ndarray:
             R[: b.start, b] = R[: b.start, b] @ W
             R[b, b] = R_b
             Q[:, b] = Q[:, b] @ W
-    Y, scale, info = dtrsyl(R, R, -np.eye(n * p), trana="T")
-    if info < 0:
-        raise CertificateError(
-            f"Lyapunov solve failed for mode {mm.mode_id}: dtrsyl argument {-info} is illegal"
-        )
-    # dtrsyl solves R' Y + Y R = -scale I, scale <= 1 keeping Y finite; info 1
-    # (near-singular, solved with perturbed values) is left to the positive
-    # definiteness and residual checks of solve_mode_certificate
+    Y, scale = _triangular_lyapunov(R, -np.eye(n * p), mm.mode_id)
+    # scale <= 1 keeps Y finite; info 1 (near-singular, solved with perturbed
+    # values) is left to the positive definiteness and residual checks of
+    # solve_mode_certificate
     return Q @ (Y / scale) @ Q.T
 
 

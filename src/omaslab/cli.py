@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
@@ -68,7 +69,28 @@ def _spectrum(eigvals: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in ev]
 
 
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, np.ndarray)
+
+
+def _scalar(v: Any) -> str:
+    """v's text under json's own rules for allow_nan=False: bool before
+    int, int's and float's own repr for their subclasses too, and str
+    escaped to ASCII."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 
 
 def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
@@ -78,7 +100,9 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
     Containers that hold containers are walked here. A list or dict that
     holds only scalars goes to the C encoder in one call, its item separator
     carrying the newline and the pad of its depth, so the memory held is that
-    of the largest such container's text, not the file's.
+    of the largest such container's text, not the file's. An np.ndarray is
+    written as its .tolist() would be, one row at a time, a 1-D one in one
+    encoder call. Scalars beside containers are formatted here directly.
     """
     encoders: dict[int, json.JSONEncoder] = {}
 
@@ -93,22 +117,27 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
             if not (k is None or isinstance(k, (int, float))):
                 raise TypeError(f"keys must be str, int, float, bool or None, "
                                 f"not {k.__class__.__name__}")
-            k = flat(0).encode(k)
-        return flat(0).encode(k)
+            k = _scalar(k)
+        return encode_basestring_ascii(k)
 
     def node(v: Any, depth: int) -> None:
+        is_array = isinstance(v, np.ndarray)
+        if is_array and (v.ndim == 0 or v.dtype.hasobject):
+            v, is_array = v.tolist(), False
         if not isinstance(v, _CONTAINERS):
-            fh.write(flat(0).encode(v))
+            fh.write(_scalar(v))
             return
         is_dict = isinstance(v, dict)
         open_, close = "{}" if is_dict else "[]"
-        if not v:
+        if not len(v):
             fh.write(open_ + close)
             return
         pad, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        if not any(map(isinstance, v.values() if is_dict else v, repeat(_CONTAINERS))):
+        if (v.ndim == 1 if is_array else
+                not any(map(isinstance, v.values() if is_dict else v, repeat(_CONTAINERS)))):
             # the encoder's brackets are the first and last characters of its text
-            fh.write(open_ + pad + flat(depth + 1).encode(v)[1:-1] + outer + close)
+            text = flat(depth + 1).encode(v.tolist() if is_array else v)
+            fh.write(open_ + pad + text[1:-1] + outer + close)
             return
         sep = open_ + pad
         for k, x in ((sorted(v.items()) if sort_keys else v.items()) if is_dict
@@ -413,7 +442,7 @@ def cmd_gen_signal(scenario: Scenario, args: argparse.Namespace) -> int:
     path = os.path.join(out, "signal.json")
     with _replacing(path) as fh:
         # load rejects non-finite numbers and every draw is finite
-        write_json(signal_to_dict(signal), fh)
+        write_json(signal_to_dict(signal, arrays=True), fh)
         fh.write("\n")
     print(f"wrote {path}: {signal.n_switches} switches on "
           f"[{signal.t0:g}, {signal.tf:g}]")

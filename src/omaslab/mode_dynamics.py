@@ -164,24 +164,64 @@ def build_mode_matrices(
     return out
 
 
+def _has_perfect_matching(adj: np.ndarray) -> bool:
+    """Whether the bipartite graph with n x n biadjacency adj matches every
+    row to its own column.
+
+    Kuhn's augmenting paths, each searched depth first with an explicit
+    stack, so the path length is not bounded by the recursion limit; a
+    greedy pass first takes a free column for every row that has one.
+    """
+    n = adj.shape[0]
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    row_of = [-1] * n  # the row matched to each column
+    col_of = [-1] * n  # the column matched to each row
+    for r in range(n):
+        for c in nbrs[r]:
+            if row_of[c] < 0:
+                row_of[c], col_of[r] = r, c
+                break
+    for root in range(n):
+        if col_of[root] >= 0:
+            continue
+        reached_from = [-1] * n  # the row whose search reached each column
+        stack = [(root, iter(nbrs[root]))]
+        free = -1
+        while stack and free < 0:
+            r, untried = stack[-1]
+            for c in untried:
+                if reached_from[c] < 0:
+                    reached_from[c] = r
+                    if row_of[c] < 0:
+                        free = c
+                    else:
+                        stack.append((row_of[c], iter(nbrs[row_of[c]])))
+                    break
+            else:
+                stack.pop()
+        if free < 0:
+            return False
+        c = free
+        while c >= 0:  # flip the path: each row on it takes the column it reached
+            r = reached_from[c]
+            row_of[c], col_of[r], c = r, c, col_of[r]
+    return True
+
+
 def kronecker_sum_spectrum_check(
     F: np.ndarray, G: np.ndarray, tol: float = _KRON_MATCH_TOL
 ) -> bool:
     """Check that eig(F (x) I + I (x) G) equals all pairwise eigenvalue sums.
 
-    The two multisets are matched by minimum-cost assignment; the check
-    passes when the worst matched distance is within tol.
+    The check passes when the two multisets can be paired one to one with
+    every paired distance within tol: a perfect matching in the graph whose
+    edges join values at most tol apart.
     """
-    # imported here: scipy.optimize would add about 0.2 s to every start
-    from scipy.optimize import linear_sum_assignment
-
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     n, r = F.shape[0], G.shape[0]
     Y = np.kron(F, np.eye(r)) + np.kron(np.eye(n), G)
     ev_y = np.linalg.eigvals(Y)
     pair = np.array([lf + lg for lf in np.linalg.eigvals(F) for lg in np.linalg.eigvals(G)])
-    cost = np.abs(ev_y[:, None] - pair[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return bool(cost[rows, cols].max() <= tol)
+    return _has_perfect_matching(np.abs(ev_y[:, None] - pair[None, :]) <= tol)
 

@@ -610,7 +610,7 @@ _SIMULATION = {
     "seed": _int,
     "convergence_tol": _checked(_num, lambda x: x > 0.0, "must be positive"),
     "tail_fraction": _checked(_num, lambda x: 0.0 < x <= 1.0, "must be in (0, 1]"),
-    "max_dim": _int,
+    "max_dim": _checked(_int, lambda x: x >= 1, "must be >= 1"),
     "sample_stride": _nullable(_checked(_int, lambda x: x >= 1, "must be >= 1")),
     "integrator": _integrator,
 }
@@ -781,14 +781,17 @@ def _plain(v: Any) -> Any:
     return list(v) if isinstance(v, tuple) else v
 
 
-def signal_to_dict(sig: SwitchingSignal) -> dict:
-    """The signal-file document that signal_from_dict reads back."""
+def signal_to_dict(sig: SwitchingSignal, *, arrays: bool = False) -> dict:
+    """The signal-file document that signal_from_dict reads back, in plain
+    lists; with arrays=True each event's impulse and dependence gain stay
+    the event's own arrays, which cli.write_json writes as their lists."""
+    plain = (lambda v: v) if arrays else _plain
     return {
         "t0": sig.t0,
         "tf": sig.tf,
         "segments": [{"t": seg.start, "mode": seg.mode} for seg in sig.segments],
         "events": [
-            {key: _plain(getattr(ev, _EVENT_FIELDS.get(key, key))) for key in _EVENT_RECORD}
+            {key: plain(getattr(ev, _EVENT_FIELDS.get(key, key))) for key in _EVENT_RECORD}
             for ev in sig.events
         ],
     }

@@ -11,15 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from omaslab import apply_error_jump
+from omaslab import apply_error_jump, certificate
 from omaslab.certificate import (
     ModeCertificate,
     _class_rates,
+    _triangular_lyapunov,
     assemble_bundle,
     default_gamma_margin,
     solve_mode_certificate,
 )
-from omaslab.demo import DEMO_DWELL_FLOOR, DEMO_RATIO_FLOOR
+from omaslab.demo import DEMO_A, DEMO_DWELL_FLOOR, DEMO_RATIO_FLOOR
 from omaslab.errors import AssumptionViolation, CertificateError, ConfigError
 from omaslab.mode_dynamics import ModeMatrix
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph, grounded_laplacian
@@ -186,6 +187,164 @@ def test_illegal_sylvester_argument_names_the_mode(monkeypatch, demo_matrices):
     monkeypatch.setattr(lapack, "dtrsyl", lambda *a, **k: (a[2], 1.0, -3))
     with pytest.raises(CertificateError, match="mode 3: dtrsyl argument 3 is illegal"):
         solve_mode_certificate(demo_matrices[3])
+
+
+def split_points(lo: int, hi: int, leaf: int) -> list[int]:
+    """The rows at which the recursive solve halves [lo, hi) when no 2x2
+    block is in the way, down to blocks of at most leaf rows."""
+    if hi - lo <= leaf:
+        return []
+    mid = lo + (hi - lo) // 2
+    return [mid] + split_points(lo, mid, leaf) + split_points(mid, hi, leaf)
+
+
+def quasi_triangular(n: int, blocks: list[int], rng: np.random.Generator) -> np.ndarray:
+    """Stable upper quasi-triangular R in Schur canonical form, a 2x2 block
+    [[a, b], [c, a]] with b c < 0 at rows i, i + 1 for each i in blocks;
+    small off-diagonal entries keep R' Y + Y R = C well conditioned."""
+    R = np.triu(rng.standard_normal((n, n))) / math.sqrt(n)
+    np.fill_diagonal(R, -rng.uniform(0.5, 3.0, n))
+    for i in blocks:
+        a = -rng.uniform(0.5, 3.0)
+        R[i : i + 2, i : i + 2] = [[a, rng.uniform(0.2, 2.0)], [-rng.uniform(0.2, 2.0), a]]
+    return R
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    leaf=st.sampled_from([2, 3, 5, 8]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recursive_triangular_solve_matches_unblocked_dtrsyl(leaf, data, seed):
+    # the recursion must never split a 2x2 block: put one exactly across
+    # the halving points it would otherwise take
+    n = data.draw(st.integers(1, 3 * leaf + 1), label="n")
+    wanted = data.draw(st.sets(st.sampled_from(split_points(0, n, leaf) or [0])), label="splits")
+    blocks, taken = [], set()
+    for k in sorted(wanted):
+        if 1 <= k < n and not {k - 1, k} & taken:
+            blocks.append(k - 1)
+            taken |= {k - 1, k}
+    rng = np.random.default_rng(seed)
+    R = quasi_triangular(n, blocks, rng)
+    C = rng.standard_normal((n, n))
+    C = C + C.T
+    Y0, s0, info = lapack.dtrsyl(R, R, C, trana="T")
+    assert info == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificate, "_TRSYL_LEAF", leaf)
+        Y, s = _triangular_lyapunov(R, C, 5)
+    np.testing.assert_allclose(Y / s, Y0 / s0, rtol=0.0, atol=1e-13 * np.abs(Y0 / s0).max())
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_recursive_triangular_solve_at_the_library_leaf(factor):
+    # sizes from one leaf to three, 2x2 blocks at every halving point
+    leaf = certificate._TRSYL_LEAF
+    rng = np.random.default_rng(factor)
+    for n in (factor * leaf, factor * leaf + 1):
+        R = quasi_triangular(n, [k - 1 for k in split_points(0, n, leaf)], rng)
+        C = -np.eye(n)
+        Y0, s0, _ = lapack.dtrsyl(R, R, C, trana="T")
+        Y, s = _triangular_lyapunov(R, C, 5)
+        np.testing.assert_allclose(Y / s, Y0 / s0, rtol=0.0, atol=1e-13 * np.abs(Y0 / s0).max())
+
+
+def wide_like_mode(n: int) -> ModeMatrix:
+    """A mode shaped like the bench's wide ones: the demo drift on n agents
+    joined by a repelling ring with skips, every agent hearing the leader;
+    the ring gives cZ complex pairs, so the 2p x 2p rotations are taken."""
+    edges = [Edge(i, i % n + 1, -1.0) for i in range(1, n + 1)]
+    edges += [Edge(i, (i + 1) % n + 1, -1.0) for i in range(1, n + 1)]
+    graph = SignedDigraph(n_agents=n, edges=tuple(edges))
+    cZ = 0.3 * grounded_laplacian(AugmentedMode(graph=graph, leader_links=(1.0,) * n))
+    A = np.array(DEMO_A)
+    alpha = max(float((la + lz).real) for la in np.linalg.eigvals(A) for lz in np.linalg.eigvals(cZ))
+    return ModeMatrix(mode_id=9, n_agents=n, p=2, A=A, cZ=cZ, alpha=alpha, stable=alpha < 0.0)
+
+
+def test_recursive_solve_matches_dense_oracle_on_a_wide_like_mode(monkeypatch):
+    mm = wide_like_mode(47)
+    assert mm.n_agents * mm.p > certificate._TRSYL_LEAF
+    real, calls = lapack.dtrsyl, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dtrsyl", counted)
+    cert = solve_mode_certificate(mm, gamma_margin=1.0)
+    assert len(calls) > 1
+    assert max(max(shape) for shape in calls) <= certificate._TRSYL_LEAF
+    want = dense_shifted_lyapunov(mm.A_err, cert.gamma)
+    want = 0.5 * (want + want.T)
+    lam = np.linalg.eigvalsh(want)
+    err = np.linalg.norm(cert.P - want / lam[0], 2) / np.linalg.norm(want / lam[0], 2)
+    assert err <= 100.0 * np.finfo(float).eps * mm.n_agents * mm.p * lam[-1] / lam[0]
+
+
+@pytest.mark.parametrize("halved_calls", ["every", "second"])
+def test_recursive_solve_divides_by_the_lapack_scale(monkeypatch, demo_matrices, halved_calls):
+    # a leaf returning scale < 1 must rescale the blocks solved before it
+    # and the right-hand sides after it, and its scale enter the total
+    monkeypatch.setattr(certificate, "_TRSYL_LEAF", 2)
+    want = solve_mode_certificate(demo_matrices[3]).P
+    real, calls = lapack.dtrsyl, []
+
+    def halved(*args, **kwargs):
+        calls.append(1)
+        y, scale, info = real(*args, **kwargs)
+        if halved_calls == "every" or len(calls) == 2:
+            return 0.5 * y, 0.5 * scale, info
+        return y, scale, info
+
+    monkeypatch.setattr(lapack, "dtrsyl", halved)
+    np.testing.assert_allclose(solve_mode_certificate(demo_matrices[3]).P, want, rtol=1e-14)
+    assert len(calls) > 2
+
+
+def test_recursive_triangular_solve_carries_a_scale_from_any_leaf(monkeypatch):
+    # a general symmetric right-hand side, so every block that a leaf's
+    # scale must rescale is nonzero; the scale comes from one leaf at a time
+    monkeypatch.setattr(certificate, "_TRSYL_LEAF", 2)
+    rng = np.random.default_rng(4)
+    n = 11
+    R = quasi_triangular(n, [k - 1 for k in split_points(0, n, 2)][:2], rng)
+    C = rng.standard_normal((n, n))
+    C = C + C.T
+    Y, s = _triangular_lyapunov(R, C, 5)
+    real, calls = lapack.dtrsyl, []
+
+    def halved(*args, **kwargs):
+        calls.append(1)
+        y, scale, info = real(*args, **kwargs)
+        return (0.5 * y, 0.5 * scale, info) if len(calls) == which else (y, scale, info)
+
+    monkeypatch.setattr(lapack, "dtrsyl", halved)
+    which, leaves = 0, 0
+    while which <= leaves:
+        calls.clear()
+        Y_half, s_half = _triangular_lyapunov(R, C, 5)
+        leaves = len(calls)
+        assert s_half == (0.5 if which else 1.0) * s
+        np.testing.assert_allclose(Y_half / s_half, Y / s, rtol=1e-14, atol=0.0)
+        which += 1
+    assert leaves > 5
+
+
+def test_illegal_sylvester_argument_in_a_recursing_solve_names_the_mode(monkeypatch, demo_matrices):
+    monkeypatch.setattr(certificate, "_TRSYL_LEAF", 2)
+    real, calls = lapack.dtrsyl, []
+
+    def third_illegal(*args, **kwargs):
+        calls.append(1)
+        return (args[2], 1.0, -3) if len(calls) == 3 else real(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dtrsyl", third_illegal)
+    with pytest.raises(CertificateError, match="mode 3: dtrsyl argument 3 is illegal"):
+        solve_mode_certificate(demo_matrices[3])
+    assert len(calls) == 3
 
 
 def test_default_margin_formula():

@@ -15,8 +15,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from omaslab import cli
 from omaslab.certificate import CertificateBundle, ModeCertificate
@@ -469,6 +470,16 @@ def test_non_positive_convergence_tol_exits_2(tmp_path, demo_dict, capsys, tol):
     assert captured.err == "error: simulation.convergence_tol: must be positive\n"
 
 
+@pytest.mark.parametrize("max_dim", [0, -4])
+def test_max_dim_below_one_exits_2_at_load(tmp_path, demo_dict, capsys, max_dim):
+    # refused when the scenario loads, before any mode is stacked
+    demo_dict["simulation"]["max_dim"] = max_dim
+    assert main(["analyze", "--scenario", write(tmp_path, demo_dict, "bad_max_dim.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: simulation.max_dim: must be >= 1\n"
+
+
 @pytest.mark.parametrize("where", ["flag", "scenario"])
 def test_step_longer_than_every_segment(tmp_path, demo_dict, capsys, where):
     # every segment is then one step of its own length: the run still ends
@@ -868,11 +879,13 @@ def test_gen_signal_then_reference(tmp_path, demo_dict, capsys):
 def test_gen_signal_failed_encode_leaves_no_file(tmp_path, demo_dict, monkeypatch):
     path, out = write(tmp_path, demo_dict), tmp_path / "out"
 
-    def with_nan(sig):
+    def with_nan(sig, **kwargs):
         # late in the document: a writer that streamed into signal.json
         # would leave most of the file behind
-        doc = signal_to_dict(sig)
-        doc["events"][-1]["dep_gain"][-1][-1] = math.nan
+        doc = signal_to_dict(sig, **kwargs)
+        gain = np.array(doc["events"][-1]["dep_gain"], dtype=float)  # a copy: the event keeps its own
+        gain[-1, -1] = math.nan
+        doc["events"][-1]["dep_gain"] = gain
         return doc
 
     monkeypatch.setattr(cli, "signal_to_dict", with_nan)
@@ -933,7 +946,9 @@ def test_gen_signal_memory_is_bounded_by_the_document(tmp_path, demo_dict, capsy
     capsys.readouterr()
     text = (out / "signal.json").read_text()
     assert len(text) > 500_000
-    assert peak < 2 * len(text)
+    # the events' own arrays go to the writer a row at a time: the peak is
+    # 0.38 of the text, where lists of the whole document made it 1.3
+    assert peak < len(text) / 2
 
     scenario = load_scenario(path)
     sig = scenario.resolve_signal(scenario.master_seed(None))
@@ -1133,16 +1148,25 @@ def test_module_entry_point(tmp_path, demo_dict):
     assert json.loads(proc.stdout)["stable_mode_ids"] == [1]
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize costs about 0.2 s per start, and only analyze's
-    # spectrum check needs it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, omaslab.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, timeout=120,
-    )
+def test_cli_import_leaves_scipy_optimize_out(tmp_path, demo_dict):
+    # scipy costs about 0.2 s and 20 MB per start, and neither the import
+    # nor analyze loads any of it: the Kronecker spectrum check pairs the
+    # spectra without scipy.optimize
+    code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "from omaslab.cli import main\n"
+            "print(scipy_modules())\n"
+            "assert main(['analyze', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(scipy_modules())\n")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, write(tmp_path, demo_dict), str(out)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    report = json.loads((out / "analyze.json").read_text())
+    assert all(m["kronecker_spectrum_ok"] for m in report["modes"])
 
 
 # sha256 of the demo practical signal.json, as gen-signal wrote it when
@@ -1198,6 +1222,34 @@ _documents = st.recursive(
 )
 
 
+# arrays of every rank up to 3, sides 0 included, as gen-signal hands the
+# writer each event's impulse and dependence gain
+_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  st.sampled_from([-0.0, 5e-324, 0.1]))),
+    hnp.arrays(st.sampled_from([np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+)
+_documents_and_arrays = st.recursive(
+    st.one_of(_scalars, _arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.dictionaries(_keys, children, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+def _listed(doc):
+    """doc with every array replaced by its .tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _listed(v) for k, v in doc.items()}
+    return [_listed(v) for v in doc] if isinstance(doc, (list, tuple)) else doc
+
+
 def _written(doc, sort_keys):
     buf = io.StringIO()
     write_json(doc, buf, sort_keys=sort_keys)
@@ -1205,10 +1257,14 @@ def _written(doc, sort_keys):
 
 
 @settings(max_examples=300)
-@given(doc=_documents)
+@given(doc=st.one_of(_documents, _documents_and_arrays))
+@example(doc=np.array(-0.0))
+@example(doc=np.zeros(0))
+@example(doc={"a": np.array([-0.0, 1.5, 5e-324]), "b": [np.zeros((3, 0)), np.zeros((0, 2))]})
+@example(doc=np.array([None, "x", [1, {"k": 2.5}]], dtype=object))
 def test_write_json_gives_the_bytes_of_json_dumps(doc):
     for sort_keys in (False, True):
-        assert _written(doc, sort_keys) == json.dumps(doc, indent=2, sort_keys=sort_keys,
+        assert _written(doc, sort_keys) == json.dumps(_listed(doc), indent=2, sort_keys=sort_keys,
                                                       allow_nan=False)
 
 

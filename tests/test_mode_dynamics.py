@@ -1,14 +1,19 @@
 """Stacked mode matrices, spectral abscissas and the coupling gain bound."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from omaslab.demo import DEMO_A, DEMO_ALPHAS, DEMO_COUPLING
 from omaslab.errors import AssumptionViolation, ConfigError
 from omaslab.mode_dynamics import (
     AgentDynamics,
+    _has_perfect_matching,
     build_mode_matrices,
     build_mode_matrix,
     coupling_gain_bound,
@@ -115,6 +120,61 @@ def test_kronecker_check_random_pairs(rng):
         F = rng.standard_normal((n, n))
         G = rng.standard_normal((r, r))
         assert kronecker_sum_spectrum_check(F, G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 9),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perfect_matching_agrees_with_assignment(n, density, seed):
+    # a zero-cost assignment of the 0/1 costs "no edge" is a perfect matching
+    adj = np.random.default_rng(seed).random((n, n)) < density
+    rows, cols = linear_sum_assignment((~adj).astype(float))
+    assert _has_perfect_matching(adj) == (not (~adj)[rows, cols].any())
+    if n <= 5:
+        want = any(all(adj[i, j] for i, j in enumerate(perm))
+                   for perm in itertools.permutations(range(n)))
+        assert _has_perfect_matching(adj) == want
+
+
+def test_perfect_matching_follows_long_augmenting_paths():
+    # the greedy pass gives row i column i, so the last row's only
+    # augmenting path runs through every other row: far deeper than
+    # Python's recursion limit
+    n = 5000
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n - 1), np.arange(n - 1)] = True
+    adj[np.arange(n - 1), np.arange(1, n)] = True
+    adj[n - 1, 0] = True
+    assert _has_perfect_matching(adj)
+    adj[n - 2, n - 1] = False
+    assert not _has_perfect_matching(adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    r=st.integers(1, 4),
+    repeat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    log_tol=st.floats(-12.0, 0.0),
+)
+def test_kronecker_check_passes_where_min_sum_assignment_passes(n, r, repeat, seed, log_tol):
+    # the check asks for any pairing within tol, so it passes wherever the
+    # min-sum pairing does; repeated factor eigenvalues give tied sums
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, n))
+    G = np.eye(r) * rng.standard_normal() if repeat else rng.standard_normal((r, r))
+    Y = np.kron(F, np.eye(r)) + np.kron(np.eye(n), G)
+    ev_y = np.linalg.eigvals(Y)
+    pair = np.array([lf + lg for lf in np.linalg.eigvals(F) for lg in np.linalg.eigvals(G)])
+    cost = np.abs(ev_y[:, None] - pair[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    tol = 10.0**log_tol
+    if cost[rows, cols].max() <= tol:
+        assert kronecker_sum_spectrum_check(F, G, tol=tol)
 
 
 def test_build_rejects_oversized_stack():
