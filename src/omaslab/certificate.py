@@ -29,7 +29,8 @@ split along its larger side, and Y22 the trailing equation with
 C22 - S - S', S = R12' Y12. Y21 is Y12'. The updates are matrix products,
 so most of the work runs in level-3 BLAS, and LAPACK's unblocked dtrsyl
 solves only the leaves, blocks of at most _TRSYL_LEAF rows and columns. A
-triangular matrix no larger than a leaf is one dtrsyl call.
+triangular matrix no larger than a leaf is the recursion's base case: one
+dtrsyl call on a copy of C.
 
 dtrsyl returns its solution for scale * C, scale <= 1 keeping it finite.
 A leaf whose scale is below 1 rescales every block solved before it and
@@ -178,9 +179,6 @@ def _triangular_lyapunov(R: np.ndarray, C: np.ndarray, mode_id: int | None) -> t
         X[k:, :k] = X[:k, k:].T
         return s1 * s2 * s3
 
-    # one leaf keeps dtrsyl's own output, bit for bit
-    if R.shape[0] <= _TRSYL_LEAF:
-        return leaf(R, R, C)
     Y = np.array(C, dtype=float)
     return Y, lyapunov(R, Y)
 

@@ -90,7 +90,12 @@ class PerturbationModel:
         if amp.shape != (p,):
             raise ConfigError(f"amplitude has shape {amp.shape}, expected ({p},)")
         v = np.tile(amp, n_agents)
-        norm = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not math.isfinite(norm):
+            raise ConfigError(
+                f"perturbation.amplitude: its norm tiled over {n_agents} agents overflows"
+            )
         if norm > self.bound and norm > 0.0:
             v *= self.bound / norm
         return v
@@ -119,10 +124,14 @@ class PerturbationModel:
         Returns None when the perturbation is identically zero. Row i
         depends on times[i] alone, so any split of a grid into chunks gives
         the same rows. The random kind draws each hold once, however many
-        grid points fall inside it. first, when
-        given, is the row already sampled at times[0] (by the previous chunk
-        of a segment); the random kind reuses it for its hold instead of
-        drawing that hold again.
+        grid points fall inside it. first, when given, is the row already
+        sampled at times[0] (by the previous chunk of a segment); the random
+        kind reuses it for its hold instead of drawing that hold again.
+
+        A grid the forcing cannot be told on raises ConfigError naming the
+        field at fault: a non-finite phase 2 pi f t, a hold index past the
+        int64 range (a hold too short for the horizon), or an amplitude
+        whose norm tiled over the agents overflows.
         """
         if self.kind == "zero" or self.bound == 0.0:
             return None
@@ -133,9 +142,22 @@ class PerturbationModel:
         if self.kind == "sinusoidal":
             # math.sin per point: np.sin may round differently in the last bit
             w = 2.0 * math.pi * self.frequency
+            # |w t| grows with |t|, so the largest |t| has the largest phase
+            if not math.isfinite(w * float(np.abs(times).max(initial=0.0))):
+                raise ConfigError(
+                    f"perturbation.frequency: the phase 2 pi f t of f = {self.frequency} "
+                    f"is not finite on [{times.min()}, {times.max()}]"
+                )
             s = np.array([math.sin(w * t) for t in times.tolist()])
             return self._tiled(n_agents, p) * s[:, None]
-        k = np.floor(times / self.hold + _GRID_EPS).astype(np.int64)
+        with np.errstate(over="ignore"):
+            k = np.floor(times / self.hold + _GRID_EPS)
+        if not ((k >= -(2.0**63)).all() and (k < 2.0**63).all()):
+            raise ConfigError(
+                f"perturbation.hold: {self.hold} is too short for the horizon: "
+                f"the hold index of t in [{times.min()}, {times.max()}] leaves the int64 range"
+            )
+        k = k.astype(np.int64)
         holds, which = np.unique(k, return_inverse=True)
         draws = [
             first if first is not None and j == k[0] else self._hold_draw(int(j), dim)
@@ -215,14 +237,18 @@ class Trajectory:
         return sup
 
 
-def _grid(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
+def _grid(t_start: float, t_end: float, dt: float) -> list[tuple[int, int, float]]:
+    """The steps of the window [t_start, t_end] as blocks (first step, end
+    step, step length): chunks of at most _CHUNK_STEPS full steps of dt,
+    then the remainder step onto t_end. The one layout of a window's steps."""
     span = t_end - t_start
     n_full = int(math.floor(span / dt + _GRID_EPS))
     rem = span - n_full * dt
+    blocks = [(a, min(a + _CHUNK_STEPS, n_full), dt) for a in range(0, n_full, _CHUNK_STEPS)]
     # a remainder within rounding of a full step is none; a short segment is one step
-    if n_full > 0 and rem < dt * 1e-9:
-        rem = 0.0
-    return n_full, rem
+    if rem > 0.0 and not (n_full > 0 and rem < dt * 1e-9):
+        blocks.append((n_full, n_full + 1, rem))
+    return blocks
 
 
 def _stacked(mode: ModeMatrix) -> np.ndarray:
@@ -347,40 +373,27 @@ def _max_row_norm(F: np.ndarray) -> float:
     return max(float(np.linalg.norm(F[i])) for i in fresh)
 
 
-def _step_lengths(dt: float, grid: tuple[int, float]) -> tuple[float, ...]:
-    """The step lengths a grid from _grid takes: dt, the remainder, or both."""
-    n_full, rem = grid
-    lengths = (dt,) if n_full > 0 else ()
-    return lengths + ((rem,) if rem > 0.0 else ())
-
-
 def _integrate(
     mode: ModeMatrix,
     x: np.ndarray,
     h: PerturbationModel,
     t_span: tuple[float, float],
     dt: float,
-    grid: tuple[int, float],
+    blocks: list[tuple[int, int, float]],
     steps: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]],
     sample_stride: int,
 ) -> tuple[np.ndarray, np.ndarray, float | None, float]:
     """Step z = (leader, errors) over one constant-mode window of run_switched.
 
-    The grid is laid out by _grid, steps maps each of its step lengths to
-    its (E, A0, A1), and x is the checked state at t_span[0]. Returns the
-    kept sample times, the states at them, the time of the first non-finite
-    step (None when there is none) and the largest forcing norm.
+    blocks are the window's steps as _grid, their one layout, gives them;
+    steps maps each of their step lengths to its (E, A0, A1), and x is the
+    checked state at t_span[0]. Returns the kept sample times, the states
+    at them, the time of the first non-finite step (None when there is
+    none) and the largest forcing norm.
     """
     t_start, t_end = t_span
     p, n = mode.p, mode.n_agents
     dim = len(x)
-    n_full, rem = grid
-    n_steps = n_full + (1 if rem > 0.0 else 0)
-    # (first step, end step, step length): chunks of full steps, then the
-    # remainder step onto t_end
-    blocks = [(a, min(a + _CHUNK_STEPS, n_full), dt) for a in range(0, n_full, _CHUNK_STEPS)]
-    if rem > 0.0:
-        blocks.append((n_full, n_steps, rem))
     times = [np.array([t_start])]
     states = [x[None, :].copy()]
     max_h = 0.0
@@ -403,7 +416,7 @@ def _integrate(
             _advance(E, x, G, out)
             finite = np.isfinite(out).all(axis=1)
         step_no = np.arange(a + 1, b + 1)  # 1-based index of each step
-        keep = (step_no % sample_stride == 0) | (step_no == n_steps)
+        keep = (step_no % sample_stride == 0) | (step_no == blocks[-1][1])
         if not finite.all():
             bad = int(np.argmin(finite))
             diverged_at = float(t_ends[bad])
@@ -470,7 +483,9 @@ def run_switched(
     own dynamics untouched by either the coupling or the forcing.
 
     Either method is one linear step x' = E x + A0 f0 + A1 f1, applied in
-    chunks of steps whose forcing terms are computed at once. Every
+    chunks of steps whose forcing terms are computed at once; _grid, the
+    one layout of a segment's steps, gives the chunks and the remainder
+    step, and the step matrices are keyed by their lengths. Every
     sample_stride-th step and each segment's last are kept; None picks the
     stride from the horizon. The run stops (diverged_at set) at the first
     step with a non-finite state, which is not kept.
@@ -496,8 +511,8 @@ def run_switched(
     # kept per (mode, exact step length) -- the method is the run's -- from
     # the first segment that steps by them until the last
     keys = [
-        [(seg.mode, s) for s in _step_lengths(dt, grid)]
-        for seg, grid in zip(signal.segments, grids)
+        list(dict.fromkeys((seg.mode, step) for _, _, step in blocks))
+        for seg, blocks in zip(signal.segments, grids)
     ]
     last_use = {key: i for i, seg_keys in enumerate(keys) for key in seg_keys}
     kept: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

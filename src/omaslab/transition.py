@@ -118,16 +118,9 @@ def _check_pattern(
     return joins, leaves
 
 
-@lru_cache(maxsize=1024)
 def _kept(n: int, dropped: tuple[int, ...]) -> np.ndarray:
-    """0..n-1 without the 1-based positions dropped: np.delete's indices,
-    read off a keep-mask, which is cheaper than np.delete's general path.
-    Cached, so read-only."""
-    keep = np.ones(n, dtype=bool)
-    keep[np.array(dropped, dtype=np.intp) - 1] = False
-    kept = np.flatnonzero(keep)
-    kept.flags.writeable = False
-    return kept
+    """0..n-1 without the 1-based positions dropped."""
+    return np.delete(np.arange(n), np.array(dropped, dtype=np.intp) - 1)
 
 
 @lru_cache(maxsize=1024)

@@ -367,6 +367,22 @@ def envelope_by_direct_sums(traj, bundle) -> np.ndarray:
     return np.concatenate(out)
 
 
+def grid_by_count(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
+    """(n_full, rem) of the window [t_start, t_end]: its count of full steps
+    of dt, and the remainder step onto t_end, 0.0 when there is none.
+
+    A remainder within rounding (1e-9 dt) of a full step is none, and a
+    window shorter than dt is one step of its own length. The count rule
+    that simulate._grid lays out as blocks.
+    """
+    span = t_end - t_start
+    n_full = int(math.floor(span / dt + _GRID_EPS))
+    rem = span - n_full * dt
+    if n_full > 0 and rem < dt * 1e-9:
+        rem = 0.0
+    return n_full, rem
+
+
 def forcing_at(h, t: float, n_agents: int, p: int) -> np.ndarray:
     """The forcing of perturbation model h at one time, recounted by kind.
 

@@ -251,6 +251,23 @@ def test_recursive_triangular_solve_at_the_library_leaf(factor):
         np.testing.assert_allclose(Y / s, Y0 / s0, rtol=0.0, atol=1e-13 * np.abs(Y0 / s0).max())
 
 
+def test_one_leaf_solve_is_dtrsyl_bit_for_bit():
+    # a matrix no larger than a leaf is the recursion's base case: one
+    # dtrsyl call on a copy of C, whose Y and scale come back unchanged
+    rng = np.random.default_rng(7)
+    for n in range(1, certificate._TRSYL_LEAF + 1):
+        R = quasi_triangular(n, [0, n - 2] if n >= 4 else [0] if n >= 2 else [], rng)
+        C = rng.standard_normal((n, n))
+        C = C + C.T
+        C_before = C.copy()
+        Y0, s0, info = lapack.dtrsyl(R, R, C, trana="T")
+        assert info == 0
+        Y, s = _triangular_lyapunov(R, C, 5)
+        np.testing.assert_array_equal(Y, Y0, strict=True, err_msg=f"n = {n}")
+        assert s == s0
+        np.testing.assert_array_equal(C, C_before)
+
+
 def wide_like_mode(n: int) -> ModeMatrix:
     """A mode shaped like the bench's wide ones: the demo drift on n agents
     joined by a repelling ring with skips, every agent hearing the leader;

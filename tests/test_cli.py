@@ -561,6 +561,28 @@ def test_sweep_error_in_a_worker_exits_2(tmp_path, demo_dict, capsys, monkeypatc
     assert checked_in and str(os.getpid()) not in checked_in
 
 
+_UNTOLD_FORCING = {
+    "frequency": {"kind": "sinusoidal", "bound": 0.2, "amplitude": [0.1, 0.1],
+                  "frequency": 1e308},
+    "hold": {"kind": "random", "bound": 0.2, "hold": 1e-300},
+    "amplitude": {"kind": "constant", "bound": 0.2, "amplitude": [1e308, 1e308]},
+}
+
+
+@pytest.mark.parametrize("sweep", ["1", "2"])
+@pytest.mark.parametrize("field", sorted(_UNTOLD_FORCING))
+def test_forcing_that_cannot_be_told_exits_2(tmp_path, demo_dict, capsys, field, sweep):
+    # an infinite phase crashed sin, a hold index past int64 gave every
+    # t > 0 one draw, and an overflowing tiled norm left the run unforced
+    demo_dict["perturbation"] = _UNTOLD_FORCING[field]
+    rc, out = run_simulate(tmp_path, demo_dict, "out", extra=("--dt", "1e-2", "--sweep", sweep))
+    captured = capsys.readouterr()
+    assert rc == 2 and not out.exists()
+    assert captured.out == ("" if sweep == "1" else "--- seed 11 ---\n")
+    assert captured.err.startswith(f"error: perturbation.{field}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_solves_each_mode_certificate_once(tmp_path, demo_dict, capsys, monkeypatch):
     import omaslab.scenario
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from omaslab.demo import DEMO_A, DEMO_COUPLING
 from omaslab.mode_dynamics import AgentDynamics, build_mode_matrix
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.simulate import _grid, _propagators, _stacked, _step_lengths
+from omaslab.simulate import _grid, _propagators, _stacked
 
 from helpers import van_loan_propagators
 
@@ -156,7 +156,7 @@ def test_demo_modes_match_van_loan(practical_scenario, practical_signal):
     builds = {
         (seg.mode, step)
         for i, seg in enumerate(practical_signal.segments)
-        for step in _step_lengths(dt, _grid(*practical_signal.segment_bounds(i), dt))
+        for _, _, step in _grid(*practical_signal.segment_bounds(i), dt)
     }
     assert {mode for mode, _ in builds} == set(matrices)
     assert len({step for _, step in builds}) > 1  # remainders as well as dt
@@ -169,7 +169,7 @@ def test_wide_modes_match_van_loan():
     # the wide layout: stable spans of 30.2 s (60 steps of 0.5 and a
     # remainder), unstable spans of one 0.5 s step
     dt = 0.5
-    steps = set(_step_lengths(dt, _grid(0.0, 30.2, dt)) + _step_lengths(dt, _grid(30.2, 30.7, dt)))
+    steps = {step for span in ((0.0, 30.2), (30.2, 30.7)) for _, _, step in _grid(*span, dt)}
     assert len(steps) == 2
     for mode in wide_modes():
         M = _stacked(mode)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omaslab import (
@@ -42,6 +42,7 @@ from omaslab.switching import Segment, SwitchingSignal
 from helpers import (
     envelope_by_direct_sums,
     forcing_at,
+    grid_by_count,
     pure_relabel_event,
     reference_trajectory_csv,
 )
@@ -308,9 +309,38 @@ def test_tail_sup_error_hand_case():
 def test_grid_steps_a_short_segment_once():
     # the rounding tolerance applies only after a full step: a segment
     # shorter than dt is one step of its own length, not none
-    assert _grid(0.0, 2.5, 1e300) == (0, 2.5)
-    assert _grid(3.0, 3.0 + 1e-12, 0.05) == (0, pytest.approx(1e-12, rel=1e-3))
-    assert _grid(0.0, 0.3, 0.1) == (3, 0.0)
+    assert _grid(0.0, 2.5, 1e300) == [(0, 1, 2.5)]
+    assert _grid(3.0, 3.0 + 1e-12, 0.05) == [(0, 1, pytest.approx(1e-12, rel=1e-3))]
+    assert _grid(0.0, 0.3, 0.1) == [(0, 3, 0.1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_start=st.floats(-1e3, 1e3),
+    dt=st.sampled_from([1e-3, 0.01, 0.013, 0.05, 0.5]),
+    n=st.integers(0, 4 * _CHUNK_STEPS),
+    # any fraction of a step, and remainders within rounding of a full step
+    frac=st.one_of(st.floats(1e-12, 1.0), st.floats(-3e-9, 3e-9)),
+)
+@example(t_start=3.0, dt=0.05, n=0, frac=2e-11)  # a span of 1e-12
+@example(t_start=0.0, dt=0.1, n=2 * _CHUNK_STEPS, frac=1e-9)
+@example(t_start=0.0, dt=0.1, n=2 * _CHUNK_STEPS, frac=-1e-9)
+def test_grid_blocks_follow_the_count_rule(t_start, dt, n, frac):
+    assume(n + frac > 0.0)  # a signal's segments have positive spans
+    t_end = t_start + (n + frac) * dt
+    n_full, rem = grid_by_count(t_start, t_end, dt)
+    blocks = _grid(t_start, t_end, dt)
+    ends = [0] + [b for _, b, _ in blocks]
+    # contiguous from step 0, and as many steps as the count rule takes
+    assert [a for a, _, _ in blocks] == ends[:-1]
+    assert ends[-1] == n_full + (rem > 0.0)
+    # chunks of at most _CHUNK_STEPS steps of exactly dt, then the
+    # remainder step last, and only when there is one
+    full = blocks[:-1] if rem > 0.0 else blocks
+    assert all(a < b <= a + _CHUNK_STEPS and step == dt for a, b, step in full)
+    assert sum(b - a for a, b, _ in full) == n_full
+    if rem > 0.0:
+        assert blocks[-1] == (n_full, n_full + 1, rem)
 
 
 def test_divergence_detected_and_reported():
@@ -478,9 +508,10 @@ def _hold_grid(hold: float, ks: list[int], offsets: list[float]) -> np.ndarray:
 
 def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     """The grid a segment samples the forcing on, remainder included."""
-    n_full, rem = _grid(t_start, t_end, dt)
-    times = [t_start + k * dt for k in range(n_full + 1)]
-    return np.array(times + ([t_end] if rem > 0.0 else []))
+    times = [t_start]
+    for a, b, step in _grid(t_start, t_end, dt):
+        times += [t_start + k * dt for k in range(a + 1, b + 1)] if step == dt else [t_end]
+    return np.array(times)
 
 
 @settings(max_examples=150, deadline=None)
@@ -540,6 +571,31 @@ def test_hold_streams_before_and_after_zero(monkeypatch):
     expected = uniform_in_ball(real(4, STREAM_PERTURBATION, 1, 6), 6, 0.2)
     assert rows[3].tobytes() == expected.tobytes()
     assert len({r.tobytes() for r in rows}) == 4
+
+
+def test_sample_grid_refuses_a_forcing_it_cannot_tell():
+    # |t| = 30 sets the largest phase and the extreme hold indices
+    times = np.array([-30.0, 0.0, 30.0])
+    sinusoidal = dict(kind="sinusoidal", bound=0.2, amplitude=(0.1, 0.1))
+    random = dict(kind="random", bound=0.2, seed=4)
+    constant = dict(kind="constant", bound=0.2)
+    # a finite phase, a hold index inside int64 and a finite tiled norm
+    # keep their per-point rows, however close to the edge
+    for h in (PerturbationModel(**sinusoidal, frequency=1e305),
+              PerturbationModel(**random, hold=2.0**-58),
+              PerturbationModel(**constant, amplitude=(1e153, 1e153))):
+        rows = h.sample_grid(times, 2, 2)
+        assert [r.tobytes() for r in rows] == [
+            forcing_at(h, float(t), 2, 2).tobytes() for t in times
+        ]
+    # past the edge: sin of an infinite phase raises, a hold index past
+    # int64 casts to one hold for every t, and an infinite norm scales the
+    # forcing to zero; each is refused and names its field
+    for field, h in (("frequency", PerturbationModel(**sinusoidal, frequency=1e307)),
+                     ("hold", PerturbationModel(**random, hold=2.0**-59)),
+                     ("amplitude", PerturbationModel(**constant, amplitude=(1e155, 1e155)))):
+        with pytest.raises(ConfigError, match=f"^perturbation\\.{field}: "):
+            h.sample_grid(times, 2, 2)
 
 
 def test_segment_draws_each_hold_once(monkeypatch):
@@ -678,12 +734,9 @@ def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, metho
 
     uses = []
     for i, seg in enumerate(sig.segments):
-        n_full, rem = _grid(*sig.segment_bounds(i), dt)
         M = stacked(matrices[seg.mode]).tobytes()
-        if n_full > 0:
-            uses.append((M, dt, method))
-        if rem > 0.0:
-            uses.append((M, rem, method))
+        lengths = {step for _, _, step in _grid(*sig.segment_bounds(i), dt)}
+        uses += [(M, step, method) for step in lengths]
     # the three remainders of mode 1 differ only in their last bits, and
     # each is a key of its own
     rems = {step for _, step, _ in uses if step != dt}
