@@ -44,6 +44,13 @@ _CHUNK_STEPS = 1000  # steps whose forcing is built and checked at once
 _CSV_BLOCK_ROWS = 256  # trajectory rows formatted per write
 # 1/k!, the Taylor coefficients of the phi-functions in _propagators
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(20))
+# the most bytes the E, Phi1 and Phi2 of one stacked build of step matrices
+# take (one step length when its own are larger), so that what a run builds
+# ahead of use stays small next to its states
+_STACK_BYTES = 64 * 2**10
+# the bound a leap over a gap of steps keeps its states under; 2^23 below
+# overflow, so that no step inside the gap can overflow either
+_LEAP_LIMIT = 2.0**1000
 
 PERTURBATION_KINDS = ("zero", "constant", "sinusoidal", "random")
 
@@ -265,7 +272,17 @@ def _stacked(mode: ModeMatrix) -> np.ndarray:
 
 
 def _propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E = e^(M h), Phi1 = h phi1(M h) and Phi2 = h^2 phi2(M h) for h = step.
+    """E = e^(M h), Phi1 = h phi1(M h) and Phi2 = h^2 phi2(M h) for h = step:
+    _propagator_stack of the one step."""
+    E, Phi1, Phi2 = _propagator_stack(M, [step])
+    return E[0], Phi1[0], Phi2[0]
+
+
+def _propagator_stack(
+    M: np.ndarray, steps: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E = e^(M h), Phi1 = h phi1(M h) and Phi2 = h^2 phi2(M h) for each h
+    of steps, as three (len(steps), n, n) stacks in the order of steps.
 
     With phi1(X) = sum_k X^k / (k+1)! and phi2(X) = sum_k X^k / (k+2)!,
     Phi1 = int_0^h e^(M (h-s)) ds and Phi2 = int_0^h e^(M (h-s)) s ds: the
@@ -289,31 +306,51 @@ def _propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np
     top block row of the exponential of a 3n x 3n block matrix, gives the
     same three matrices at about ten times the cost on a wide network and
     is kept as the tests' oracle.
+
+    The steps that share s and m are worked as one stack: every product is
+    a stacked matmul, which multiplies each matrix of a stack by itself, so
+    each step's three matrices have the bits of a stack of that step alone.
     """
     n = M.shape[0]
-    X = M * step
-    f, e = math.frexp(float(np.linalg.norm(X, 1)))
-    s = max(0, e + (f > 0.5))  # the least s >= 0 with ||X||_1 / 2^s <= 1/2
-    Y = X / 2.0**s
-    y = math.ldexp(f, e - s)  # ||Y||_1, exactly
-    m = 1
-    while y ** (m + 1) * math.exp(y) * _INV_FACTORIAL[m + 3] > 2.0**-54:
-        m += 1
-    # Horner from the inside out: phi2 = 1/2! + Y (1/3! + ... + Y (1/(m+2)!))
-    phi2 = Y * _INV_FACTORIAL[m + 2]
-    for k in range(m - 1, 0, -1):
-        phi2.flat[:: n + 1] += _INV_FACTORIAL[k + 2]
-        phi2 = Y @ phi2
-    phi2.flat[:: n + 1] += _INV_FACTORIAL[2]
-    phi1 = Y @ phi2
-    phi1.flat[:: n + 1] += 1.0
-    E = Y @ phi1
-    E.flat[:: n + 1] += 1.0
-    for _ in range(s):
-        phi2 = 0.25 * (E @ phi2 + phi2 + phi1)
-        phi1 = 0.5 * (E @ phi1 + phi1)
-        E = E @ E
-    return E, step * phi1, (step * step) * phi2
+    h = np.asarray(steps, dtype=float)
+    Y = M * h[:, None, None]  # X = M h, scaled to Y in place below
+    f, e = np.frexp(np.abs(Y).sum(axis=1).max(axis=1))  # ||X||_1 of each step
+    s = np.maximum(0, e + (f > 0.5))  # the least s >= 0 with ||X||_1 / 2^s <= 1/2
+    Y /= np.ldexp(1.0, s)[:, None, None]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, y in enumerate(np.ldexp(f, e - s).tolist()):  # ||Y||_1, exactly
+        m = 1
+        while y ** (m + 1) * math.exp(y) * _INV_FACTORIAL[m + 3] > 2.0**-54:
+            m += 1
+        groups.setdefault((int(s[i]), m), []).append(i)
+    out = None
+    d = np.arange(n)  # the diagonal of each matrix of a stack
+    for (s_k, m), idx in groups.items():
+        whole = len(idx) == len(h)  # one group: no copy in, none out
+        Yk = Y if whole else Y[idx]
+        # Horner from the inside out: phi2 = 1/2! + Y (1/3! + ... + Y (1/(m+2)!))
+        phi2 = Yk * _INV_FACTORIAL[m + 2]
+        for k in range(m - 1, 0, -1):
+            phi2[:, d, d] += _INV_FACTORIAL[k + 2]
+            phi2 = Yk @ phi2
+        phi2[:, d, d] += _INV_FACTORIAL[2]
+        phi1 = Yk @ phi2
+        phi1[:, d, d] += 1.0
+        E = Yk @ phi1
+        E[:, d, d] += 1.0
+        for _ in range(s_k):
+            phi2 = 0.25 * (E @ phi2 + phi2 + phi1)
+            phi1 = 0.5 * (E @ phi1 + phi1)
+            E = E @ E
+        hk = h[idx][:, None, None]
+        group = (E, hk * phi1, (hk * hk) * phi2)
+        if whole:
+            return group
+        if out is None:
+            out = tuple(np.empty_like(Y) for _ in range(3))
+        for stack, part in zip(out, group):
+            stack[idx] = part
+    return out
 
 
 def _rk4_step(M: np.ndarray, step: float, x, f0, f1):
@@ -334,35 +371,121 @@ def _rk4_step(M: np.ndarray, step: float, x, f0, f1):
 def _step_matrices(
     M: np.ndarray, step: float, method: str, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1.
+    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1: _step_matrix_stack
+    of the one step."""
+    return _step_matrix_stack(M, [step], method, p)[0]
+
+
+def _step_matrix_stack(
+    M: np.ndarray, steps: list[float], method: str, p: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1, for each step
+    length of steps.
 
     f0 and f1 are the error forcing at the two ends of the step; the
     leader rows of the stacked forcing are zero, so only the error
     columns of A0 and A1 are kept. exact: A0 = Phi1 - Phi2 / step and
-    A1 = Phi2 / step integrate the linear interpolant in closed form.
-    rk4: the stage formula applied to identity blocks.
+    A1 = Phi2 / step integrate the linear interpolant in closed form, from
+    one _propagator_stack of all the steps. rk4: the stage formula applied
+    to identity blocks, step by step.
     """
     dim = M.shape[0]
     if method == "exact":
-        E, Phi1, Phi2 = _propagators(M, step)
-        A1 = Phi2 / step
-        return E, (Phi1 - A1)[:, p:], A1[:, p:]
+        E, Phi1, Phi2 = _propagator_stack(M, steps)
+        A1 = Phi2 / np.asarray(steps, dtype=float)[:, None, None]
+        A0 = Phi1 - A1
+        if len(steps) == 1:
+            return [(E[0], A0[0, :, p:], A1[0, :, p:])]
+        # each step's matrices apart, so that the stack dies with the build
+        # and each lives as long as its own key
+        return [(E[i].copy(), A0[i].copy()[:, p:], A1[i].copy()[:, p:]) for i in range(len(steps))]
     eye = np.eye(dim)
     zero = np.zeros((dim, dim - p))
-    E = _rk4_step(M, step, eye, 0.0, 0.0)
-    A0 = _rk4_step(M, step, zero, eye[:, p:], 0.0)
-    A1 = _rk4_step(M, step, zero, 0.0, eye[:, p:])
-    return E, A0, A1
+    return [
+        (
+            _rk4_step(M, step, eye, 0.0, 0.0),
+            _rk4_step(M, step, zero, eye[:, p:], 0.0),
+            _rk4_step(M, step, zero, 0.0, eye[:, p:]),
+        )
+        for step in steps
+    ]
 
 
-def _advance(E: np.ndarray, x: np.ndarray, G: np.ndarray | None, out: np.ndarray) -> None:
-    """Row k of out becomes E (row k-1) + G[k], starting from x."""
-    for k in range(len(out)):
+def _power_table(E: np.ndarray, g: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The powers [I, E, E^2, ..., E^g] and their reach: reach[j] =
+    max(1, ||E||) max_(i <= j) ||E^i|| in the infinity norm bounds, per unit
+    of start state and forcing, every state and every partial sum that j
+    steps of E form."""
+    powers = [np.eye(len(E)), E]
+    for _ in range(g - 1):
+        powers.append(powers[-1] @ E)
+    norms = np.array([np.abs(P).sum(axis=1).max() for P in powers])
+    return powers, np.maximum.accumulate(norms) * max(1.0, norms[1])
+
+
+def _advance(
+    mats: list[np.ndarray], x: np.ndarray, S: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Row k of out becomes mats[k] (row k-1) + S[k], starting from x."""
+    for k, E in enumerate(mats):
         row = out[k]
         np.dot(E, x, out=row)
-        if G is not None:
-            row += G[k]
+        if S is not None:
+            row += S[k]
         x = row
+
+
+def _gap_sums(E: np.ndarray, G: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Row k is sum_(j < g) E^(g-1-j) G_j over the g = gaps[k] rows of G that
+    gap k spans (the gaps tile G in order): what its steps add to the
+    state. Horner's rule takes every gap at once, each right-aligned in as
+    many slots as the longest gap has, the slots before it zero."""
+    g = int(gaps.max())
+    if g == 1:
+        return G
+    ends = np.cumsum(gaps)[:, None]
+    idx = ends - g + np.arange(g)
+    inside = (idx >= ends - gaps[:, None])[:, :, None]
+    slots = np.where(inside, G[np.maximum(idx, 0)], 0.0)
+    S = slots[:, 0]
+    for j in range(1, g):
+        S = S @ E.T + slots[:, j]
+    return S
+
+
+def _leap(
+    E: np.ndarray,
+    table: tuple[list[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    G: np.ndarray | None,
+    a: int,
+    reached: list[int],
+) -> np.ndarray | None:
+    """The states after the steps reached of the chunk that starts after
+    step a, x being the state there: reached ascends to the chunk's last
+    step, and G has a row per step of the chunk. Each state comes from the
+    one before over the gap of g steps between them by
+    x <- E^g x + sum_(j < g) E^(g-1-j) G_j, with E^g read from table (a
+    _power_table of E).
+
+    None when the reach of the table does not keep every state of the
+    chunk, those between the ones formed included, under _LEAP_LIMIT: the
+    chunk may then overflow, and only stepping it one step at a time finds
+    its first non-finite step.
+    """
+    powers, reach = table
+    gaps = [t - s for s, t in zip([a, *reached[:-1]], reached)]
+    out = np.empty((len(reached), len(x)))
+    # overflow is for the check below to find
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = None if G is None else _gap_sums(E, G, np.array(gaps))
+        _advance([powers[g] for g in gaps], x, S, out)
+        g = max(gaps)
+        gmax = 0.0 if G is None else np.abs(G).max()
+        # by the largest reach from the largest start; a NaN fails it
+        if reach[g] * (np.abs(x).max() + np.abs(out).max() + g * gmax) <= _LEAP_LIMIT:
+            return out
+    return None
 
 
 def _max_row_norm(F: np.ndarray) -> float:
@@ -380,16 +503,21 @@ def _integrate(
     t_span: tuple[float, float],
     dt: float,
     blocks: list[tuple[int, int, float]],
-    steps: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    steps: dict[float, tuple],
     sample_stride: int,
 ) -> tuple[np.ndarray, np.ndarray, float | None, float]:
     """Step z = (leader, errors) over one constant-mode window of run_switched.
 
     blocks are the window's steps as _grid, their one layout, gives them;
-    steps maps each of their step lengths to its (E, A0, A1), and x is the
-    checked state at t_span[0]. Returns the kept sample times, the states
-    at them, the time of the first non-finite step (None when there is
-    none) and the largest forcing norm.
+    steps maps each of their step lengths to its (E, A0, A1, table), and x
+    is the checked state at t_span[0]. The kept steps are every
+    sample_stride-th step of the window and its last. Where table (a
+    _power_table of E) is given, only the kept steps and each chunk's last
+    are formed, each by _leap over the gap from the one before. Without
+    one (always so at a stride of 1), and in a chunk a leap may overflow,
+    every step is formed. Returns the kept sample times, the states at
+    them, the time of the first non-finite step (None when there is none)
+    and the largest forcing norm.
     """
     t_start, t_end = t_span
     p, n = mode.p, mode.n_agents
@@ -400,7 +528,7 @@ def _integrate(
     diverged_at = None
     F = None
     for a, b, step in blocks:
-        E, A0, A1 = steps[step]
+        E, A0, A1, table = steps[step]
         t_ends = t_start + np.arange(a + 1, b + 1) * dt if step == dt else np.array([t_end])
         t_grid = np.concatenate(([t_start + a * dt], t_ends))
         # the chunk's first time is the previous chunk's last: reuse its row
@@ -409,19 +537,30 @@ def _integrate(
         if F is not None:
             max_h = max(max_h, _max_row_norm(F))
             G = F[:-1] @ A0.T + F[1:] @ A1.T
-        out = np.empty((b - a, dim))
-        # overflow on a diverging run is expected and reported via
-        # diverged_at, so the elementwise warnings add nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            _advance(E, x, G, out)
-            finite = np.isfinite(out).all(axis=1)
-        step_no = np.arange(a + 1, b + 1)  # 1-based index of each step
-        keep = (step_no % sample_stride == 0) | (step_no == blocks[-1][1])
+        out = None
+        if table is not None:
+            # the chunk's kept steps, then its last, whose state carries on
+            reached = list(range(a - a % sample_stride + sample_stride, b + 1, sample_stride))
+            if not reached or reached[-1] != b:
+                reached.append(b)
+            out = _leap(E, table, x, G, a, reached)
+            at = np.array(reached)
+        if out is None:
+            # every step: without a table (always so at a stride of 1), and
+            # where a leap may overflow, to stop at the first non-finite step
+            at = np.arange(a + 1, b + 1)  # 1-based index of each step
+            out = np.empty((b - a, dim))
+            # overflow on a diverging run is expected and reported via
+            # diverged_at, so the elementwise warnings add nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                _advance([E] * (b - a), x, G, out)
+        keep = (at % sample_stride == 0) | (at == blocks[-1][1])
+        finite = np.isfinite(out).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
-            diverged_at = float(t_ends[bad])
+            diverged_at = float(t_ends[at[bad] - a - 1])
             keep[bad:] = False
-        times.append(t_ends[keep])
+        times.append(t_ends[at[keep] - a - 1])
         states.append(out[keep])
         if diverged_at is not None:
             break
@@ -487,8 +626,23 @@ def run_switched(
     one layout of a segment's steps, gives the chunks and the remainder
     step, and the step matrices are keyed by their lengths. Every
     sample_stride-th step and each segment's last are kept; None picks the
-    stride from the horizon. The run stops (diverged_at set) at the first
-    step with a non-finite state, which is not kept.
+    stride from the horizon (1 up to a horizon of 100 s, ceil(horizon /
+    100) beyond it). At a stride of 1 every step is formed. Above it, a
+    (mode, step length) the run steps by often enough gets a table of the
+    powers of E up to the stride, and only the kept states and each
+    chunk's last are formed, each from the one before (_leap): states in
+    between are never computed, and the kept ones agree with stepping to
+    rounding, not bit for bit.
+
+    Step matrices are built when a segment first needs them, together with
+    the next step lengths of the same mode the run will need, as one stack
+    of at most _STACK_BYTES (_step_matrix_stack; every matrix has the bits
+    of its own build), and are dropped after the last segment that steps
+    by them.
+
+    The run stops (diverged_at set) at the first step with a non-finite
+    state, which is not kept, or at a switching instant whose jump leaves
+    a non-finite error, which is then not recorded as an event.
     """
     if method not in ("exact", "rk4"):
         raise ConfigError(f"unknown integrator {method!r}")
@@ -515,7 +669,22 @@ def run_switched(
         for seg, blocks in zip(signal.segments, grids)
     ]
     last_use = {key: i for i, seg_keys in enumerate(keys) for key in seg_keys}
-    kept: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # each mode's step lengths in the order the run first needs them; a
+    # build takes the next ones as one stack
+    upcoming: dict[int, list[float]] = {}
+    for mode, step in last_use:
+        upcoming.setdefault(mode, []).append(step)
+    full_steps = dict.fromkeys(upcoming, 0)  # steps of dt in each mode
+    for seg, blocks in zip(signal.segments, grids):
+        full_steps[seg.mode] += sum(b - a for a, b, step in blocks if step == dt)
+    # a mode leaps over the steps it does not keep with a table of the
+    # powers of its E by dt up to the stride. The table's stride products
+    # cost the flops of stride x dim steps, so it pays only past them
+    leaping = {
+        mode for mode, n in full_steps.items()
+        if sample_stride > 1 and n >= sample_stride * p * (matrices[mode].n_agents + 1)
+    }
+    kept: dict[tuple[int, float], tuple] = {}
     z = x0
     for i, seg in enumerate(signal.segments):
         mm = matrices[seg.mode]
@@ -526,8 +695,17 @@ def run_switched(
             raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
         for key in keys[i]:
             if key not in kept:
-                M = _stacked(mm)
-                kept[key] = _step_matrices(M, key[1], method, p)
+                queue = upcoming[seg.mode]
+                take = max(1, _STACK_BYTES // (3 * 8 * dim * dim))
+                batch, queue[:take] = queue[:take], []
+                built = _step_matrix_stack(_stacked(mm), batch, method, p)
+                for step, (E, A0, A1) in zip(batch, built):
+                    table = None
+                    if step == dt and seg.mode in leaping:
+                        table = _power_table(E, sample_stride)
+                    kept[(seg.mode, step)] = (E, A0, A1, table)
+                # no name may keep a key alive after kept drops it
+                del built, E, A0, A1, table
         t, states, diverged_at, max_h = _integrate(
             mm, x, perturbation, bounds, dt, grids[i],
             {key[1]: kept[key] for key in keys[i]}, sample_stride,
@@ -553,7 +731,13 @@ def run_switched(
         if i < len(signal.segments) - 1:
             ev = signal.events[i]
             pre_err = errs[-1]
-            post_err = apply_error_jump(ev, pre_err)
+            # a jump that overflows is a divergence at the switching
+            # instant: the run stops there and keeps no non-finite state
+            with np.errstate(over="ignore", invalid="ignore"):
+                post_err = apply_error_jump(ev, pre_err)
+            if not np.isfinite(post_err).all():
+                traj.diverged_at = bounds[1]
+                break
             traj.events.append(
                 EventRecord(
                     index=i + 1,
@@ -768,7 +952,8 @@ def export_events_csv(traj: Trajectory, path: str) -> None:
         "k", "t", "mode_before", "mode_after", "n_before", "n_after",
         "pre_err_norm", "post_err_norm", "impulse_norm",
     ]
-    with open(path, "w") as fh:
+    # the norm of a huge but finite error overflows to inf, the right answer
+    with open(path, "w") as fh, np.errstate(over="ignore"):
         fh.write(",".join(cols) + "\n")
         for ev in traj.events:
             fh.write(

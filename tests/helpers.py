@@ -24,7 +24,7 @@ from omaslab.seeding import (
     uniform_on_sphere,
 )
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.simulate import _GRID_EPS
+from omaslab.simulate import _GRID_EPS, _grid, _step_matrices
 from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
 from omaslab.transition import MigrationEvent
 
@@ -381,6 +381,43 @@ def grid_by_count(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
     if n_full > 0 and rem < dt * 1e-9:
         rem = 0.0
     return n_full, rem
+
+
+def stepwise_window(
+    M: np.ndarray, p: int, n_agents: int, x0: np.ndarray, h, t_span: tuple[float, float],
+    dt: float, method: str, stride: int,
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """One constant-mode window stepped one step at a time: the reference
+    for the kept samples of simulate.run_switched.
+
+    The window's steps are the blocks simulate._grid lays out, each step
+    length's matrices those of simulate._step_matrices (both checked
+    against their own oracles), and the forcing is forcing_at at every grid
+    time. Each block's forcing terms are formed at once, as the simulator
+    forms them, so that they carry its bits; then every step is taken as
+    x <- E x + G_k. Every stride-th step and the window's last are kept,
+    and the run stops at the first non-finite state, which is not kept.
+    Returns the kept times, the states at them (x0 first) and the time of
+    the first non-finite step (None when there is none).
+    """
+    t_start, t_end = t_span
+    blocks = _grid(t_start, t_end, dt)
+    last = blocks[-1][1]
+    times, states, x = [t_start], [np.array(x0, dtype=float)], np.array(x0, dtype=float)
+    for a, b, step in blocks:
+        E, A0, A1 = _step_matrices(M, step, method, p)
+        ends = [t_start + k * dt for k in range(a + 1, b + 1)] if step == dt else [t_end]
+        F = np.array([forcing_at(h, t, n_agents, p) for t in [t_start + a * dt, *ends]])
+        G = F[:-1] @ A0.T + F[1:] @ A1.T
+        for k, t in enumerate(ends, start=a + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = np.dot(E, x) + G[k - a - 1]
+            if not np.isfinite(x).all():
+                return np.array(times), np.array(states), t
+            if k % stride == 0 or k == last:
+                times.append(t)
+                states.append(x)
+    return np.array(times), np.array(states), None
 
 
 def forcing_at(h, t: float, n_agents: int, p: int) -> np.ndarray:

@@ -445,6 +445,36 @@ def test_diverged_run_says_how_far_it_got(tmp_path, demo_dict, capsys):
     assert f"DIVERGED at t = {at:.6g}\n" in stdout
 
 
+def test_overflowing_jump_stops_the_run_at_the_switch(tmp_path, demo_dict):
+    # parked in mode 3 until t = 117 the errors reach about 1e301, and a
+    # dependence gain of norm 1e12 on the jump 3 -> 1 overflows them: the
+    # run stops at the switching instant, with no warning and no non-finite
+    # row, even where a RuntimeWarning is an error
+    for ev in demo_dict["events"]:
+        if (ev["from"], ev["to"]) == (3, 1):
+            ev["dep_gain"] = {"scale": 1e12}
+    demo_dict["signal"] = {"type": "explicit", "t0": 0.0, "tf": 300.0,
+                           "segments": [{"t": 0.0, "mode": 3}, {"t": 117.0, "mode": 1}]}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "omaslab", "simulate",
+         "--scenario", write(tmp_path, demo_dict), "--dt", "1e-2", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("integrated 117s of 300s across 1 of 2 segments (0 migrations)\n")
+    assert "DIVERGED at t = 117\n" in proc.stdout
+    summary = read_json(out / "summary.json")
+    assert summary["diverged"] is True and summary["diverged_at"] == 117.0
+    assert summary["n_events"] == 0 and summary["tail_sup_error"] == "inf"
+    assert (out / "events.csv").read_text().count("\n") == 1  # the header alone
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert rows[-1].startswith("117,3,")
+    values = [float(v) for row in rows for v in row.split(",") if v]
+    assert all(math.isfinite(v) for v in values)
+
+
 @pytest.mark.parametrize("dt, message", [("nan", "dt must be positive, got nan"),
                                          ("inf", "dt must be finite, got inf")])
 def test_non_finite_dt_exits_2(tmp_path, demo_dict, capsys, dt, message):

@@ -33,6 +33,7 @@ from omaslab.simulate import (
     _grid,
     _rk4_step,
     _step_matrices,
+    _step_matrix_stack,
     export_events_csv,
     export_trajectory_csv,
     run_switched,
@@ -45,6 +46,7 @@ from helpers import (
     grid_by_count,
     pure_relabel_event,
     reference_trajectory_csv,
+    stepwise_window,
 )
 
 ZERO = PerturbationModel(kind="zero", bound=0.0)
@@ -715,15 +717,15 @@ def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, metho
     built, block_diags = [], []
     block_diag = scipy.linalg.block_diag
 
-    def counting(M, step, method, p):
-        built.append((M.tobytes(), step, method))
-        return _step_matrices(M, step, method, p)
+    def counting(M, steps, method, p):
+        built.extend((M.tobytes(), step, method) for step in steps)
+        return _step_matrix_stack(M, steps, method, p)
 
     def counting_block_diag(*blocks):
         block_diags.append(len(blocks))
         return block_diag(*blocks)
 
-    monkeypatch.setattr(simulate, "_step_matrices", counting)
+    monkeypatch.setattr(simulate, "_step_matrix_stack", counting)
     monkeypatch.setattr(scipy.linalg, "block_diag", counting_block_diag)
     matrices = practical_scenario.mode_matrices()
     sig, x0, dt = revisiting_run(practical_scenario)
@@ -803,6 +805,206 @@ def test_zero_perturbation_has_no_forcing_and_no_draws(monkeypatch):
     traj = run_one(scalar_follower(-1.0), np.array([0.0, 1.0]),
                    PerturbationModel(kind="random", bound=0.0), (0.0, 1.0))
     assert traj.max_h_norm == 0.0
+
+
+# --------------------------------------------------------------------------
+# kept-state stepping and stacked step-matrix builds
+
+
+def random_mode(seed: int, n_agents: int, p: int, rate: float) -> ModeMatrix:
+    """A mode whose A and cZ are shifted random matrices: growing for rate > 0,
+    decaying for rate < 0."""
+    rng = np.random.default_rng(seed)
+    A = rate * np.eye(p) + 0.5 * rng.standard_normal((p, p))
+    cZ = rate * np.eye(n_agents) + rng.standard_normal((n_agents, n_agents)) / np.sqrt(n_agents)
+    return ModeMatrix(mode_id=1, n_agents=n_agents, p=p, A=A, cZ=cZ, alpha=rate,
+                      stable=rate < 0)
+
+
+def forcing_of(kind: str, p: int) -> PerturbationModel:
+    if kind == "random":
+        return PerturbationModel(kind="random", bound=0.3, hold=0.037, seed=5)
+    if kind == "sinusoidal":
+        return PerturbationModel(kind="sinusoidal", bound=0.3, amplitude=(1.0, -2.0)[:p],
+                                 frequency=1.3)
+    return ZERO
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_agents=st.integers(1, 3),
+    p=st.integers(1, 2),
+    rate=st.sampled_from([-2.0, -0.3, 0.4, 3.0]),
+    scale=st.sampled_from([1.0, 1e290]),
+    stride=st.integers(1, 40),
+    chunks=st.integers(0, 2),
+    offset=st.integers(-45, 45),
+    frac=st.sampled_from([0.0, 0.37]),
+    dt=st.sampled_from([1e-3, 1e-2, 0.05]),
+    forcing=st.sampled_from(["zero", "random", "sinusoidal"]),
+    method=st.sampled_from(["exact", "rk4"]),
+)
+@example(seed=1, n_agents=2, p=2, rate=3.0, scale=1e290, stride=7, chunks=2, offset=45,
+         frac=0.37, dt=0.05, forcing="random", method="exact")
+@example(seed=2, n_agents=3, p=1, rate=-0.3, scale=1.0, stride=30, chunks=1, offset=1,
+         frac=0.0, dt=0.05, forcing="sinusoidal", method="rk4")
+def test_kept_states_equal_stepping(seed, n_agents, p, rate, scale, stride, chunks, offset,
+                                    frac, dt, forcing, method):
+    # at stride 1 the run is the step-by-step loop bit for bit; above it
+    # only the kept states are formed, equal to the loop's to rounding, and
+    # a run that overflows stops at the loop's first non-finite step. The
+    # windows end within 45 steps of a chunk boundary, on either side.
+    n = chunks * _CHUNK_STEPS + offset
+    assume(n >= 0 and n + frac > 0)
+    mode = random_mode(seed, n_agents, p, rate)
+    h = forcing_of(forcing, p)
+    x0 = scale * np.random.default_rng(seed + 1).standard_normal(p * (n_agents + 1))
+    t_span = (0.3, 0.3 + (n + frac) * dt)
+    traj = run_one(mode, x0, h, t_span, dt=dt, method=method, sample_stride=stride)
+    times, states, diverged_at = stepwise_window(
+        stacked(mode), p, n_agents, x0, h, t_span, dt, method, stride)
+    seg = traj.segments[0]
+    got = np.hstack([seg.leader, seg.errs])
+    assert traj.diverged_at == diverged_at
+    np.testing.assert_array_equal(seg.t, times, strict=True)
+    assert got.shape == states.shape
+    if stride == 1:
+        np.testing.assert_array_equal(got, states)
+    else:
+        assert np.abs(got - states).max() <= 1e-12 * np.abs(states).max()
+
+
+def test_kept_states_form_only_what_is_kept(monkeypatch):
+    # a 3000-step window at stride 30 forms its 100 kept states and the
+    # ends of its chunks, not its 3000 steps
+    import omaslab.simulate as simulate
+
+    formed = []
+    advance = simulate._advance
+
+    def counting(mats, x, S, out):
+        formed.append(len(out))
+        advance(mats, x, S, out)
+
+    monkeypatch.setattr(simulate, "_advance", counting)
+    run_one(random_mode(3, 2, 2, -0.3), np.ones(6), ZERO, (0.0, 30.0), dt=1e-2,
+            sample_stride=30)
+    assert formed == [34, 34, 34]  # kept: 33, 33 and 34; ends: 1000 and 2000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    p=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.floats(-4.0, 0.6), min_size=2, max_size=12),
+    method=st.sampled_from(["exact", "rk4"]),
+)
+@example(dim=2, p=1, seed=0, sizes=[-4.0, 0.6], method="exact")
+@example(dim=40, p=2, seed=1, sizes=[-3.0, -1.0, -0.2, 0.1, 0.3, 0.6, -3.0], method="exact")
+def test_stacked_builds_equal_single_builds(dim, p, seed, sizes, method):
+    # each step length's matrices out of a stack have the bits of a build
+    # of that step alone, whichever (s, m) group of the scaling it falls in
+    M = np.random.default_rng(seed).standard_normal((dim, dim))
+    steps = [10.0**e / np.linalg.norm(M, 1) for e in sizes]  # ||M h||_1 = 10^e
+    scalings = {math.frexp(np.linalg.norm(M * h, 1))[1] for h in steps}
+    assume(len(scalings) > 1 or method == "rk4")
+    stack = _step_matrix_stack(M, steps, method, p)
+    assert len(stack) == len(steps)
+    for step, mats in zip(steps, stack):
+        for got, want in zip(mats, _step_matrices(M, step, method, p)):
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert got.strides == want.strides
+
+
+def fractional_run(scenario, n_segments: int, dt: float, seed: int):
+    """The demo's modes, stable and unstable in turn, on segments of whole
+    steps plus a random fraction of one, so that every segment has a
+    remainder step of its own length."""
+    rng = np.random.default_rng(seed)
+    modes = [1 if k % 2 == 0 else (2, 3, 4)[(k // 2) % 3] for k in range(n_segments)]
+    starts = np.concatenate(([0.0], np.cumsum(
+        [((40 if m == 1 else 3) + rng.uniform(0.2, 0.8)) * dt for m in modes])))
+    segments = tuple(Segment(start=float(t), mode=m) for t, m in zip(starts, modes))
+    events = tuple(scenario.build_event(k, modes[k - 1], modes[k], seed)
+                   for k in range(1, n_segments))
+    leader, errors = scenario.resolve_initial_state(seed, 1)
+    return SwitchingSignal(0.0, float(starts[-1]), segments, events), np.concatenate(
+        [leader, errors])
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_run_builds_in_stacks_within_the_byte_budget(monkeypatch, practical_scenario, method):
+    import omaslab.simulate as simulate
+
+    stacks = []
+
+    def recording(M, steps, method, p):
+        stacks.append((M.tobytes(), M.shape[0], list(steps)))
+        return _step_matrix_stack(M, steps, method, p)
+
+    matrices = practical_scenario.mode_matrices()
+    h = practical_scenario.perturbation.with_seed(11)
+    sig, x0 = fractional_run(practical_scenario, 61, 0.05, 11)
+    monkeypatch.setattr(simulate, "_step_matrix_stack", recording)
+    traj = run_switched(matrices, sig, x0, h, dt=0.05, method=method, sample_stride=4)
+    keys = [(M, step) for M, _, steps in stacks for step in steps]
+    assert len(keys) == len(set(keys)) == 4 + 61  # dt per mode, one remainder per segment
+    assert max(len(steps) for _, _, steps in stacks) > 1
+    for _, dim, steps in stacks:
+        assert len(steps) * 3 * 8 * dim * dim <= simulate._STACK_BYTES
+    # stacks change no bit: one build per stack gives the same run
+    monkeypatch.setattr(simulate, "_STACK_BYTES", 0)
+    stacks.clear()
+    alone = run_switched(matrices, sig, x0, h, dt=0.05, method=method, sample_stride=4)
+    assert all(len(steps) == 1 for _, _, steps in stacks)
+    assert len(alone.segments) == len(traj.segments) and len(alone.events) == len(traj.events)
+    for seg, ref in zip(traj.segments, alone.segments):
+        np.testing.assert_array_equal(seg.t, ref.t, strict=True)
+        np.testing.assert_array_equal(seg.leader, ref.leader, strict=True)
+        np.testing.assert_array_equal(seg.errs, ref.errs, strict=True)
+    for ev, ref in zip(traj.events, alone.events):
+        np.testing.assert_array_equal(ev.post_err, ref.post_err, strict=True)
+
+
+def _overflowing_jump_dict(scale: float = 1e12):
+    """The demo practical scenario parked in mode 3 until t = 117, whose
+    errors are then near 1e301, and a jump 3 -> 1 with a dependence gain of
+    norm scale: 1e12 overflows them."""
+    doc = demo_scenario_dict("practical", seed=11)
+    for ev in doc["events"]:
+        if (ev["from"], ev["to"]) == (3, 1):
+            ev["dep_gain"] = {"scale": scale}
+    doc["signal"] = {"type": "explicit", "t0": 0.0, "tf": 300.0,
+                     "segments": [{"t": 0.0, "mode": 3}, {"t": 117.0, "mode": 1}]}
+    doc["simulation"]["dt"] = 1e-2
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_jump_diverges_at_the_switch():
+    run = run_scenario(parse_scenario(_overflowing_jump_dict()), seed=11)
+    traj = run.trajectory
+    assert run.summary.diverged and run.summary.diverged_at == 117.0
+    # the run stops at the jump: the pre-jump state is kept, nothing after it
+    assert [seg.index for seg in traj.segments] == [0] and traj.events == []
+    assert traj.segments[0].t[-1] == 117.0
+    assert np.isfinite(traj.segments[0].errs).all()
+    assert np.abs(traj.segments[0].errs[-1]).max() > 1e300
+    assert run.summary.tail_sup_error == math.inf and run.summary.n_events == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_finite_jump_reports_an_infinite_norm(tmp_path):
+    # the demo's own gain keeps the jump finite: the run goes on, and
+    # events.csv reports the pre-jump error's norm, past the float range,
+    # as inf
+    run = run_scenario(parse_scenario(_overflowing_jump_dict(0.05)), seed=11)
+    assert not run.summary.diverged and len(run.trajectory.events) == 1
+    assert np.isfinite(run.trajectory.events[0].pre_err).all()
+    export_events_csv(run.trajectory, str(tmp_path / "events.csv"))
+    assert (tmp_path / "events.csv").read_text().splitlines()[1].split(",")[6] == "inf"
 
 
 # --------------------------------------------------------------------------
