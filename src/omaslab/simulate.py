@@ -16,6 +16,7 @@ either alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -42,7 +43,7 @@ _GRID_EPS = 1e-9
 _FULL_RETENTION_HORIZON = 100.0  # seconds of horizon kept at full resolution
 _CHUNK_STEPS = 1000  # steps whose forcing is built and checked at once
 _CSV_BLOCK_ROWS = 256  # trajectory rows formatted per write
-# 1/k!, the Taylor coefficients of the phi-functions in _propagators
+# 1/k!, the Taylor coefficients of the phi-functions in _propagator_stack
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(20))
 # the most bytes the E, Phi1 and Phi2 of one stacked build of step matrices
 # take (one step length when its own are larger), so that what a run builds
@@ -271,13 +272,6 @@ def _stacked(mode: ModeMatrix) -> np.ndarray:
     return M
 
 
-def _propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E = e^(M h), Phi1 = h phi1(M h) and Phi2 = h^2 phi2(M h) for h = step:
-    _propagator_stack of the one step."""
-    E, Phi1, Phi2 = _propagator_stack(M, [step])
-    return E[0], Phi1[0], Phi2[0]
-
-
 def _propagator_stack(
     M: np.ndarray, steps: list[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,14 +362,6 @@ def _rk4_step(M: np.ndarray, step: float, x, f0, f1):
     return x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_matrices(
-    M: np.ndarray, step: float, method: str, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1: _step_matrix_stack
-    of the one step."""
-    return _step_matrix_stack(M, [step], method, p)[0]
-
-
 def _step_matrix_stack(
     M: np.ndarray, steps: list[float], method: str, p: int
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -411,27 +397,43 @@ def _step_matrix_stack(
     ]
 
 
-def _power_table(E: np.ndarray, g: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The powers [I, E, E^2, ..., E^g] and their reach: reach[j] =
-    max(1, ||E||) max_(i <= j) ||E^i|| in the infinity norm bounds, per unit
-    of start state and forcing, every state and every partial sum that j
-    steps of E form."""
-    powers = [np.eye(len(E)), E]
-    for _ in range(g - 1):
-        powers.append(powers[-1] @ E)
-    norms = np.array([np.abs(P).sum(axis=1).max() for P in powers])
-    return powers, np.maximum.accumulate(norms) * max(1.0, norms[1])
+def _power_table(E: np.ndarray, stride: int) -> tuple[dict[int, np.ndarray], float]:
+    """E^g for g = 1, 2, 4, ... up to stride and for g = stride, the gap
+    between most kept states, keyed by g: E^g for any other gap g below
+    stride is the product of those of g's binary digits (_factors). So the
+    table holds about log2(stride) matrices and costs about as many
+    products, whatever the stride.
+
+    Its reach, max(1, ||E||) prod_k max(1, ||E^(2^k)||) in the infinity
+    norm, bounds per unit of start state and forcing every state and every
+    partial sum that up to stride steps of E form.
+    """
+    powers = {1: E}
+    g = 1
+    while 2 * g <= stride:
+        powers[2 * g] = powers[g] @ powers[g]
+        g *= 2
+    norms = [np.abs(P).sum(axis=1).max() for P in powers.values()]
+    reach = max(1.0, norms[0]) * math.prod(max(1.0, v) for v in norms)
+    if stride not in powers:
+        powers[stride] = functools.reduce(np.matmul, _factors(powers, stride))
+    return powers, reach
 
 
-def _advance(
-    mats: list[np.ndarray], x: np.ndarray, S: np.ndarray | None, out: np.ndarray
-) -> None:
-    """Row k of out becomes mats[k] (row k-1) + S[k], starting from x."""
-    for k, E in enumerate(mats):
+def _factors(powers: dict[int, np.ndarray], g: int) -> list[np.ndarray]:
+    """Matrices of a _power_table whose product is E^g."""
+    if g in powers:
+        return [powers[g]]
+    return [powers[1 << i] for i in range(g.bit_length()) if g >> i & 1]
+
+
+def _advance(E: np.ndarray, x: np.ndarray, G: np.ndarray | None, out: np.ndarray) -> None:
+    """Row k of out becomes E (row k-1) + G[k], starting from x."""
+    for k in range(len(out)):
         row = out[k]
         np.dot(E, x, out=row)
-        if S is not None:
-            row += S[k]
+        if G is not None:
+            row += G[k]
         x = row
 
 
@@ -455,7 +457,7 @@ def _gap_sums(E: np.ndarray, G: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 def _leap(
     E: np.ndarray,
-    table: tuple[list[np.ndarray], np.ndarray],
+    table: tuple[dict[int, np.ndarray], float],
     x: np.ndarray,
     G: np.ndarray | None,
     a: int,
@@ -465,8 +467,8 @@ def _leap(
     step a, x being the state there: reached ascends to the chunk's last
     step, and G has a row per step of the chunk. Each state comes from the
     one before over the gap of g steps between them by
-    x <- E^g x + sum_(j < g) E^(g-1-j) G_j, with E^g read from table (a
-    _power_table of E).
+    x <- E^g x + sum_(j < g) E^(g-1-j) G_j, with E^g x formed by the
+    _factors of table (a _power_table of E) one after another.
 
     None when the reach of the table does not keep every state of the
     chunk, those between the ones formed included, under _LEAP_LIMIT: the
@@ -479,11 +481,20 @@ def _leap(
     # overflow is for the check below to find
     with np.errstate(over="ignore", invalid="ignore"):
         S = None if G is None else _gap_sums(E, G, np.array(gaps))
-        _advance([powers[g] for g in gaps], x, S, out)
+        y = x
+        for k, g in enumerate(gaps):
+            *inner, last = _factors(powers, g)
+            row = out[k]
+            for P in inner:
+                y = P @ y
+            np.dot(last, y, out=row)
+            if S is not None:
+                row += S[k]
+            y = row
         g = max(gaps)
         gmax = 0.0 if G is None else np.abs(G).max()
-        # by the largest reach from the largest start; a NaN fails it
-        if reach[g] * (np.abs(x).max() + np.abs(out).max() + g * gmax) <= _LEAP_LIMIT:
+        # by the reach from the largest start; a NaN fails it
+        if reach * (np.abs(x).max() + np.abs(out).max() + g * gmax) <= _LEAP_LIMIT:
             return out
     return None
 
@@ -553,7 +564,7 @@ def _integrate(
             # overflow on a diverging run is expected and reported via
             # diverged_at, so the elementwise warnings add nothing
             with np.errstate(over="ignore", invalid="ignore"):
-                _advance([E] * (b - a), x, G, out)
+                _advance(E, x, G, out)
         keep = (at % sample_stride == 0) | (at == blocks[-1][1])
         finite = np.isfinite(out).all(axis=1)
         if not finite.all():
@@ -627,12 +638,12 @@ def run_switched(
     step, and the step matrices are keyed by their lengths. Every
     sample_stride-th step and each segment's last are kept; None picks the
     stride from the horizon (1 up to a horizon of 100 s, ceil(horizon /
-    100) beyond it). At a stride of 1 every step is formed. Above it, a
-    (mode, step length) the run steps by often enough gets a table of the
-    powers of E up to the stride, and only the kept states and each
-    chunk's last are formed, each from the one before (_leap): states in
-    between are never computed, and the kept ones agree with stepping to
-    rounding, not bit for bit.
+    100) beyond it). At a stride of 1 every step is formed. Above it, each
+    mode's E by dt gets a _power_table of its binary powers up to the
+    stride, and only the kept states and each chunk's last are formed,
+    each from the one before (_leap): states in between are never
+    computed, and the kept ones agree with stepping to rounding, not bit
+    for bit.
 
     Step matrices are built when a segment first needs them, together with
     the next step lengths of the same mode the run will need, as one stack
@@ -674,16 +685,6 @@ def run_switched(
     upcoming: dict[int, list[float]] = {}
     for mode, step in last_use:
         upcoming.setdefault(mode, []).append(step)
-    full_steps = dict.fromkeys(upcoming, 0)  # steps of dt in each mode
-    for seg, blocks in zip(signal.segments, grids):
-        full_steps[seg.mode] += sum(b - a for a, b, step in blocks if step == dt)
-    # a mode leaps over the steps it does not keep with a table of the
-    # powers of its E by dt up to the stride. The table's stride products
-    # cost the flops of stride x dim steps, so it pays only past them
-    leaping = {
-        mode for mode, n in full_steps.items()
-        if sample_stride > 1 and n >= sample_stride * p * (matrices[mode].n_agents + 1)
-    }
     kept: dict[tuple[int, float], tuple] = {}
     z = x0
     for i, seg in enumerate(signal.segments):
@@ -701,7 +702,7 @@ def run_switched(
                 built = _step_matrix_stack(_stacked(mm), batch, method, p)
                 for step, (E, A0, A1) in zip(batch, built):
                     table = None
-                    if step == dt and seg.mode in leaping:
+                    if step == dt and sample_stride > 1:
                         table = _power_table(E, sample_stride)
                     kept[(seg.mode, step)] = (E, A0, A1, table)
                 # no name may keep a key alive after kept drops it

@@ -24,7 +24,7 @@ from omaslab.seeding import (
     uniform_on_sphere,
 )
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.simulate import _GRID_EPS, _grid, _step_matrices
+from omaslab.simulate import _GRID_EPS, _grid, _propagator_stack, _step_matrix_stack
 from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
 from omaslab.transition import MigrationEvent
 
@@ -46,6 +46,21 @@ def char_poly_coeffs(M: np.ndarray) -> list[float]:
     return coeffs
 
 
+def propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E = e^(M h), Phi1 = h phi1(M h) and Phi2 = h^2 phi2(M h) for h = step,
+    from a simulate._propagator_stack of the one step."""
+    E, Phi1, Phi2 = _propagator_stack(M, [step])
+    return E[0], Phi1[0], Phi2[0]
+
+
+def step_matrices(
+    M: np.ndarray, step: float, method: str, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1, from a
+    simulate._step_matrix_stack of the one step."""
+    return _step_matrix_stack(M, [step], method, p)[0]
+
+
 def van_loan_propagators(
     M: np.ndarray, step: float, digits: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,7 +71,8 @@ def van_loan_propagators(
     int_0^step e^(M (step-s)) s ds. The block is exponentiated by scipy in
     double precision, or with digits by mpmath at that many significant
     digits and rounded to doubles at the end. Either way the product
-    M * step is the one simulate._propagators forms, so both see one input.
+    M * step is the one simulate._propagator_stack forms, so both see one
+    input.
     """
     n = M.shape[0]
     B = np.zeros((3 * n, 3 * n))
@@ -391,7 +407,7 @@ def stepwise_window(
     for the kept samples of simulate.run_switched.
 
     The window's steps are the blocks simulate._grid lays out, each step
-    length's matrices those of simulate._step_matrices (both checked
+    length's matrices those of step_matrices (both checked
     against their own oracles), and the forcing is forcing_at at every grid
     time. Each block's forcing terms are formed at once, as the simulator
     forms them, so that they carry its bits; then every step is taken as
@@ -405,7 +421,7 @@ def stepwise_window(
     last = blocks[-1][1]
     times, states, x = [t_start], [np.array(x0, dtype=float)], np.array(x0, dtype=float)
     for a, b, step in blocks:
-        E, A0, A1 = _step_matrices(M, step, method, p)
+        E, A0, A1 = step_matrices(M, step, method, p)
         ends = [t_start + k * dt for k in range(a + 1, b + 1)] if step == dt else [t_end]
         F = np.array([forcing_at(h, t, n_agents, p) for t in [t_start + a * dt, *ends]])
         G = F[:-1] @ A0.T + F[1:] @ A1.T

@@ -1,6 +1,6 @@
 """The exact step's propagators against Van Loan's block exponential.
 
-simulate._propagators forms E = e^(M h), Phi1 = h phi1(M h) and Phi2 =
+simulate._propagator_stack forms E = e^(M h), Phi1 = h phi1(M h) and Phi2 =
 h^2 phi2(M h) by scaling and squaring at dimension n. The oracle,
 helpers.van_loan_propagators, reads the same three matrices off the
 exponential of a 3n x 3n block: in double precision through scipy, and at
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from omaslab.demo import DEMO_A, DEMO_COUPLING
 from omaslab.mode_dynamics import AgentDynamics, build_mode_matrix
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.simulate import _grid, _propagators, _stacked
+from omaslab.simulate import _grid, _stacked
 
-from helpers import van_loan_propagators
+from helpers import propagators, van_loan_propagators
 
 RTOL = 1e-12
 
@@ -106,7 +106,7 @@ def family_case(reach: dict[str, float], max_dim: int):
 def test_propagators_match_van_loan(case):
     family, n, seed, norm, step = case
     M = family_matrix(family, n, seed, norm, step)
-    assert_close(_propagators(M, step), van_loan_propagators(M, step))
+    assert_close(propagators(M, step), van_loan_propagators(M, step))
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,13 +116,13 @@ def test_propagators_match_high_precision_van_loan(case):
     family, n, seed, norm, step = case
     M = family_matrix(family, n, seed, norm, step)
     assert_close(
-        _propagators(M, step), van_loan_propagators(M, step, digits=40), HIGH_PRECISION_RTOL
+        propagators(M, step), van_loan_propagators(M, step, digits=40), HIGH_PRECISION_RTOL
     )
 
 
 def test_zero_matrix_propagators_are_exact():
     h = 0.3
-    E, Phi1, Phi2 = _propagators(np.zeros((4, 4)), h)
+    E, Phi1, Phi2 = propagators(np.zeros((4, 4)), h)
     assert np.array_equal(E, np.eye(4))
     assert np.array_equal(Phi1, h * np.eye(4))
     assert np.array_equal(Phi2, h * h * 0.5 * np.eye(4))
@@ -162,7 +162,7 @@ def test_demo_modes_match_van_loan(practical_scenario, practical_signal):
     assert len({step for _, step in builds}) > 1  # remainders as well as dt
     for mode, step in sorted(builds):
         M = _stacked(matrices[mode])
-        assert_close(_propagators(M, step), van_loan_propagators(M, step))
+        assert_close(propagators(M, step), van_loan_propagators(M, step))
 
 
 def test_wide_modes_match_van_loan():
@@ -174,4 +174,4 @@ def test_wide_modes_match_van_loan():
     for mode in wide_modes():
         M = _stacked(mode)
         for step in steps:
-            assert_close(_propagators(M, step), van_loan_propagators(M, step))
+            assert_close(propagators(M, step), van_loan_propagators(M, step))

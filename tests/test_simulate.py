@@ -30,9 +30,11 @@ from omaslab.simulate import (
     PerturbationModel,
     SegmentTrace,
     Trajectory,
+    _advance,
     _grid,
+    _leap,
+    _power_table,
     _rk4_step,
-    _step_matrices,
     _step_matrix_stack,
     export_events_csv,
     export_trajectory_csv,
@@ -46,6 +48,7 @@ from helpers import (
     grid_by_count,
     pure_relabel_event,
     reference_trajectory_csv,
+    step_matrices,
     stepwise_window,
 )
 
@@ -645,7 +648,7 @@ def test_rk4_step_matrices_match_stage_formula():
         k3 = M @ (x + 0.5 * step * k2) + fm
         k4 = M @ (x + step * k3) + f1
         expected = x + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        E, A0, A1 = _step_matrices(M, step, "rk4", p)
+        E, A0, A1 = step_matrices(M, step, "rk4", p)
         got = E @ x + A0 @ f0[p:] + A1 @ f1[p:]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
         np.testing.assert_allclose(_rk4_step(M, step, x, f0, f1), expected, rtol=1e-15)
@@ -656,7 +659,7 @@ def test_exact_step_matrices_integrate_linear_forcing():
     # x(s) = e^-s x0 + 3 - 2/s - (1 - 2/s) e^-s
     mode = scalar_follower(-1.0)
     s = 0.4
-    E, A0, A1 = _step_matrices(stacked(mode), s, "exact", 1)
+    E, A0, A1 = step_matrices(stacked(mode), s, "exact", 1)
     got = E @ np.array([0.0, 0.7]) + A0 @ [1.0] + A1 @ [3.0]
     expected = math.exp(-s) * 0.7 + 3.0 - 2.0 / s - (1.0 - 2.0 / s) * math.exp(-s)
     assert got[1] == pytest.approx(expected, rel=1e-13)
@@ -676,7 +679,7 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
     x0 = np.array([0.0, 1.0])
     traj = run_one(mode, x0, ZERO, (0.0, 20.0), dt=dt, method=method, sample_stride=stride)
     seg = traj.segments[0]
-    E, _, _ = _step_matrices(stacked(mode), dt, method, 1)
+    E, _, _ = step_matrices(stacked(mode), dt, method, 1)
     x, k = np.array([0.0, 1.0]), 0
     kept = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -881,16 +884,35 @@ def test_kept_states_form_only_what_is_kept(monkeypatch):
     import omaslab.simulate as simulate
 
     formed = []
-    advance = simulate._advance
+    leap = simulate._leap
 
-    def counting(mats, x, S, out):
+    def counting(*args):
+        out = leap(*args)
         formed.append(len(out))
-        advance(mats, x, S, out)
+        return out
 
-    monkeypatch.setattr(simulate, "_advance", counting)
+    monkeypatch.setattr(simulate, "_leap", counting)
     run_one(random_mode(3, 2, 2, -0.3), np.ones(6), ZERO, (0.0, 30.0), dt=1e-2,
             sample_stride=30)
     assert formed == [34, 34, 34]  # kept: 33, 33 and 34; ends: 1000 and 2000
+
+
+def test_leap_refuses_a_gap_whose_middle_overflows():
+    # a weighted cyclic shift of 60 coordinates has E^60 = I: a leap over 60
+    # steps lands back on its finite start, while stepping grows the state
+    # 2^29 on the way and overflows. Only the reach of the table sees that
+    n = 60
+    w = np.where(np.arange(n) < n // 2, 2.0, 0.5)
+    E = np.roll(np.eye(n), 1, axis=0) * w[:, None]
+    x = np.zeros(n)
+    x[0] = 2.0**995
+    stepped = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _advance(E, x, None, stepped)
+    assert np.isfinite(stepped[27]).all() and not np.isfinite(stepped[28]).all()
+    table = _power_table(E, n)
+    np.testing.assert_array_equal(table[0][n], np.eye(n))
+    assert _leap(E, table, x, None, 0, [n]) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -913,7 +935,7 @@ def test_stacked_builds_equal_single_builds(dim, p, seed, sizes, method):
     stack = _step_matrix_stack(M, steps, method, p)
     assert len(stack) == len(steps)
     for step, mats in zip(steps, stack):
-        for got, want in zip(mats, _step_matrices(M, step, method, p)):
+        for got, want in zip(mats, step_matrices(M, step, method, p)):
             np.testing.assert_array_equal(got, want, strict=True)
             assert got.strides == want.strides
 
