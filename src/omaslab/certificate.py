@@ -361,6 +361,8 @@ def assemble_bundle(
     unbounded flag, when mu^(K+1) exceeds the float range. The budget checks
     the chatter bound and the common rate.
     """
+    if not math.isfinite(h_bound):
+        raise ConfigError(f"perturbation bound must be finite, got {h_bound}")
     if h_bound < 0.0:
         raise ConfigError(f"perturbation bound must be >= 0, got {h_bound}")
     g_s, g_u = _class_rates(certs)

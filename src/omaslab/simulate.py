@@ -81,6 +81,11 @@ class PerturbationModel:
     def __post_init__(self) -> None:
         if self.kind not in PERTURBATION_KINDS:
             raise ConfigError(f"unknown perturbation kind {self.kind!r}")
+        for name in ("bound", "frequency", "hold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"perturbation {name} must be finite, got {getattr(self, name)}")
+        if self.amplitude is not None and not all(math.isfinite(a) for a in self.amplitude):
+            raise ConfigError(f"perturbation amplitude must be finite, got {self.amplitude}")
         if self.bound < 0.0:
             raise ConfigError(f"perturbation bound must be >= 0, got {self.bound}")
         if self.kind in ("constant", "sinusoidal") and self.amplitude is None:
@@ -406,17 +411,20 @@ def _power_table(E: np.ndarray, stride: int) -> tuple[dict[int, np.ndarray], flo
 
     Its reach, max(1, ||E||) prod_k max(1, ||E^(2^k)||) in the infinity
     norm, bounds per unit of start state and forcing every state and every
-    partial sum that up to stride steps of E form.
+    partial sum that up to stride steps of E form. A power that overflows
+    makes the reach inf or the states of a leap by it non-finite: a check
+    of the reach refuses either.
     """
     powers = {1: E}
     g = 1
-    while 2 * g <= stride:
-        powers[2 * g] = powers[g] @ powers[g]
-        g *= 2
-    norms = [np.abs(P).sum(axis=1).max() for P in powers.values()]
-    reach = max(1.0, norms[0]) * math.prod(max(1.0, v) for v in norms)
-    if stride not in powers:
-        powers[stride] = functools.reduce(np.matmul, _factors(powers, stride))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 * g <= stride:
+            powers[2 * g] = powers[g] @ powers[g]
+            g *= 2
+        norms = [np.abs(P).sum(axis=1).max() for P in powers.values()]
+        reach = max(1.0, norms[0]) * math.prod(max(1.0, v) for v in norms)
+        if stride not in powers:
+            powers[stride] = functools.reduce(np.matmul, _factors(powers, stride))
     return powers, reach
 
 
@@ -427,24 +435,12 @@ def _factors(powers: dict[int, np.ndarray], g: int) -> list[np.ndarray]:
     return [powers[1 << i] for i in range(g.bit_length()) if g >> i & 1]
 
 
-def _advance(E: np.ndarray, x: np.ndarray, G: np.ndarray | None, out: np.ndarray) -> None:
-    """Row k of out becomes E (row k-1) + G[k], starting from x."""
-    for k in range(len(out)):
-        row = out[k]
-        np.dot(E, x, out=row)
-        if G is not None:
-            row += G[k]
-        x = row
-
-
 def _gap_sums(E: np.ndarray, G: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Row k is sum_(j < g) E^(g-1-j) G_j over the g = gaps[k] rows of G that
     gap k spans (the gaps tile G in order): what its steps add to the
     state. Horner's rule takes every gap at once, each right-aligned in as
     many slots as the longest gap has, the slots before it zero."""
     g = int(gaps.max())
-    if g == 1:
-        return G
     ends = np.cumsum(gaps)[:, None]
     idx = ends - g + np.arange(g)
     inside = (idx >= ends - gaps[:, None])[:, :, None]
@@ -456,47 +452,41 @@ def _gap_sums(E: np.ndarray, G: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 
 def _leap(
-    E: np.ndarray,
-    table: tuple[dict[int, np.ndarray], float],
+    powers: dict[int, np.ndarray],
     x: np.ndarray,
     G: np.ndarray | None,
-    a: int,
-    reached: list[int],
-) -> np.ndarray | None:
-    """The states after the steps reached of the chunk that starts after
-    step a, x being the state there: reached ascends to the chunk's last
-    step, and G has a row per step of the chunk. Each state comes from the
-    one before over the gap of g steps between them by
-    x <- E^g x + sum_(j < g) E^(g-1-j) G_j, with E^g x formed by the
-    _factors of table (a _power_table of E) one after another.
+    runs: list[tuple[int, int]],
+) -> np.ndarray:
+    """The state after each gap of a chunk of steps, x being the state
+    before it: runs lists the gaps in order as (g, count), count gaps of g
+    steps each, and G has a row per step of the chunk. Each state comes from
+    the one before by x <- E^g x + sum_(j < g) E^(g-1-j) G_j, with E^g x
+    formed by the _factors of powers (a _power_table of E) one after
+    another. At a gap of one step that is E x plus the step's row of G,
+    computed in place in the row of the result: the one state update of a
+    run, whatever its stride.
 
-    None when the reach of the table does not keep every state of the
-    chunk, those between the ones formed included, under _LEAP_LIMIT: the
-    chunk may then overflow, and only stepping it one step at a time finds
-    its first non-finite step.
+    Nothing here checks a state: overflow is for the caller to find.
     """
-    powers, reach = table
-    gaps = [t - s for s, t in zip([a, *reached[:-1]], reached)]
-    out = np.empty((len(reached), len(x)))
-    # overflow is for the check below to find
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = None if G is None else _gap_sums(E, G, np.array(gaps))
-        y = x
-        for k, g in enumerate(gaps):
-            *inner, last = _factors(powers, g)
-            row = out[k]
+    n = sum(count for _, count in runs)
+    out = np.empty((n, len(x)))
+    S = G
+    if G is not None and n < len(G):
+        gaps = np.repeat([g for g, _ in runs], [count for _, count in runs])
+        S = _gap_sums(powers[1], G, gaps)
+    y = x
+    k = 0
+    for g, count in runs:
+        *inner, last = _factors(powers, g)
+        for row in out[k : k + count]:
             for P in inner:
                 y = P @ y
             np.dot(last, y, out=row)
             if S is not None:
                 row += S[k]
             y = row
-        g = max(gaps)
-        gmax = 0.0 if G is None else np.abs(G).max()
-        # by the reach from the largest start; a NaN fails it
-        if reach * (np.abs(x).max() + np.abs(out).max() + g * gmax) <= _LEAP_LIMIT:
-            return out
-    return None
+            k += 1
+    return out
 
 
 def _max_row_norm(F: np.ndarray) -> float:
@@ -520,26 +510,26 @@ def _integrate(
     """Step z = (leader, errors) over one constant-mode window of run_switched.
 
     blocks are the window's steps as _grid, their one layout, gives them;
-    steps maps each of their step lengths to its (E, A0, A1, table), and x
-    is the checked state at t_span[0]. The kept steps are every
-    sample_stride-th step of the window and its last. Where table (a
-    _power_table of E) is given, only the kept steps and each chunk's last
-    are formed, each by _leap over the gap from the one before. Without
-    one (always so at a stride of 1), and in a chunk a leap may overflow,
-    every step is formed. Returns the kept sample times, the states at
-    them, the time of the first non-finite step (None when there is none)
-    and the largest forcing norm.
+    steps maps each of their step lengths to its (A0, A1, powers, reach),
+    a _power_table of its E, and x is the checked state at t_span[0]. Each
+    chunk forms its kept steps (every sample_stride-th step of the window
+    and its last) and its own last step, by _leap over the gaps between
+    them. A chunk with a gap of several steps whose reach, by the table,
+    exceeds _LEAP_LIMIT may overflow inside a gap: it is formed again one
+    step at a time, so that its first non-finite step is found. Returns the
+    kept sample times, the states at them, the time of the first non-finite
+    step (None when there is none) and the largest forcing norm.
     """
     t_start, t_end = t_span
     p, n = mode.p, mode.n_agents
-    dim = len(x)
+    last = blocks[-1][1]
     times = [np.array([t_start])]
     states = [x[None, :].copy()]
     max_h = 0.0
     diverged_at = None
     F = None
     for a, b, step in blocks:
-        E, A0, A1, table = steps[step]
+        A0, A1, powers, reach = steps[step]
         t_ends = t_start + np.arange(a + 1, b + 1) * dt if step == dt else np.array([t_end])
         t_grid = np.concatenate(([t_start + a * dt], t_ends))
         # the chunk's first time is the previous chunk's last: reuse its row
@@ -548,33 +538,38 @@ def _integrate(
         if F is not None:
             max_h = max(max_h, _max_row_norm(F))
             G = F[:-1] @ A0.T + F[1:] @ A1.T
-        out = None
-        if table is not None:
-            # the chunk's kept steps, then its last, whose state carries on
-            reached = list(range(a - a % sample_stride + sample_stride, b + 1, sample_stride))
-            if not reached or reached[-1] != b:
-                reached.append(b)
-            out = _leap(E, table, x, G, a, reached)
-            at = np.array(reached)
-        if out is None:
-            # every step: without a table (always so at a stride of 1), and
-            # where a leap may overflow, to stop at the first non-finite step
-            at = np.arange(a + 1, b + 1)  # 1-based index of each step
-            out = np.empty((b - a, dim))
-            # overflow on a diverging run is expected and reported via
-            # diverged_at, so the elementwise warnings add nothing
-            with np.errstate(over="ignore", invalid="ignore"):
-                _advance(E, x, G, out)
-        keep = (at % sample_stride == 0) | (at == blocks[-1][1])
-        finite = np.isfinite(out).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            diverged_at = float(t_ends[at[bad] - a - 1])
-            keep[bad:] = False
-        times.append(t_ends[at[keep] - a - 1])
-        states.append(out[keep])
+        # the gaps to the chunk's kept steps, then on to its last, whose
+        # state carries on, as runs (gap, count)
+        kept = range(a - a % sample_stride + sample_stride, b + 1, sample_stride)
+        runs = [(b - a, 1)]
+        if kept:
+            runs = [(kept.start - a, 1), (sample_stride, len(kept) - 1), (b - kept[-1], 1)]
+        runs = [(g, count) for g, count in runs if g and count]
+        gap = max(g for g, _ in runs)
+        # overflow on a diverging run is expected and reported via
+        # diverged_at, so the elementwise warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _leap(powers, x, G, runs)
+            if gap > 1:
+                gmax = 0.0 if G is None else np.abs(G).max()
+                # by the reach from the largest start; a NaN fails it
+                if not reach * (np.abs(x).max() + np.abs(out).max() + gap * gmax) <= _LEAP_LIMIT:
+                    out = _leap({1: powers[1]}, x, G, [(1, b - a)])
+                    gap = 1
+        # at = the kept rows of out; when every step is formed, out has a row
+        # per step and t_ends a time per step alike
+        at = slice(kept.start - a - 1, None, sample_stride)
+        if gap == 1 and not np.isfinite(out).all():
+            bad = int(np.argmin(np.isfinite(out).all(axis=1)))
+            diverged_at = float(t_ends[bad])
+            at = slice(at.start, bad, sample_stride)
+        times.append(t_ends[at])
+        states.append(out[at] if gap == 1 else out[: len(kept)])
         if diverged_at is not None:
             break
+        if b == last and b % sample_stride:
+            times.append(t_ends[-1:])
+            states.append(out[-1:])
         x = out[-1]
 
     return np.concatenate(times), np.vstack(states), diverged_at, max_h
@@ -638,12 +633,13 @@ def run_switched(
     step, and the step matrices are keyed by their lengths. Every
     sample_stride-th step and each segment's last are kept; None picks the
     stride from the horizon (1 up to a horizon of 100 s, ceil(horizon /
-    100) beyond it). At a stride of 1 every step is formed. Above it, each
-    mode's E by dt gets a _power_table of its binary powers up to the
-    stride, and only the kept states and each chunk's last are formed,
-    each from the one before (_leap): states in between are never
-    computed, and the kept ones agree with stepping to rounding, not bit
-    for bit.
+    100) beyond it). One routine, _leap, forms every state: the kept ones
+    and each chunk's last, each from the one before over the gap between
+    them. Above a stride of 1 each mode's E by dt gets a _power_table of
+    its binary powers up to the stride; every other step is taken one at a
+    time. At a stride of 1 every gap is one step and each state has the
+    bits of stepping; above it states in between are never computed, and
+    the kept ones agree with stepping to rounding, not bit for bit.
 
     Step matrices are built when a segment first needs them, together with
     the next step lengths of the same mode the run will need, as one stack
@@ -701,10 +697,12 @@ def run_switched(
                 batch, queue[:take] = queue[:take], []
                 built = _step_matrix_stack(_stacked(mm), batch, method, p)
                 for step, (E, A0, A1) in zip(batch, built):
-                    table = None
+                    # only the dt step has gaps of several steps, and only
+                    # above a stride of 1; E alone needs no reach
+                    table = ({1: E}, None)
                     if step == dt and sample_stride > 1:
                         table = _power_table(E, sample_stride)
-                    kept[(seg.mode, step)] = (E, A0, A1, table)
+                    kept[(seg.mode, step)] = (A0, A1, *table)
                 # no name may keep a key alive after kept drops it
                 del built, E, A0, A1, table
         t, states, diverged_at, max_h = _integrate(

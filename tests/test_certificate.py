@@ -528,6 +528,15 @@ def test_bound_monotone_in_drives():
     assert eps(0.0, 0.0) == 0.0
 
 
+def test_perturbation_bound_must_be_finite_and_nonnegative():
+    certs = _two_scalar_certs()
+    sig = _alternating_signal()
+    bounds = ImpulseBounds(impulse_norm_max=0.1, err_jump_norm_max=1.0)
+    for h, match in ((math.nan, "finite"), (math.inf, "finite"), (-0.1, ">= 0")):
+        with pytest.raises(ConfigError, match=f"perturbation bound must be {match}"):
+            assemble_bundle(certs, bounds, h_bound=h, signal=sig, gamma_common=-0.5)
+
+
 def test_unbounded_flagged_not_raised():
     certs = _two_scalar_certs()
     sig = _alternating_signal(tf=0.3, starts=(0.0, 0.1, 0.2))

@@ -30,8 +30,8 @@ from omaslab.simulate import (
     PerturbationModel,
     SegmentTrace,
     Trajectory,
-    _advance,
     _grid,
+    _integrate,
     _leap,
     _power_table,
     _rk4_step,
@@ -210,6 +210,19 @@ def test_perturbation_validation():
         PerturbationModel(kind="constant", bound=1.0)
     with pytest.raises(ConfigError, match="hold"):
         PerturbationModel(kind="random", bound=1.0, hold=0.0)
+    # a non-finite field is refused where it is given, not when a run meets it
+    random = dict(kind="random", bound=1.0)
+    sinusoidal = dict(kind="sinusoidal", bound=1.0, amplitude=(1.0,))
+    for field, fields in (("bound", dict(random, bound=math.nan)),
+                          ("bound", dict(random, bound=math.inf)),
+                          ("hold", dict(random, hold=math.nan)),
+                          ("hold", dict(random, hold=math.inf)),
+                          ("frequency", dict(sinusoidal, frequency=math.inf)),
+                          ("frequency", dict(sinusoidal, frequency=-math.nan)),
+                          ("amplitude", dict(sinusoidal, amplitude=(1.0, math.nan))),
+                          ("amplitude", dict(sinusoidal, amplitude=(-math.inf,)))):
+        with pytest.raises(ConfigError, match=f"perturbation {field} must be finite"):
+            PerturbationModel(**fields)
     h = PerturbationModel(kind="constant", bound=1.0, amplitude=(1.0, 2.0, 3.0))
     with pytest.raises(ConfigError, match="amplitude"):
         h.sample_grid(np.zeros(1), 1, 2)
@@ -840,7 +853,7 @@ def forcing_of(kind: str, p: int) -> PerturbationModel:
     p=st.integers(1, 2),
     rate=st.sampled_from([-2.0, -0.3, 0.4, 3.0]),
     scale=st.sampled_from([1.0, 1e290]),
-    stride=st.integers(1, 40),
+    stride=st.one_of(st.integers(1, 40), st.sampled_from([999, 1000, 1001, 2500])),
     chunks=st.integers(0, 2),
     offset=st.integers(-45, 45),
     frac=st.sampled_from([0.0, 0.37]),
@@ -852,12 +865,19 @@ def forcing_of(kind: str, p: int) -> PerturbationModel:
          frac=0.37, dt=0.05, forcing="random", method="exact")
 @example(seed=2, n_agents=3, p=1, rate=-0.3, scale=1.0, stride=30, chunks=1, offset=1,
          frac=0.0, dt=0.05, forcing="sinusoidal", method="rk4")
+@example(seed=3, n_agents=2, p=2, rate=0.4, scale=1.0, stride=1000, chunks=2, offset=-1,
+         frac=0.37, dt=1e-2, forcing="random", method="exact")
+@example(seed=4, n_agents=1, p=2, rate=3.0, scale=1e290, stride=1001, chunks=2, offset=45,
+         frac=0.0, dt=0.05, forcing="random", method="rk4")
+@example(seed=5, n_agents=3, p=1, rate=-2.0, scale=1.0, stride=2500, chunks=2, offset=45,
+         frac=0.37, dt=1e-3, forcing="sinusoidal", method="exact")
 def test_kept_states_equal_stepping(seed, n_agents, p, rate, scale, stride, chunks, offset,
                                     frac, dt, forcing, method):
     # at stride 1 the run is the step-by-step loop bit for bit; above it
     # only the kept states are formed, equal to the loop's to rounding, and
     # a run that overflows stops at the loop's first non-finite step. The
-    # windows end within 45 steps of a chunk boundary, on either side.
+    # windows end within 45 steps of a chunk boundary, on either side; the
+    # strides from 999 leap across whole chunks, and past the window.
     n = chunks * _CHUNK_STEPS + offset
     assume(n >= 0 and n + frac > 0)
     mode = random_mode(seed, n_agents, p, rate)
@@ -875,7 +895,10 @@ def test_kept_states_equal_stepping(seed, n_agents, p, rate, scale, stride, chun
     if stride == 1:
         np.testing.assert_array_equal(got, states)
     else:
-        assert np.abs(got - states).max() <= 1e-12 * np.abs(states).max()
+        # a leap's rounding grows with its gap (E^g from binary powers): the
+        # same allowance per step of gap as at strides up to 40
+        gap = min(stride, n + 1)
+        assert np.abs(got - states).max() <= 1e-12 * max(1.0, gap / 40) * np.abs(states).max()
 
 
 def test_kept_states_form_only_what_is_kept(monkeypatch):
@@ -897,22 +920,48 @@ def test_kept_states_form_only_what_is_kept(monkeypatch):
     assert formed == [34, 34, 34]  # kept: 33, 33 and 34; ends: 1000 and 2000
 
 
-def test_leap_refuses_a_gap_whose_middle_overflows():
+def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
     # a weighted cyclic shift of 60 coordinates has E^60 = I: a leap over 60
     # steps lands back on its finite start, while stepping grows the state
-    # 2^29 on the way and overflows. Only the reach of the table sees that
+    # 2^29 on the way and overflows. Only the reach of the table sees that:
+    # the chunk is formed again one step at a time, and the window stops at
+    # the exact first non-finite step
+    import omaslab.simulate as simulate
+
     n = 60
     w = np.where(np.arange(n) < n // 2, 2.0, 0.5)
     E = np.roll(np.eye(n), 1, axis=0) * w[:, None]
     x = np.zeros(n)
     x[0] = 2.0**995
-    stepped = np.empty((n, n))
+    y, finite = x, []
     with np.errstate(over="ignore", invalid="ignore"):
-        _advance(E, x, None, stepped)
-    assert np.isfinite(stepped[27]).all() and not np.isfinite(stepped[28]).all()
-    table = _power_table(E, n)
-    np.testing.assert_array_equal(table[0][n], np.eye(n))
-    assert _leap(E, table, x, None, 0, [n]) is None
+        for _ in range(n):
+            y = E @ y
+            finite.append(np.isfinite(y).all())
+    first_bad = finite.index(False) + 1
+    assert first_bad == 29
+    powers, reach = _power_table(E, n)
+    np.testing.assert_array_equal(powers[n], np.eye(n))
+    np.testing.assert_array_equal(_leap(powers, x, None, [(n, 1)]), x[None, :])
+
+    calls = []
+    leap = simulate._leap
+
+    def recording(powers, x, G, runs):
+        calls.append((len(powers), runs))
+        return leap(powers, x, G, runs)
+
+    monkeypatch.setattr(simulate, "_leap", recording)
+    mode = ModeMatrix(mode_id=1, n_agents=n - 1, p=1, A=np.zeros((1, 1)),
+                      cZ=np.zeros((n - 1, n - 1)), alpha=0.0, stable=False)
+    dt = 0.5
+    t, states, diverged_at, _ = _integrate(
+        mode, x, ZERO, (0.0, n * dt), dt, _grid(0.0, n * dt, dt),
+        {dt: (None, None, powers, reach)}, n)
+    assert calls == [(len(powers), [(n, 1)]), (1, [(1, n)])]
+    assert diverged_at == first_bad * dt
+    np.testing.assert_array_equal(t, [0.0], strict=True)
+    np.testing.assert_array_equal(states, x[None, :], strict=True)
 
 
 @settings(max_examples=60, deadline=None)
