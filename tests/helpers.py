@@ -356,6 +356,27 @@ def reference_trajectory_csv(traj, path: str) -> None:
                 fh.write(",".join(row + vals + evals) + "\n")
 
 
+def reference_events_csv(traj, path: str) -> None:
+    """Row-by-row events CSV writer, one f-string per value.
+
+    The oracle for the block writer in omaslab.simulate: integers as str,
+    times and norms with 17 significant digits, an overflowing norm as inf.
+    """
+    cols = [
+        "k", "t", "mode_before", "mode_after", "n_before", "n_after",
+        "pre_err_norm", "post_err_norm", "impulse_norm",
+    ]
+    with open(path, "w") as fh, np.errstate(over="ignore"):
+        fh.write(",".join(cols) + "\n")
+        for ev in traj.events:
+            row = [
+                str(ev.index), f"{ev.t:.17g}", str(ev.mode_before), str(ev.mode_after),
+                str(ev.n_before), str(ev.n_after), f"{ev.pre_err_norm:.17g}",
+                f"{ev.post_err_norm:.17g}", f"{ev.impulse_norm:.17g}",
+            ]
+            fh.write(",".join(row) + "\n")
+
+
 def envelope_by_direct_sums(traj, bundle) -> np.ndarray:
     """The energy envelope of lyapunov_trace summed term by term.
 

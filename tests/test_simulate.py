@@ -4,6 +4,7 @@ import copy
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from omaslab.simulate import (
     PerturbationModel,
     SegmentTrace,
     Trajectory,
+    _csv_block,
     _grid,
     _integrate,
     _leap,
@@ -47,6 +49,7 @@ from helpers import (
     forcing_at,
     grid_by_count,
     pure_relabel_event,
+    reference_events_csv,
     reference_trajectory_csv,
     step_matrices,
     stepwise_window,
@@ -507,12 +510,99 @@ def _mixed_trajectory() -> Trajectory:
     return traj
 
 
+def _decaying_trajectory() -> Trajectory:
+    """1,001 segments of 3 or 4 kept rows over two agent counts, like a
+    run with a switch every few samples; the errors decay through the
+    subnormals to exact (signed) zeros."""
+    traj = Trajectory(p=2, t0=0.0, tf=1001.0)
+    rng = np.random.default_rng(1)
+    for i in range(1001):
+        n_agents = 3 + i % 2
+        t = i + np.linspace(0.0, 1.0, 3 + i % 2)
+        decay = np.exp2(-1100.0 * t / 1001.0)[:, None]  # reaches 2^-1100, below the subnormals
+        traj.segments.append(SegmentTrace(
+            index=i, mode_id=1 + i % 4, n_agents=n_agents, t=t,
+            leader=rng.standard_normal((len(t), 2)),
+            errs=rng.standard_normal((len(t), 2 * n_agents)) * decay,
+        ))
+    return traj
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trajectory_csv_matches_reference_writer(tmp_path, practical_run):
-    for traj in (_mixed_trajectory(), practical_run.trajectory):
+    decaying = _decaying_trajectory()
+    errs = np.concatenate([seg.errs.ravel() for seg in decaying.segments])
+    assert (errs == 0).any() and ((errs != 0) & (np.abs(errs) < 2.0**-1022)).any()
+    for traj in (_mixed_trajectory(), decaying, practical_run.trajectory):
         fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
         export_trajectory_csv(traj, str(fast))
         reference_trajectory_csv(traj, str(ref))
         assert fast.read_bytes() == ref.read_bytes()
+
+
+def _rendered(values) -> bytes:
+    """The CSV line the block renderer writes for one row of values."""
+    row = np.array(values, dtype=float).reshape(1, -1)
+    return _csv_block(row, np.zeros(row.shape, dtype=bool))
+
+
+def _formatted(values) -> bytes:
+    return (",".join("%.17g" % v for v in values) + "\n").encode()
+
+
+_AWKWARD = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(np.array(_AWKWARD).view(np.uint64).tolist())
+def test_csv_renderer_writes_every_bit_pattern_as_the_per_value_format(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _rendered(values) == _formatted(values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_csv_renderer_writes_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    values = np.concatenate([
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, math.inf), _AWKWARD,
+    ])
+    values = np.concatenate([values, -values])
+    assert _rendered(values) == _formatted(values)
+    # many rows of a few fields, as a block of a CSV is
+    grid = values[: len(values) // 7 * 7].reshape(-1, 7)
+    blank = np.zeros(grid.shape, dtype=bool)
+    expected = b"".join(_formatted(row) for row in grid)
+    assert _csv_block(grid, blank) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.integers(10**16, 10**17 - 1), st.integers(-341, 292))
+@example(22517998136852477, -2)  # 2251799813685247.75, an exact tie at 17 digits
+@example(99999999999999999, -20)  # rounds up to the next decade
+def test_csv_renderer_writes_near_ties_as_the_per_value_format(digits, exp10):
+    # an 18-digit decimal ending in 5 lies halfway between two 17-digit ones
+    near = float(f"{digits}5e{exp10}")
+    values = np.array([np.nextafter(near, -math.inf), near, np.nextafter(near, math.inf)])
+    values = np.concatenate([values, -values])
+    assert _rendered(values) == _formatted(values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_csv_renderer_writes_values_a_hair_from_a_tie():
+    # x = m 2^-68 with m in [2^52, 2^53) lies in [1.5e-5, 3.1e-5), so its 17
+    # digits are x 10^21 = m 5^21 / 2^47 rounded: the fraction is exactly
+    # (m 5^21 mod 2^47) / 2^47, here 1/2 + offset 2^-47, down to 7e-15 off a tie
+    inverse = pow(5**21, -1, 2**47)
+    values = []
+    for offset in (0, 1, -1, 2**7, -(2**7), 2**20):
+        m0 = (2**46 + offset) * inverse % 2**47
+        values += [math.ldexp(m0 + j * 2**47, -68) for j in range(32, 64)]
+    values = np.array(values + [-v for v in values])
+    assert _rendered(values) == _formatted(values)
 
 
 # --------------------------------------------------------------------------
@@ -1076,6 +1166,22 @@ def test_huge_finite_jump_reports_an_infinite_norm(tmp_path):
     assert np.isfinite(run.trajectory.events[0].pre_err).all()
     export_events_csv(run.trajectory, str(tmp_path / "events.csv"))
     assert (tmp_path / "events.csv").read_text().splitlines()[1].split(",")[6] == "inf"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_events_csv_matches_reference_writer(tmp_path, practical_run, asymptotic_run):
+    huge = run_scenario(parse_scenario(_overflowing_jump_dict(0.05)), seed=11).trajectory
+    awkward = copy.deepcopy(huge)
+    ev = awkward.events[0]
+    extra = [(0.1, 0.0), (1e17, 5e-324), (1.0 / 3.0, -0.0)]
+    awkward.events += [replace(ev, index=ev.index + 1 + j, t=t, impulse_norm=norm)
+                       for j, (t, norm) in enumerate(extra)]
+    for traj in (practical_run.trajectory, asymptotic_run.trajectory, huge, awkward):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        export_events_csv(traj, str(fast))
+        reference_events_csv(traj, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+    assert b",inf," in (tmp_path / "fast.csv").read_bytes()
 
 
 # --------------------------------------------------------------------------
