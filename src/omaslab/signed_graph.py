@@ -291,7 +291,7 @@ def mode_from_dense(
     g = SignedDigraph(n_agents=n, edges=tuple(edges))
     rebuilt = repelling_laplacian(g)
     if not np.allclose(rebuilt, L, atol=_DENSE_ATOL, rtol=0.0):
-        bad = np.unravel_index(np.argmax(np.abs(rebuilt - L)), L.shape)
+        bad = tuple(int(k) for k in np.unravel_index(np.argmax(np.abs(rebuilt - L)), L.shape))
         raise ConfigError(
             f"dense matrix is not a repelling Laplacian: diagonal entry {bad} "
             f"disagrees with its row's signed in-weight sum"

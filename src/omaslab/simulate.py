@@ -116,13 +116,6 @@ class PerturbationModel:
             v *= self.bound / norm
         return v
 
-    # kept for the bench tracer (perfbench/tracing.py), which wraps this name;
-    # the library itself samples through sample_grid
-    def sample(self, t: float, n_agents: int, p: int) -> np.ndarray:
-        """The forcing at one time: sample_grid's row, zeros when it is None."""
-        rows = self.sample_grid(np.array([t]), n_agents, p)
-        return np.zeros(n_agents * p) if rows is None else rows[0]
-
     def _hold_draw(self, k: int, dim: int) -> np.ndarray:
         # holds before t = 0 have their own stream, keyed by -k >= 1, so
         # their keys never meet those of holds k >= 0
@@ -132,7 +125,7 @@ class PerturbationModel:
             rng = stream_rng(self.seed or 0, STREAM_PERTURBATION_PAST, -k, dim)
         return uniform_in_ball(rng, dim, self.bound)
 
-    def sample_grid(
+    def sample(
         self, times: np.ndarray, n_agents: int, p: int, first: np.ndarray | None = None
     ) -> np.ndarray | None:
         """The forcing at every time of a grid, as one (len(times), n_agents * p) array.
@@ -502,7 +495,9 @@ def _max_row_norm(F: np.ndarray) -> float:
     return max(float(np.linalg.norm(F[i])) for i in fresh)
 
 
-def _integrate(
+# perfbench/tracing.py times this and PerturbationModel.sample by name, and
+# counts steps from t_span and dt as the 4th and 5th positional arguments
+def integrate_segment(
     mode: ModeMatrix,
     x: np.ndarray,
     h: PerturbationModel,
@@ -535,10 +530,13 @@ def _integrate(
     F = None
     for a, b, step in blocks:
         A0, A1, powers, reach = steps[step]
-        t_ends = t_start + np.arange(a + 1, b + 1) * dt if step == dt else np.array([t_end])
-        t_grid = np.concatenate(([t_start + a * dt], t_ends))
+        if step == dt:
+            t_grid = t_start + np.arange(a, b + 1) * dt
+        else:
+            t_grid = np.array([t_start + a * dt, t_end])
+        t_ends = t_grid[1:]
         # the chunk's first time is the previous chunk's last: reuse its row
-        F = h.sample_grid(t_grid, n, p, first=None if F is None else F[-1])
+        F = h.sample(t_grid, n, p, first=None if F is None else F[-1])
         G = None
         if F is not None:
             max_h = max(max_h, _max_row_norm(F))
@@ -712,7 +710,7 @@ def run_switched(
                     kept[(seg.mode, step)] = (A0, A1, *table)
                 # no name may keep a key alive after kept drops it
                 del built, E, A0, A1, table
-        t, states, diverged_at, max_h = _integrate(
+        t, states, diverged_at, max_h = integrate_segment(
             mm, x, perturbation, bounds, dt, grids[i],
             {key[1]: kept[key] for key in keys[i]}, sample_stride,
         )

@@ -463,7 +463,7 @@ def forcing_at(h, t: float, n_agents: int, p: int) -> np.ndarray:
     Tiles the amplitude across agents and rescales it into the ball; the
     random kind draws its hold from its own seeded stream, holds before
     t = 0 from the past stream keyed by -k. The per-point oracle for
-    PerturbationModel.sample_grid.
+    PerturbationModel.sample.
     """
     dim = n_agents * p
     if h.kind == "zero" or h.bound == 0.0:

@@ -284,6 +284,19 @@ def test_simulate_outputs(tmp_path, demo_dict, capsys):
     assert len(event_rows) == 1 + summary["n_events"]
 
 
+def test_simulate_converging_run_says_so(tmp_path, capsys):
+    # a single seed runs in process, so its stdout is checked here and not
+    # only in the sweep's forked workers
+    rc, out = run_simulate(tmp_path, demo_scenario_dict("asymptotic", seed=11), "run",
+                           extra=("--dt", "1e-2"))
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["converged"] is True and summary["diverged"] is False
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "converged within tolerance"
+    assert f"tail sup error: {summary['tail_sup_error']:.6g}" in lines[-2]
+
+
 def test_simulate_seed_determinism(tmp_path, demo_dict, capsys):
     _, out1 = run_simulate(tmp_path, demo_dict, "a")
     _, out2 = run_simulate(tmp_path, demo_dict, "b")

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from omaslab.cli import main
 from omaslab.demo import DEMO_DEP_GAIN_SCALE, DEMO_IMPULSE_RADIUS, demo_scenario_dict
 from omaslab.errors import ConfigError, SchemaError
 from omaslab.scenario import (
@@ -230,6 +231,50 @@ def test_non_square_laplacian():
     d = copy.deepcopy(practical_dict())
     d["modes"][1]["L"] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     _expect(d, r"modes\[1\].L: must be square")
+
+
+def _edge_mode(d, n_agents, leader_links):
+    d["modes"][0] = {"id": 1, "n_agents": n_agents, "edges": [], "leader_links": leader_links}
+
+
+def _off_diagonal_sum(d):
+    d["modes"][0]["L"][0][0] += 1.0  # row 0's in-weights sum to 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["dynamics"].update(A=[[0.0, 1.0]]),
+     r"^dynamics\.A: must be square, got \(1, 2\)$"),
+    (lambda d: d["dynamics"].update(A=[]),
+     r"^dynamics\.A: matrix must have at least one row$"),
+    (lambda d: d["modes"][0].update(D=[1.0, 1.0, 0.0]),
+     r"^modes\[0\]\.D: has 3 entries, L is 4x4$"),
+    (_off_diagonal_sum,
+     r"^modes\[0\]: dense matrix is not a repelling Laplacian: diagonal entry \(0, 0\) "),
+    (lambda d: _edge_mode(d, 4, [1.0, 0.0]),
+     r"^modes\[0\]: leader_links has length 2, expected 4$"),
+    (lambda d: _edge_mode(d, 0, []),
+     r"^modes\[0\]: n_agents must be >= 1, got 0$"),
+    (lambda d: d.update(modes=[]),
+     r"^modes: must not be empty$"),
+    (lambda d: d["signal"].update(type=3),
+     r"^signal\.type: expected a string, got int$"),
+], ids=["A-not-square", "A-empty", "D-length", "L-not-repelling", "leader-links-length",
+        "no-agents", "no-modes", "signal-type-int"])
+def test_refusal_names_its_path(edit, message):
+    d = copy.deepcopy(practical_dict())
+    edit(d)
+    _expect(d, message)
+
+
+def test_refusal_exits_2_through_main(tmp_path, capsys):
+    d = copy.deepcopy(practical_dict())
+    d["modes"][0]["D"] = [1.0, 1.0, 0.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert main(["analyze", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: modes[0].D: has 3 entries, L is 4x4\n"
 
 
 def test_duplicate_mode_id():

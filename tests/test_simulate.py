@@ -33,13 +33,13 @@ from omaslab.simulate import (
     Trajectory,
     _csv_block,
     _grid,
-    _integrate,
     _leap,
     _power_table,
     _rk4_step,
     _step_matrix_stack,
     export_events_csv,
     export_trajectory_csv,
+    integrate_segment,
     run_switched,
 )
 from omaslab.switching import Segment, SwitchingSignal
@@ -177,31 +177,31 @@ def test_perturbation_norm_bound_on_run(practical_run):
 
 def test_random_perturbation_determinism_and_holds():
     h = PerturbationModel(kind="random", bound=0.5, hold=0.05, seed=7)
-    a, b, c = h.sample_grid(np.array([0.01, 0.04, 0.06]), 2, 2)
+    a, b, c = h.sample(np.array([0.01, 0.04, 0.06]), 2, 2)
     np.testing.assert_array_equal(a, b)  # same hold window
     assert not np.array_equal(a, c)      # next hold redraws
-    np.testing.assert_array_equal(a, h.sample_grid(np.array([0.01]), 2, 2)[0])  # reproducible
-    assert np.linalg.norm(h.sample_grid(np.array([12.34]), 3, 2)) <= 0.5
+    np.testing.assert_array_equal(a, h.sample(np.array([0.01]), 2, 2)[0])  # reproducible
+    assert np.linalg.norm(h.sample(np.array([12.34]), 3, 2)) <= 0.5
     # dimension changes rekey the draw instead of truncating it
-    assert not np.array_equal(a[:2], h.sample_grid(np.array([0.01]), 1, 2)[0])
+    assert not np.array_equal(a[:2], h.sample(np.array([0.01]), 1, 2)[0])
 
 
 def test_constant_perturbation_rescaled_into_ball():
     h = PerturbationModel(kind="constant", bound=1.0, amplitude=(3.0, 4.0))
-    np.testing.assert_allclose(h.sample_grid(np.zeros(2), 1, 2), [[0.6, 0.8]] * 2, rtol=1e-12)
-    v = h.sample_grid(np.zeros(1), 2, 2)  # tiled across two agents, norm still 1
+    np.testing.assert_allclose(h.sample(np.zeros(2), 1, 2), [[0.6, 0.8]] * 2, rtol=1e-12)
+    v = h.sample(np.zeros(1), 2, 2)  # tiled across two agents, norm still 1
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sinusoidal_perturbation():
     h = PerturbationModel(kind="sinusoidal", bound=2.0, amplitude=(1.0, 0.0), frequency=1.0)
-    rows = h.sample_grid(np.array([0.25, 0.5]), 1, 2)
+    rows = h.sample(np.array([0.25, 0.5]), 1, 2)
     np.testing.assert_allclose(rows, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_zero_bound_silences_any_kind():
     h = PerturbationModel(kind="random", bound=0.0)
-    assert h.sample_grid(np.array([0.3]), 2, 2) is None
+    assert h.sample(np.array([0.3]), 2, 2) is None
 
 
 def test_perturbation_validation():
@@ -228,7 +228,7 @@ def test_perturbation_validation():
             PerturbationModel(**fields)
     h = PerturbationModel(kind="constant", bound=1.0, amplitude=(1.0, 2.0, 3.0))
     with pytest.raises(ConfigError, match="amplitude"):
-        h.sample_grid(np.zeros(1), 1, 2)
+        h.sample(np.zeros(1), 1, 2)
 
 
 def test_with_seed_respects_explicit_seed():
@@ -636,32 +636,35 @@ def _segment_grid(t_start: float, t_end: float, dt: float) -> np.ndarray:
     dt=st.sampled_from([1e-3, 0.01, 0.013]),
     seed=st.integers(0, 2**40),
 )
-def test_sample_grid_equals_sample(kind, bound, n_agents, p, hold, ks, offsets,
-                                   t_start, span, dt, seed):
-    # every row of a grid, and sample() at its time, is the per-point
+def test_sample_rows_equal_points_alone(kind, bound, n_agents, p, hold, ks, offsets,
+                                        t_start, span, dt, seed):
+    # every row of a grid, and the grid of its time alone, is the per-point
     # recount bit for bit
     h = PerturbationModel(kind=kind, bound=bound, amplitude=tuple(range(1, p + 1)),
                           frequency=1.7, hold=hold, seed=seed)
     grids = (_hold_grid(hold, ks, offsets), _segment_grid(t_start, t_start + span, dt))
     for times in grids:
-        batch = h.sample_grid(times, n_agents, p)
-        expected = [forcing_at(h, float(t), n_agents, p).tobytes() for t in times]
-        assert [h.sample(float(t), n_agents, p).tobytes() for t in times] == expected
+        batch = h.sample(times, n_agents, p)
         if kind == "zero" or bound == 0.0:
             assert batch is None
+            assert all(h.sample(times[i : i + 1], n_agents, p) is None for i in range(len(times)))
             continue
+        expected = [forcing_at(h, float(t), n_agents, p).tobytes() for t in times]
         assert batch.shape == (len(times), n_agents * p)
         assert [row.tobytes() for row in batch] == expected
+        alone = [h.sample(times[i : i + 1], n_agents, p) for i in range(len(times))]
+        assert [rows.shape for rows in alone] == [(1, n_agents * p)] * len(times)
+        assert [rows[0].tobytes() for rows in alone] == expected
 
 
-def test_sample_grid_draws_each_hold_once(monkeypatch):
+def test_sample_draws_each_hold_once(monkeypatch):
     import omaslab.simulate as simulate
 
     calls = []
     real = simulate.stream_rng
     monkeypatch.setattr(simulate, "stream_rng", lambda *a: calls.append(a) or real(*a))
     h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
-    h.sample_grid(np.arange(1001) * 1e-3, 3, 2)  # 1 s: holds 0..20
+    h.sample(np.arange(1001) * 1e-3, 3, 2)  # 1 s: holds 0..20
     assert sorted(c[2] for c in calls) == list(range(21))
 
 
@@ -672,7 +675,7 @@ def test_hold_streams_before_and_after_zero(monkeypatch):
     real = simulate.stream_rng
     monkeypatch.setattr(simulate, "stream_rng", lambda *a: calls.append(a) or real(*a))
     h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
-    rows = h.sample_grid(np.array([-0.12, -0.01, 0.0, 0.07]), 3, 2)  # holds -3, -1, 0, 1
+    rows = h.sample(np.array([-0.12, -0.01, 0.0, 0.07]), 3, 2)  # holds -3, -1, 0, 1
     assert calls == [(4, STREAM_PERTURBATION_PAST, 3, 6), (4, STREAM_PERTURBATION_PAST, 1, 6),
                      (4, STREAM_PERTURBATION, 0, 6), (4, STREAM_PERTURBATION, 1, 6)]
     # holds k >= 0 keep their (k, dim) key; holds before t = 0 get fresh draws
@@ -681,7 +684,7 @@ def test_hold_streams_before_and_after_zero(monkeypatch):
     assert len({r.tobytes() for r in rows}) == 4
 
 
-def test_sample_grid_refuses_a_forcing_it_cannot_tell():
+def test_sample_refuses_a_forcing_it_cannot_tell():
     # |t| = 30 sets the largest phase and the extreme hold indices
     times = np.array([-30.0, 0.0, 30.0])
     sinusoidal = dict(kind="sinusoidal", bound=0.2, amplitude=(0.1, 0.1))
@@ -692,7 +695,7 @@ def test_sample_grid_refuses_a_forcing_it_cannot_tell():
     for h in (PerturbationModel(**sinusoidal, frequency=1e305),
               PerturbationModel(**random, hold=2.0**-58),
               PerturbationModel(**constant, amplitude=(1e153, 1e153))):
-        rows = h.sample_grid(times, 2, 2)
+        rows = h.sample(times, 2, 2)
         assert [r.tobytes() for r in rows] == [
             forcing_at(h, float(t), 2, 2).tobytes() for t in times
         ]
@@ -703,7 +706,7 @@ def test_sample_grid_refuses_a_forcing_it_cannot_tell():
                      ("hold", PerturbationModel(**random, hold=2.0**-59)),
                      ("amplitude", PerturbationModel(**constant, amplitude=(1e155, 1e155)))):
         with pytest.raises(ConfigError, match=f"^perturbation\\.{field}: "):
-            h.sample_grid(times, 2, 2)
+            h.sample(times, 2, 2)
 
 
 def test_segment_draws_each_hold_once(monkeypatch):
@@ -907,7 +910,7 @@ def test_zero_perturbation_has_no_forcing_and_no_draws(monkeypatch):
     import omaslab.simulate as simulate
 
     monkeypatch.setattr(simulate, "stream_rng", None)  # any draw would raise
-    assert PerturbationModel(kind="random", bound=0.0).sample_grid(np.zeros(3), 2, 2) is None
+    assert PerturbationModel(kind="random", bound=0.0).sample(np.zeros(3), 2, 2) is None
     traj = run_one(scalar_follower(-1.0), np.array([0.0, 1.0]),
                    PerturbationModel(kind="random", bound=0.0), (0.0, 1.0))
     assert traj.max_h_norm == 0.0
@@ -1045,7 +1048,7 @@ def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
     mode = ModeMatrix(mode_id=1, n_agents=n - 1, p=1, A=np.zeros((1, 1)),
                       cZ=np.zeros((n - 1, n - 1)), alpha=0.0, stable=False)
     dt = 0.5
-    t, states, diverged_at, _ = _integrate(
+    t, states, diverged_at, _ = integrate_segment(
         mode, x, ZERO, (0.0, n * dt), dt, _grid(0.0, n * dt, dt),
         {dt: (None, None, powers, reach)}, n)
     assert calls == [(len(powers), [(n, 1)]), (1, [(1, n)])]
