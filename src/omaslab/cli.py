@@ -383,6 +383,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     # workers inherit it unpickled and run the seeds concurrently, and their
     # output is printed in seed order, as one process would print it. Since
     # Python 3.11 a fork pool starts all its workers before its own thread.
+    # Where there is no fork (Windows), the seeds run here, one after another.
     seeds = range(args.seed, args.seed + args.sweep)
     scenario.mode_matrices()
     signals = {seed: scenario.resolve_signal(seed) for seed in seeds}
@@ -399,22 +400,33 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(
-        max_workers=min(len(seeds), len(os.sched_getaffinity(0))),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_sweep_worker,
-        initargs=(run,),
-    )
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # Windows has no fork
+        context = None
+    pool = None
+    if context is not None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # macOS and Windows have no affinity mask
+            cpus = os.cpu_count() or 1
+        pool = ProcessPoolExecutor(
+            max_workers=min(len(seeds), cpus),
+            mp_context=context,
+            initializer=_start_sweep_worker,
+            initargs=(run,),
+        )
     summaries = {}
     try:
-        futures = {seed: pool.submit(_sweep_seed, seed) for seed in seeds}
-        for seed, future in futures.items():
+        futures = {seed: pool.submit(_sweep_seed, seed) for seed in seeds} if pool else {}
+        for seed in seeds:
             print(f"--- seed {seed} ---")
-            summaries[seed], text = future.result()
+            summaries[seed], text = futures[seed].result() if pool else run(seed)
             print(text, end="")
     finally:
         # the first seed to fail ends the sweep: the rest are not started
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     aggregate = {
         "seeds": sorted(summaries),
         "tail_sup_error_max": max(s["tail_sup_error"] for s in summaries.values()),

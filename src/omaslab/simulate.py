@@ -55,6 +55,8 @@ _STACK_BYTES = 64 * 2**10
 # the bound a leap over a gap of steps keeps its states under; 2^23 below
 # overflow, so that no step inside the gap can overflow either
 _LEAP_LIMIT = 2.0**1000
+# 0 .. _CHUNK_STEPS: offset by a chunk's first step, the step indices of its grid
+_STEP_INDEX = np.arange(_CHUNK_STEPS + 1)
 
 PERTURBATION_KINDS = ("zero", "constant", "sinusoidal", "random")
 
@@ -101,6 +103,11 @@ class PerturbationModel:
     def with_seed(self, seed: int) -> "PerturbationModel":
         return self if self.seed is not None else replace(self, seed=seed)
 
+    @property
+    def vanishes(self) -> bool:
+        """Whether the forcing is identically zero, so that sample returns None."""
+        return self.kind == "zero" or self.bound == 0.0
+
     def _tiled(self, n_agents: int, p: int) -> np.ndarray:
         amp = np.asarray(self.amplitude, dtype=float)
         if amp.shape != (p,):
@@ -142,7 +149,7 @@ class PerturbationModel:
         int64 range (a hold too short for the horizon), or an amplitude
         whose norm tiled over the agents overflows.
         """
-        if self.kind == "zero" or self.bound == 0.0:
+        if self.vanishes:
             return None
         times = np.asarray(times, dtype=float)
         dim = n_agents * p
@@ -177,6 +184,9 @@ class PerturbationModel:
 
 @dataclass(eq=False)
 class SegmentTrace:
+    """The kept samples of one window. In a run of run_switched, t, leader
+    and errs are views into the rows of the run's table (Trajectory.table)."""
+
     index: int
     mode_id: int
     n_agents: int
@@ -206,13 +216,30 @@ class EventRecord:
     post_err: np.ndarray
     impulse_norm: float
 
+    # each the 2-norm np.linalg.norm takes of a vector, sqrt(e.e), bit for
+    # bit, without its argument handling: events.csv takes two per event
     @property
     def pre_err_norm(self) -> float:
-        return float(np.linalg.norm(self.pre_err))
+        return math.sqrt(self.pre_err.dot(self.pre_err))
 
     @property
     def post_err_norm(self) -> float:
-        return float(np.linalg.norm(self.post_err))
+        return math.sqrt(self.post_err.dot(self.post_err))
+
+
+@dataclass(eq=False)
+class RunTable:
+    """A run's kept samples, window after window, as one set of rows.
+
+    Row r is the sample at time t[r], in mode mode[r] with count[r] agents:
+    z[r] holds the leader (its first p entries), then the count[r] agents'
+    errors, then zeros up to the widest mode of the run.
+    """
+
+    t: np.ndarray      # (rows,)
+    mode: np.ndarray   # (rows,) mode ids
+    count: np.ndarray  # (rows,) agent counts
+    z: np.ndarray      # (rows, p * (1 + the widest agent count))
 
 
 @dataclass(eq=False)
@@ -224,6 +251,9 @@ class Trajectory:
     events: list[EventRecord] = field(default_factory=list)
     diverged_at: float | None = None
     max_h_norm: float = 0.0
+    # the rows run_switched writes, of which the segments are views: the
+    # tail error and the CSV export read them
+    table: RunTable | None = None
 
     @property
     def diverged(self) -> bool:
@@ -238,13 +268,16 @@ class Trajectory:
         if self.diverged:
             return math.inf
         cutoff = self.tf - tail_fraction * (self.tf - self.t0)
+        rows = self.table
+        tail = rows.t >= cutoff - _GRID_EPS
         sup = 0.0
         # norms of a huge but finite tail overflow to inf, which is the right answer
         with np.errstate(over="ignore"):
-            for seg in self.segments:
-                mask = seg.t >= cutoff - _GRID_EPS
-                if mask.any():
-                    sup = max(sup, float(np.linalg.norm(seg.errs[mask], axis=1).max()))
+            # the rows of one agent count at once, each row normed over its
+            # own errors as a segment's rows are
+            for n in np.unique(rows.count[tail]).tolist():
+                errs = rows.z[tail & (rows.count == n), self.p : self.p * (n + 1)]
+                sup = max(sup, float(np.linalg.norm(errs, axis=1).max()))
         return sup
 
 
@@ -495,87 +528,189 @@ def _max_row_norm(F: np.ndarray) -> float:
     return max(float(np.linalg.norm(F[i])) for i in fresh)
 
 
+def _block_layout(a: int, b: int, last: int, stride: int) -> tuple[list[tuple[int, int]], int, int]:
+    """(runs, gap, kept) of the block of steps a+1 .. b of a window whose
+    last step is last: the gaps _leap takes from the state before the block
+    to its kept steps (every stride-th step of the window), then on to b,
+    as runs (gap, count); the longest of them; and how many states the
+    block keeps, the window's last step among them."""
+    kept = range(a - a % stride + stride, b + 1, stride)
+    runs = [(b - a, 1)]
+    if kept:
+        runs = [(kept.start - a, 1), (stride, len(kept) - 1), (b - kept[-1], 1)]
+    runs = [(g, count) for g, count in runs if g and count]
+    return runs, max(g for g, _ in runs), len(kept) + (b == last and b % stride != 0)
+
+
+@dataclass(eq=False)
+class _Windows:
+    """The layout of a run, made before its first step: what each window
+    steps, which step matrices are built before it and dropped after it,
+    and where its samples go in the run's table."""
+
+    spans: list[tuple[float, float]]
+    # per window, its _grid blocks as (a, b, step, *_block_layout)
+    blocks: list[list[tuple]]
+    # window -> (mode, step lengths) built as one stack before it steps
+    builds: dict[int, list[tuple[int, list[float]]]]
+    # window -> the (mode, step length) keys no later window steps by
+    drops: dict[int, list[tuple[int, float]]]
+    # window i's samples are rows offsets[i] .. offsets[i + 1] - 1 of table
+    offsets: list[int]
+    # the run's rows: times, modes and counts filled, states to be stepped
+    table: RunTable
+
+
+def _lay_out(
+    matrices: dict[int, ModeMatrix], signal: SwitchingSignal, dt: float, stride: int
+) -> _Windows:
+    """The _Windows of a run of signal at step dt, keeping every stride-th
+    step of each window, its first state and its last."""
+    modes = [seg.mode for seg in signal.segments]
+    starts = [seg.start for seg in signal.segments]
+    spans = list(zip(starts, starts[1:] + [signal.tf]))
+    # a window's blocks are chunks of dt up to its last block, (a, b, step):
+    # their layouts follow from (a, b), and a run's windows repeat a few.
+    # Step matrices are kept per (mode, exact step length) -- the method is
+    # the run's -- from the first window that steps by them to the last
+    layouts: dict[tuple[int, int], list[tuple]] = {}
+    blocks, keys, lasts, shorts = [], [], [], []
+    last_use: dict[tuple[int, float], int] = {}
+    for i, (mode, span) in enumerate(zip(modes, spans)):
+        grid = _grid(*span, dt)
+        a, b, step = grid[-1]
+        lay = layouts.get((a, b))
+        if lay is None:
+            lay = layouts[(a, b)] = [(c, d, dt, *_block_layout(c, d, b, stride)) for c, d, _ in grid]
+        used = [(mode, dt)] if grid[0][2] == dt else []
+        if step != dt:  # a remainder step, or a window shorter than dt
+            lay = lay[:-1] + [(a, b, step, *lay[-1][3:])]
+            used.append((mode, step))
+        for key in used:
+            last_use[key] = i
+        blocks.append(lay)
+        keys.append(used)
+        lasts.append(b)
+        shorts.append(step != dt)
+
+    # a build takes the next lengths its mode will need, in the order of
+    # first use, as many as fit _STACK_BYTES
+    upcoming: dict[int, list[float]] = {}
+    for mode, step in last_use:
+        upcoming.setdefault(mode, []).append(step)
+    p = matrices[modes[0]].p
+    builds: dict[int, list[tuple[int, list[float]]]] = {}
+    built: set[tuple[int, float]] = set()
+    for i, used in enumerate(keys):
+        for mode, step in used:
+            if (mode, step) not in built:
+                queue = upcoming[mode]
+                dim = p * (matrices[mode].n_agents + 1)
+                take = max(1, _STACK_BYTES // (3 * 8 * dim * dim))
+                batch, queue[:take] = queue[:take], []
+                builds.setdefault(i, []).append((mode, batch))
+                built.update((mode, s) for s in batch)
+    drops: dict[int, list[tuple[int, float]]] = {}
+    for key, i in last_use.items():
+        drops.setdefault(i, []).append(key)
+
+    # the rows: each window's start, every stride-th step and its last step
+    last = np.array(lasts)
+    n_rows = 1 + last // stride + (last % stride != 0)
+    offsets = np.concatenate(([0], np.cumsum(n_rows)))
+    window = np.repeat(np.arange(len(spans)), n_rows)
+    k = np.minimum((np.arange(offsets[-1]) - offsets[window]) * stride, last[window])
+    start = np.array(starts)
+    # step k ends at t_start + k dt; a remainder step ends on the window's end
+    t = start[window] + k * dt
+    on_end = np.array(shorts)[window] & (k == last[window])
+    t[on_end] = np.array(starts[1:] + [signal.tf])[window[on_end]]
+    t[offsets[:-1]] = start
+    counts = [matrices[mode].n_agents for mode in modes]
+    table = RunTable(
+        t=t,
+        mode=np.repeat(modes, n_rows),
+        count=np.repeat(counts, n_rows),
+        z=np.zeros((len(t), p * (1 + max(counts)))),
+    )
+    return _Windows(spans, blocks, builds, drops, offsets.tolist(), table)
+
+
 # perfbench/tracing.py times this and PerturbationModel.sample by name, and
 # counts steps from t_span and dt as the 4th and 5th positional arguments
 def integrate_segment(
     mode: ModeMatrix,
-    x: np.ndarray,
+    rows: np.ndarray,
     h: PerturbationModel,
     t_span: tuple[float, float],
     dt: float,
-    blocks: list[tuple[int, int, float]],
+    blocks: list[tuple],
     steps: dict[float, tuple],
     sample_stride: int,
-) -> tuple[np.ndarray, np.ndarray, float | None, float]:
+) -> tuple[int, float | None, float]:
     """Step z = (leader, errors) over one constant-mode window of run_switched.
 
-    blocks are the window's steps as _grid, their one layout, gives them;
-    steps maps each of their step lengths to its (A0, A1, powers, reach),
-    a _power_table of its E, and x is the checked state at t_span[0]. Each
-    chunk forms its kept steps (every sample_stride-th step of the window
-    and its last) and its own last step, by _leap over the gaps between
-    them. A chunk with a gap of several steps whose reach, by the table,
-    exceeds _LEAP_LIMIT may overflow inside a gap: it is formed again one
-    step at a time, so that its first non-finite step is found. Returns the
-    kept sample times, the states at them, the time of the first non-finite
-    step (None when there is none) and the largest forcing norm.
+    rows are the window's rows of the run table, rows[0] its checked start
+    state; blocks are its _grid blocks with their _block_layout, as
+    _lay_out gives them; steps maps each of their step lengths to its (A0,
+    A1, powers, reach), a _power_table of its E. Each block forms its kept
+    states (every sample_stride-th step of the window and its last) and its
+    own last state, by _leap over the gaps between them, and writes the kept
+    ones into rows in order. A block with a gap of several steps whose
+    reach, by the table, exceeds _LEAP_LIMIT may overflow inside a gap: it
+    is formed again one step at a time, so that its first non-finite step
+    is found. Returns the count of rows written, the time of the first
+    non-finite step (None when there is none) and the largest forcing norm.
+
+    It steps under its caller's np.errstate: run_switched ignores overflow
+    and invalid operations, which a diverging run is expected to make and
+    reports through diverged_at.
     """
     t_start, t_end = t_span
     p, n = mode.p, mode.n_agents
-    last = blocks[-1][1]
-    times = [np.array([t_start])]
-    states = [x[None, :].copy()]
+    x = rows[0]
+    r = 1
     max_h = 0.0
-    diverged_at = None
-    F = None
-    for a, b, step in blocks:
+    F = G = None
+    for a, b, step, runs, gap, kept in blocks:
         A0, A1, powers, reach = steps[step]
-        if step == dt:
-            t_grid = t_start + np.arange(a, b + 1) * dt
-        else:
-            t_grid = np.array([t_start + a * dt, t_end])
-        t_ends = t_grid[1:]
-        # the chunk's first time is the previous chunk's last: reuse its row
-        F = h.sample(t_grid, n, p, first=None if F is None else F[-1])
-        G = None
-        if F is not None:
+        if not h.vanishes:
+            if step == dt:
+                t_grid = t_start + (a + _STEP_INDEX[: b - a + 1]) * dt
+            else:
+                t_grid = np.array([t_start + a * dt, t_end])
+            # the chunk's first time is the previous chunk's last: reuse its row
+            F = h.sample(t_grid, n, p, first=None if F is None else F[-1])
             max_h = max(max_h, _max_row_norm(F))
             G = F[:-1] @ A0.T + F[1:] @ A1.T
-        # the gaps to the chunk's kept steps, then on to its last, whose
-        # state carries on, as runs (gap, count)
-        kept = range(a - a % sample_stride + sample_stride, b + 1, sample_stride)
-        runs = [(b - a, 1)]
-        if kept:
-            runs = [(kept.start - a, 1), (sample_stride, len(kept) - 1), (b - kept[-1], 1)]
-        runs = [(g, count) for g, count in runs if g and count]
-        gap = max(g for g, _ in runs)
-        # overflow on a diverging run is expected and reported via
-        # diverged_at, so the elementwise warnings add nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _leap(powers, x, G, runs)
-            if gap > 1:
-                gmax = 0.0 if G is None else np.abs(G).max()
-                # by the reach from the largest start; a NaN fails it
-                if not reach * (np.abs(x).max() + np.abs(out).max() + gap * gmax) <= _LEAP_LIMIT:
-                    out = _leap({1: powers[1]}, x, G, [(1, b - a)])
-                    gap = 1
-        # at = the kept rows of out; when every step is formed, out has a row
-        # per step and t_ends a time per step alike
-        at = slice(kept.start - a - 1, None, sample_stride)
-        if gap == 1 and not np.isfinite(out).all():
+        out = _leap(powers, x, G, runs)
+        if gap > 1:
+            gmax = 0.0 if G is None else np.abs(G).max()
+            # by the reach from the largest start; a NaN fails it. The
+            # rows of a leap are the block's kept states, then its last
+            if reach * (np.abs(x).max() + np.abs(out).max() + gap * gmax) <= _LEAP_LIMIT:
+                rows[r : r + kept] = out[:kept]
+                r += kept
+                x = out[-1]
+                continue
+            out = _leap({1: powers[1]}, x, G, [(1, b - a)])
+        # a row per step: every stride-th step of the window is kept, up
+        # to the first non-finite one
+        first = sample_stride - a % sample_stride - 1
+        if not np.isfinite(out).all():
             bad = int(np.argmin(np.isfinite(out).all(axis=1)))
-            diverged_at = float(t_ends[bad])
-            at = slice(at.start, bad, sample_stride)
-        times.append(t_ends[at])
-        states.append(out[at] if gap == 1 else out[: len(kept)])
-        if diverged_at is not None:
-            break
-        if b == last and b % sample_stride:
-            times.append(t_ends[-1:])
-            states.append(out[-1:])
+            done = out[first:bad:sample_stride]
+            rows[r : r + len(done)] = done
+            diverged_at = t_start + (a + 1 + bad) * dt if step == dt else t_end
+            return r + len(done), diverged_at, max_h
+        done = out[first::sample_stride]
+        rows[r : r + len(done)] = done
+        r += len(done)
+        if kept > len(done):  # the window's last step
+            rows[r] = out[-1]
+            r += 1
         x = out[-1]
-
-    return np.concatenate(times), np.vstack(states), diverged_at, max_h
+    return r, None, max_h
 
 
 @dataclass(eq=False)
@@ -652,6 +787,14 @@ def run_switched(
     of its own build), and are dropped after the last segment that steps
     by them.
 
+    The whole run is laid out before its first step (_lay_out): each
+    window's blocks with their gap runs and kept counts, the builds and
+    drops of step matrices, and one preallocated RunTable whose times,
+    modes and agent counts are filled in arrays. Each window then steps
+    straight into its rows of the table, and its SegmentTrace holds views
+    of them; the table, cut after the last row stepped, is the run's
+    Trajectory.table.
+
     The run stops (diverged_at set) at the first step with a non-finite
     state, which is not kept, or at a switching instant whose jump leaves
     a non-finite error, which is then not recorded as an event.
@@ -670,92 +813,70 @@ def run_switched(
         )
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
+    lay = _lay_out(matrices, signal, dt, sample_stride)
+    t, z, offsets = lay.table.t, lay.table.z, lay.offsets
     traj = Trajectory(p=p, t0=signal.t0, tf=signal.tf)
-    spans = [signal.segment_bounds(i) for i in range(len(signal.segments))]
-    grids = [_grid(a, b, dt) for a, b in spans]
-    # a run re-enters the same modes again and again, so step matrices are
-    # kept per (mode, exact step length) -- the method is the run's -- from
-    # the first segment that steps by them until the last
-    keys = [
-        list(dict.fromkeys((seg.mode, step) for _, _, step in blocks))
-        for seg, blocks in zip(signal.segments, grids)
-    ]
-    last_use = {key: i for i, seg_keys in enumerate(keys) for key in seg_keys}
-    # each mode's step lengths in the order the run first needs them; a
-    # build takes the next ones as one stack
-    upcoming: dict[int, list[float]] = {}
-    for mode, step in last_use:
-        upcoming.setdefault(mode, []).append(step)
-    kept: dict[tuple[int, float], tuple] = {}
-    z = x0
-    for i, seg in enumerate(signal.segments):
-        mm = matrices[seg.mode]
-        bounds = spans[i]
-        x = np.asarray(z, dtype=float)
-        dim = p * (mm.n_agents + 1)
-        if x.shape != (dim,):
-            raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
-        for key in keys[i]:
-            if key not in kept:
-                queue = upcoming[seg.mode]
-                take = max(1, _STACK_BYTES // (3 * 8 * dim * dim))
-                batch, queue[:take] = queue[:take], []
-                built = _step_matrix_stack(_stacked(mm), batch, method, p)
+    segments, events = traj.segments, traj.events
+    steps: dict[int, dict[float, tuple]] = {seg.mode: {} for seg in signal.segments}
+    x = np.asarray(x0, dtype=float)
+    shape, post_err = x.shape, None
+    end = 0
+    # overflow while stepping or at a jump is a divergence, which the run
+    # reports through diverged_at and keeps no non-finite state of; a build
+    # of step matrices keeps the caller's error handling
+    caller = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, seg in enumerate(signal.segments):
+            mm = matrices[seg.mode]
+            dim = p * (mm.n_agents + 1)
+            if shape != (dim,):
+                raise ConfigError(f"state has shape {shape}, expected ({dim},)")
+            r0, r1 = offsets[i], offsets[i + 1]
+            if post_err is None:
+                z[r0, :dim] = x
+            else:  # the leader carries over the jump
+                z[r0, :p] = z[r0 - 1, :p]
+                z[r0, p:dim] = post_err
+            for mode, batch in lay.builds.get(i, ()):
+                with np.errstate(**caller):
+                    built = _step_matrix_stack(_stacked(matrices[mode]), batch, method, p)
                 for step, (E, A0, A1) in zip(batch, built):
                     # only the dt step has gaps of several steps, and only
                     # above a stride of 1; E alone needs no reach
-                    table = ({1: E}, None)
+                    tabled = ({1: E}, None)
                     if step == dt and sample_stride > 1:
-                        table = _power_table(E, sample_stride)
-                    kept[(seg.mode, step)] = (A0, A1, *table)
-                # no name may keep a key alive after kept drops it
-                del built, E, A0, A1, table
-        t, states, diverged_at, max_h = integrate_segment(
-            mm, x, perturbation, bounds, dt, grids[i],
-            {key[1]: kept[key] for key in keys[i]}, sample_stride,
-        )
-        for key in keys[i]:
-            if last_use[key] == i:
-                del kept[key]
-        leader, errs = states[:, :p], states[:, p:]
-        traj.segments.append(
-            SegmentTrace(
-                index=i,
-                mode_id=seg.mode,
-                n_agents=mm.n_agents,
-                t=t,
-                leader=leader,
-                errs=errs,
+                        tabled = _power_table(E, sample_stride)
+                    steps[mode][step] = (A0, A1, *tabled)
+                # no name may keep a key alive after steps drops it
+                del built, E, A0, A1, tabled
+            span = lay.spans[i]
+            end, diverged_at, max_h = integrate_segment(
+                mm, z[r0:r1, :dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode],
+                sample_stride,
             )
-        )
-        traj.max_h_norm = max(traj.max_h_norm, max_h)
-        if diverged_at is not None:
-            traj.diverged_at = diverged_at
-            break
-        if i < len(signal.segments) - 1:
-            ev = signal.events[i]
-            pre_err = errs[-1]
-            # a jump that overflows is a divergence at the switching
-            # instant: the run stops there and keeps no non-finite state
-            with np.errstate(over="ignore", invalid="ignore"):
-                post_err = apply_error_jump(ev, pre_err)
-            if not np.isfinite(post_err).all():
-                traj.diverged_at = bounds[1]
+            for mode, step in lay.drops.get(i, ()):
+                del steps[mode][step]
+            end += r0
+            segments.append(SegmentTrace(
+                i, seg.mode, mm.n_agents, t[r0:end], z[r0:end, :p], z[r0:end, p:dim]
+            ))
+            traj.max_h_norm = max(traj.max_h_norm, max_h)
+            if diverged_at is not None:
+                traj.diverged_at = diverged_at
                 break
-            traj.events.append(
-                EventRecord(
-                    index=i + 1,
-                    t=bounds[1],
-                    mode_before=ev.mode_before,
-                    mode_after=ev.mode_after,
-                    n_before=ev.n_before,
-                    n_after=ev.n_after,
-                    pre_err=pre_err,
-                    post_err=post_err,
-                    impulse_norm=ev.impulse_norm,
-                )
-            )
-            z = np.concatenate([leader[-1], post_err])
+            if i < len(signal.events):
+                ev = signal.events[i]
+                pre_err = z[end - 1, p:dim]
+                post_err = apply_error_jump(ev, pre_err)
+                if not np.isfinite(post_err).all():
+                    traj.diverged_at = span[1]
+                    break
+                events.append(EventRecord(
+                    i + 1, span[1], ev.mode_before, ev.mode_after, ev.n_before, ev.n_after,
+                    pre_err, post_err, ev.impulse_norm,
+                ))
+                shape = (p + len(post_err),)
+    traj.table = RunTable(t[:end], lay.table.mode[:end], lay.table.count[:end], z[:end])
     return traj
 
 
@@ -1141,8 +1262,12 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     Columns cover the largest agent count seen; rows for smaller modes leave
     the missing agents blank. Boundary times appear twice, once pre-jump in
     the outgoing mode and once post-jump in the incoming one. Rows are
-    rendered in blocks of at most _CSV_BLOCK_VALUES fields, across segments.
+    rendered in blocks of at most _CSV_BLOCK_VALUES fields, each filled from
+    the run's table whatever segments it spans: the agents are the padded
+    errors plus the leader, and the columns past a row's agent count are
+    blank.
     """
+    rows = traj.table
     n_max = traj.max_agents()
     p = traj.p
     cols = ["t", "mode", "agent_count"]
@@ -1154,32 +1279,30 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
             cols.append(f"err_agent{i}_dim{d}")
     width_x, width_e = (n_max + 1) * p, n_max * p
     width = 3 + width_x + width_e
-    rows = max(1, _CSV_BLOCK_VALUES // width)
-    grid = np.zeros((rows, width))
-    blank = np.zeros((rows, width), dtype=bool)
-    fill = 0
+    size = max(1, _CSV_BLOCK_VALUES // width)
+    grid = np.empty((size, width))
+    blank = np.empty((size, width), dtype=bool)
+    # the blank columns of a row by its agent count, and the leader's
+    # column under each agent's
+    blanks = np.zeros((n_max + 1, width), dtype=bool)
+    for n in range(n_max + 1):
+        blanks[n, 3 + p * (n + 1) : 3 + width_x] = blanks[n, 3 + width_x + p * n :] = True
+    lead = np.tile(np.arange(p), n_max)
     with open(path, "wb") as fh:
         fh.write((",".join(cols) + "\n").encode())
-        for seg in traj.segments:
-            states = seg.states
-            n_x, n_e = states.shape[1], seg.errs.shape[1]
-            gaps = np.zeros(width, dtype=bool)
-            gaps[3 + n_x : 3 + width_x] = gaps[3 + width_x + n_e :] = True
-            a = 0
-            while a < len(seg.t):
-                b = min(len(seg.t), a + rows - fill)
-                block, fill = slice(fill, fill + b - a), fill + b - a
-                grid[block, 0] = seg.t[a:b]
-                grid[block, 1:3] = seg.mode_id, n_e // p
-                grid[block, 3 : 3 + n_x] = states[a:b]
-                grid[block, 3 + width_x : 3 + width_x + n_e] = seg.errs[a:b]
-                blank[block] = gaps
-                if fill == rows:
-                    fh.write(_csv_block(grid, blank))
-                    fill = 0
-                a = b
-        if fill:
-            fh.write(_csv_block(grid[:fill], blank[:fill]))
+        for a in range(0, len(rows.t), size):
+            b = min(len(rows.t), a + size)
+            m = b - a
+            z = rows.z[a:b]
+            errs = z[:, p : p + width_e]
+            grid[:m, 0] = rows.t[a:b]
+            grid[:m, 1] = rows.mode[a:b]
+            grid[:m, 2] = rows.count[a:b]
+            grid[:m, 3 : 3 + p] = z[:, :p]
+            np.add(errs, z[:, lead], out=grid[:m, 3 + p : 3 + width_x])
+            grid[:m, 3 + width_x :] = errs
+            np.take(blanks, rows.count[a:b], axis=0, out=blank[:m])
+            fh.write(_csv_block(grid[:m], blank[:m]))
 
 
 def export_events_csv(traj: Trajectory, path: str) -> None:

@@ -24,9 +24,15 @@ from omaslab.seeding import (
     uniform_on_sphere,
 )
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.simulate import _GRID_EPS, _grid, _propagator_stack, _step_matrix_stack
+from omaslab.simulate import (
+    _GRID_EPS,
+    RunTable,
+    _grid,
+    _propagator_stack,
+    _step_matrix_stack,
+)
 from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
-from omaslab.transition import MigrationEvent
+from omaslab.transition import MigrationEvent, apply_error_jump
 
 
 def char_poly_coeffs(M: np.ndarray) -> list[float]:
@@ -331,6 +337,24 @@ def random_signal_and_budget(
     return sig, budget, stable
 
 
+def tabled(traj):
+    """traj with its hand-made segments laid out as run_switched lays out a
+    run: their rows in one RunTable, the errors padded with zeros to the
+    widest segment, and each segment's arrays views of it."""
+    segs, p = traj.segments, traj.p
+    lens = [len(seg.t) for seg in segs]
+    ends = np.cumsum(lens).tolist()
+    count = np.repeat([seg.n_agents for seg in segs], lens)
+    t = np.concatenate([seg.t for seg in segs])
+    z = np.zeros((len(t), p * (1 + count.max())))
+    for seg, a, b in zip(segs, [0, *ends], ends):
+        width = p * (1 + seg.n_agents)
+        z[a:b, :p], z[a:b, p:width] = seg.leader, seg.errs
+        seg.t, seg.leader, seg.errs = t[a:b], z[a:b, :p], z[a:b, p:width]
+    traj.table = RunTable(t, np.repeat([seg.mode_id for seg in segs], lens), count, z)
+    return traj
+
+
 def reference_trajectory_csv(traj, path: str) -> None:
     """Row-by-row trajectory CSV writer, one f-string per value.
 
@@ -455,6 +479,42 @@ def stepwise_window(
                 times.append(t)
                 states.append(x)
     return np.array(times), np.array(states), None
+
+
+def stepwise_run(
+    matrices, signal: SwitchingSignal, x0: np.ndarray, h, dt: float, method: str, stride: int,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]], float | None]:
+    """A whole run window by window: the reference for simulate.run_switched.
+
+    Each window is stepwise_window from the state the jump before it left,
+    on the stacked matrix block_diag(A, A_err) of its mode; each switch is
+    apply_error_jump on the last kept errors, the leader carried over.
+    Returns each window's kept times and states, each switch's (pre, post)
+    errors, and where the run stopped: the time of the first non-finite
+    step, or the switching instant whose jump leaves a non-finite error
+    (that jump not listed), None when it ran to the end.
+    """
+    windows, jumps = [], []
+    x = np.asarray(x0, dtype=float)
+    for i, seg in enumerate(signal.segments):
+        mode = matrices[seg.mode]
+        M = scipy.linalg.block_diag(mode.A, mode.A_err)
+        t_span = signal.segment_bounds(i)
+        times, states, diverged_at = stepwise_window(
+            M, mode.p, mode.n_agents, x, h, t_span, dt, method, stride)
+        windows.append((times, states))
+        if diverged_at is not None:
+            return windows, jumps, diverged_at
+        if i == len(signal.events):
+            break
+        pre = states[-1, mode.p :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            post = apply_error_jump(signal.events[i], pre)
+        if not np.isfinite(post).all():
+            return windows, jumps, t_span[1]
+        jumps.append((pre, post))
+        x = np.concatenate([states[-1, : mode.p], post])
+    return windows, jumps, None
 
 
 def forcing_at(h, t: float, n_agents: int, p: int) -> np.ndarray:

@@ -604,6 +604,54 @@ def test_sweep_error_in_a_worker_exits_2(tmp_path, demo_dict, capsys, monkeypatc
     assert checked_in and str(os.getpid()) not in checked_in
 
 
+def _without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+
+
+def _without_fork(monkeypatch):
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+
+
+@pytest.mark.parametrize("platform, in_workers", [(_without_affinity, True),
+                                                  (_without_fork, False)])
+def test_sweep_without_affinity_or_fork_equals_the_forked_sweep(
+        tmp_path, demo_dict, capsys, monkeypatch, platform, in_workers):
+    # macOS and Windows have no os.sched_getaffinity, and Windows has no
+    # fork: the sweep then counts the cores by os.cpu_count, or runs the
+    # seeds in this process in seed order, with the files and stdout of the
+    # forked sweep
+    import omaslab.simulate
+
+    rc, forked = run_simulate(tmp_path, demo_dict, "forked", extra=("--sweep", "2"))
+    expected = capsys.readouterr().out
+    assert rc == 0
+    pids = tmp_path / "pids"
+    run = omaslab.simulate.run_switched
+
+    def recording_run(*args, **kwargs):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(omaslab.simulate, "run_switched", recording_run)
+    platform(monkeypatch)
+    rc, swept = run_simulate(tmp_path, demo_dict, "swept", extra=("--sweep", "2"))
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+    assert tree_bytes(swept) == tree_bytes(forked)
+    ran_in = pids.read_text().split()
+    assert len(ran_in) == 2
+    assert (str(os.getpid()) not in ran_in) == in_workers
+    assert multiprocessing.active_children() == []
+
+
 _UNTOLD_FORCING = {
     "frequency": {"kind": "sinusoidal", "bound": 0.2, "amplitude": [0.1, 0.1],
                   "frequency": 1e308},

@@ -26,6 +26,7 @@ from omaslab.scenario import parse_scenario
 from omaslab.seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, uniform_in_ball
 from omaslab.simulate import (
     _CHUNK_STEPS,
+    _CSV_BLOCK_VALUES,
     _GRID_EPS,
     DEFAULT_DT,
     PerturbationModel,
@@ -33,6 +34,7 @@ from omaslab.simulate import (
     Trajectory,
     _csv_block,
     _grid,
+    _lay_out,
     _leap,
     _power_table,
     _rk4_step,
@@ -43,6 +45,7 @@ from omaslab.simulate import (
     run_switched,
 )
 from omaslab.switching import Segment, SwitchingSignal
+from omaslab.transition import MigrationEvent
 
 from helpers import (
     envelope_by_direct_sums,
@@ -52,7 +55,9 @@ from helpers import (
     reference_events_csv,
     reference_trajectory_csv,
     step_matrices,
+    stepwise_run,
     stepwise_window,
+    tabled,
 )
 
 ZERO = PerturbationModel(kind="zero", bound=0.0)
@@ -320,6 +325,7 @@ def test_tail_sup_error_hand_case():
             errs=np.array([[100.0], [50.0], [60.0], [3.0], [-2.0], [7.0]]),
         )
     )
+    tabled(traj)
     assert traj.tail_sup_error(0.2) == pytest.approx(7.0, abs=1e-12)
     assert traj.tail_sup_error(1.0) == pytest.approx(100.0, abs=1e-12)
     # a diverged run has no tail, whatever its kept samples read
@@ -507,7 +513,7 @@ def _mixed_trajectory() -> Trajectory:
         index=1, mode_id=12, n_agents=3, t=np.linspace(1.0, 2.0, 300),
         leader=values[:, :2], errs=values[:, 2:],
     ))
-    return traj
+    return tabled(traj)
 
 
 def _decaying_trajectory() -> Trajectory:
@@ -525,15 +531,60 @@ def _decaying_trajectory() -> Trajectory:
             leader=rng.standard_normal((len(t), 2)),
             errs=rng.standard_normal((len(t), 2 * n_agents)) * decay,
         ))
-    return traj
+    return tabled(traj)
+
+
+def _alternating_trajectory() -> Trajectory:
+    """1,200 segments of 2 to 5 rows whose agent counts alternate between
+    few and many, so that a block of the writer ends inside a segment and
+    the blank columns change at and between its edges."""
+    traj = Trajectory(p=2, t0=0.0, tf=1200.0)
+    rng = np.random.default_rng(2)
+    for i in range(1200):
+        n_agents = (1, 6, 2, 5)[i % 4]
+        t = i + np.linspace(0.0, 1.0, 2 + i % 4)
+        traj.segments.append(SegmentTrace(
+            index=i, mode_id=1 + i % 4, n_agents=n_agents, t=t,
+            leader=rng.standard_normal((len(t), 2)),
+            errs=rng.standard_normal((len(t), 2 * n_agents)) * 10.0 ** rng.integers(-20, 20),
+        ))
+    return tabled(traj)
+
+
+def switch_heavy_run(scenario, pairs: int) -> Trajectory:
+    """The scenario's modes on the benchmark's switch-heavy layout: a
+    stable lead-in, then pairs of unstable and stable windows of 6 and 110
+    steps of 0.05 plus a random fraction of a step, the unstable modes 2, 3
+    and 4 in turn."""
+    rng = np.random.default_rng(5)
+    dt, t, segments = 0.05, 0.0, []
+    for k in range(2 * pairs + 1):
+        mode = 1 if k % 2 == 0 else 2 + (k // 2) % 3
+        segments.append(Segment(round(t, 9), mode))
+        t += ((110 if mode == 1 else 6) + rng.uniform(0.2, 0.8)) * dt
+    events = tuple(scenario.build_event(k, a.mode, b.mode, 11)
+                   for k, (a, b) in enumerate(zip(segments, segments[1:]), start=1))
+    sig = SwitchingSignal(0.0, round(t, 9), tuple(segments), events)
+    leader, errors = scenario.resolve_initial_state(11, 1)
+    h = scenario.perturbation.with_seed(11)
+    return run_switched(scenario.mode_matrices(), sig, np.concatenate([leader, errors]), h,
+                        dt=dt)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_trajectory_csv_matches_reference_writer(tmp_path, practical_run):
+def test_trajectory_csv_matches_reference_writer(tmp_path, practical_run, asymptotic_scenario):
     decaying = _decaying_trajectory()
     errs = np.concatenate([seg.errs.ravel() for seg in decaying.segments])
     assert (errs == 0).any() and ((errs != 0) & (np.abs(errs) < 2.0**-1022)).any()
-    for traj in (_mixed_trajectory(), decaying, practical_run.trajectory):
+    alternating = _alternating_trajectory()
+    # the writer's blocks of 8192 // 29 rows end inside segments
+    ends = set(np.cumsum([len(seg.t) for seg in alternating.segments]).tolist())
+    size = _CSV_BLOCK_VALUES // (3 + 7 * 2 + 6 * 2)
+    assert set(range(size, max(ends), size)) - ends
+    switching = switch_heavy_run(asymptotic_scenario, 500)
+    assert len(switching.events) == 1000 and not switching.diverged
+    for traj in (_mixed_trajectory(), decaying, alternating, switching,
+                 practical_run.trajectory):
         fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
         export_trajectory_csv(traj, str(fast))
         reference_trajectory_csv(traj, str(ref))
@@ -994,6 +1045,85 @@ def test_kept_states_equal_stepping(seed, n_agents, p, rate, scale, stride, chun
         assert np.abs(got - states).max() <= 1e-12 * max(1.0, gap / 40) * np.abs(states).max()
 
 
+def migration(k: int, before: ModeMatrix, after: ModeMatrix, rng) -> MigrationEvent:
+    """The switch k from mode before to mode after: its last agents leave,
+    or new ones join with a random impulse."""
+    nb, na, p = before.n_agents, after.n_agents, before.p
+    joins, leaves = tuple(range(nb + 1, na + 1)), tuple(range(na + 1, nb + 1))
+    impulse = 0.1 * rng.standard_normal(p * na) if joins else None
+    return MigrationEvent(k, before.mode_id, after.mode_id, nb, na, p, joins, leaves,
+                          impulse=impulse)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 2),
+    sizes=st.permutations([1, 2, 3]),
+    rates=st.lists(st.sampled_from([-2.0, -0.3, 0.4, 3.0]), min_size=3, max_size=3),
+    windows=st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.37, 1.0]),
+                               st.integers(1, 2)), min_size=2, max_size=60),
+    stride=st.integers(1, 40),
+    dt=st.sampled_from([1e-2, 0.05]),
+    forcing=st.sampled_from(["zero", "random"]),
+    method=st.sampled_from(["exact", "rk4"]),
+    scale=st.sampled_from([1.0, 1e290]),
+)
+@example(seed=7, p=2, sizes=[3, 1, 2], rates=[3.0, 0.4, 3.0], windows=[(12, 0.37, 1)] * 60,
+         stride=1, dt=0.05, forcing="random", method="exact", scale=1e290)
+@example(seed=8, p=1, sizes=[2, 3, 1], rates=[-0.3, 3.0, -2.0], windows=[(5, 1.0, 2), (0, 0.37, 1)] * 30,
+         stride=7, dt=1e-2, forcing="random", method="rk4", scale=1.0)
+def test_run_equals_stepwise_windows_and_jumps(seed, p, sizes, rates, windows, stride, dt,
+                                                forcing, method, scale):
+    # a run of many short windows over agent counts that change: at stride
+    # 1 every sample and jump is that of the step-by-step oracle bit for
+    # bit, above it within rounding of the largest state; it stops where
+    # the oracle stops, and its segments are views into one table
+    rng = np.random.default_rng(seed)
+    matrices = {m: replace(random_mode(seed + m, n, p, rate), mode_id=m)
+                for m, (n, rate) in enumerate(zip(sizes, rates), start=1)}
+    modes, t, segments = [1], 0.3, [Segment(0.3, 1)]
+    for steps, frac, hop in windows[:-1]:
+        t += (steps + frac) * dt
+        modes.append((modes[-1] - 1 + hop) % 3 + 1)
+        segments.append(Segment(t, modes[-1]))
+    tf = t + sum(windows[-1][:2]) * dt
+    events = tuple(migration(k, matrices[a], matrices[b], rng)
+                   for k, (a, b) in enumerate(zip(modes, modes[1:]), start=1))
+    sig = SwitchingSignal(0.3, tf, tuple(segments), events)
+    h = forcing_of(forcing, p)
+    x0 = scale * rng.standard_normal(p * (sizes[0] + 1))
+    traj = run_switched(matrices, sig, x0, h, dt=dt, method=method, sample_stride=stride)
+    ref, jumps, diverged_at = stepwise_run(matrices, sig, x0, h, dt, method, stride)
+
+    assert traj.diverged_at == diverged_at
+    assert len(traj.segments) == len(ref) and len(traj.events) == len(jumps)
+    largest = max(np.abs(states).max() for _, states in ref)
+    for seg, (times, states) in zip(traj.segments, ref):
+        np.testing.assert_array_equal(seg.t, times, strict=True)
+        got = np.hstack([seg.leader, seg.errs])
+        assert got.shape == states.shape
+        if stride == 1:
+            np.testing.assert_array_equal(got, states)
+        else:
+            assert np.abs(got - states).max() <= 1e-12 * largest
+    for k, (ev, (pre, post)) in enumerate(zip(traj.events, jumps)):
+        if stride == 1:
+            np.testing.assert_array_equal(ev.pre_err, pre, strict=True)
+            np.testing.assert_array_equal(ev.post_err, post, strict=True)
+        else:
+            assert np.abs(ev.pre_err - pre).max() <= 1e-12 * largest
+            assert np.abs(ev.post_err - post).max() <= 1e-12 * largest
+        # a jump reads its window's last row and the next window starts from it
+        np.testing.assert_array_equal(ev.pre_err, traj.segments[k].errs[-1], strict=True)
+        np.testing.assert_array_equal(ev.post_err, traj.segments[k + 1].errs[0], strict=True)
+    table = traj.table
+    assert len(table.t) == sum(len(seg.t) for seg in traj.segments)
+    for seg in traj.segments:
+        assert np.shares_memory(seg.t, table.t)
+        assert np.shares_memory(seg.leader, table.z) and np.shares_memory(seg.errs, table.z)
+
+
 def test_kept_states_form_only_what_is_kept(monkeypatch):
     # a 3000-step window at stride 30 forms its 100 kept states and the
     # ends of its chunks, not its 3000 steps
@@ -1048,13 +1178,19 @@ def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
     mode = ModeMatrix(mode_id=1, n_agents=n - 1, p=1, A=np.zeros((1, 1)),
                       cZ=np.zeros((n - 1, n - 1)), alpha=0.0, stable=False)
     dt = 0.5
-    t, states, diverged_at, _ = integrate_segment(
-        mode, x, ZERO, (0.0, n * dt), dt, _grid(0.0, n * dt, dt),
-        {dt: (None, None, powers, reach)}, n)
+    lay = _lay_out({1: mode}, SwitchingSignal(0.0, n * dt, (Segment(0.0, 1),)), dt, n)
+    rows = lay.table.z
+    rows[0] = x
+    # the window steps under run_switched's errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        written, diverged_at, _ = integrate_segment(
+            mode, rows, ZERO, (0.0, n * dt), dt, lay.blocks[0],
+            {dt: (None, None, powers, reach)}, n)
     assert calls == [(len(powers), [(n, 1)]), (1, [(1, n)])]
     assert diverged_at == first_bad * dt
-    np.testing.assert_array_equal(t, [0.0], strict=True)
-    np.testing.assert_array_equal(states, x[None, :], strict=True)
+    # of the window's rows only its start is kept
+    np.testing.assert_array_equal(lay.table.t[:written], [0.0], strict=True)
+    np.testing.assert_array_equal(rows[:written], x[None, :], strict=True)
 
 
 @settings(max_examples=60, deadline=None)
