@@ -35,6 +35,7 @@ from .errors import (
     NumericalError,
     UnboundedCertificate,
 )
+from .floattext import _tables, json_block
 from .mode_dynamics import (
     coupling_gain_bound,
     kronecker_sum_spectrum_check,
@@ -93,6 +94,121 @@ def _scalar(v: Any) -> str:
     raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
 
 
+def _pad(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+# the most values of a JSON file's float arrays one block renders at once:
+# its temporaries peak near 130 bytes a value, 0.1 MB a block, which keeps
+# gen-signal's peak on a 0.86 MB signal below half the file
+_JSON_BLOCK_VALUES = 768
+# while a block is rendered, a byte that neither a float's text nor a
+# separator holds stands for each separator between two values of an array,
+# and _END for an array's end
+_END = "\0"
+_MARKS = [chr(b) for b in range(1, 256) if chr(b) not in "0123456789.+-e\n ,[]"]
+
+
+class _FloatArrays:
+    """The float arrays of one JSON document, written in document order in
+    blocks of at most _JSON_BLOCK_VALUES values (floattext.json_block).
+
+    A block may hold many small arrays, and a large array spans many blocks.
+    Each value is rendered with a mark byte after it: the last value of an
+    array gets _END, and any other one the mark of its separator, the comma,
+    newlines, pads and brackets between it and the next value. The marks of
+    a (depth, shape[1:]) repeat with each top-level row, and that pattern is
+    made once, at its first array. After a block is rendered the marks
+    become their separators, and the text is split at _END to join in what
+    the document writes between the arrays, which is held until then.
+    """
+
+    def __init__(self, fh: TextIO) -> None:
+        self.fh = fh
+        self.chunks: list[tuple[np.ndarray, int, int, int, bool]] = []
+        self.size = 0  # values in chunks
+        self.texts: list[list[str]] = []  # texts[i] follows the i-th array ending in the block
+        self.held = 0  # characters in texts
+        self.marks: dict[str, str] = {}  # separator -> its mark
+        self.patterns: dict[tuple, tuple[int, int] | None] = {}  # -> (offset in table, period)
+        self.table = np.zeros(0, dtype=np.uint8)
+
+    def write(self, text: str) -> None:
+        if not self.chunks:
+            self.fh.write(text)
+            return
+        self.texts[-1].append(text)
+        self.held += len(text)
+        if self.held > _JSON_BLOCK_VALUES * 32:  # text between arrays holds no more than a block
+            self.flush()
+
+    def _pattern(self, depth: int, shape: tuple[int, ...]) -> tuple[int, int] | None:
+        """The marks of one top-level row of an array of shape at depth, as
+        (offset in table, length); None when there are no marks left."""
+        n, inner = len(shape), depth + len(shape)
+        # the separator after a value that ends j of the array's innermost dimensions
+        seps = ["".join(_pad(inner - 1 - t) + "]" for t in range(j)) + "," + _pad(inner - j)
+                + "".join("[" + _pad(inner - j + 1 + t) for t in range(j)) for j in range(n)]
+        new = set(seps) - self.marks.keys()
+        if len(self.marks) + len(new) > len(_MARKS):
+            return None
+        for sep in seps:
+            self.marks.setdefault(sep, _MARKS[len(self.marks)])
+        period = math.prod(shape[1:])
+        w = np.arange(1, period + 1)
+        ends = np.zeros(period, dtype=np.intp)
+        for m in range(1, n):
+            ends += w % math.prod(shape[n - m :]) == 0
+        row = np.array([ord(self.marks[sep]) for sep in seps], dtype=np.uint8)[ends]
+        self.table = np.concatenate([self.table, row])
+        return self.table.size - period, period
+
+    def add(self, v: np.ndarray, depth: int) -> bool:
+        """Queue the non-empty float array v, a node at depth; False when
+        its separators need more marks than are left."""
+        key = (depth, v.shape[1:])
+        if key not in self.patterns:
+            self.patterns[key] = self._pattern(depth, v.shape)
+        if self.patterns[key] is None:
+            return False
+        offset, period = self.patterns[key]
+        n = v.ndim
+        self.write("".join("[" + _pad(depth + 1 + t) for t in range(n)))
+        flat = v.ravel()
+        i = 0
+        while i < flat.size:
+            m = min(flat.size - i, _JSON_BLOCK_VALUES - self.size)
+            self.chunks.append((flat[i : i + m], i, offset, period, i + m == flat.size))
+            self.size += m
+            i += m
+            if i == flat.size:
+                self.texts.append([])
+            if self.size == _JSON_BLOCK_VALUES:
+                self.flush()
+        self.write("".join(_pad(depth + n - 1 - t) + "]" for t in range(n)))
+        return True
+
+    def flush(self) -> None:
+        if not self.chunks:
+            return
+        values, first, offset, period, ends = zip(*self.chunks)
+        sizes = np.array([len(x) for x in values])
+        start = np.cumsum(sizes) - sizes  # each chunk's in the block
+        at = np.arange(self.size) - np.repeat(start - first, sizes)  # each value's in its array
+        marks = self.table[np.repeat(offset, sizes) + at % np.repeat(period, sizes)]
+        marks[(start + sizes - 1)[list(ends)]] = ord(_END)
+        text = json_block(np.concatenate(values, dtype=np.float64), marks).decode("latin-1")
+        for sep, mark in self.marks.items():
+            text = text.replace(mark, sep)
+        parts = text.split(_END)
+        del text  # the parts hold it: a block's text is held once
+        write = self.fh.write
+        write(parts[0])
+        for between, part in zip(self.texts, parts[1:]):
+            write("".join(between) + part)
+        self.chunks, self.size, self.texts, self.held = [], 0, [], 0
+
+
 def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
     """Write obj to fh with the bytes json.dumps gives it under indent=2,
     sort_keys=sort_keys and allow_nan=False, without building the whole text.
@@ -100,11 +216,15 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
     Containers that hold containers are walked here. A list or dict that
     holds only scalars goes to the C encoder in one call, its item separator
     carrying the newline and the pad of its depth, so the memory held is that
-    of the largest such container's text, not the file's. An np.ndarray is
-    written as its .tolist() would be, one row at a time, a 1-D one in one
-    encoder call. Scalars beside containers are formatted here directly.
+    of the largest such container's text, not the file's. A non-empty
+    np.ndarray of floats is written as its .tolist() would be, by the NumPy
+    renderer, in blocks (_FloatArrays); any other np.ndarray one row at a
+    time, a 1-D one in one encoder call. Scalars beside containers are
+    formatted here directly.
     """
     encoders: dict[int, json.JSONEncoder] = {}
+    floats = _FloatArrays(fh)
+    write = floats.write
 
     def flat(depth: int) -> json.JSONEncoder:
         if depth not in encoders:
@@ -125,29 +245,33 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
         if is_array and (v.ndim == 0 or v.dtype.hasobject):
             v, is_array = v.tolist(), False
         if not isinstance(v, _CONTAINERS):
-            fh.write(_scalar(v))
+            write(_scalar(v))
+            return
+        if (is_array and v.size and v.dtype.kind == "f" and v.dtype.itemsize <= 8
+                and floats.add(v, depth)):
             return
         is_dict = isinstance(v, dict)
         open_, close = "{}" if is_dict else "[]"
         if not len(v):
-            fh.write(open_ + close)
+            write(open_ + close)
             return
-        pad, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        pad, outer = _pad(depth + 1), _pad(depth)
         if (v.ndim == 1 if is_array else
                 not any(map(isinstance, v.values() if is_dict else v, repeat(_CONTAINERS)))):
             # the encoder's brackets are the first and last characters of its text
             text = flat(depth + 1).encode(v.tolist() if is_array else v)
-            fh.write(open_ + pad + text[1:-1] + outer + close)
+            write(open_ + pad + text[1:-1] + outer + close)
             return
         sep = open_ + pad
         for k, x in ((sorted(v.items()) if sort_keys else v.items()) if is_dict
                      else enumerate(v)):
-            fh.write((sep + key(k) + ": ") if is_dict else sep)
+            write((sep + key(k) + ": ") if is_dict else sep)
             node(x, depth + 1)
             sep = "," + pad
-        fh.write(outer + close)
+        write(outer + close)
 
     node(obj, 0)
+    floats.flush()
 
 
 @contextlib.contextmanager
@@ -390,6 +514,7 @@ def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     # a refusal is the same for every seed, and each seed's summary says why
     with contextlib.suppress(*_CERTIFICATION_ERRORS):
         scenario.mode_certificates()
+    _tables()  # the float renderer's, which every seed's export uses
 
     def run(seed: int) -> tuple[dict, str]:
         return _simulate_one(scenario, args, seed, os.path.join(out, f"seed_{seed}"),

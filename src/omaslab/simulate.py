@@ -19,13 +19,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .certificate import CertificateBundle
 from .errors import ConfigError
+from .floattext import _csv_block
 from .mode_dynamics import ModeMatrix
 from .seeding import (
     STREAM_PERTURBATION,
@@ -1037,223 +1037,6 @@ def lyapunov_trace(
         violations=violations,
         jump_checks=jump_checks,
     )
-
-
-# --------------------------------------------------------------------------
-# CSV rendering: every number exactly as the per-value fallback writes it
-
-# 10^q for every q that puts a finite double's 17 digits in [1e16, 1e17):
-# q = 16 - k for its decade k in [-324, 308], and one more either way for a
-# decade estimate that is one off
-_Q_MIN, _Q_MAX = 16 - 309, 16 + 325
-# a computed fraction this close to 1/2 may be a tie or on either side of
-# one; the product's error is below 1e-14 (see _significands)
-_TIE_MARGIN = 2.0**-30
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
-_K_MIN = -330  # below every decimal exponent of a double
-# layout codes: a number's is (kind * 17 + trailing zeros) * 2 + sign, kind
-# k + 4 for fixed notation (decade k in [-4, 16]) and 21 for exponent
-# notation; then zero by sign, and the blank field
-_ZERO = 22 * 17 * 2
-_BLANK = _ZERO + 2
-_SLOT = 32  # bytes a value is laid out in before the join
-
-
-def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: a = hi + lo with each half's product exact."""
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _words(v: int) -> list[int]:
-    """A 24-byte little-endian integer as its three uint64 words."""
-    return [(v >> (64 * j)) & (2**64 - 1) for j in range(3)]
-
-
-def _ascii(text: str) -> int:
-    return int.from_bytes(text.encode("ascii"), "little")
-
-
-@functools.cache
-def _csv_tables() -> SimpleNamespace:
-    """The renderer's tables, built from exact integers on first use.
-
-    pow10     10^q = (hi + lo) 2^scale: hi, hi's two halves, lo, scale
-    quad      the ASCII of each 4-digit group, as a uint64
-    zeros     the trailing zeros of each 4-digit group, 4 for 0000
-    per layout code:
-    lead      word 0 of the slot but its first digit
-    start     the slot's first byte of text
-    stop      one past the separator, before any exponent
-    keep      (3, codes), for words 1-3: the bytes before the point,
-    high      the bytes that move one past it,
-    dot       and the point itself
-    exponent  the ASCII of e-330 ... e+329
-    masks     row start * 33 + stop: bytes [start, stop) of a slot
-    """
-    hi, lo, scale = [], [], []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        # m / 2^low is 10^q to at least 128 bits
-        if q >= 0:
-            m, low = 10**q << 128, 128
-        else:
-            low = (10**-q).bit_length() + 128
-            m = (1 << low) // 10**-q
-        bits = m.bit_length()
-        h = (m + (1 << (bits - 54))) >> (bits - 53)
-        hi.append(h / 2**52)
-        lo.append((m - (h << (bits - 53))) / (1 << (bits - 1)))
-        scale.append(bits - 1 - low)
-    hi_arr = np.array(hi)
-    pow10 = (hi_arr, *_halves(hi_arr), np.array(lo), np.array(scale, dtype=np.int32))
-
-    g = np.arange(10000, dtype=np.uint64)
-    quad = sum((np.uint64(ord("0")) + g // np.uint64(10**j) % np.uint64(10)) << np.uint64(8 * (3 - j))
-               for j in range(4))
-    zeros = sum((g % np.uint64(10**j) == 0).astype(np.uint8) for j in range(1, 5))
-
-    lead = np.zeros(_BLANK + 1, dtype=np.uint64)
-    start = np.full(_BLANK + 1, 8, dtype=np.int64)
-    stop = np.full(_BLANK + 1, 9, dtype=np.int64)
-    keep = np.full((_BLANK + 1, 3), 2**64 - 1, dtype=np.uint64)
-    high = np.zeros((_BLANK + 1, 3), dtype=np.uint64)
-    dot = np.zeros((_BLANK + 1, 3), dtype=np.uint64)
-    # the point after digit k: the bytes before it, those that move past it, itself
-    point = [(_words((1 << (8 * k)) - 1), _words((1 << 192) - (1 << (8 * k + 8))),
-              _words(ord(".") << (8 * k))) for k in range(17)]
-    for kind in range(22):
-        k = kind - 4 if kind < 21 else 0  # the mantissa of exponent notation is k = 0's
-        prefix = "0." + "0" * (-k - 1) if k < 0 else ""
-        for tz in range(17):
-            for sign in range(2):
-                c = (kind * 17 + tz) * 2 + sign
-                text = "-" * sign + prefix
-                lead[c] = _ascii(text.rjust(7) + "\0")
-                start[c] = 7 - len(text)
-                after = 16 - tz  # bytes of text after the first digit
-                if k >= 0 and after > k:  # a fraction
-                    keep[c], high[c], dot[c] = point[k]
-                    after += 1
-                elif k >= 0:
-                    after = k
-                stop[c] = 9 + after
-    for sign in range(2):
-        lead[_ZERO + sign] = _ascii(("-" * sign + "0").rjust(7) + "\0")
-        start[_ZERO + sign] = 6 - sign
-        stop[_ZERO + sign] = 8
-
-    exponent = b"".join(f"e{k:+03d}".encode().ljust(5, b"\0") for k in range(_K_MIN, -_K_MIN))
-    exponent = np.frombuffer(exponent, dtype=np.uint8).reshape(-1, 5)
-
-    col = np.arange(_SLOT)
-    first, end = np.divmod(np.arange(9 * 33), 33)
-    masks = (col >= first[:, None]) & (col < end[:, None])
-    return SimpleNamespace(pow10=pow10, quad=quad, zeros=zeros, lead=lead, start=start, stop=stop,
-                           keep=keep.T.copy(), high=high.T.copy(), dot=dot.T.copy(),
-                           exponent=exponent, masks=masks)
-
-
-def _significands(a: np.ndarray, tables: SimpleNamespace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For positive finite a: D, the 17-digit integer a / 10^(k - 16)
-    rounded to nearest; k, the decade of a; and whether D is certain.
-
-    a 10^q, q = 16 - k, is formed as f (hi + lo) 2^(e + s) from a = f 2^e
-    and the table's 10^q = (hi + lo) 2^s: f hi by Dekker's exact
-    two-product, plus f lo. Its error is below 2^-105 of 2^(e + s) <= 2e17,
-    under 1e-14. D is uncertain when the floor of the product is outside
-    [1e16, 1e17) (the decade estimate from log10 was off, or the digits
-    round up to 1e17) or its fraction is within _TIE_MARGIN of 1/2.
-    """
-    hi, hi_hi, hi_lo, lo, scale = tables.pow10
-    k = np.floor(np.log10(a)).astype(np.int32)
-    row = (16 - k) - _Q_MIN  # the table's row of 10^(16 - k)
-    np.clip(row, 0, _Q_MAX - _Q_MIN, out=row)
-    f, e = np.frexp(a)
-    h = np.take(hi, row)
-    p = f * h
-    f_hi, f_lo = _halves(f)
-    h_hi, h_lo = np.take(hi_hi, row), np.take(hi_lo, row)
-    r = ((f_hi * h_hi - p) + f_hi * h_lo + f_lo * h_hi) + f_lo * h_lo
-    r += f * np.take(lo, row)
-    e += np.take(scale, row)
-    p = np.ldexp(p, e)  # an integer once at least 2^53
-    r = np.ldexp(r, e)
-    whole = np.floor(r)
-    frac = r - whole
-    below = p.astype(np.int64)
-    below += whole.astype(np.int64)
-    digits = below + (frac > 0.5)
-    certain = (below >= 10**16) & (digits < 10**17) & (np.abs(frac - 0.5) > _TIE_MARGIN)
-    return digits, k, certain
-
-
-def _csv_block(grid: np.ndarray, blank: np.ndarray) -> bytes:
-    """The CSV lines of a block of rows: each value as the fallback below
-    writes it, an empty field where blank, joined by ',' and ended by '\\n'.
-
-    Every finite value is laid out in a 32-byte slot (_SLOT) by table:
-    word 0 holds its sign and any '0.000' prefix, right-aligned, and its
-    first digit in byte 7; words 1-3 its 16 other digits, with '.' moved
-    in after digit k when it has a fraction, then its exponent when it is
-    written in exponent notation, then the separator. The text is bytes
-    [start, stop) of the slot, and one mask keeps them all. A value whose
-    digits are uncertain (_significands) or that is not finite is written
-    per value into the start of its slot.
-    """
-    tables = _csv_tables()
-    x = grid.ravel()
-    blank = blank.ravel()
-    a = np.abs(x)
-    finite = np.isfinite(a)
-    number = finite & (a != 0) & ~blank
-    a[~number] = 1.0
-    digits, k, certain = _significands(a, tables)
-
-    # ASCII: the first digit, then four groups of four
-    top = digits // 10**8
-    d0 = top // 10**8
-    g1, g2 = np.divmod(top - d0 * 10**8, 10**4)
-    g3, g4 = np.divmod(digits - top * 10**8, 10**4)
-    z4, z3, z2, z1 = (np.take(tables.zeros, g) for g in (g4, g3, g2, g1))
-    tz = z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))
-
-    # layout
-    sign = np.signbit(x)
-    scientific = (k < -4) | (k > 16)
-    code = (np.where(scientific, 21, k + 4) * 17 + tz) * 2 + sign
-    code = np.where(number, code, np.where(finite & ~blank, _ZERO + sign, _BLANK))
-    slots = np.empty((x.size, 4), dtype=np.uint64)
-    first = (d0.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(56)
-    slots[:, 0] = np.take(tables.lead, code) | first
-    w1 = np.take(tables.quad, g1) | np.take(tables.quad, g2) << np.uint64(32)
-    w2 = np.take(tables.quad, g3) | np.take(tables.quad, g4) << np.uint64(32)
-    # the point moves in by shifting the bytes after it one up
-    byte, last = np.uint64(8), np.uint64(56)
-    keep, high, dot = ([np.take(w, code) for w in words]  # word 3 is empty but for the shift
-                       for words in (tables.keep[:2], tables.high, tables.dot))
-    slots[:, 1] = w1 & keep[0] | (w1 << byte) & high[0] | dot[0]
-    slots[:, 2] = w2 & keep[1] | ((w2 << byte) | (w1 >> last)) & high[1] | dot[1]
-    slots[:, 3] = (w2 >> last) & high[2] | dot[2]
-    start = np.take(tables.start, code)
-    stop = np.take(tables.stop, code)
-    text = slots.view(np.uint8).ravel()
-    at = np.flatnonzero(scientific & number)
-    row = k[at] - _K_MIN
-    pos = at * _SLOT + stop[at] - 1
-    for j in range(5):
-        text[pos + j] = tables.exponent[row, j]
-    stop[at] += 4 + (np.abs(k[at]) >= 100)  # e+dd or e+ddd
-    for i in np.flatnonzero(number & ~certain | ~(finite | blank)):
-        value = ("%.17g" % x[i]).encode()
-        text[i * _SLOT : i * _SLOT + len(value)] = np.frombuffer(value, dtype=np.uint8)
-        start[i], stop[i] = 0, len(value) + 1
-
-    # join
-    sep = np.arange(0, x.size * _SLOT, _SLOT) + stop - 1
-    text[sep] = ord(",")
-    text[sep[grid.shape[1] - 1 :: grid.shape[1]]] = ord("\n")
-    return text[np.take(tables.masks, start * 33 + stop, axis=0).ravel()].tobytes()
 
 
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -1375,6 +1375,15 @@ def _written(doc, sort_keys):
 @example(doc=np.zeros(0))
 @example(doc={"a": np.array([-0.0, 1.5, 5e-324]), "b": [np.zeros((3, 0)), np.zeros((0, 2))]})
 @example(doc=np.array([None, "x", [1, {"k": 2.5}]], dtype=object))
+# float arrays go to the NumPy renderer in blocks of cli._JSON_BLOCK_VALUES
+@example(doc={"big": np.random.default_rng(1).standard_normal((97, 211)), "after": [1, 2.5]})
+@example(doc={"events": [{"k": i, "gain": np.full((2, 3), i / 7), "deeper": [{"g": np.eye(2) / (i + 1)}]}
+                         for i in range(1000)]})
+# text held between the arrays of one block ends the block early
+@example(doc={"a": np.ones((2, 3)) / 3, "b": [{"x": i, "y": "z"} for i in range(3000)],
+              "c": np.ones(2) / 7})
+@example(doc=[np.linspace(-1, 1, 24, dtype=np.float32).reshape(4, 6),
+              np.arange(60.0).reshape(3, 4, 5) / 9, np.zeros((2, 0, 3)), -np.zeros((1, 1, 1))])
 def test_write_json_gives_the_bytes_of_json_dumps(doc):
     for sort_keys in (False, True):
         assert _written(doc, sort_keys) == json.dumps(_listed(doc), indent=2, sort_keys=sort_keys,
@@ -1390,3 +1399,27 @@ def test_write_json_refuses_non_finite_floats(doc, bad):
                 json.dumps(bad_doc, indent=2, sort_keys=sort_keys, allow_nan=False)
             with pytest.raises(ValueError):
                 _written(bad_doc, sort_keys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 1, 2), (50, 300)])
+def test_write_json_refuses_non_finite_floats_in_an_array(bad, shape):
+    for at in (0, -1):
+        values = np.ones(shape) / 3
+        values.flat[at] = bad
+        doc = {"before": np.ones((2, 2)) / 7, "x": [values], "after": 1.5}
+        with pytest.raises(ValueError):
+            json.dumps(_listed(doc), indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _written(doc, False)
+
+
+def test_write_json_nests_float_arrays_past_its_separator_marks():
+    # a 2-D array at each of 150 depths has more distinct separators than
+    # there are mark bytes; the arrays past the last mark take the row path
+    doc = inner = {}
+    for depth in range(150):
+        inner["a"] = np.arange(4.0).reshape(2, 2) / (depth + 3)
+        inner["n"] = inner = {}
+    assert 2 * 150 > len(cli._MARKS)
+    assert _written(doc, False) == json.dumps(_listed(doc), indent=2)
