@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, TextIO
 
@@ -99,14 +100,25 @@ def _pad(depth: int) -> str:
 
 
 # the most values of a JSON file's float arrays one block renders at once:
-# its temporaries peak near 130 bytes a value, 0.1 MB a block, which keeps
+# its temporaries peak near 140 bytes a value, 0.11 MB a block, which keeps
 # gen-signal's peak on a 0.86 MB signal below half the file
 _JSON_BLOCK_VALUES = 768
-# while a block is rendered, a byte that neither a float's text nor a
-# separator holds stands for each separator between two values of an array,
-# and _END for an array's end
-_END = "\0"
-_MARKS = [chr(b) for b in range(1, 256) if chr(b) not in "0123456789.+-e\n ,[]"]
+# while a block is rendered, each value is followed by a byte that a JSON
+# file written here, which is ASCII, never holds: _MARK + j when the value
+# ends j of its array's inner dimensions (fewer than 64), _END when it ends
+# the array
+_MARK, _END = 0x80, 0xFF
+
+
+@functools.cache
+def _separators(inner: int, ndim: int) -> tuple[bytes, ...]:
+    """The text after a value of an array whose values sit at depth inner,
+    by the number j < ndim of the array's inner dimensions it ends: j
+    closing brackets, the comma, and j opening brackets, each on its own
+    line."""
+    return tuple(("".join(_pad(inner - 1 - t) + "]" for t in range(j)) + "," + _pad(inner - j)
+                  + "".join("[" + _pad(inner - j + 1 + t) for t in range(j))).encode()
+                 for j in range(ndim))
 
 
 class _FloatArrays:
@@ -114,27 +126,24 @@ class _FloatArrays:
     blocks of at most _JSON_BLOCK_VALUES values (floattext.json_block).
 
     A block may hold many small arrays, and a large array spans many blocks.
-    Each value is rendered with a mark byte after it: the last value of an
-    array gets _END, and any other one the mark of its separator, the comma,
-    newlines, pads and brackets between it and the next value. The marks of
-    a (depth, shape[1:]) repeat with each top-level row, and that pattern is
-    made once, at its first array. After a block is rendered the marks
-    become their separators, and the text is split at _END to join in what
-    the document writes between the arrays, which is held until then.
+    Each value is rendered with its mark byte after it. The text of a block
+    is split at _END into the parts of its arrays, and each part is
+    followed by what the document writes after its array, which is held
+    until then. A run of parts of arrays whose values sit at one depth then
+    gets its separators in place of the marks at once.
     """
 
     def __init__(self, fh: TextIO) -> None:
         self.fh = fh
-        self.chunks: list[tuple[np.ndarray, int, int, int, bool]] = []
-        self.size = 0  # values in chunks
+        self.values: list[np.ndarray] = []  # the block's pieces of arrays
+        self.marks = np.empty(_JSON_BLOCK_VALUES, dtype=np.uint8)
+        self.size = 0  # values in the block
+        self.keys: list[tuple[int, int]] = []  # (depth of the values, ndim) of each piece
         self.texts: list[list[str]] = []  # texts[i] follows the i-th array ending in the block
         self.held = 0  # characters in texts
-        self.marks: dict[str, str] = {}  # separator -> its mark
-        self.patterns: dict[tuple, tuple[int, int] | None] = {}  # -> (offset in table, period)
-        self.table = np.zeros(0, dtype=np.uint8)
 
     def write(self, text: str) -> None:
-        if not self.chunks:
+        if not self.values:
             self.fh.write(text)
             return
         self.texts[-1].append(text)
@@ -142,71 +151,55 @@ class _FloatArrays:
         if self.held > _JSON_BLOCK_VALUES * 32:  # text between arrays holds no more than a block
             self.flush()
 
-    def _pattern(self, depth: int, shape: tuple[int, ...]) -> tuple[int, int] | None:
-        """The marks of one top-level row of an array of shape at depth, as
-        (offset in table, length); None when there are no marks left."""
-        n, inner = len(shape), depth + len(shape)
-        # the separator after a value that ends j of the array's innermost dimensions
-        seps = ["".join(_pad(inner - 1 - t) + "]" for t in range(j)) + "," + _pad(inner - j)
-                + "".join("[" + _pad(inner - j + 1 + t) for t in range(j)) for j in range(n)]
-        new = set(seps) - self.marks.keys()
-        if len(self.marks) + len(new) > len(_MARKS):
-            return None
-        for sep in seps:
-            self.marks.setdefault(sep, _MARKS[len(self.marks)])
-        period = math.prod(shape[1:])
-        w = np.arange(1, period + 1)
-        ends = np.zeros(period, dtype=np.intp)
-        for m in range(1, n):
-            ends += w % math.prod(shape[n - m :]) == 0
-        row = np.array([ord(self.marks[sep]) for sep in seps], dtype=np.uint8)[ends]
-        self.table = np.concatenate([self.table, row])
-        return self.table.size - period, period
-
-    def add(self, v: np.ndarray, depth: int) -> bool:
-        """Queue the non-empty float array v, a node at depth; False when
-        its separators need more marks than are left."""
-        key = (depth, v.shape[1:])
-        if key not in self.patterns:
-            self.patterns[key] = self._pattern(depth, v.shape)
-        if self.patterns[key] is None:
-            return False
-        offset, period = self.patterns[key]
+    def add(self, v: np.ndarray, depth: int) -> None:
+        """Queue the non-empty float array v, a node at depth."""
         n = v.ndim
         self.write("".join("[" + _pad(depth + 1 + t) for t in range(n)))
+        # the value at flat index i ends the inner dimensions whose sizes'
+        # product divides i + 1
+        periods = [math.prod(v.shape[n - m :]) for m in range(1, n)]
         flat = v.ravel()
         i = 0
         while i < flat.size:
             m = min(flat.size - i, _JSON_BLOCK_VALUES - self.size)
-            self.chunks.append((flat[i : i + m], i, offset, period, i + m == flat.size))
+            marks = self.marks[self.size : self.size + m]
+            marks.fill(_MARK)
+            for period in periods:
+                marks[period - 1 - i % period :: period] += 1
+            self.values.append(flat[i : i + m])
+            self.keys.append((depth + n, n))
             self.size += m
             i += m
             if i == flat.size:
+                marks[-1] = _END
                 self.texts.append([])
             if self.size == _JSON_BLOCK_VALUES:
                 self.flush()
         self.write("".join(_pad(depth + n - 1 - t) + "]" for t in range(n)))
-        return True
 
     def flush(self) -> None:
-        if not self.chunks:
+        if not self.values:
             return
-        values, first, offset, period, ends = zip(*self.chunks)
-        sizes = np.array([len(x) for x in values])
-        start = np.cumsum(sizes) - sizes  # each chunk's in the block
-        at = np.arange(self.size) - np.repeat(start - first, sizes)  # each value's in its array
-        marks = self.table[np.repeat(offset, sizes) + at % np.repeat(period, sizes)]
-        marks[(start + sizes - 1)[list(ends)]] = ord(_END)
-        text = json_block(np.concatenate(values, dtype=np.float64), marks).decode("latin-1")
-        for sep, mark in self.marks.items():
-            text = text.replace(mark, sep)
-        parts = text.split(_END)
+        values = (self.values[0].astype(np.float64, copy=False) if len(self.values) == 1
+                  else np.concatenate(self.values, dtype=np.float64))
+        text = json_block(values, self.marks[: self.size])
+        del values
+        parts = text.split(bytes([_END])) if self.texts else [text]
         del text  # the parts hold it: a block's text is held once
-        write = self.fh.write
-        write(parts[0])
-        for between, part in zip(self.texts, parts[1:]):
-            write("".join(between) + part)
-        self.chunks, self.size, self.texts, self.held = [], 0, [], 0
+        # after an array that ends the block, an empty part
+        keys = self.keys + self.keys[-1:]
+        for (inner, ndim), run in groupby(range(len(parts)), keys.__getitem__):
+            pieces = []
+            for i in run:
+                pieces.append(parts[i])
+                if i < len(self.texts):
+                    pieces.append("".join(self.texts[i]).encode())
+            text = b"".join(pieces)
+            del pieces
+            for j, sep in enumerate(_separators(inner, ndim)):
+                text = text.replace(bytes([_MARK + j]), sep)
+            self.fh.write(text.decode("ascii"))
+        self.values, self.size, self.keys, self.texts, self.held = [], 0, [], [], 0
 
 
 def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
@@ -247,8 +240,8 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
         if not isinstance(v, _CONTAINERS):
             write(_scalar(v))
             return
-        if (is_array and v.size and v.dtype.kind == "f" and v.dtype.itemsize <= 8
-                and floats.add(v, depth)):
+        if is_array and v.size and v.dtype.kind == "f" and v.dtype.itemsize <= 8:
+            floats.add(v, depth)
             return
         is_dict = isinstance(v, dict)
         open_, close = "{}" if is_dict else "[]"

@@ -1414,12 +1414,14 @@ def test_write_json_refuses_non_finite_floats_in_an_array(bad, shape):
             _written(doc, False)
 
 
-def test_write_json_nests_float_arrays_past_its_separator_marks():
-    # a 2-D array at each of 150 depths has more distinct separators than
-    # there are mark bytes; the arrays past the last mark take the row path
-    doc = inner = {}
+def test_write_json_nests_float_arrays_at_any_depth():
+    # a mark stands for the dimensions a value ends, whatever the depth;
+    # the arrays of one block are at 150 depths, a 3-D one at each tenth,
+    # and a 40-D one, whose sixth value ends 38 dimensions
+    doc = inner = {"many": np.arange(12.0).reshape((2,) + (1,) * 37 + (3, 2)) / 7}
     for depth in range(150):
         inner["a"] = np.arange(4.0).reshape(2, 2) / (depth + 3)
+        if depth % 10 == 0:
+            inner["b"] = np.arange(8.0).reshape(2, 1, 4) / (depth + 7)
         inner["n"] = inner = {}
-    assert 2 * 150 > len(cli._MARKS)
     assert _written(doc, False) == json.dumps(_listed(doc), indent=2)

@@ -58,6 +58,9 @@ _EDGES = (
          + [_bits(float(np.nextafter(x, d))) for x in (1e-4, 1e-5, 1e15, 1e16) for d in (0, math.inf)])
 @example([_bits(x) for x in (5e-324, np.finfo(float).tiny, np.finfo(float).max, -0.0)])
 @example([_bits(x) for x in (0.1, 0.3, 1 / 3)])
+# ties of the 16-digit rounding that reads back: j / 2^16 for odd j in
+# [2^19, 10 2^16) has 17 digits, the last a 5, and an ulp of 18 in the 17th
+@example([_bits(j / 65536) for j in range(524289, 524289 + 128, 2)])
 @example([_bits(float(f"{'98765432109876543'[:n]}e-{n + 3}")) for n in range(1, 18)])
 def test_json_dialect_writes_every_bit_pattern_as_repr(bits):
     values = _values_of(bits)
