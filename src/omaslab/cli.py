@@ -209,11 +209,11 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
     Containers that hold containers are walked here. A list or dict that
     holds only scalars goes to the C encoder in one call, its item separator
     carrying the newline and the pad of its depth, so the memory held is that
-    of the largest such container's text, not the file's. A non-empty
-    np.ndarray of floats is written as its .tolist() would be, by the NumPy
-    renderer, in blocks (_FloatArrays); any other np.ndarray one row at a
-    time, a 1-D one in one encoder call. Scalars beside containers are
-    formatted here directly.
+    of the largest such container's text, not the file's. A float
+    np.ndarray of rank 1 or more that holds values is written as its
+    .tolist() would be, by the NumPy renderer, in blocks (_FloatArrays); any
+    other np.ndarray is written as its .tolist(). Scalars beside containers
+    are formatted here directly.
     """
     encoders: dict[int, json.JSONEncoder] = {}
     floats = _FloatArrays(fh)
@@ -234,14 +234,13 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
         return encode_basestring_ascii(k)
 
     def node(v: Any, depth: int) -> None:
-        is_array = isinstance(v, np.ndarray)
-        if is_array and (v.ndim == 0 or v.dtype.hasobject):
-            v, is_array = v.tolist(), False
+        if isinstance(v, np.ndarray):
+            if v.ndim and v.size and v.dtype.kind == "f" and v.dtype.itemsize <= 8:
+                floats.add(v, depth)
+                return
+            v = v.tolist()
         if not isinstance(v, _CONTAINERS):
             write(_scalar(v))
-            return
-        if is_array and v.size and v.dtype.kind == "f" and v.dtype.itemsize <= 8:
-            floats.add(v, depth)
             return
         is_dict = isinstance(v, dict)
         open_, close = "{}" if is_dict else "[]"
@@ -249,10 +248,9 @@ def write_json(obj: Any, fh: TextIO, *, sort_keys: bool = False) -> None:
             write(open_ + close)
             return
         pad, outer = _pad(depth + 1), _pad(depth)
-        if (v.ndim == 1 if is_array else
-                not any(map(isinstance, v.values() if is_dict else v, repeat(_CONTAINERS)))):
+        if not any(map(isinstance, v.values() if is_dict else v, repeat(_CONTAINERS))):
             # the encoder's brackets are the first and last characters of its text
-            text = flat(depth + 1).encode(v.tolist() if is_array else v)
+            text = flat(depth + 1).encode(v)
             write(open_ + pad + text[1:-1] + outer + close)
             return
         sep = open_ + pad
@@ -451,7 +449,7 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
     export_events_csv(result.trajectory, os.path.join(out, "events.csv"))
     _write_json(summary, out, "summary.json")
 
-    sig, n_run = result.signal, len(result.trajectory.segments)
+    sig, n_run = result.signal, len(result.trajectory.starts)
     if summary["diverged"]:  # the run stopped there: say how far it got
         span = (f"{summary['diverged_at'] - sig.t0:g}s of {sig.tf - sig.t0:g}s "
                 f"across {n_run} of {len(sig.segments)} segments")
@@ -572,7 +570,7 @@ def cmd_gen_signal(scenario: Scenario, args: argparse.Namespace) -> int:
     path = os.path.join(out, "signal.json")
     with _replacing(path) as fh:
         # load rejects non-finite numbers and every draw is finite
-        write_json(signal_to_dict(signal, arrays=True), fh)
+        write_json(signal_to_dict(signal), fh)
         fh.write("\n")
     print(f"wrote {path}: {signal.n_switches} switches on "
           f"[{signal.t0:g}, {signal.tf:g}]")

@@ -775,23 +775,16 @@ _EVENT_RECORD = {
 _EVENT_FIELDS = {"k": "time_index", "from": "mode_before", "to": "mode_after"}
 
 
-def _plain(v: Any) -> Any:
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return list(v) if isinstance(v, tuple) else v
-
-
-def signal_to_dict(sig: SwitchingSignal, *, arrays: bool = False) -> dict:
-    """The signal-file document that signal_from_dict reads back, in plain
-    lists; with arrays=True each event's impulse and dependence gain stay
-    the event's own arrays, which cli.write_json writes as their lists."""
-    plain = (lambda v: v) if arrays else _plain
+def signal_to_dict(sig: SwitchingSignal) -> dict:
+    """The signal-file document that signal_from_dict reads back. Each
+    event's impulse and dependence gain stay the event's own arrays, which
+    cli.write_json writes as their lists."""
     return {
         "t0": sig.t0,
         "tf": sig.tf,
         "segments": [{"t": seg.start, "mode": seg.mode} for seg in sig.segments],
         "events": [
-            {key: plain(getattr(ev, _EVENT_FIELDS.get(key, key))) for key in _EVENT_RECORD}
+            {key: getattr(ev, _EVENT_FIELDS.get(key, key)) for key in _EVENT_RECORD}
             for ev in sig.events
         ],
     }

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,6 +58,8 @@ _STACK_BYTES = 64 * 2**10
 _LEAP_LIMIT = 2.0**1000
 # 0 .. _CHUNK_STEPS: offset by a chunk's first step, the step indices of its grid
 _STEP_INDEX = np.arange(_CHUNK_STEPS + 1)
+# the step a window's first row is at, before its first step
+_FIRST_STEP = np.zeros(1, dtype=np.int64)
 
 PERTURBATION_KINDS = ("zero", "constant", "sinusoidal", "random")
 
@@ -184,8 +187,8 @@ class PerturbationModel:
 
 @dataclass(eq=False)
 class SegmentTrace:
-    """The kept samples of one window. In a run of run_switched, t, leader
-    and errs are views into the rows of the run's table (Trajectory.table)."""
+    """The kept samples of one window: t, leader and errs are views into the
+    window's rows of its Trajectory."""
 
     index: int
     mode_id: int
@@ -228,39 +231,46 @@ class EventRecord:
 
 
 @dataclass(eq=False)
-class RunTable:
+class Trajectory:
     """A run's kept samples, window after window, as one set of rows.
 
     Row r is the sample at time t[r], in mode mode[r] with count[r] agents:
     z[r] holds the leader (its first p entries), then the count[r] agents'
-    errors, then zeros up to the widest mode of the run.
+    errors, then zeros up to the widest mode of the run. Window i's rows
+    run from starts[i] up to the next window's first row.
     """
 
-    t: np.ndarray      # (rows,)
-    mode: np.ndarray   # (rows,) mode ids
-    count: np.ndarray  # (rows,) agent counts
-    z: np.ndarray      # (rows, p * (1 + the widest agent count))
-
-
-@dataclass(eq=False)
-class Trajectory:
     p: int
     t0: float
     tf: float
-    segments: list[SegmentTrace] = field(default_factory=list)
+    t: np.ndarray       # (rows,)
+    mode: np.ndarray    # (rows,) mode ids
+    count: np.ndarray   # (rows,) agent counts
+    z: np.ndarray       # (rows, p * (1 + the widest agent count))
+    starts: np.ndarray  # (windows,) the first row of each window
     events: list[EventRecord] = field(default_factory=list)
     diverged_at: float | None = None
     max_h_norm: float = 0.0
-    # the rows run_switched writes, of which the segments are views: the
-    # tail error and the CSV export read them
-    table: RunTable | None = None
 
     @property
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
+    @property
+    def segments(self) -> list[SegmentTrace]:
+        """Each window's rows as a SegmentTrace of views, made afresh on
+        every access."""
+        p, out = self.p, []
+        starts = self.starts.tolist()
+        for i, (a, b) in enumerate(zip(starts, starts[1:] + [len(self.t)])):
+            n = int(self.count[a])
+            out.append(SegmentTrace(
+                i, int(self.mode[a]), n, self.t[a:b], self.z[a:b, :p], self.z[a:b, p : p * (n + 1)]
+            ))
+        return out
+
     def max_agents(self) -> int:
-        return max(seg.n_agents for seg in self.segments)
+        return int(self.count.max())
 
     def tail_sup_error(self, tail_fraction: float = 0.2) -> float:
         """The largest error norm over the last tail_fraction of the horizon;
@@ -268,15 +278,14 @@ class Trajectory:
         if self.diverged:
             return math.inf
         cutoff = self.tf - tail_fraction * (self.tf - self.t0)
-        rows = self.table
-        tail = rows.t >= cutoff - _GRID_EPS
+        tail = self.t >= cutoff - _GRID_EPS
         sup = 0.0
         # norms of a huge but finite tail overflow to inf, which is the right answer
         with np.errstate(over="ignore"):
             # the rows of one agent count at once, each row normed over its
             # own errors as a segment's rows are
-            for n in np.unique(rows.count[tail]).tolist():
-                errs = rows.z[tail & (rows.count == n), self.p : self.p * (n + 1)]
+            for n in np.unique(self.count[tail]).tolist():
+                errs = self.z[tail & (self.count == n), self.p : self.p * (n + 1)]
                 sup = max(sup, float(np.linalg.norm(errs, axis=1).max()))
         return sup
 
@@ -528,25 +537,32 @@ def _max_row_norm(F: np.ndarray) -> float:
     return max(float(np.linalg.norm(F[i])) for i in fresh)
 
 
-def _block_layout(a: int, b: int, last: int, stride: int) -> tuple[list[tuple[int, int]], int, int]:
+# memoised: every window that repeats a block shares its layout, and no
+# caller changes one
+@functools.lru_cache(maxsize=1024)
+def _block_layout(
+    a: int, b: int, last: int, stride: int
+) -> tuple[list[tuple[int, int]], int, np.ndarray]:
     """(runs, gap, kept) of the block of steps a+1 .. b of a window whose
-    last step is last: the gaps _leap takes from the state before the block
-    to its kept steps (every stride-th step of the window), then on to b,
-    as runs (gap, count); the longest of them; and how many states the
-    block keeps, the window's last step among them."""
-    kept = range(a - a % stride + stride, b + 1, stride)
-    runs = [(b - a, 1)]
-    if kept:
-        runs = [(kept.start - a, 1), (stride, len(kept) - 1), (b - kept[-1], 1)]
-    runs = [(g, count) for g, count in runs if g and count]
-    return runs, max(g for g, _ in runs), len(kept) + (b == last and b % stride != 0)
+    last step is last. kept are the steps the block keeps: every stride-th
+    step of the window and the window's last, the one rule for which rows a
+    run keeps. runs are the gaps _leap takes from the state before the block
+    to each kept step, then on to b, as runs (gap, count), and gap is the
+    longest of them."""
+    kept = np.arange(a - a % stride + stride, b + 1, stride)
+    if b == last and b % stride:
+        kept = np.append(kept, b)
+    kept.flags.writeable = False
+    gaps = np.diff(kept, prepend=a, append=b).tolist()
+    runs = [(g, len(list(same))) for g, same in groupby(gaps) if g]
+    return runs, max(g for g, _ in runs), kept
 
 
 @dataclass(eq=False)
 class _Windows:
     """The layout of a run, made before its first step: what each window
     steps, which step matrices are built before it and dropped after it,
-    and where its samples go in the run's table."""
+    and the run's rows its samples go in."""
 
     spans: list[tuple[float, float]]
     # per window, its _grid blocks as (a, b, step, *_block_layout)
@@ -555,10 +571,8 @@ class _Windows:
     builds: dict[int, list[tuple[int, list[float]]]]
     # window -> the (mode, step length) keys no later window steps by
     drops: dict[int, list[tuple[int, float]]]
-    # window i's samples are rows offsets[i] .. offsets[i + 1] - 1 of table
-    offsets: list[int]
     # the run's rows: times, modes and counts filled, states to be stepped
-    table: RunTable
+    trajectory: Trajectory
 
 
 def _lay_out(
@@ -569,29 +583,24 @@ def _lay_out(
     modes = [seg.mode for seg in signal.segments]
     starts = [seg.start for seg in signal.segments]
     spans = list(zip(starts, starts[1:] + [signal.tf]))
-    # a window's blocks are chunks of dt up to its last block, (a, b, step):
-    # their layouts follow from (a, b), and a run's windows repeat a few.
-    # Step matrices are kept per (mode, exact step length) -- the method is
-    # the run's -- from the first window that steps by them to the last
-    layouts: dict[tuple[int, int], list[tuple]] = {}
-    blocks, keys, lasts, shorts = [], [], [], []
+    # step matrices are kept per (mode, exact step length) -- the method is
+    # the run's -- from the first window that steps by them to the last; a
+    # window's rows are its start, at step 0, then the steps its blocks keep
+    blocks, keys, kept = [], [], []
     last_use: dict[tuple[int, float], int] = {}
     for i, (mode, span) in enumerate(zip(modes, spans)):
         grid = _grid(*span, dt)
-        a, b, step = grid[-1]
-        lay = layouts.get((a, b))
-        if lay is None:
-            lay = layouts[(a, b)] = [(c, d, dt, *_block_layout(c, d, b, stride)) for c, d, _ in grid]
-        used = [(mode, dt)] if grid[0][2] == dt else []
-        if step != dt:  # a remainder step, or a window shorter than dt
-            lay = lay[:-1] + [(a, b, step, *lay[-1][3:])]
-            used.append((mode, step))
+        last = grid[-1][1]
+        lay = [(a, b, step, *_block_layout(a, b, last, stride)) for a, b, step in grid]
+        blocks.append(lay)
+        kept += [_FIRST_STEP] + [block[-1] for block in lay]
+        # every block but the last steps by dt
+        used = [(mode, grid[0][2])]
+        if grid[-1][2] != grid[0][2]:
+            used.append((mode, grid[-1][2]))
         for key in used:
             last_use[key] = i
-        blocks.append(lay)
         keys.append(used)
-        lasts.append(b)
-        shorts.append(step != dt)
 
     # a build takes the next lengths its mode will need, in the order of
     # first use, as many as fit _STACK_BYTES
@@ -614,26 +623,23 @@ def _lay_out(
     for key, i in last_use.items():
         drops.setdefault(i, []).append(key)
 
-    # the rows: each window's start, every stride-th step and its last step
-    last = np.array(lasts)
-    n_rows = 1 + last // stride + (last % stride != 0)
-    offsets = np.concatenate(([0], np.cumsum(n_rows)))
-    window = np.repeat(np.arange(len(spans)), n_rows)
-    k = np.minimum((np.arange(offsets[-1]) - offsets[window]) * stride, last[window])
-    start = np.array(starts)
-    # step k ends at t_start + k dt; a remainder step ends on the window's end
-    t = start[window] + k * dt
-    on_end = np.array(shorts)[window] & (k == last[window])
-    t[on_end] = np.array(starts[1:] + [signal.tf])[window[on_end]]
-    t[offsets[:-1]] = start
+    k = np.concatenate(kept)
+    firsts = np.flatnonzero(k == 0)  # no block keeps step 0
+    window = np.cumsum(k == 0) - 1
+    # step k ends at t_start + k dt; a remainder step ends on its window's end
+    t = np.array(starts)[window] + k * dt
+    short = [i for i, lay in enumerate(blocks) if lay[-1][2] != dt]
+    t[np.append(firsts[1:], len(k))[short] - 1] = [spans[i][1] for i in short]
     counts = [matrices[mode].n_agents for mode in modes]
-    table = RunTable(
+    traj = Trajectory(
+        p, signal.t0, signal.tf,
         t=t,
-        mode=np.repeat(modes, n_rows),
-        count=np.repeat(counts, n_rows),
+        mode=np.array(modes)[window],
+        count=np.array(counts)[window],
         z=np.zeros((len(t), p * (1 + max(counts)))),
+        starts=firsts,
     )
-    return _Windows(spans, blocks, builds, drops, offsets.tolist(), table)
+    return _Windows(spans, blocks, builds, drops, traj)
 
 
 # perfbench/tracing.py times this and PerturbationModel.sample by name, and
@@ -646,21 +652,20 @@ def integrate_segment(
     dt: float,
     blocks: list[tuple],
     steps: dict[float, tuple],
-    sample_stride: int,
 ) -> tuple[int, float | None, float]:
     """Step z = (leader, errors) over one constant-mode window of run_switched.
 
-    rows are the window's rows of the run table, rows[0] its checked start
-    state; blocks are its _grid blocks with their _block_layout, as
+    rows are the window's rows of the run's Trajectory, rows[0] its checked
+    start state; blocks are its _grid blocks with their _block_layout, as
     _lay_out gives them; steps maps each of their step lengths to its (A0,
     A1, powers, reach), a _power_table of its E. Each block forms its kept
-    states (every sample_stride-th step of the window and its last) and its
-    own last state, by _leap over the gaps between them, and writes the kept
-    ones into rows in order. A block with a gap of several steps whose
-    reach, by the table, exceeds _LEAP_LIMIT may overflow inside a gap: it
-    is formed again one step at a time, so that its first non-finite step
-    is found. Returns the count of rows written, the time of the first
-    non-finite step (None when there is none) and the largest forcing norm.
+    states and its own last state, by _leap over the gaps between them, and
+    writes the kept ones into rows in order. A block with a gap of several
+    steps whose reach, by the table, exceeds _LEAP_LIMIT may overflow inside
+    a gap: it is formed again one step at a time, so that its first
+    non-finite step is found. Returns the count of rows written, the time of
+    the first non-finite step (None when there is none) and the largest
+    forcing norm.
 
     It steps under its caller's np.errstate: run_switched ignores overflow
     and invalid operations, which a diverging run is expected to make and
@@ -689,26 +694,21 @@ def integrate_segment(
             # by the reach from the largest start; a NaN fails it. The
             # rows of a leap are the block's kept states, then its last
             if reach * (np.abs(x).max() + np.abs(out).max() + gap * gmax) <= _LEAP_LIMIT:
-                rows[r : r + kept] = out[:kept]
-                r += kept
+                rows[r : r + len(kept)] = out[: len(kept)]
+                r += len(kept)
                 x = out[-1]
                 continue
             out = _leap({1: powers[1]}, x, G, [(1, b - a)])
-        # a row per step: every stride-th step of the window is kept, up
-        # to the first non-finite one
-        first = sample_stride - a % sample_stride - 1
+        # a row per step, step k in row k - a - 1: the kept ones are
+        # written, up to the first non-finite step
         if not np.isfinite(out).all():
-            bad = int(np.argmin(np.isfinite(out).all(axis=1)))
-            done = out[first:bad:sample_stride]
-            rows[r : r + len(done)] = done
-            diverged_at = t_start + (a + 1 + bad) * dt if step == dt else t_end
-            return r + len(done), diverged_at, max_h
-        done = out[first::sample_stride]
-        rows[r : r + len(done)] = done
-        r += len(done)
-        if kept > len(done):  # the window's last step
-            rows[r] = out[-1]
-            r += 1
+            bad = a + 1 + int(np.argmin(np.isfinite(out).all(axis=1)))
+            kept = kept[kept < bad]
+            rows[r : r + len(kept)] = out[kept - (a + 1)]
+            diverged_at = t_start + bad * dt if step == dt else t_end
+            return r + len(kept), diverged_at, max_h
+        rows[r : r + len(kept)] = out if len(kept) == len(out) else out[kept - (a + 1)]
+        r += len(kept)
         x = out[-1]
     return r, None, max_h
 
@@ -788,12 +788,11 @@ def run_switched(
     by them.
 
     The whole run is laid out before its first step (_lay_out): each
-    window's blocks with their gap runs and kept counts, the builds and
-    drops of step matrices, and one preallocated RunTable whose times,
-    modes and agent counts are filled in arrays. Each window then steps
-    straight into its rows of the table, and its SegmentTrace holds views
-    of them; the table, cut after the last row stepped, is the run's
-    Trajectory.table.
+    window's blocks with their gap runs and kept steps, the builds and
+    drops of step matrices, and the run's preallocated Trajectory, whose
+    times, modes and agent counts are filled in arrays. Each window then
+    steps straight into its rows, and the Trajectory returned is cut after
+    the last row and window stepped.
 
     The run stops (diverged_at set) at the first step with a non-finite
     state, which is not kept, or at a switching instant whose jump leaves
@@ -814,13 +813,12 @@ def run_switched(
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
     lay = _lay_out(matrices, signal, dt, sample_stride)
-    t, z, offsets = lay.table.t, lay.table.z, lay.offsets
-    traj = Trajectory(p=p, t0=signal.t0, tf=signal.tf)
-    segments, events = traj.segments, traj.events
+    traj = lay.trajectory
+    z, events = traj.z, traj.events
+    bounds = traj.starts.tolist() + [len(traj.t)]
     steps: dict[int, dict[float, tuple]] = {seg.mode: {} for seg in signal.segments}
     x = np.asarray(x0, dtype=float)
     shape, post_err = x.shape, None
-    end = 0
     # overflow while stepping or at a jump is a divergence, which the run
     # reports through diverged_at and keeps no non-finite state of; a build
     # of step matrices keeps the caller's error handling
@@ -831,7 +829,7 @@ def run_switched(
             dim = p * (mm.n_agents + 1)
             if shape != (dim,):
                 raise ConfigError(f"state has shape {shape}, expected ({dim},)")
-            r0, r1 = offsets[i], offsets[i + 1]
+            r0, r1 = bounds[i], bounds[i + 1]
             if post_err is None:
                 z[r0, :dim] = x
             else:  # the leader carries over the jump
@@ -851,15 +849,11 @@ def run_switched(
                 del built, E, A0, A1, tabled
             span = lay.spans[i]
             end, diverged_at, max_h = integrate_segment(
-                mm, z[r0:r1, :dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode],
-                sample_stride,
+                mm, z[r0:r1, :dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode]
             )
             for mode, step in lay.drops.get(i, ()):
                 del steps[mode][step]
             end += r0
-            segments.append(SegmentTrace(
-                i, seg.mode, mm.n_agents, t[r0:end], z[r0:end, :p], z[r0:end, p:dim]
-            ))
             traj.max_h_norm = max(traj.max_h_norm, max_h)
             if diverged_at is not None:
                 traj.diverged_at = diverged_at
@@ -876,8 +870,9 @@ def run_switched(
                     pre_err, post_err, ev.impulse_norm,
                 ))
                 shape = (p + len(post_err),)
-    traj.table = RunTable(t[:end], lay.table.mode[:end], lay.table.count[:end], z[:end])
-    return traj
+    # the rows and windows it stepped
+    return replace(traj, t=traj.t[:end], mode=traj.mode[:end], count=traj.count[:end],
+                   z=z[:end], starts=traj.starts[: i + 1])
 
 
 def run_scenario(
@@ -1046,11 +1041,10 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     the missing agents blank. Boundary times appear twice, once pre-jump in
     the outgoing mode and once post-jump in the incoming one. Rows are
     rendered in blocks of at most _CSV_BLOCK_VALUES fields, each filled from
-    the run's table whatever segments it spans: the agents are the padded
+    the run's rows whatever windows it spans: the agents are the padded
     errors plus the leader, and the columns past a row's agent count are
     blank.
     """
-    rows = traj.table
     n_max = traj.max_agents()
     p = traj.p
     cols = ["t", "mode", "agent_count"]
@@ -1073,18 +1067,18 @@ def export_trajectory_csv(traj: Trajectory, path: str) -> None:
     lead = np.tile(np.arange(p), n_max)
     with open(path, "wb") as fh:
         fh.write((",".join(cols) + "\n").encode())
-        for a in range(0, len(rows.t), size):
-            b = min(len(rows.t), a + size)
+        for a in range(0, len(traj.t), size):
+            b = min(len(traj.t), a + size)
             m = b - a
-            z = rows.z[a:b]
+            z = traj.z[a:b]
             errs = z[:, p : p + width_e]
-            grid[:m, 0] = rows.t[a:b]
-            grid[:m, 1] = rows.mode[a:b]
-            grid[:m, 2] = rows.count[a:b]
+            grid[:m, 0] = traj.t[a:b]
+            grid[:m, 1] = traj.mode[a:b]
+            grid[:m, 2] = traj.count[a:b]
             grid[:m, 3 : 3 + p] = z[:, :p]
             np.add(errs, z[:, lead], out=grid[:m, 3 + p : 3 + width_x])
             grid[:m, 3 + width_x :] = errs
-            np.take(blanks, rows.count[a:b], axis=0, out=blank[:m])
+            np.take(blanks, traj.count[a:b], axis=0, out=blank[:m])
             fh.write(_csv_block(grid[:m], blank[:m]))
 
 

@@ -26,7 +26,7 @@ from omaslab.seeding import (
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import (
     _GRID_EPS,
-    RunTable,
+    Trajectory,
     _grid,
     _propagator_stack,
     _step_matrix_stack,
@@ -337,22 +337,19 @@ def random_signal_and_budget(
     return sig, budget, stable
 
 
-def tabled(traj):
-    """traj with its hand-made segments laid out as run_switched lays out a
-    run: their rows in one RunTable, the errors padded with zeros to the
-    widest segment, and each segment's arrays views of it."""
-    segs, p = traj.segments, traj.p
-    lens = [len(seg.t) for seg in segs]
+def tabled(p: int, t0: float, tf: float, pieces) -> Trajectory:
+    """The Trajectory of hand-made SegmentTrace pieces, laid out as
+    run_switched lays out a run: their rows one after another, the errors
+    padded with zeros to the widest piece."""
+    lens = [len(piece.t) for piece in pieces]
     ends = np.cumsum(lens).tolist()
-    count = np.repeat([seg.n_agents for seg in segs], lens)
-    t = np.concatenate([seg.t for seg in segs])
+    count = np.repeat([piece.n_agents for piece in pieces], lens)
+    t = np.concatenate([piece.t for piece in pieces])
     z = np.zeros((len(t), p * (1 + count.max())))
-    for seg, a, b in zip(segs, [0, *ends], ends):
-        width = p * (1 + seg.n_agents)
-        z[a:b, :p], z[a:b, p:width] = seg.leader, seg.errs
-        seg.t, seg.leader, seg.errs = t[a:b], z[a:b, :p], z[a:b, p:width]
-    traj.table = RunTable(t, np.repeat([seg.mode_id for seg in segs], lens), count, z)
-    return traj
+    for piece, a, b in zip(pieces, [0, *ends], ends):
+        z[a:b, :p], z[a:b, p : p * (1 + piece.n_agents)] = piece.leader, piece.errs
+    mode = np.repeat([piece.mode_id for piece in pieces], lens)
+    return Trajectory(p, t0, tf, t, mode, count, z, np.array([0, *ends[:-1]]))
 
 
 def reference_trajectory_csv(traj, path: str) -> None:

@@ -992,10 +992,10 @@ def test_gen_signal_then_reference(tmp_path, demo_dict, capsys):
 def test_gen_signal_failed_encode_leaves_no_file(tmp_path, demo_dict, monkeypatch):
     path, out = write(tmp_path, demo_dict), tmp_path / "out"
 
-    def with_nan(sig, **kwargs):
+    def with_nan(sig):
         # late in the document: a writer that streamed into signal.json
         # would leave most of the file behind
-        doc = signal_to_dict(sig, **kwargs)
+        doc = signal_to_dict(sig)
         gain = np.array(doc["events"][-1]["dep_gain"], dtype=float)  # a copy: the event keeps its own
         gain[-1, -1] = math.nan
         doc["events"][-1]["dep_gain"] = gain
@@ -1065,7 +1065,8 @@ def test_gen_signal_memory_is_bounded_by_the_document(tmp_path, demo_dict, capsy
 
     scenario = load_scenario(path)
     sig = scenario.resolve_signal(scenario.master_seed(None))
-    assert text == json.dumps(signal_to_dict(sig), indent=2, allow_nan=False) + "\n"
+    assert text == json.dumps(signal_to_dict(sig), indent=2, allow_nan=False,
+                              default=np.ndarray.tolist) + "\n"
 
 
 def _file_signal_scenario(tmp_path, demo_dict, capsys, edit):
@@ -1375,16 +1376,26 @@ def _written(doc, sort_keys):
 @example(doc=np.zeros(0))
 @example(doc={"a": np.array([-0.0, 1.5, 5e-324]), "b": [np.zeros((3, 0)), np.zeros((0, 2))]})
 @example(doc=np.array([None, "x", [1, {"k": 2.5}]], dtype=object))
-# float arrays go to the NumPy renderer in blocks of cli._JSON_BLOCK_VALUES
-@example(doc={"big": np.random.default_rng(1).standard_normal((97, 211)), "after": [1, 2.5]})
-@example(doc={"events": [{"k": i, "gain": np.full((2, 3), i / 7), "deeper": [{"g": np.eye(2) / (i + 1)}]}
-                         for i in range(1000)]})
-# text held between the arrays of one block ends the block early
-@example(doc={"a": np.ones((2, 3)) / 3, "b": [{"x": i, "y": "z"} for i in range(3000)],
-              "c": np.ones(2) / 7})
 @example(doc=[np.linspace(-1, 1, 24, dtype=np.float32).reshape(4, 6),
               np.arange(60.0).reshape(3, 4, 5) / 9, np.zeros((2, 0, 3)), -np.zeros((1, 1, 1))])
 def test_write_json_gives_the_bytes_of_json_dumps(doc):
+    for sort_keys in (False, True):
+        assert _written(doc, sort_keys) == json.dumps(_listed(doc), indent=2, sort_keys=sort_keys,
+                                                      allow_nan=False)
+
+
+# documents that span many of the renderer's blocks, too large to keep under
+# a property test's deadline
+@pytest.mark.parametrize("doc", [
+    # float arrays go to the NumPy renderer in blocks of cli._JSON_BLOCK_VALUES
+    {"big": np.random.default_rng(1).standard_normal((97, 211)), "after": [1, 2.5]},
+    {"events": [{"k": i, "gain": np.full((2, 3), i / 7), "deeper": [{"g": np.eye(2) / (i + 1)}]}
+                for i in range(1000)]},
+    # text held between the arrays of one block ends the block early
+    {"a": np.ones((2, 3)) / 3, "b": [{"x": i, "y": "z"} for i in range(3000)],
+     "c": np.ones(2) / 7},
+], ids=["array-97x211", "events-1000", "dicts-3000"])
+def test_write_json_gives_the_bytes_of_json_dumps_over_many_blocks(doc):
     for sort_keys in (False, True):
         assert _written(doc, sort_keys) == json.dumps(_listed(doc), indent=2, sort_keys=sort_keys,
                                                       allow_nan=False)

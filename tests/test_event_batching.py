@@ -103,7 +103,7 @@ def test_bulk_events_equal_events_taken_one_by_one(seed, master, chunk):
         assert bounds.err_jump_norm_max == gain
         assert bounds.impulse_norm_max == phi
         # a signal file holds the gains as numbers, and bounds the same
-        text = json.dumps(signal_to_dict(signal))
+        text = json.dumps(signal_to_dict(signal), default=np.ndarray.tolist)
         from_file = signal_from_dict(json.loads(text), scenario.p)
         assert impulse_bounds(from_file.events) == bounds
         for got, want in zip(from_file.events, oracle):

@@ -316,16 +316,14 @@ def test_monotone_energy_decay_single_stable_mode(demo_matrices, practical_bundl
 
 
 def test_tail_sup_error_hand_case():
-    traj = Trajectory(p=1, t0=0.0, tf=10.0)
-    traj.segments.append(
+    traj = tabled(1, 0.0, 10.0, [
         SegmentTrace(
             index=0, mode_id=1, n_agents=1,
             t=np.array([0.0, 4.0, 7.999, 8.0, 9.0, 10.0]),
             leader=np.zeros((6, 1)),
             errs=np.array([[100.0], [50.0], [60.0], [3.0], [-2.0], [7.0]]),
         )
-    )
-    tabled(traj)
+    ])
     assert traj.tail_sup_error(0.2) == pytest.approx(7.0, abs=1e-12)
     assert traj.tail_sup_error(1.0) == pytest.approx(100.0, abs=1e-12)
     # a diverged run has no tail, whatever its kept samples read
@@ -498,57 +496,56 @@ def test_events_csv_layout(tmp_path, practical_run):
 
 def _mixed_trajectory() -> Trajectory:
     """Two segments of different agent counts holding awkward values."""
-    traj = Trajectory(p=2, t0=0.0, tf=2.0)
     values = np.array([
         [1.0, -0.0, math.inf, 5e-324, 0.1, -2.5],
         [math.nan, 1e300, -math.inf, 0.0, 1.0 / 3.0, 2.0 ** -1074],
     ])
-    traj.segments.append(SegmentTrace(
+    pieces = [SegmentTrace(
         index=0, mode_id=3, n_agents=2, t=np.array([0.0, 1.0]),
         leader=values[:, :2], errs=values[:, 2:],
-    ))
+    )]
     rng = np.random.default_rng(0)
     values = rng.standard_normal((300, 8)) * 10.0 ** rng.integers(-300, 300, size=(300, 8))
-    traj.segments.append(SegmentTrace(
+    pieces.append(SegmentTrace(
         index=1, mode_id=12, n_agents=3, t=np.linspace(1.0, 2.0, 300),
         leader=values[:, :2], errs=values[:, 2:],
     ))
-    return tabled(traj)
+    return tabled(2, 0.0, 2.0, pieces)
 
 
 def _decaying_trajectory() -> Trajectory:
     """1,001 segments of 3 or 4 kept rows over two agent counts, like a
     run with a switch every few samples; the errors decay through the
     subnormals to exact (signed) zeros."""
-    traj = Trajectory(p=2, t0=0.0, tf=1001.0)
     rng = np.random.default_rng(1)
+    pieces = []
     for i in range(1001):
         n_agents = 3 + i % 2
         t = i + np.linspace(0.0, 1.0, 3 + i % 2)
         decay = np.exp2(-1100.0 * t / 1001.0)[:, None]  # reaches 2^-1100, below the subnormals
-        traj.segments.append(SegmentTrace(
+        pieces.append(SegmentTrace(
             index=i, mode_id=1 + i % 4, n_agents=n_agents, t=t,
             leader=rng.standard_normal((len(t), 2)),
             errs=rng.standard_normal((len(t), 2 * n_agents)) * decay,
         ))
-    return tabled(traj)
+    return tabled(2, 0.0, 1001.0, pieces)
 
 
 def _alternating_trajectory() -> Trajectory:
     """1,200 segments of 2 to 5 rows whose agent counts alternate between
     few and many, so that a block of the writer ends inside a segment and
     the blank columns change at and between its edges."""
-    traj = Trajectory(p=2, t0=0.0, tf=1200.0)
     rng = np.random.default_rng(2)
+    pieces = []
     for i in range(1200):
         n_agents = (1, 6, 2, 5)[i % 4]
         t = i + np.linspace(0.0, 1.0, 2 + i % 4)
-        traj.segments.append(SegmentTrace(
+        pieces.append(SegmentTrace(
             index=i, mode_id=1 + i % 4, n_agents=n_agents, t=t,
             leader=rng.standard_normal((len(t), 2)),
             errs=rng.standard_normal((len(t), 2 * n_agents)) * 10.0 ** rng.integers(-20, 20),
         ))
-    return tabled(traj)
+    return tabled(2, 0.0, 1200.0, pieces)
 
 
 def switch_heavy_run(scenario, pairs: int) -> Trajectory:
@@ -1117,11 +1114,10 @@ def test_run_equals_stepwise_windows_and_jumps(seed, p, sizes, rates, windows, s
         # a jump reads its window's last row and the next window starts from it
         np.testing.assert_array_equal(ev.pre_err, traj.segments[k].errs[-1], strict=True)
         np.testing.assert_array_equal(ev.post_err, traj.segments[k + 1].errs[0], strict=True)
-    table = traj.table
-    assert len(table.t) == sum(len(seg.t) for seg in traj.segments)
+    assert len(traj.t) == sum(len(seg.t) for seg in traj.segments)
     for seg in traj.segments:
-        assert np.shares_memory(seg.t, table.t)
-        assert np.shares_memory(seg.leader, table.z) and np.shares_memory(seg.errs, table.z)
+        assert np.shares_memory(seg.t, traj.t)
+        assert np.shares_memory(seg.leader, traj.z) and np.shares_memory(seg.errs, traj.z)
 
 
 def test_kept_states_form_only_what_is_kept(monkeypatch):
@@ -1179,17 +1175,17 @@ def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
                       cZ=np.zeros((n - 1, n - 1)), alpha=0.0, stable=False)
     dt = 0.5
     lay = _lay_out({1: mode}, SwitchingSignal(0.0, n * dt, (Segment(0.0, 1),)), dt, n)
-    rows = lay.table.z
+    rows = lay.trajectory.z
     rows[0] = x
     # the window steps under run_switched's errstate
     with np.errstate(over="ignore", invalid="ignore"):
         written, diverged_at, _ = integrate_segment(
             mode, rows, ZERO, (0.0, n * dt), dt, lay.blocks[0],
-            {dt: (None, None, powers, reach)}, n)
+            {dt: (None, None, powers, reach)})
     assert calls == [(len(powers), [(n, 1)]), (1, [(1, n)])]
     assert diverged_at == first_bad * dt
     # of the window's rows only its start is kept
-    np.testing.assert_array_equal(lay.table.t[:written], [0.0], strict=True)
+    np.testing.assert_array_equal(lay.trajectory.t[:written], [0.0], strict=True)
     np.testing.assert_array_equal(rows[:written], x[None, :], strict=True)
 
 
