@@ -252,6 +252,8 @@ class Scenario:
                     ev["dep_gain"] *= scale / top
         return tuple(MigrationEvent(**ev) for ev in events)
 
+    # perfbench/tracing.py wraps this by name when its tracer installs, so
+    # it stays though the library builds events through build_events
     def build_event(
         self, k: int, mode_before: int, mode_after: int, master_seed: int
     ) -> MigrationEvent:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -256,6 +256,8 @@ class Trajectory:
     def diverged(self) -> bool:
         return self.diverged_at is not None
 
+    # kept only because the frozen acceptance test and many tests read it;
+    # the library reads the rows
     @property
     def segments(self) -> list[SegmentTrace]:
         """Each window's rows as a SegmentTrace of views, made afresh on
@@ -586,7 +588,8 @@ def _lay_out(
     # step matrices are kept per (mode, exact step length) -- the method is
     # the run's -- from the first window that steps by them to the last; a
     # window's rows are its start, at step 0, then the steps its blocks keep
-    blocks, keys, kept = [], [], []
+    blocks, kept = [], []
+    first_use: dict[tuple[int, float], int] = {}
     last_use: dict[tuple[int, float], int] = {}
     for i, (mode, span) in enumerate(zip(modes, spans)):
         grid = _grid(*span, dt)
@@ -595,30 +598,23 @@ def _lay_out(
         blocks.append(lay)
         kept += [_FIRST_STEP] + [block[-1] for block in lay]
         # every block but the last steps by dt
-        used = [(mode, grid[0][2])]
-        if grid[-1][2] != grid[0][2]:
-            used.append((mode, grid[-1][2]))
-        for key in used:
+        for key in dict.fromkeys([(mode, grid[0][2]), (mode, grid[-1][2])]):
+            first_use.setdefault(key, i)
             last_use[key] = i
-        keys.append(used)
 
-    # a build takes the next lengths its mode will need, in the order of
-    # first use, as many as fit _STACK_BYTES
-    upcoming: dict[int, list[float]] = {}
-    for mode, step in last_use:
-        upcoming.setdefault(mode, []).append(step)
+    # each mode's step lengths, in the order of first use, are built in
+    # batches of as many as fit _STACK_BYTES, each before the window that
+    # first steps by its first length
+    lengths: dict[int, list[float]] = {}
+    for mode, step in first_use:
+        lengths.setdefault(mode, []).append(step)
     p = matrices[modes[0]].p
     builds: dict[int, list[tuple[int, list[float]]]] = {}
-    built: set[tuple[int, float]] = set()
-    for i, used in enumerate(keys):
-        for mode, step in used:
-            if (mode, step) not in built:
-                queue = upcoming[mode]
-                dim = p * (matrices[mode].n_agents + 1)
-                take = max(1, _STACK_BYTES // (3 * 8 * dim * dim))
-                batch, queue[:take] = queue[:take], []
-                builds.setdefault(i, []).append((mode, batch))
-                built.update((mode, s) for s in batch)
+    for mode, steps in lengths.items():
+        dim = p * (matrices[mode].n_agents + 1)
+        take = max(1, _STACK_BYTES // (3 * 8 * dim * dim))
+        for j in range(0, len(steps), take):
+            builds.setdefault(first_use[mode, steps[j]], []).append((mode, steps[j : j + take]))
     drops: dict[int, list[tuple[int, float]]] = {}
     for key, i in last_use.items():
         drops.setdefault(i, []).append(key)
@@ -977,44 +973,42 @@ def lyapunov_trace(
     of 2000 s on). It is therefore a diagnostic, and violations are
     reported, not raised. Each observed jump is additionally checked
     against V+ <= mu V- + jump_offset.
+
+    The trace reads the run's rows: V of each mode's rows at once, and the
+    envelope of every row in array operations.
     """
     mu = bundle.jump_gain
-    ln_mu = math.log(mu)
     g = bundle.gamma_common
-    k_chatter = bundle.chatter_bound
+    t, starts = traj.t, traj.starts
     switch_times = [ev.t for ev in traj.events]
+    # each row's window, and each window's start: t0, then its switch
+    rows = np.diff(starts, append=len(t))
+    win = np.repeat(np.arange(len(starts)), rows)
+    window_start = np.array([traj.t0, *switch_times])
 
-    all_t: list[np.ndarray] = []
-    all_v: list[np.ndarray] = []
-    all_env: list[np.ndarray] = []
-    violations: list[tuple[float, float, float]] = []
-    v0 = None
-    # carry = sum_m mu^(i-m) e^(g (t_i - t_m)) over the switches m <= i seen
-    # so far, advanced switch to switch: no power of mu is ever formed
-    carry = 0.0
-    for seg in traj.segments:
-        cert = bundle.certificates[seg.mode_id]
-        quad = np.einsum("ij,jk,ik->i", seg.errs, cert.P, seg.errs)
-        v = np.sqrt(np.maximum(quad, 0.0))
-        if v0 is None:
-            v0 = float(v[0])
-        i = seg.index
-        beta = np.exp(max(i, k_chatter) * ln_mu + g * (seg.t - traj.t0)) * v0
-        tail = 0.0  # sum_m mu^(i-m) e^(g (t - t_m)) at the segment's sample times
-        if i > 0:
-            if i > 1:
-                carry *= mu * math.exp(g * (switch_times[i - 1] - switch_times[i - 2]))
-            carry += 1.0
-            tail = carry * np.exp(g * (seg.t - switch_times[i - 1]))
-        flow = bundle.settled_flow * (1.0 + mu * tail) if bundle.settled_flow > 0.0 else 0.0
-        imp = bundle.jump_offset * tail if bundle.jump_offset > 0.0 else 0.0
-        env = beta + flow + imp
-        bad = v > env * (1.0 + rel_tol) + 1e-12
-        for idx in np.nonzero(bad)[0]:
-            violations.append((float(seg.t[idx]), float(v[idx]), float(env[idx])))
-        all_t.append(seg.t)
-        all_v.append(v)
-        all_env.append(env)
+    # a mode fixes its agent count, so the rows of one mode are one block
+    # of errors, all normed by that mode's P
+    v = np.empty(len(t))
+    for mode, n in dict(zip(traj.mode[starts].tolist(), traj.count[starts].tolist())).items():
+        ours = traj.mode == mode
+        errs = traj.z[ours, traj.p : traj.p * (n + 1)]
+        quad = np.einsum("ij,jk,ik->i", errs, bundle.certificates[mode].P, errs)
+        v[ours] = np.sqrt(np.maximum(quad, 0.0))
+
+    beta = np.exp(np.maximum(win, bundle.chatter_bound) * math.log(mu) + g * (t - traj.t0)) * v[0]
+    # carry[i] = sum_m mu^(i-m) e^(g (t_i - t_m)) over the switches m <= i,
+    # advanced switch to switch: no power of mu is ever formed
+    gains = [mu * math.exp(g * (b - a)) for a, b in zip(switch_times, switch_times[1:])]
+    carry = np.array([0.0, *accumulate(gains, lambda c, gain: c * gain + 1.0, initial=1.0)])
+    # sum_m mu^(i-m) e^(g (t - t_m)) at each row, exactly 0 in the first window
+    tail = np.zeros(len(t))
+    later = win[rows[0]:]
+    tail[rows[0]:] = carry[later] * np.exp(g * (t[rows[0]:] - window_start[later]))
+    flow = bundle.settled_flow * (1.0 + mu * tail) if bundle.settled_flow > 0.0 else 0.0
+    imp = bundle.jump_offset * tail if bundle.jump_offset > 0.0 else 0.0
+    env = beta + flow + imp
+    bad = np.flatnonzero(v > env * (1.0 + rel_tol) + 1e-12)
+    violations = list(zip(t[bad].tolist(), v[bad].tolist(), env[bad].tolist()))
 
     jump_checks = []
     for ev in traj.events:
@@ -1025,13 +1019,7 @@ def lyapunov_trace(
         ok = v_post <= mu * v_pre + bundle.jump_offset + rel_tol * (1.0 + v_pre) + 1e-12
         jump_checks.append((ev.t, v_pre, v_post, ok))
 
-    return LyapunovTrace(
-        t=np.concatenate(all_t),
-        v=np.concatenate(all_v),
-        envelope=np.concatenate(all_env),
-        violations=violations,
-        jump_checks=jump_checks,
-    )
+    return LyapunovTrace(t.copy(), v, env, violations, jump_checks)
 
 
 def export_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -90,10 +90,6 @@ class SwitchingSignal:
     def n_switches(self) -> int:
         return len(self.segments) - 1
 
-    def segment_bounds(self, i: int) -> tuple[float, float]:
-        end = self.segments[i + 1].start if i + 1 < len(self.segments) else self.tf
-        return self.segments[i].start, end
-
 
 @dataclass(frozen=True, eq=False)
 class SuffixSweep:

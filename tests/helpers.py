@@ -26,6 +26,7 @@ from omaslab.seeding import (
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import (
     _GRID_EPS,
+    LyapunovTrace,
     Trajectory,
     _grid,
     _propagator_stack,
@@ -425,6 +426,60 @@ def envelope_by_direct_sums(traj, bundle) -> np.ndarray:
     return np.concatenate(out)
 
 
+def lyapunov_trace_by_window(traj, bundle, rel_tol: float = 1e-6) -> LyapunovTrace:
+    """simulate.lyapunov_trace window by window, over Trajectory.segments.
+
+    Each window's V is its own einsum with its mode's P, and its envelope
+    takes the carry of the switches before it, advanced one switch at a
+    time: the oracle for the trace over the run's rows, bit for bit.
+    """
+    mu = bundle.jump_gain
+    ln_mu = math.log(mu)
+    g = bundle.gamma_common
+    switch_times = [ev.t for ev in traj.events]
+    all_t, all_v, all_env, violations = [], [], [], []
+    v0 = None
+    carry = 0.0
+    for seg in traj.segments:
+        P = bundle.certificates[seg.mode_id].P
+        v = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", seg.errs, P, seg.errs), 0.0))
+        if v0 is None:
+            v0 = float(v[0])
+        i = seg.index
+        beta = np.exp(max(i, bundle.chatter_bound) * ln_mu + g * (seg.t - traj.t0)) * v0
+        tail = 0.0
+        if i > 0:
+            if i > 1:
+                carry *= mu * math.exp(g * (switch_times[i - 1] - switch_times[i - 2]))
+            carry += 1.0
+            tail = carry * np.exp(g * (seg.t - switch_times[i - 1]))
+        flow = bundle.settled_flow * (1.0 + mu * tail) if bundle.settled_flow > 0.0 else 0.0
+        imp = bundle.jump_offset * tail if bundle.jump_offset > 0.0 else 0.0
+        env = beta + flow + imp
+        for idx in np.nonzero(v > env * (1.0 + rel_tol) + 1e-12)[0]:
+            violations.append((float(seg.t[idx]), float(v[idx]), float(env[idx])))
+        all_t.append(seg.t)
+        all_v.append(v)
+        all_env.append(env)
+    jump_checks = []
+    for ev in traj.events:
+        pre_P = bundle.certificates[ev.mode_before].P
+        post_P = bundle.certificates[ev.mode_after].P
+        v_pre = math.sqrt(max(float(ev.pre_err @ pre_P @ ev.pre_err), 0.0))
+        v_post = math.sqrt(max(float(ev.post_err @ post_P @ ev.post_err), 0.0))
+        ok = v_post <= mu * v_pre + bundle.jump_offset + rel_tol * (1.0 + v_pre) + 1e-12
+        jump_checks.append((ev.t, v_pre, v_post, ok))
+    return LyapunovTrace(np.concatenate(all_t), np.concatenate(all_v), np.concatenate(all_env),
+                         violations, jump_checks)
+
+
+def segment_bounds(sig: SwitchingSignal, i: int) -> tuple[float, float]:
+    """(start, end) of segment i of a signal: its end is the next segment's
+    start, or tf for the last."""
+    end = sig.segments[i + 1].start if i + 1 < len(sig.segments) else sig.tf
+    return sig.segments[i].start, end
+
+
 def grid_by_count(t_start: float, t_end: float, dt: float) -> tuple[int, float]:
     """(n_full, rem) of the window [t_start, t_end]: its count of full steps
     of dt, and the remainder step onto t_end, 0.0 when there is none.
@@ -496,7 +551,7 @@ def stepwise_run(
     for i, seg in enumerate(signal.segments):
         mode = matrices[seg.mode]
         M = scipy.linalg.block_diag(mode.A, mode.A_err)
-        t_span = signal.segment_bounds(i)
+        t_span = segment_bounds(signal, i)
         times, states, diverged_at = stepwise_window(
             M, mode.p, mode.n_agents, x, h, t_span, dt, method, stride)
         windows.append((times, states))

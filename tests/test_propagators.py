@@ -18,7 +18,7 @@ from omaslab.mode_dynamics import AgentDynamics, build_mode_matrix
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import _grid, _stacked
 
-from helpers import propagators, van_loan_propagators
+from helpers import propagators, segment_bounds, van_loan_propagators
 
 RTOL = 1e-12
 
@@ -156,7 +156,7 @@ def test_demo_modes_match_van_loan(practical_scenario, practical_signal):
     builds = {
         (seg.mode, step)
         for i, seg in enumerate(practical_signal.segments)
-        for _, _, step in _grid(*practical_signal.segment_bounds(i), dt)
+        for _, _, step in _grid(*segment_bounds(practical_signal, i), dt)
     }
     assert {mode for mode, _ in builds} == set(matrices)
     assert len({step for _, step in builds}) > 1  # remainders as well as dt

@@ -51,9 +51,11 @@ from helpers import (
     envelope_by_direct_sums,
     forcing_at,
     grid_by_count,
+    lyapunov_trace_by_window,
     pure_relabel_event,
     reference_events_csv,
     reference_trajectory_csv,
+    segment_bounds,
     step_matrices,
     stepwise_run,
     stepwise_window,
@@ -894,7 +896,7 @@ def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, metho
     uses = []
     for i, seg in enumerate(sig.segments):
         M = stacked(matrices[seg.mode]).tobytes()
-        lengths = {step for _, _, step in _grid(*sig.segment_bounds(i), dt)}
+        lengths = {step for _, _, step in _grid(*segment_bounds(sig, i), dt)}
         uses += [(M, step, method) for step in lengths]
     # the three remainders of mode 1 differ only in their last bits, and
     # each is a key of its own
@@ -911,7 +913,7 @@ def reference_run(matrices, sig, x0, h, dt, method, stride):
     switch."""
     parts, jumps, z = [], [], x0
     for i, seg in enumerate(sig.segments):
-        part = run_one(matrices[seg.mode], z, h, sig.segment_bounds(i),
+        part = run_one(matrices[seg.mode], z, h, segment_bounds(sig, i),
                        dt=dt, method=method, sample_stride=stride)
         parts.append(part)
         if part.diverged or i == len(sig.events):
@@ -1397,3 +1399,81 @@ def test_asymptotic_converges_over_3000s():
     assert s.tail_sup_error < s.convergence_tol
     assert s.converged and s.bound_respected
     assert lyapunov_trace(run.trajectory, bundle).ok
+
+
+# --------------------------------------------------------------------------
+# energy trace over the run's rows
+
+
+def _explicit_run(doc: dict, segments: list[dict], tf: float, dt: float):
+    """The run of doc on an explicit signal at step dt, and the bundle of
+    that signal."""
+    doc["signal"] = {"type": "explicit", "t0": 0.0, "tf": tf, "segments": segments}
+    doc["simulation"]["dt"] = dt
+    scenario = parse_scenario(doc)
+    signal = scenario.resolve_signal(11)
+    bundle = build_bundle(scenario, signal)
+    return run_scenario(scenario, seed=11, bundle=bundle, signal=signal), bundle
+
+
+def _many_switches_run():
+    """The asymptotic demo on 1,000 (stable, unstable) pairs after a stable
+    lead-in, 110 and 6 steps of 0.05 plus a random fraction of a step, the
+    unstable modes 2, 3 and 4 in shuffled turn: 2,001 windows."""
+    rng = np.random.default_rng(27)
+    unstable = [2, 3, 4] * 333 + [2]
+    rng.shuffle(unstable)
+    frac = rng.uniform(0.2, 0.8, size=2001)
+    segments, t = [], 0.0
+    for k in range(2001):
+        stable = k % 2 == 0
+        segments.append({"t": round(t, 9), "mode": 1 if stable else int(unstable[k // 2])})
+        t += ((110 if stable else 6) + frac[k]) * 0.05
+    return _explicit_run(demo_scenario_dict("asymptotic", seed=11), segments, round(t, 9), 0.05)
+
+
+def _diverging_run():
+    """Parked in the repelling mode 3, the errors overflow near t = 120."""
+    return _explicit_run(demo_scenario_dict("practical", seed=11),
+                         [{"t": 0.0, "mode": 3}, {"t": 200.0, "mode": 1}], 1000.0, 1e-2)
+
+
+def _chatter_run():
+    doc = demo_scenario_dict("practical", seed=11)
+    doc["certification"]["chatter_bound"] = 2.5
+    scenario = parse_scenario(doc)
+    bundle = build_bundle(scenario, scenario.resolve_signal(11))
+    return run_scenario(scenario, seed=11, bundle=bundle), bundle
+
+
+def _jump_overflow_run():
+    scenario = parse_scenario(_overflowing_jump_dict())
+    bundle = build_bundle(scenario, scenario.resolve_signal(11))
+    return run_scenario(scenario, seed=11, bundle=bundle), bundle
+
+
+def test_lyapunov_trace_equals_window_by_window(
+    practical_run, practical_bundle, asymptotic_run, asymptotic_bundle
+):
+    tampered = copy.deepcopy(practical_run.trajectory)
+    tampered.z[len(tampered.t) // 3 :: 7] *= 1e4
+    chatter, long, many, diverging, overflow = (
+        _chatter_run(), _long_asymptotic_run(300.0), _many_switches_run(), _diverging_run(),
+        _jump_overflow_run())
+    assert chatter[1].chatter_bound == 2.5
+    assert long[0].trajectory.t[1] - long[0].trajectory.t[0] == pytest.approx(3e-2)  # stride 3
+    assert len(many[0].trajectory.starts) == 2001
+    assert diverging[0].summary.diverged and overflow[0].summary.diverged_at == 117.0
+    runs = [(run.trajectory, bundle) for run, bundle in (chatter, long, many, diverging, overflow)]
+    runs += [(practical_run.trajectory, practical_bundle),
+             (asymptotic_run.trajectory, asymptotic_bundle), (tampered, practical_bundle)]
+    for traj, bundle in runs:
+        # a diverged run's V overflows, as the window-by-window oracle's does
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = lyapunov_trace(traj, bundle)
+            oracle = lyapunov_trace_by_window(traj, bundle)
+        for name in ("t", "v", "envelope"):
+            assert np.array_equal(getattr(trace, name), getattr(oracle, name), equal_nan=True), name
+        assert trace.violations == oracle.violations
+        assert trace.jump_checks == oracle.jump_checks
+    assert trace.violations  # the tampered rows escape the envelope

@@ -22,7 +22,12 @@ from omaslab.switching import (
 )
 from omaslab.transition import ImpulseBounds
 
-from helpers import pure_relabel_event, random_signal_and_budget, suffix_by_intervals
+from helpers import (
+    pure_relabel_event,
+    random_signal_and_budget,
+    segment_bounds,
+    suffix_by_intervals,
+)
 
 
 def _signal(starts_modes, tf, with_events=True, t0=None):
@@ -43,8 +48,8 @@ def test_mode_at_is_cadlag():
     # the mode active at t is the one whose half-open segment [start, end)
     # holds t; the simulator integrates each mode over exactly that interval
     sig = _signal([(0.0, 1), (2.0, 3)], tf=5.0)
-    assert sig.segment_bounds(0) == (0.0, 2.0)
-    assert sig.segment_bounds(1) == (2.0, 5.0)
+    assert segment_bounds(sig, 0) == (0.0, 2.0)
+    assert segment_bounds(sig, 1) == (2.0, 5.0)
     sweep = suffix_sweep(_signal([(1.999, 1), (2.0, 3)], tf=5.0), {1}, 0.0)
     assert sweep.t_stable[0] == pytest.approx(0.001, abs=1e-12)
     assert sweep.t_unstable[0] == pytest.approx(3.0, abs=1e-12)
@@ -63,8 +68,8 @@ def test_switch_times_and_bounds():
     sig = _signal([(0.0, 1), (2.0, 3), (4.0, 1)], tf=9.0)
     assert sig.switch_times == (2.0, 4.0)
     assert sig.n_switches == 2
-    assert sig.segment_bounds(0) == (0.0, 2.0)
-    assert sig.segment_bounds(2) == (4.0, 9.0)
+    assert segment_bounds(sig, 0) == (0.0, 2.0)
+    assert segment_bounds(sig, 2) == (4.0, 9.0)
 
 
 def test_suffix_start_indexing():
