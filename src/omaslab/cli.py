@@ -462,6 +462,9 @@ def _simulate_one(scenario: Scenario, args: argparse.Namespace, seed: int, out: 
     elif bound is not None:
         note = f"  (bound {bound:.6g} does not apply: the signal breaks its budget)"
     lines.append(f"tail sup error: {summary['tail_sup_error']:.6g}{note}")
+    if summary["leader_overflow_at"] is not None:
+        lines.append(f"leader overflows at t = {summary['leader_overflow_at']:.6g}; "
+                     "the tracking errors are unaffected")
     if summary["diverged"]:
         lines.append(f"DIVERGED at t = {summary['diverged_at']:.6g}")
     elif summary["converged"]:

@@ -55,10 +55,9 @@ class ModeMatrix:
 
     A is the agent drift (p x p), by which the leader flows; cZ is the
     coupling gain times the grounded Laplacian (N x N). The stacked tracking
-    errors (dimension p*N) flow by A_err = I_N (x) A + cZ (x) I_p. The leader
-    is coupled to no follower, so (leader, errors) flows by
-    block_diag(A, A_err). alpha is the spectral abscissa of A_err and
-    decides the stable flag.
+    errors (dimension p*N) flow by A_err = I_N (x) A + cZ (x) I_p, apart
+    from the leader, which no follower drives. alpha is the spectral
+    abscissa of A_err and decides the stable flag.
     """
 
     mode_id: int | None

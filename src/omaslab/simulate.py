@@ -1,13 +1,14 @@
 """Hybrid integration of the dimension-varying closed loop.
 
-The state is z = (leader, stacked tracking errors). Within a segment z
-flows linearly by block_diag(A, A_err): the leader by its own drift, the
-errors by the mode's error dynamics plus the forcing. At boundaries the
-transition map relabels the errors and injects impulses; the leader never
-jumps. Agent states are rebuilt as leader + error only for output, so the
-errors never suffer the cancellation of differencing a growing leader.
+A run steps the stacked tracking errors alone: within a segment they flow
+linearly by the mode's A_err plus the forcing, and at boundaries the
+transition map relabels them and injects impulses. The leader never jumps
+and flows by the A every mode shares, so it is laid out in closed form,
+exact under either integrator. Agent states are rebuilt as leader + error
+only for output: the errors never suffer the cancellation of differencing a
+growing leader, nor its overflow.
 
-Two integrators are provided: exact matrix-exponential propagation of a
+Two integrators step the errors: exact matrix-exponential propagation of a
 piecewise-linear forcing interpolant on the fixed grid, and classical
 fixed-step RK4 fed the same forcing samples. They agree to high accuracy by
 construction, which is exploited as a cross-check rather than trusting
@@ -306,19 +307,6 @@ def _grid(t_start: float, t_end: float, dt: float) -> list[tuple[int, int, float
     return blocks
 
 
-def _stacked(mode: ModeMatrix) -> np.ndarray:
-    """block_diag(mode.A, mode.A_err), the matrix z flows by in one segment.
-
-    Filled in place: scipy.linalg.block_diag spends about 60 us checking its
-    arguments, and a run that switches often stacks anew for each new step.
-    """
-    p = mode.p
-    M = np.zeros((p + mode.A_err.shape[0],) * 2)
-    M[:p, :p] = mode.A
-    M[p:, p:] = mode.A_err
-    return M
-
-
 def _propagator_stack(
     M: np.ndarray, steps: list[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,35 +398,32 @@ def _rk4_step(M: np.ndarray, step: float, x, f0, f1):
 
 
 def _step_matrix_stack(
-    M: np.ndarray, steps: list[float], method: str, p: int
+    M: np.ndarray, steps: list[float], method: str
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1, for each step
-    length of steps.
+    """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1 of x' = M x + f,
+    for each step length of steps.
 
-    f0 and f1 are the error forcing at the two ends of the step; the
-    leader rows of the stacked forcing are zero, so only the error
-    columns of A0 and A1 are kept. exact: A0 = Phi1 - Phi2 / step and
-    A1 = Phi2 / step integrate the linear interpolant in closed form, from
-    one _propagator_stack of all the steps. rk4: the stage formula applied
-    to identity blocks, step by step.
+    f0 and f1 are the forcing at the two ends of the step. exact: A0 = Phi1
+    - Phi2 / step and A1 = Phi2 / step integrate the linear interpolant in
+    closed form, from one _propagator_stack of all the steps. rk4: the stage
+    formula applied to identity blocks, step by step.
     """
-    dim = M.shape[0]
     if method == "exact":
         E, Phi1, Phi2 = _propagator_stack(M, steps)
         A1 = Phi2 / np.asarray(steps, dtype=float)[:, None, None]
         A0 = Phi1 - A1
         if len(steps) == 1:
-            return [(E[0], A0[0, :, p:], A1[0, :, p:])]
+            return [(E[0], A0[0], A1[0])]
         # each step's matrices apart, so that the stack dies with the build
         # and each lives as long as its own key
-        return [(E[i].copy(), A0[i].copy()[:, p:], A1[i].copy()[:, p:]) for i in range(len(steps))]
-    eye = np.eye(dim)
-    zero = np.zeros((dim, dim - p))
+        return [(E[i].copy(), A0[i].copy(), A1[i].copy()) for i in range(len(steps))]
+    eye = np.eye(M.shape[0])
+    zero = np.zeros_like(eye)
     return [
         (
             _rk4_step(M, step, eye, 0.0, 0.0),
-            _rk4_step(M, step, zero, eye[:, p:], 0.0),
-            _rk4_step(M, step, zero, 0.0, eye[:, p:]),
+            _rk4_step(M, step, zero, eye, 0.0),
+            _rk4_step(M, step, zero, 0.0, eye),
         )
         for step in steps
     ]
@@ -573,15 +558,16 @@ class _Windows:
     builds: dict[int, list[tuple[int, list[float]]]]
     # window -> the (mode, step length) keys no later window steps by
     drops: dict[int, list[tuple[int, float]]]
-    # the run's rows: times, modes and counts filled, states to be stepped
+    # the run's rows: all but the errors filled, and those to be stepped
     trajectory: Trajectory
 
 
 def _lay_out(
-    matrices: dict[int, ModeMatrix], signal: SwitchingSignal, dt: float, stride: int
+    matrices: dict[int, ModeMatrix], signal: SwitchingSignal, dt: float, stride: int,
+    leader: np.ndarray,
 ) -> _Windows:
-    """The _Windows of a run of signal at step dt, keeping every stride-th
-    step of each window, its first state and its last."""
+    """The _Windows of a run of signal at step dt from leader at t0, keeping
+    every stride-th step of each window, its first state and its last."""
     modes = [seg.mode for seg in signal.segments]
     starts = [seg.start for seg in signal.segments]
     spans = list(zip(starts, starts[1:] + [signal.tf]))
@@ -611,7 +597,7 @@ def _lay_out(
     p = matrices[modes[0]].p
     builds: dict[int, list[tuple[int, list[float]]]] = {}
     for mode, steps in lengths.items():
-        dim = p * (matrices[mode].n_agents + 1)
+        dim = p * matrices[mode].n_agents
         take = max(1, _STACK_BYTES // (3 * 8 * dim * dim))
         for j in range(0, len(steps), take):
             builds.setdefault(first_use[mode, steps[j]], []).append((mode, steps[j : j + take]))
@@ -624,8 +610,9 @@ def _lay_out(
     window = np.cumsum(k == 0) - 1
     # step k ends at t_start + k dt; a remainder step ends on its window's end
     t = np.array(starts)[window] + k * dt
+    lasts = np.append(firsts[1:], len(k)) - 1  # each window's last row
     short = [i for i, lay in enumerate(blocks) if lay[-1][2] != dt]
-    t[np.append(firsts[1:], len(k))[short] - 1] = [spans[i][1] for i in short]
+    t[lasts[short]] = [spans[i][1] for i in short]
     counts = [matrices[mode].n_agents for mode in modes]
     traj = Trajectory(
         p, signal.t0, signal.tf,
@@ -635,6 +622,17 @@ def _lay_out(
         z=np.zeros((len(t), p * (1 + max(counts)))),
         starts=firsts,
     )
+    # the leader never jumps and every mode shares A: window i starts at
+    # L_i = e^(A span_(i-1)) L_(i-1), its j-th kept step is (e^(A stride
+    # dt))^j L_i and its last row L_(i+1). No error reads it or its overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _propagator_stack(matrices[modes[0]].A, [stride * dt, *(b - a for a, b in spans)])[0]
+        L = np.array(list(accumulate(E[1:], lambda lead, e: e @ lead, initial=leader)))
+        T = np.stack((np.eye(p), E[0]))  # (e^(A stride dt))^j in row j, by doubling
+        while len(T) <= k.max() // stride:
+            T = np.concatenate((T, T[-1] @ T[1:]))
+        traj.z[:, :p] = np.einsum("rij,rj->ri", T[k // stride], L[window])
+        traj.z[lasts, :p] = L[1:]
     return _Windows(spans, blocks, builds, drops, traj)
 
 
@@ -649,19 +647,19 @@ def integrate_segment(
     blocks: list[tuple],
     steps: dict[float, tuple],
 ) -> tuple[int, float | None, float]:
-    """Step z = (leader, errors) over one constant-mode window of run_switched.
+    """Step the tracking errors over one constant-mode window of run_switched.
 
-    rows are the window's rows of the run's Trajectory, rows[0] its checked
-    start state; blocks are its _grid blocks with their _block_layout, as
-    _lay_out gives them; steps maps each of their step lengths to its (A0,
-    A1, powers, reach), a _power_table of its E. Each block forms its kept
-    states and its own last state, by _leap over the gaps between them, and
-    writes the kept ones into rows in order. A block with a gap of several
-    steps whose reach, by the table, exceeds _LEAP_LIMIT may overflow inside
-    a gap: it is formed again one step at a time, so that its first
-    non-finite step is found. Returns the count of rows written, the time of
-    the first non-finite step (None when there is none) and the largest
-    forcing norm.
+    rows are the window's error columns of the run's Trajectory, rows[0] its
+    checked start state; blocks are its _grid blocks with their
+    _block_layout, as _lay_out gives them; steps maps each of their step
+    lengths to its (A0, A1, powers, reach), a _power_table of its E. Each
+    block forms its kept states and its own last state, by _leap over the
+    gaps between them, and writes the kept ones into rows in order. A block
+    with a gap of several steps whose reach, by the table, exceeds
+    _LEAP_LIMIT may overflow inside a gap: it is formed again one step at a
+    time, so that its first non-finite step is found. Returns the count of
+    rows written, the time of the first non-finite step (None when there is
+    none) and the largest forcing norm.
 
     It steps under its caller's np.errstate: run_switched ignores overflow
     and invalid operations, which a diverging run is expected to make and
@@ -722,6 +720,7 @@ class RunSummary:
     converged: bool
     diverged: bool
     diverged_at: float | None
+    leader_overflow_at: float | None
     n_events: int
     max_h_norm: float
     ultimate_bound: float | None
@@ -746,20 +745,19 @@ def run_switched(
 ) -> Trajectory:
     """Integrate across all segments of a signal, applying jumps at boundaries.
 
-    x0 is the stacked (leader, errors) vector at signal.t0. Within a segment
-    z flows by block_diag(A, A_err) of its mode and the forcing drives the
-    error rows only; each jump acts on the errors alone, and the leader
-    carries over unchanged.
+    x0 is the stacked (leader, errors) vector at signal.t0, and every mode
+    shares A. The run steps the errors alone, by each mode's A_err and the
+    forcing, and each jump acts on them. The leader, which flows by A and
+    never jumps, is laid out in closed form: exact under both methods. It
+    may overflow on a long horizon; no error, and so no divergence, reads it.
 
     Both methods sample the forcing only at grid points and treat it as
     piecewise-linear between samples. method "exact" integrates that
     interpolant in closed form (E = e^(M h), h phi1(M h) and h^2 phi2(M h)
     of the phi-functions, so the flow is exact and the forcing exact for
     the interpolant); "rk4" is the classical fixed-step scheme fed the same
-    interpolant. Their difference is then purely the RK4 flow truncation,
-    O(dt^4) globally, which is what the cross-check relies on. The step
-    matrices inherit the block-diagonal form, so the leader flows by its
-    own dynamics untouched by either the coupling or the forcing.
+    interpolant. Their difference is then purely the RK4 flow truncation of
+    the errors, O(dt^4) globally, which is what the cross-check relies on.
 
     Either method is one linear step x' = E x + A0 f0 + A1 f1, applied in
     chunks of steps whose forcing terms are computed at once; _grid, the
@@ -767,15 +765,15 @@ def run_switched(
     step, and the step matrices are keyed by their lengths. Every
     sample_stride-th step and each segment's last are kept; None picks the
     stride from the horizon (1 up to a horizon of 100 s, ceil(horizon /
-    100) beyond it). One routine, _leap, forms every state: the kept ones
-    and each chunk's last, each from the one before over the gap between
-    them. Above a stride of 1 each mode's E by dt gets a _power_table of
-    its binary powers up to the stride; every other step is taken one at a
-    time. At a stride of 1 every gap is one step and each state has the
-    bits of stepping; above it states in between are never computed, and
-    the kept ones carry a rounding error that grows roughly with the gap
-    (over 1,998 steps of a non-normal mode, 1.6e-12 of the largest state,
-    where stepping's own was 4.7e-14).
+    100) beyond it). One routine, _leap, forms every error state: the kept
+    ones and each chunk's last, each from the one before over the gap
+    between them. Above a stride of 1 each mode's E by dt gets a
+    _power_table of its binary powers up to the stride; every other step is
+    taken one at a time. At a stride of 1 every gap is one step and each
+    state has the bits of stepping; above it states in between are never
+    computed, and the kept ones carry a rounding error that grows roughly
+    with the gap (over 1,998 steps of a non-normal mode, 1.6e-12 of the
+    largest state, where stepping's own was 4.7e-14).
 
     Step matrices are built when a segment first needs them, together with
     the next step lengths of the same mode the run will need, as one stack
@@ -786,12 +784,12 @@ def run_switched(
     The whole run is laid out before its first step (_lay_out): each
     window's blocks with their gap runs and kept steps, the builds and
     drops of step matrices, and the run's preallocated Trajectory, whose
-    times, modes and agent counts are filled in arrays. Each window then
-    steps straight into its rows, and the Trajectory returned is cut after
-    the last row and window stepped.
+    times, modes, agent counts and leader are filled in arrays. Each window
+    then steps straight into its error columns, and the Trajectory returned
+    is cut after the last row and window stepped.
 
     The run stops (diverged_at set) at the first step with a non-finite
-    state, which is not kept, or at a switching instant whose jump leaves
+    error, which is not kept, or at a switching instant whose jump leaves
     a non-finite error, which is then not recorded as an event.
     """
     if method not in ("exact", "rk4"):
@@ -808,13 +806,16 @@ def run_switched(
         )
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
-    lay = _lay_out(matrices, signal, dt, sample_stride)
+    x = np.asarray(x0, dtype=float)
+    dim = p * (matrices[signal.segments[0].mode].n_agents + 1)
+    if x.shape != (dim,):  # the lay-out reads the leader from x0
+        raise ConfigError(f"state has shape {x.shape}, expected ({dim},)")
+    lay = _lay_out(matrices, signal, dt, sample_stride, x[:p])
     traj = lay.trajectory
     z, events = traj.z, traj.events
     bounds = traj.starts.tolist() + [len(traj.t)]
     steps: dict[int, dict[float, tuple]] = {seg.mode: {} for seg in signal.segments}
-    x = np.asarray(x0, dtype=float)
-    shape, post_err = x.shape, None
+    err = x[p:]
     # overflow while stepping or at a jump is a divergence, which the run
     # reports through diverged_at and keeps no non-finite state of; a build
     # of step matrices keeps the caller's error handling
@@ -823,17 +824,13 @@ def run_switched(
         for i, seg in enumerate(signal.segments):
             mm = matrices[seg.mode]
             dim = p * (mm.n_agents + 1)
-            if shape != (dim,):
-                raise ConfigError(f"state has shape {shape}, expected ({dim},)")
+            if p + len(err) != dim:  # a jump's agent count against its mode's
+                raise ConfigError(f"state has shape ({p + len(err)},), expected ({dim},)")
             r0, r1 = bounds[i], bounds[i + 1]
-            if post_err is None:
-                z[r0, :dim] = x
-            else:  # the leader carries over the jump
-                z[r0, :p] = z[r0 - 1, :p]
-                z[r0, p:dim] = post_err
+            z[r0, p:dim] = err
             for mode, batch in lay.builds.get(i, ()):
                 with np.errstate(**caller):
-                    built = _step_matrix_stack(_stacked(matrices[mode]), batch, method, p)
+                    built = _step_matrix_stack(matrices[mode].A_err, batch, method)
                 for step, (E, A0, A1) in zip(batch, built):
                     # only the dt step has gaps of several steps, and only
                     # above a stride of 1; E alone needs no reach
@@ -845,7 +842,7 @@ def run_switched(
                 del built, E, A0, A1, tabled
             span = lay.spans[i]
             end, diverged_at, max_h = integrate_segment(
-                mm, z[r0:r1, :dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode]
+                mm, z[r0:r1, p:dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode]
             )
             for mode, step in lay.drops.get(i, ()):
                 del steps[mode][step]
@@ -857,15 +854,14 @@ def run_switched(
             if i < len(signal.events):
                 ev = signal.events[i]
                 pre_err = z[end - 1, p:dim]
-                post_err = apply_error_jump(ev, pre_err)
-                if not np.isfinite(post_err).all():
+                err = apply_error_jump(ev, pre_err)
+                if not np.isfinite(err).all():
                     traj.diverged_at = span[1]
                     break
                 events.append(EventRecord(
                     i + 1, span[1], ev.mode_before, ev.mode_after, ev.n_before, ev.n_after,
-                    pre_err, post_err, ev.impulse_norm,
+                    pre_err, err, ev.impulse_norm,
                 ))
-                shape = (p + len(post_err),)
     # the rows and windows it stepped
     return replace(traj, t=traj.t[:end], mode=traj.mode[:end], count=traj.count[:end],
                    z=z[:end], starts=traj.starts[: i + 1])
@@ -913,6 +909,7 @@ def run_scenario(
     bound = math.inf if bundle is None else bundle.ultimate_bound
     ub = bound if math.isfinite(bound) else None
     converged = bool(not traj.diverged and tail < tol)
+    lead = np.isfinite(traj.z[:, : traj.p]).all(axis=1)
     # an ultimate bound of exactly 0 certifies asymptotic decay, which a
     # finite horizon can only witness up to the convergence tolerance
     respected = None if ub is None else converged if ub == 0.0 else bool(tail <= ub)
@@ -928,6 +925,7 @@ def run_scenario(
         converged=converged,
         diverged=traj.diverged,
         diverged_at=traj.diverged_at,
+        leader_overflow_at=None if lead.all() else float(traj.t[lead.argmin()]),
         n_events=len(traj.events),
         max_h_norm=traj.max_h_norm,
         ultimate_bound=ub,

@@ -61,11 +61,11 @@ def propagators(M: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def step_matrices(
-    M: np.ndarray, step: float, method: str, p: int
+    M: np.ndarray, step: float, method: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E, A0, A1) with one step x' = E x + A0 f0 + A1 f1, from a
     simulate._step_matrix_stack of the one step."""
-    return _step_matrix_stack(M, [step], method, p)[0]
+    return _step_matrix_stack(M, [step], method)[0]
 
 
 def van_loan_propagators(
@@ -95,6 +95,27 @@ def van_loan_propagators(
         with mpmath.workdps(digits):
             EB = np.array(mpmath.expm(mpmath.matrix(B.tolist())).tolist(), dtype=float)
     return EB[:n, :n].copy(), EB[:n, n : 2 * n].copy(), EB[:n, 2 * n :].copy()
+
+
+def flow_by_eigenvectors(
+    A: np.ndarray, x0: np.ndarray, times: np.ndarray, digits: int = 40
+) -> np.ndarray:
+    """e^(A t) x0 at each t of times, as rows: A's eigendecomposition
+    V diag(lambda) V^-1 taken by mpmath at digits significant digits, each
+    row the real part of sum_k V[:, k] e^(lambda_k t) c_k with V c = x0, and
+    rounded to doubles at the end. A must be diagonalisable."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        lam, V = mpmath.eig(mpmath.matrix(A.tolist()))
+        c = mpmath.lu_solve(V, mpmath.matrix(np.asarray(x0, dtype=float).tolist()))
+        n = len(lam)
+        rows = []
+        for t in np.asarray(times, dtype=float).tolist():
+            w = [mpmath.exp(lam[k] * t) * c[k] for k in range(n)]
+            rows.append([float(mpmath.re(mpmath.fsum(V[i, k] * w[k] for k in range(n))))
+                         for i in range(n)])
+    return np.array(rows)
 
 
 def dense_shifted_lyapunov(A_err: np.ndarray, gamma: float) -> np.ndarray:
@@ -503,6 +524,8 @@ def stepwise_window(
     """One constant-mode window stepped one step at a time: the reference
     for the kept samples of simulate.run_switched.
 
+    x0 is the errors, or any unforced coordinates (the leader) and then
+    the errors: the forcing drives the last p n_agents coordinates alone.
     The window's steps are the blocks simulate._grid lays out, each step
     length's matrices those of step_matrices (both checked
     against their own oracles), and the forcing is forcing_at at every grid
@@ -517,10 +540,12 @@ def stepwise_window(
     blocks = _grid(t_start, t_end, dt)
     last = blocks[-1][1]
     times, states, x = [t_start], [np.array(x0, dtype=float)], np.array(x0, dtype=float)
+    unforced = np.zeros(len(x) - n_agents * p)
     for a, b, step in blocks:
-        E, A0, A1 = step_matrices(M, step, method, p)
+        E, A0, A1 = step_matrices(M, step, method)
         ends = [t_start + k * dt for k in range(a + 1, b + 1)] if step == dt else [t_end]
-        F = np.array([forcing_at(h, t, n_agents, p) for t in [t_start + a * dt, *ends]])
+        F = np.array([np.concatenate((unforced, forcing_at(h, t, n_agents, p)))
+                      for t in [t_start + a * dt, *ends]])
         G = F[:-1] @ A0.T + F[1:] @ A1.T
         for k, t in enumerate(ends, start=a + 1):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -535,22 +560,28 @@ def stepwise_window(
 
 def stepwise_run(
     matrices, signal: SwitchingSignal, x0: np.ndarray, h, dt: float, method: str, stride: int,
+    stacked: bool = False,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]], float | None]:
     """A whole run window by window: the reference for simulate.run_switched.
 
     Each window is stepwise_window from the state the jump before it left,
-    on the stacked matrix block_diag(A, A_err) of its mode; each switch is
-    apply_error_jump on the last kept errors, the leader carried over.
-    Returns each window's kept times and states, each switch's (pre, post)
-    errors, and where the run stopped: the time of the first non-finite
-    step, or the switching instant whose jump leaves a non-finite error
-    (that jump not listed), None when it ran to the end.
+    on the A_err of its mode, the errors alone: x0's leader is dropped.
+    stacked steps (leader, errors) instead, on the block_diag(A, A_err) of
+    the mode, as the run once did: a second reference, whose leader is
+    stepped and whose run stops where the leader overflows as well. Each
+    switch is apply_error_jump on the last kept errors (the stacked form
+    carries its leader over). Returns each window's kept times and states, each switch's (pre,
+    post) errors, and where the run stopped: the time of the first
+    non-finite step, or the switching instant whose jump leaves a
+    non-finite error (that jump not listed), None when it ran to the end.
     """
     windows, jumps = [], []
-    x = np.asarray(x0, dtype=float)
+    p = matrices[signal.segments[0].mode].p
+    lead = p if stacked else 0  # the leading coordinates stepped, the leader's
+    x = np.asarray(x0, dtype=float)[p - lead :]
     for i, seg in enumerate(signal.segments):
         mode = matrices[seg.mode]
-        M = scipy.linalg.block_diag(mode.A, mode.A_err)
+        M = scipy.linalg.block_diag(mode.A, mode.A_err) if stacked else mode.A_err
         t_span = segment_bounds(signal, i)
         times, states, diverged_at = stepwise_window(
             M, mode.p, mode.n_agents, x, h, t_span, dt, method, stride)
@@ -559,13 +590,13 @@ def stepwise_run(
             return windows, jumps, diverged_at
         if i == len(signal.events):
             break
-        pre = states[-1, mode.p :]
+        pre = states[-1, lead:]
         with np.errstate(over="ignore", invalid="ignore"):
             post = apply_error_jump(signal.events[i], pre)
         if not np.isfinite(post).all():
             return windows, jumps, t_span[1]
         jumps.append((pre, post))
-        x = np.concatenate([states[-1, : mode.p], post])
+        x = np.concatenate([states[-1, :lead], post])
     return windows, jumps, None
 
 

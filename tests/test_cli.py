@@ -276,6 +276,7 @@ def test_simulate_outputs(tmp_path, demo_dict, capsys):
     assert summary["tail_sup_error"] <= summary["ultimate_bound"]
     assert f"(certified bound {summary['ultimate_bound']:.6g})" in stdout
     assert summary["max_h_norm"] <= 0.2 + 1e-12
+    assert summary["leader_overflow_at"] is None and "leader" not in stdout
 
     traj_rows = (out / "trajectory.csv").read_text().splitlines()
     assert traj_rows[0].startswith("t,mode,agent_count,xi_agent0_dim0")
@@ -295,6 +296,36 @@ def test_simulate_converging_run_says_so(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "converged within tolerance"
     assert f"tail sup error: {summary['tail_sup_error']:.6g}" in lines[-2]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_asymptotic_demo_over_30000s_tracks_past_the_leader_overflow(tmp_path, capsys):
+    # the demo's leader grows as e^(0.025 t) and leaves the float range near
+    # t = 28,390 s; the tracking errors, which decide divergence, decay to 0
+    doc = demo_scenario_dict("asymptotic", seed=11)
+    doc["signal"]["horizon"] = 30000.0
+    out = tmp_path / "long"
+    rc = main(["simulate", "--scenario", write(tmp_path, doc), "--out", str(out),
+               "--dt", "0.05", "--strict"])
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["diverged"] is False and summary["diverged_at"] is None
+    assert summary["converged"] is True and summary["bound_respected"] is True
+    assert summary["bound_applies"] is True and summary["tail_sup_error"] == 0.0
+    overflow = summary["leader_overflow_at"]
+    assert 28380.0 <= overflow <= 28400.0
+    assert (f"leader overflows at t = {overflow:.6g}; the tracking errors are unaffected"
+            in stdout.splitlines())
+    with open(out / "trajectory.csv") as fh:
+        cols = fh.readline().rstrip("\n").split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    t = np.array([float(row[0]) for row in rows])
+    errs = [float(v) for row in rows for c, v in zip(cols, row) if c.startswith("err_") and v]
+    assert np.isfinite(errs).all()
+    # the absolute states read the leader: finite up to its overflow, not after
+    leader = np.array([float(row[cols.index("xi_agent0_dim0")]) for row in rows])
+    assert np.isfinite(leader[t < overflow]).all() and not np.isfinite(leader[t >= overflow]).any()
 
 
 def test_simulate_seed_determinism(tmp_path, demo_dict, capsys):
@@ -361,7 +392,7 @@ SUMMARY_KEYS = {
     "seed", "dt", "method", "t0", "tf", "tail_fraction", "tail_sup_error",
     "convergence_tol", "converged", "diverged", "diverged_at", "n_events",
     "max_h_norm", "ultimate_bound", "bound_respected", "switching_ok", "certified",
-    "bound_applies",
+    "bound_applies", "leader_overflow_at",
 }
 
 
@@ -434,6 +465,8 @@ def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
     for seed in (11, 12):
         summary = read_json(out3 / f"seed_{seed}" / "summary.json")
         assert summary["diverged"] is True and summary["diverged_at"] < 200.0
+        # on the errors' first non-finite step, as when the leader was stepped too
+        assert summary["diverged_at"] == {11: 119.79, 12: 119.93}[seed]
         assert summary["tail_sup_error"] == "inf"
         assert summary["ultimate_bound"] is not None
         assert summary["bound_respected"] is False

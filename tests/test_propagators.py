@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from omaslab.demo import DEMO_A, DEMO_COUPLING
 from omaslab.mode_dynamics import AgentDynamics, build_mode_matrix
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
-from omaslab.simulate import _grid, _stacked
+from omaslab.simulate import _grid
 
 from helpers import propagators, segment_bounds, van_loan_propagators
 
@@ -161,7 +161,7 @@ def test_demo_modes_match_van_loan(practical_scenario, practical_signal):
     assert {mode for mode, _ in builds} == set(matrices)
     assert len({step for _, step in builds}) > 1  # remainders as well as dt
     for mode, step in sorted(builds):
-        M = _stacked(matrices[mode])
+        M = matrices[mode].A_err
         assert_close(propagators(M, step), van_loan_propagators(M, step))
 
 
@@ -172,6 +172,6 @@ def test_wide_modes_match_van_loan():
     steps = {step for span in ((0.0, 30.2), (30.2, 30.7)) for _, _, step in _grid(*span, dt)}
     assert len(steps) == 2
     for mode in wide_modes():
-        M = _stacked(mode)
+        M = mode.A_err
         for step in steps:
             assert_close(propagators(M, step), van_loan_propagators(M, step))

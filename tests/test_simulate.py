@@ -49,6 +49,7 @@ from omaslab.transition import MigrationEvent
 
 from helpers import (
     envelope_by_direct_sums,
+    flow_by_eigenvectors,
     forcing_at,
     grid_by_count,
     lyapunov_trace_by_window,
@@ -79,11 +80,6 @@ def run_one(mode: ModeMatrix, x0, h, t_span, **kwargs) -> Trajectory:
     """run_switched on a one-segment signal of mode over t_span."""
     sig = SwitchingSignal(t_span[0], t_span[1], (Segment(start=t_span[0], mode=mode.mode_id),))
     return run_switched({mode.mode_id: mode}, sig, x0, h, **kwargs)
-
-
-def stacked(mode: ModeMatrix) -> np.ndarray:
-    """The matrix (leader, errors) flows by within one segment."""
-    return scipy.linalg.block_diag(mode.A, mode.A_err)
 
 
 # --------------------------------------------------------------------------
@@ -135,6 +131,21 @@ def test_leader_follows_its_own_flow(practical_run):
             t = seg.t[idx]
             expected = scipy.linalg.expm(A * t) @ leader0
             np.testing.assert_allclose(seg.states[idx][:2], expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+@pytest.mark.parametrize("horizon", [30.0, 3000.0])
+def test_leader_is_its_closed_form_at_40_digits(method, horizon):
+    # the leader is laid out in closed form under either method: every kept
+    # row is e^(A (t - t0)) l0 to 1e-12 of its norm, across every switch
+    doc = demo_scenario_dict("asymptotic", seed=11)
+    doc["signal"]["horizon"] = horizon
+    run = run_scenario(parse_scenario(doc), seed=11, dt=1e-2, method=method)
+    traj = run.trajectory
+    assert run.summary.n_events > 0 and run.summary.leader_overflow_at is None
+    want = flow_by_eigenvectors(np.array(DEMO_A), np.array([1.0, 0.5]), traj.t - traj.t0)
+    got = traj.z[:, : traj.p]
+    assert (np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1)).all()
 
 
 def test_errors_equal_follower_minus_leader(practical_run):
@@ -793,10 +804,9 @@ def test_negative_t0_with_random_perturbation_runs():
 
 def test_rk4_step_matrices_match_stage_formula():
     rng = np.random.default_rng(8)
-    for dim, p, step in ((3, 1, 1e-3), (8, 2, 0.05), (12, 2, 0.3)):
+    for dim, step in ((3, 1e-3), (8, 0.05), (12, 0.3)):
         M = rng.standard_normal((dim, dim))
         x, f0, f1 = (rng.standard_normal(dim) for _ in range(3))
-        f0[:p] = f1[:p] = 0.0  # the leader rows are never forced
         # the four stages written out for one vector step
         fm = 0.5 * (f0 + f1)
         k1 = M @ x + f0
@@ -804,8 +814,8 @@ def test_rk4_step_matrices_match_stage_formula():
         k3 = M @ (x + 0.5 * step * k2) + fm
         k4 = M @ (x + step * k3) + f1
         expected = x + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        E, A0, A1 = step_matrices(M, step, "rk4", p)
-        got = E @ x + A0 @ f0[p:] + A1 @ f1[p:]
+        E, A0, A1 = step_matrices(M, step, "rk4")
+        got = E @ x + A0 @ f0 + A1 @ f1
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
         np.testing.assert_allclose(_rk4_step(M, step, x, f0, f1), expected, rtol=1e-15)
 
@@ -815,11 +825,10 @@ def test_exact_step_matrices_integrate_linear_forcing():
     # x(s) = e^-s x0 + 3 - 2/s - (1 - 2/s) e^-s
     mode = scalar_follower(-1.0)
     s = 0.4
-    E, A0, A1 = step_matrices(stacked(mode), s, "exact", 1)
-    got = E @ np.array([0.0, 0.7]) + A0 @ [1.0] + A1 @ [3.0]
+    E, A0, A1 = step_matrices(mode.A_err, s, "exact")
+    got = E @ np.array([0.7]) + A0 @ [1.0] + A1 @ [3.0]
     expected = math.exp(-s) * 0.7 + 3.0 - 2.0 / s - (1.0 - 2.0 / s) * math.exp(-s)
-    assert got[1] == pytest.approx(expected, rel=1e-13)
-    assert got[0] == 0.0
+    assert got[0] == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("method", ["exact", "rk4"])
@@ -835,8 +844,8 @@ def test_chunked_divergence_keeps_stepwise_samples(method, stride):
     x0 = np.array([0.0, 1.0])
     traj = run_one(mode, x0, ZERO, (0.0, 20.0), dt=dt, method=method, sample_stride=stride)
     seg = traj.segments[0]
-    E, _, _ = step_matrices(stacked(mode), dt, method, 1)
-    x, k = np.array([0.0, 1.0]), 0
+    E, _, _ = step_matrices(mode.A_err, dt, method)
+    x, k = np.array([1.0]), 0
     kept = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -873,29 +882,28 @@ def revisiting_run(scenario):
 def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, method):
     import omaslab.simulate as simulate
 
-    built, block_diags = [], []
-    block_diag = scipy.linalg.block_diag
+    built, batches, stacks = [], [], []
+    propagator_stack = simulate._propagator_stack
 
-    def counting(M, steps, method, p):
+    def counting(M, steps, method):
         built.extend((M.tobytes(), step, method) for step in steps)
-        return _step_matrix_stack(M, steps, method, p)
+        batches.append(steps)
+        return _step_matrix_stack(M, steps, method)
 
-    def counting_block_diag(*blocks):
-        block_diags.append(len(blocks))
-        return block_diag(*blocks)
+    def recording(M, steps):
+        stacks.append((M.tobytes(), list(steps)))
+        return propagator_stack(M, steps)
 
     monkeypatch.setattr(simulate, "_step_matrix_stack", counting)
-    monkeypatch.setattr(scipy.linalg, "block_diag", counting_block_diag)
+    monkeypatch.setattr(simulate, "_propagator_stack", recording)
     matrices = practical_scenario.mode_matrices()
     sig, x0, dt = revisiting_run(practical_scenario)
     run_switched(matrices, sig, x0, ZERO, dt=dt, method=method)
-    # the stacked matrix is filled in place, without scipy's argument checks;
-    # the bytes compared below are those of block_diag's
-    assert block_diags == []
 
+    # every step matrix is built from its mode's A_err
     uses = []
     for i, seg in enumerate(sig.segments):
-        M = stacked(matrices[seg.mode]).tobytes()
+        M = matrices[seg.mode].A_err.tobytes()
         lengths = {step for _, _, step in _grid(*segment_bounds(sig, i), dt)}
         uses += [(M, step, method) for step in lengths]
     # the three remainders of mode 1 differ only in their last bits, and
@@ -905,6 +913,13 @@ def test_run_builds_each_step_matrix_once(monkeypatch, practical_scenario, metho
     assert len(uses) == 8
     assert sorted(built) == sorted(set(uses))
     assert len(built) == 5
+    # and the leader's propagators are one stack of A, by a kept step (the
+    # stride is 1) and by each window's span; the exact method's A_err
+    # builds are a stack each
+    spans = [b - a for a, b in (segment_bounds(sig, i) for i in range(len(sig.segments)))]
+    leader = [steps for M, steps in stacks if M == matrices[1].A.tobytes()]
+    assert leader == [[dt, *spans]]
+    assert len(stacks) == 1 + (len(batches) if method == "exact" else 0)
 
 
 def reference_run(matrices, sig, x0, h, dt, method, stride):
@@ -1016,9 +1031,10 @@ def forcing_of(kind: str, p: int) -> PerturbationModel:
          frac=0.37, dt=1e-3, forcing="sinusoidal", method="exact")
 def test_kept_states_equal_stepping(seed, n_agents, p, rate, scale, stride, chunks, offset,
                                     frac, dt, forcing, method):
-    # at stride 1 the run is the step-by-step loop bit for bit; above it
-    # only the kept states are formed, equal to the loop's to rounding, and
-    # a run that overflows stops at the loop's first non-finite step. The
+    # at stride 1 the run's errors are the step-by-step loop's on A_err bit
+    # for bit; above it only the kept states are formed, equal to the loop's
+    # to rounding, and a run that overflows stops at the loop's first
+    # non-finite step, whatever its leader does. The
     # windows end within 45 steps of a chunk boundary, on either side; the
     # strides from 999 leap across whole chunks, and past the window.
     n = chunks * _CHUNK_STEPS + offset
@@ -1029,9 +1045,9 @@ def test_kept_states_equal_stepping(seed, n_agents, p, rate, scale, stride, chun
     t_span = (0.3, 0.3 + (n + frac) * dt)
     traj = run_one(mode, x0, h, t_span, dt=dt, method=method, sample_stride=stride)
     times, states, diverged_at = stepwise_window(
-        stacked(mode), p, n_agents, x0, h, t_span, dt, method, stride)
+        mode.A_err, p, n_agents, x0[p:], h, t_span, dt, method, stride)
     seg = traj.segments[0]
-    got = np.hstack([seg.leader, seg.errs])
+    got = seg.errs
     assert traj.diverged_at == diverged_at
     np.testing.assert_array_equal(seg.t, times, strict=True)
     assert got.shape == states.shape
@@ -1075,11 +1091,14 @@ def migration(k: int, before: ModeMatrix, after: ModeMatrix, rng) -> MigrationEv
 def test_run_equals_stepwise_windows_and_jumps(seed, p, sizes, rates, windows, stride, dt,
                                                 forcing, method, scale):
     # a run of many short windows over agent counts that change: at stride
-    # 1 every sample and jump is that of the step-by-step oracle bit for
-    # bit, above it within rounding of the largest state; it stops where
-    # the oracle stops, and its segments are views into one table
+    # 1 every error sample and jump is that of the step-by-step oracle on
+    # A_err bit for bit, above it within rounding of the largest state; it
+    # stops where the oracle stops, and its segments are views into one
+    # table
     rng = np.random.default_rng(seed)
-    matrices = {m: replace(random_mode(seed + m, n, p, rate), mode_id=m)
+    # the modes share the drift A, by which the leader flows
+    A = random_mode(seed, 1, p, rates[0]).A
+    matrices = {m: replace(random_mode(seed + m, n, p, rate), mode_id=m, A=A)
                 for m, (n, rate) in enumerate(zip(sizes, rates), start=1)}
     modes, t, segments = [1], 0.3, [Segment(0.3, 1)]
     for steps, frac, hop in windows[:-1]:
@@ -1100,12 +1119,11 @@ def test_run_equals_stepwise_windows_and_jumps(seed, p, sizes, rates, windows, s
     largest = max(np.abs(states).max() for _, states in ref)
     for seg, (times, states) in zip(traj.segments, ref):
         np.testing.assert_array_equal(seg.t, times, strict=True)
-        got = np.hstack([seg.leader, seg.errs])
-        assert got.shape == states.shape
+        assert seg.errs.shape == states.shape
         if stride == 1:
-            np.testing.assert_array_equal(got, states)
+            np.testing.assert_array_equal(seg.errs, states)
         else:
-            assert np.abs(got - states).max() <= 1e-12 * largest
+            assert np.abs(seg.errs - states).max() <= 1e-12 * largest
     for k, (ev, (pre, post)) in enumerate(zip(traj.events, jumps)):
         if stride == 1:
             np.testing.assert_array_equal(ev.pre_err, pre, strict=True)
@@ -1120,6 +1138,21 @@ def test_run_equals_stepwise_windows_and_jumps(seed, p, sizes, rates, windows, s
     for seg in traj.segments:
         assert np.shares_memory(seg.t, traj.t)
         assert np.shares_memory(seg.leader, traj.z) and np.shares_memory(seg.errs, traj.z)
+
+    # the second oracle steps (leader, errors) by block_diag(A, A_err), as
+    # the run once did. Where it runs as far, the errors agree within
+    # rounding and, when it steps exactly, the leader, laid out in closed
+    # form, within 1e-11
+    stacked, _, stacked_diverged_at = stepwise_run(
+        matrices, sig, x0, h, dt, method, stride, stacked=True)
+    if stacked_diverged_at == diverged_at:
+        tol = 1e-14 if stride == 1 else 1e-12
+        lead = max(np.abs(states[:, :p]).max() for _, states in stacked)
+        for seg, (times, states) in zip(traj.segments, stacked, strict=True):
+            np.testing.assert_array_equal(seg.t, times, strict=True)
+            assert np.abs(seg.errs - states[:, p:]).max() <= tol * largest
+            if method == "exact":
+                assert np.abs(seg.leader - states[:, :p]).max() <= 1e-11 * lead
 
 
 def test_kept_states_form_only_what_is_kept(monkeypatch):
@@ -1173,11 +1206,12 @@ def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
         return leap(powers, x, G, runs)
 
     monkeypatch.setattr(simulate, "_leap", recording)
-    mode = ModeMatrix(mode_id=1, n_agents=n - 1, p=1, A=np.zeros((1, 1)),
-                      cZ=np.zeros((n - 1, n - 1)), alpha=0.0, stable=False)
+    mode = ModeMatrix(mode_id=1, n_agents=n, p=1, A=np.zeros((1, 1)),
+                      cZ=np.zeros((n, n)), alpha=0.0, stable=False)
     dt = 0.5
-    lay = _lay_out({1: mode}, SwitchingSignal(0.0, n * dt, (Segment(0.0, 1),)), dt, n)
-    rows = lay.trajectory.z
+    lay = _lay_out({1: mode}, SwitchingSignal(0.0, n * dt, (Segment(0.0, 1),)), dt, n,
+                   np.zeros(1))
+    rows = lay.trajectory.z[:, 1:]  # the error columns
     rows[0] = x
     # the window steps under run_switched's errstate
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1194,24 +1228,23 @@ def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(2, 40),
-    p=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.floats(-4.0, 0.6), min_size=2, max_size=12),
     method=st.sampled_from(["exact", "rk4"]),
 )
-@example(dim=2, p=1, seed=0, sizes=[-4.0, 0.6], method="exact")
-@example(dim=40, p=2, seed=1, sizes=[-3.0, -1.0, -0.2, 0.1, 0.3, 0.6, -3.0], method="exact")
-def test_stacked_builds_equal_single_builds(dim, p, seed, sizes, method):
+@example(dim=2, seed=0, sizes=[-4.0, 0.6], method="exact")
+@example(dim=40, seed=1, sizes=[-3.0, -1.0, -0.2, 0.1, 0.3, 0.6, -3.0], method="exact")
+def test_stacked_builds_equal_single_builds(dim, seed, sizes, method):
     # each step length's matrices out of a stack have the bits of a build
     # of that step alone, whichever (s, m) group of the scaling it falls in
     M = np.random.default_rng(seed).standard_normal((dim, dim))
     steps = [10.0**e / np.linalg.norm(M, 1) for e in sizes]  # ||M h||_1 = 10^e
     scalings = {math.frexp(np.linalg.norm(M * h, 1))[1] for h in steps}
     assume(len(scalings) > 1 or method == "rk4")
-    stack = _step_matrix_stack(M, steps, method, p)
+    stack = _step_matrix_stack(M, steps, method)
     assert len(stack) == len(steps)
     for step, mats in zip(steps, stack):
-        for got, want in zip(mats, step_matrices(M, step, method, p)):
+        for got, want in zip(mats, step_matrices(M, step, method)):
             np.testing.assert_array_equal(got, want, strict=True)
             assert got.strides == want.strides
 
@@ -1238,9 +1271,9 @@ def test_run_builds_in_stacks_within_the_byte_budget(monkeypatch, practical_scen
 
     stacks = []
 
-    def recording(M, steps, method, p):
+    def recording(M, steps, method):
         stacks.append((M.tobytes(), M.shape[0], list(steps)))
-        return _step_matrix_stack(M, steps, method, p)
+        return _step_matrix_stack(M, steps, method)
 
     matrices = practical_scenario.mode_matrices()
     h = practical_scenario.perturbation.with_seed(11)
