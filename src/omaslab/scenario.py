@@ -31,9 +31,10 @@ from .seeding import (
     STREAM_DEP_GAIN,
     STREAM_IMPULSE,
     STREAM_INITIAL,
+    KeyedRows,
+    onto_spheres,
     stream_rng,
     uniform_in_ball,
-    uniform_on_sphere,
 )
 from .signed_graph import (AugmentedMode, Edge, ModeClass, SignedDigraph, check_edge,
                            mode_from_dense)
@@ -213,15 +214,21 @@ class Scenario:
         event table, in the order given.
 
         Pairs absent from the table get a pure-size default: trailing agents
-        join or leave as needed, no impulse, no dependence gain. Random
-        impulses and gains are keyed by the switch index k so a pair that
-        recurs in the signal draws fresh values each occurrence. A random
-        gain is a Gaussian draw rescaled to spectral norm `scale`; the norms
-        of all draws of one shape are taken as one stack.
+        join or leave as needed, no impulse, no dependence gain. A random
+        impulse or gain of switch k is row k of its keyed stream (seeding.
+        KeyedRows) of its seed and shape, so a pair that recurs in the
+        signal draws fresh values each occurrence, and a switch's draws do
+        not depend on which other switches are built. The rows of one seed
+        and shape are read as one block read: an impulse is a row of
+        normals scaled onto its sphere, and a gain a Gaussian row rescaled,
+        in place, to spectral norm `scale`, the norms of the group taken as
+        one stack.
         """
         p = self.p
         events: list[dict[str, Any]] = []
-        draws: dict[tuple[int, int], list[tuple[dict, float]]] = {}
+        # (seed, shape) -> [(event, k, radius or scale)], per kind of draw
+        impulses: dict[tuple[int, tuple[int, ...]], list[tuple[dict, int, float]]] = {}
+        gains: dict[tuple[int, tuple[int, ...]], list[tuple[dict, int, float]]] = {}
         for k, mode_before, mode_after in switches:
             nb = self.n_agents_of(mode_before)
             na = self.n_agents_of(mode_after)
@@ -233,23 +240,38 @@ class Scenario:
                 ev["leaves"] = tuple(range(na + 1, nb + 1)) if na < nb else ()
             else:
                 ev["joins"], ev["leaves"] = spec.joins, spec.leaves
-                ev["impulse"] = self._materialize_impulse(spec.impulse, k, na, master_seed)
+                impulse = spec.impulse
+                if isinstance(impulse, RandomVectorSpec):
+                    if impulse.radius == 0.0:
+                        ev["impulse"] = np.zeros(p * na)
+                    else:
+                        seed = master_seed if impulse.seed is None else impulse.seed
+                        impulses.setdefault((seed, (p * na,)), []).append((ev, k, impulse.radius))
+                else:
+                    ev["impulse"] = impulse
                 gain = spec.dep_gain
                 if isinstance(gain, RandomMatrixSpec):
                     seed = master_seed if gain.seed is None else gain.seed
-                    shape = (p * na, p * nb)
-                    ev["dep_gain"] = stream_rng(seed, STREAM_DEP_GAIN, k).standard_normal(shape)
-                    draws.setdefault(shape, []).append((ev, gain.scale))
+                    gains.setdefault((seed, (p * na, p * nb)), []).append((ev, k, gain.scale))
                 else:
                     ev["dep_gain"] = gain
             events.append(ev)
-        for shape, drawn in draws.items():
-            tops = spectral_norms([ev["dep_gain"] for ev, _ in drawn])
-            for (ev, scale), top in zip(drawn, tops.tolist()):
-                if top < 1e-300 or scale == 0.0:
-                    ev["dep_gain"] = np.zeros(shape)
-                else:
-                    ev["dep_gain"] *= scale / top
+        for (seed, shape), drawn in impulses.items():
+            rows = KeyedRows(seed, STREAM_IMPULSE, shape).normals([k for _, k, _ in drawn])
+            onto_spheres(rows, np.array([radius for _, _, radius in drawn]))
+            for (ev, _, _), row in zip(drawn, rows):
+                ev["impulse"] = row
+        for (seed, shape), drawn in gains.items():
+            rows = KeyedRows(seed, STREAM_DEP_GAIN, shape).normals([k for _, k, _ in drawn])
+            # a gain of scale 0, or a draw of norm below 1e-300, is zero
+            factors = np.array([
+                scale / top if top >= 1e-300 and scale != 0.0 else 0.0
+                for (_, _, scale), top in zip(drawn, spectral_norms(rows).tolist())
+            ])
+            rows *= factors[:, None, None]
+            rows[factors == 0.0] = 0.0  # +0.0 where a negative entry times 0 is -0.0
+            for (ev, _, _), row in zip(drawn, rows):
+                ev["dep_gain"] = row
         return tuple(MigrationEvent(**ev) for ev in events)
 
     # perfbench/tracing.py wraps this by name when its tracer installs, so
@@ -259,17 +281,6 @@ class Scenario:
     ) -> MigrationEvent:
         """The k-th migration alone, as build_events materializes it."""
         return self.build_events(((k, mode_before, mode_after),), master_seed)[0]
-
-    def _materialize_impulse(self, spec, k: int, n_after: int, master: int):
-        if spec is None:
-            return None
-        dim = self.p * n_after
-        if isinstance(spec, RandomVectorSpec):
-            if spec.radius == 0.0:
-                return np.zeros(dim)
-            rng = stream_rng(master if spec.seed is None else spec.seed, STREAM_IMPULSE, k)
-            return uniform_on_sphere(rng, dim, spec.radius)
-        return spec
 
     # -- signal resolution -------------------------------------------------
 

@@ -124,8 +124,10 @@ class AugmentedMode:
 
     @cached_property
     def augmented_eigvals(self) -> np.ndarray:
-        """Eigenvalues of the leader-augmented Laplacian."""
-        return _read_only(np.linalg.eigvals(augmented_laplacian(self)))
+        """Eigenvalues of the leader-augmented Laplacian: it is block lower
+        triangular, [[0, 0], [-d, Z]], so they are exactly 0 and those of
+        the grounded Laplacian Z, with no eigensolve of their own."""
+        return _read_only(np.concatenate(([0.0], self.grounded_eigvals)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -29,12 +29,7 @@ from .certificate import CertificateBundle
 from .errors import ConfigError
 from .floattext import _csv_block
 from .mode_dynamics import ModeMatrix
-from .seeding import (
-    STREAM_PERTURBATION,
-    STREAM_PERTURBATION_PAST,
-    stream_rng,
-    uniform_in_ball,
-)
+from .seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, KeyedRows, ball_rows
 from .switching import SwitchingSignal
 from .transition import apply_error_jump
 
@@ -127,26 +122,22 @@ class PerturbationModel:
             v *= self.bound / norm
         return v
 
-    def _hold_draw(self, k: int, dim: int) -> np.ndarray:
-        # holds before t = 0 have their own stream, keyed by -k >= 1, so
-        # their keys never meet those of holds k >= 0
-        if k >= 0:
-            rng = stream_rng(self.seed or 0, STREAM_PERTURBATION, k, dim)
-        else:
-            rng = stream_rng(self.seed or 0, STREAM_PERTURBATION_PAST, -k, dim)
-        return uniform_in_ball(rng, dim, self.bound)
-
     def sample(
-        self, times: np.ndarray, n_agents: int, p: int, first: np.ndarray | None = None
+        self, times: np.ndarray, n_agents: int, p: int, draws: ForcingDraws | None = None
     ) -> np.ndarray | None:
         """The forcing at every time of a grid, as one (len(times), n_agents * p) array.
 
         Returns None when the perturbation is identically zero. Row i
         depends on times[i] alone, so any split of a grid into chunks gives
-        the same rows. The random kind draws each hold once, however many
-        grid points fall inside it. first, when given, is the row already
-        sampled at times[0] (by the previous chunk of a segment); the random
-        kind reuses it for its hold instead of drawing that hold again.
+        the same rows. The random kind's hold k is row k of the keyed stream
+        (seed, STREAM_PERTURBATION, (dim,)); a hold before t = 0 is row
+        ~k = -k - 1 of STREAM_PERTURBATION_PAST, so that its key never
+        meets that of a hold k >= 0 and no negation overflows. A hold row
+        takes its normals and then a uniform, so its block is drawn whole:
+        all its normals, then all its uniforms (seeding.ball_rows). draws,
+        a run's ForcingDraws, keeps the last block of each stream the run
+        read, so that the run draws each block once, and records the
+        largest forcing norm it samples.
 
         A grid the forcing cannot be told on raises ConfigError naming the
         field at fault: a non-finite phase 2 pi f t, a hold index past the
@@ -158,7 +149,10 @@ class PerturbationModel:
         times = np.asarray(times, dtype=float)
         dim = n_agents * p
         if self.kind == "constant":
-            return np.broadcast_to(self._tiled(n_agents, p), (len(times), dim))
+            v = self._tiled(n_agents, p)
+            if draws is not None:
+                draws.record(float(np.linalg.norm(v)))
+            return np.broadcast_to(v, (len(times), dim))
         if self.kind == "sinusoidal":
             # math.sin per point: np.sin may round differently in the last bit
             w = 2.0 * math.pi * self.frequency
@@ -169,7 +163,10 @@ class PerturbationModel:
                     f"is not finite on [{times.min()}, {times.max()}]"
                 )
             s = np.array([math.sin(w * t) for t in times.tolist()])
-            return self._tiled(n_agents, p) * s[:, None]
+            v = self._tiled(n_agents, p)
+            if draws is not None:
+                draws.record(float(np.linalg.norm(v)) * float(np.abs(s).max(initial=0.0)))
+            return v * s[:, None]
         with np.errstate(over="ignore"):
             k = np.floor(times / self.hold + _GRID_EPS)
         if not ((k >= -(2.0**63)).all() and (k < 2.0**63).all()):
@@ -177,13 +174,60 @@ class PerturbationModel:
                 f"perturbation.hold: {self.hold} is too short for the horizon: "
                 f"the hold index of t in [{times.min()}, {times.max()}] leaves the int64 range"
             )
-        k = k.astype(np.int64)
-        holds, which = np.unique(k, return_inverse=True)
-        draws = [
-            first if first is not None and j == k[0] else self._hold_draw(int(j), dim)
-            for j in holds
-        ]
-        return np.array(draws).reshape(-1, dim)[which]
+        holds, which = np.unique(k.astype(np.int64), return_inverse=True)
+        past = holds < 0
+        rows = np.where(past, ~holds, holds)
+        streams = [KeyedRows(self.seed or 0, stream, (dim,))
+                   for stream in (STREAM_PERTURBATION, STREAM_PERTURBATION_PAST)]
+        per = streams[0].block
+        block = rows // per
+        forcing = np.empty((len(holds), dim))
+        radii = np.empty(len(holds))
+        # blocks in time order, as draws keeps only the last of each stream
+        for is_past, b in dict.fromkeys(zip(past.tolist(), block.tolist())):
+            mine = (past == is_past) & (block == b)
+            points, radius = self._hold_block(streams[is_past], b, draws)
+            forcing[mine] = points[rows[mine] % per]
+            radii[mine] = radius[rows[mine] % per]
+        if draws is not None:
+            draws.record(float(radii.max()))
+        return forcing[which]
+
+    def _hold_block(
+        self, stream: KeyedRows, b: int, draws: ForcingDraws | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(points, radii) of block b of a stream of holds, from draws when
+        it keeps that block, else drawn and, with draws, kept there in place
+        of the stream's block before it."""
+        kept = None if draws is None else draws.blocks.get(stream)
+        if kept is not None and kept[0] == b:
+            return kept[1]
+        drawn = ball_rows(stream.generator(b), stream.block, stream.shape[0], self.bound)
+        if draws is not None:
+            draws.blocks[stream] = (b, drawn)
+        return drawn
+
+
+@dataclass(eq=False)
+class ForcingDraws:
+    """What one run draws of its forcing.
+
+    blocks keeps, per stream of holds (before t = 0 or not, and of one
+    dimension), the last block the run read as (block index, (points,
+    radii)): a run's times only grow, so it never reads an earlier block
+    again, and each block it reads is drawn once. norm is the largest
+    forcing norm of the run's samples: of the random kind the largest
+    radius bound u^(1/dim) over the holds it read, at most the bound by
+    construction.
+    """
+
+    blocks: dict[KeyedRows, tuple[int, tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict
+    )
+    norm: float = 0.0
+
+    def record(self, norm: float) -> None:
+        self.norm = max(self.norm, norm)
 
 
 @dataclass(eq=False)
@@ -516,14 +560,6 @@ def _leap(
     return out
 
 
-def _max_row_norm(F: np.ndarray) -> float:
-    """Largest 2-norm over the rows of F, each taken as np.linalg.norm of
-    the row (so equal to the per-sample norm bit for bit); repeated
-    consecutive rows, as within a hold, are normed once."""
-    fresh = np.flatnonzero(np.concatenate(([True], (F[1:] != F[:-1]).any(axis=1))))
-    return max(float(np.linalg.norm(F[i])) for i in fresh)
-
-
 # memoised: every window that repeats a block shares its layout, and no
 # caller changes one
 @functools.lru_cache(maxsize=1024)
@@ -608,11 +644,12 @@ def _lay_out(
     k = np.concatenate(kept)
     firsts = np.flatnonzero(k == 0)  # no block keeps step 0
     window = np.cumsum(k == 0) - 1
-    # step k ends at t_start + k dt; a remainder step ends on its window's end
+    # step k ends at t_start + k dt, and a window's last step on its end,
+    # whether it is a remainder step or a full one whose remainder _grid
+    # dropped as rounding
     t = np.array(starts)[window] + k * dt
     lasts = np.append(firsts[1:], len(k)) - 1  # each window's last row
-    short = [i for i, lay in enumerate(blocks) if lay[-1][2] != dt]
-    t[lasts[short]] = [spans[i][1] for i in short]
+    t[lasts] = [end for _, end in spans]
     counts = [matrices[mode].n_agents for mode in modes]
     traj = Trajectory(
         p, signal.t0, signal.tf,
@@ -646,7 +683,8 @@ def integrate_segment(
     dt: float,
     blocks: list[tuple],
     steps: dict[float, tuple],
-) -> tuple[int, float | None, float]:
+    draws: ForcingDraws | None = None,
+) -> tuple[int, float | None]:
     """Step the tracking errors over one constant-mode window of run_switched.
 
     rows are the window's error columns of the run's Trajectory, rows[0] its
@@ -657,9 +695,10 @@ def integrate_segment(
     gaps between them, and writes the kept ones into rows in order. A block
     with a gap of several steps whose reach, by the table, exceeds
     _LEAP_LIMIT may overflow inside a gap: it is formed again one step at a
-    time, so that its first non-finite step is found. Returns the count of
-    rows written, the time of the first non-finite step (None when there is
-    none) and the largest forcing norm.
+    time, so that its first non-finite step is found. The forcing of each
+    block is sampled through draws, the run's ForcingDraws. Returns the
+    count of rows written and the time of the first non-finite step (None
+    when there is none).
 
     It steps under its caller's np.errstate: run_switched ignores overflow
     and invalid operations, which a diverging run is expected to make and
@@ -669,8 +708,7 @@ def integrate_segment(
     p, n = mode.p, mode.n_agents
     x = rows[0]
     r = 1
-    max_h = 0.0
-    F = G = None
+    G = None
     for a, b, step, runs, gap, kept in blocks:
         A0, A1, powers, reach = steps[step]
         if not h.vanishes:
@@ -678,9 +716,7 @@ def integrate_segment(
                 t_grid = t_start + (a + _STEP_INDEX[: b - a + 1]) * dt
             else:
                 t_grid = np.array([t_start + a * dt, t_end])
-            # the chunk's first time is the previous chunk's last: reuse its row
-            F = h.sample(t_grid, n, p, first=None if F is None else F[-1])
-            max_h = max(max_h, _max_row_norm(F))
+            F = h.sample(t_grid, n, p, draws)
             G = F[:-1] @ A0.T + F[1:] @ A1.T
         out = _leap(powers, x, G, runs)
         if gap > 1:
@@ -700,11 +736,11 @@ def integrate_segment(
             kept = kept[kept < bad]
             rows[r : r + len(kept)] = out[kept - (a + 1)]
             diverged_at = t_start + bad * dt if step == dt else t_end
-            return r + len(kept), diverged_at, max_h
+            return r + len(kept), diverged_at
         rows[r : r + len(kept)] = out if len(kept) == len(out) else out[kept - (a + 1)]
         r += len(kept)
         x = out[-1]
-    return r, None, max_h
+    return r, None
 
 
 @dataclass(eq=False)
@@ -815,6 +851,7 @@ def run_switched(
     z, events = traj.z, traj.events
     bounds = traj.starts.tolist() + [len(traj.t)]
     steps: dict[int, dict[float, tuple]] = {seg.mode: {} for seg in signal.segments}
+    draws = ForcingDraws()
     err = x[p:]
     # overflow while stepping or at a jump is a divergence, which the run
     # reports through diverged_at and keeps no non-finite state of; a build
@@ -841,13 +878,13 @@ def run_switched(
                 # no name may keep a key alive after steps drops it
                 del built, E, A0, A1, tabled
             span = lay.spans[i]
-            end, diverged_at, max_h = integrate_segment(
-                mm, z[r0:r1, p:dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode]
+            end, diverged_at = integrate_segment(
+                mm, z[r0:r1, p:dim], perturbation, span, dt, lay.blocks[i], steps[seg.mode],
+                draws,
             )
             for mode, step in lay.drops.get(i, ()):
                 del steps[mode][step]
             end += r0
-            traj.max_h_norm = max(traj.max_h_norm, max_h)
             if diverged_at is not None:
                 traj.diverged_at = diverged_at
                 break
@@ -864,7 +901,7 @@ def run_switched(
                 ))
     # the rows and windows it stepped
     return replace(traj, t=traj.t[:end], mode=traj.mode[:end], count=traj.count[:end],
-                   z=z[:end], starts=traj.starts[: i + 1])
+                   z=z[:end], starts=traj.starts[: i + 1], max_h_norm=draws.norm)
 
 
 def run_scenario(

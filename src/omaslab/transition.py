@@ -175,13 +175,18 @@ def spectral_norms(
 ) -> np.ndarray:
     """The induced 2-norms of matrices of one shape, in their order.
 
-    The matrices are copied into stacks of at most _NORM_CHUNK_BYTES (one
-    matrix when a single one is larger), finish(stack) may edit each stack
-    in place, and each stack's norms come from one stacked SVD. Each norm
-    has the bits of the matrix's own 2-norm, as LAPACK factors every matrix
-    of a stack alone.
+    The matrices, a sequence or one 3-d array, are copied into stacks of at
+    most _NORM_CHUNK_BYTES (one matrix when a single one is larger), and
+    finish(stack) may edit each stack in place. Each matrix M is then
+    scaled, exactly, by the power of two 2^-e that brings its largest entry
+    into [1/2, 1), so that its Gram matrix cannot overflow, and ||M||_2 =
+    2^e sqrt(lambda_max) of the smaller Gram matrix, M M^T or M^T M, from
+    one stacked eigvalsh per stack. Every product and eigensolve of a stack
+    works on each matrix alone, so each norm has the bits of its matrix
+    taken alone. A matrix with an infinite entry has norm inf, and one with
+    a nan entry nan.
     """
-    if not mats:
+    if len(mats) == 0:
         return np.empty(0)
     shape = mats[0].shape
     per = max(1, _NORM_CHUNK_BYTES // max(1, 8 * shape[0] * shape[1]))
@@ -189,10 +194,27 @@ def spectral_norms(
     norms = np.empty(len(mats))
     for start in range(0, len(mats), per):
         stack = buf[: min(per, len(mats) - start)]
-        np.stack(mats[start : start + len(stack)], out=stack)
+        chunk = mats[start : start + len(stack)]
+        if isinstance(chunk, np.ndarray):  # a stack already: one copy, no list
+            stack[...] = chunk
+        else:
+            np.stack(chunk, out=stack)
         if finish is not None:
             finish(stack)
-        norms[start : start + len(stack)] = np.linalg.norm(stack, 2, axis=(1, 2))
+        # the largest |entry| of each matrix, without a copy of the stack
+        top = np.maximum(stack.max(axis=(1, 2), initial=0.0), -stack.min(axis=(1, 2), initial=0.0))
+        bad = ~np.isfinite(top)
+        if bad.any():
+            stack[bad] = 0.0
+        # 2^-e is exact, and stays finite for a subnormal largest entry
+        e = np.maximum(np.frexp(np.where(bad, 0.0, top))[1], -1020)
+        np.ldexp(stack, -e[:, None, None], out=stack)
+        flat = stack.transpose(0, 2, 1)
+        gram = stack @ flat if shape[0] <= shape[1] else flat @ stack
+        # lambda_max >= 0 up to rounding, and exactly 0 for a zero matrix
+        lam = np.linalg.eigvalsh(gram)[:, -1]
+        sigma = np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
+        norms[start : start + len(stack)] = np.where(bad, top, sigma) if bad.any() else sigma
     return norms
 
 

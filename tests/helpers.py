@@ -19,9 +19,6 @@ from omaslab.seeding import (
     STREAM_IMPULSE,
     STREAM_PERTURBATION,
     STREAM_PERTURBATION_PAST,
-    stream_rng,
-    uniform_in_ball,
-    uniform_on_sphere,
 )
 from omaslab.signed_graph import AugmentedMode, Edge, SignedDigraph
 from omaslab.simulate import (
@@ -33,7 +30,7 @@ from omaslab.simulate import (
     _step_matrix_stack,
 )
 from omaslab.switching import _TIME_EPS, Segment, SwitchingBudget, SwitchingSignal
-from omaslab.transition import MigrationEvent, apply_error_jump
+from omaslab.transition import MigrationEvent, apply_error_jump, spectral_norms
 
 
 def char_poly_coeffs(M: np.ndarray) -> list[float]:
@@ -241,12 +238,47 @@ def kron_err_jump(ev: MigrationEvent) -> np.ndarray:
     return np.kron(build_migration_matrix(ev), np.eye(ev.p)) + dep
 
 
+def keyed_block(seed: int, stream: int, shape: tuple[int, ...], b: int) -> np.random.Generator:
+    """A fresh generator of block b of the keyed stream (seed, stream, shape)."""
+    parts = [seed & 0xFFFFFFFFFFFFFFFF, stream, b, *shape]
+    return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+def rows_per_block(shape: tuple[int, ...]) -> int:
+    """B, the rows of one block: as many as 4096 values hold, at least one."""
+    return max(1, 4096 // math.prod(shape))
+
+
+def keyed_row(seed: int, stream: int, shape: tuple[int, ...], k: int) -> np.ndarray:
+    """Row k of the keyed stream of normal rows (seed, stream, shape),
+    recounted: the whole block k // B drawn with a fresh generator, B =
+    max(1, 4096 // values in a row), and its row k % B taken. The oracle
+    for seeding.KeyedRows, which reads a block only as far as it needs."""
+    per = rows_per_block(shape)
+    return keyed_block(seed, stream, shape, k // per).standard_normal((per, *shape))[k % per]
+
+
+def hold_row(seed: int, k: int, dim: int, bound: float) -> tuple[np.ndarray, float]:
+    """(forcing, radius) of the random perturbation's hold k in dim
+    dimensions, recounted from its whole block: the block's normals, then
+    its uniforms u, each row scaled onto the sphere of radius bound
+    u^(1/dim). A hold k < 0 is row -k - 1 of the past stream."""
+    stream, j = (STREAM_PERTURBATION, k) if k >= 0 else (STREAM_PERTURBATION_PAST, -k - 1)
+    per = rows_per_block((dim,))
+    rng = keyed_block(seed, stream, (dim,), j // per)
+    v = rng.standard_normal((per, dim))
+    radii = bound * rng.random(per) ** (1.0 / dim)
+    row = v[j % per]
+    return row * (radii[j % per] / math.sqrt(np.sum(row * row))), float(radii[j % per])
+
+
 def event_by_itself(scenario, k: int, mode_before: int, mode_after: int,
                     master_seed: int) -> MigrationEvent:
     """The k-th migration of a scenario's event table, materialized on its
-    own: one seeded draw per random impulse and gain, and the gain's own
+    own: each random impulse and gain its keyed_row, and the gain's own
     2-norm taken from that draw alone. The per-event oracle for
-    Scenario.build_events, which takes the norms of many draws at once."""
+    Scenario.build_events, which reads the rows of many switches at once and
+    takes their norms as one stack."""
     nb = scenario.modes[mode_before].n_agents
     na = scenario.modes[mode_after].n_agents
     p = scenario.p
@@ -258,13 +290,16 @@ def event_by_itself(scenario, k: int, mode_before: int, mode_after: int,
     impulse = spec.impulse
     if isinstance(impulse, RandomVectorSpec):
         seed = master_seed if impulse.seed is None else impulse.seed
-        impulse = (np.zeros(p * na) if impulse.radius == 0.0 else
-                   uniform_on_sphere(stream_rng(seed, STREAM_IMPULSE, k), p * na, impulse.radius))
+        if impulse.radius == 0.0:
+            impulse = np.zeros(p * na)
+        else:
+            row = keyed_row(seed, STREAM_IMPULSE, (p * na,), k)
+            impulse = row * (impulse.radius / math.sqrt(np.sum(row * row)))
     gain = spec.dep_gain
     if isinstance(gain, RandomMatrixSpec):
         seed = master_seed if gain.seed is None else gain.seed
-        raw = stream_rng(seed, STREAM_DEP_GAIN, k).standard_normal((p * na, p * nb))
-        top = float(np.linalg.norm(raw, 2))
+        raw = keyed_row(seed, STREAM_DEP_GAIN, (p * na, p * nb), k)
+        top = float(spectral_norms([raw])[0])
         scale = gain.scale
         gain = np.zeros(raw.shape) if top < 1e-300 or scale == 0.0 else raw * (scale / top)
     return MigrationEvent(k, mode_before, mode_after, nb, na, p, spec.joins, spec.leaves,
@@ -273,12 +308,13 @@ def event_by_itself(scenario, k: int, mode_before: int, mode_after: int,
 
 def impulse_bounds_by_event(events) -> tuple[float, float]:
     """(max impulse norm, max error jump 2-norm), one event at a time, each
-    jump built as the model states it. The oracle for impulse_bounds."""
+    jump built as the model states it and normed alone. The oracle for
+    impulse_bounds."""
     phi = gain = 0.0
     for ev in events:
         if ev.impulse is not None:
             phi = max(phi, float(np.linalg.norm(ev.impulse)))
-        gain = max(gain, float(np.linalg.norm(kron_err_jump(ev), 2)))
+        gain = max(gain, float(spectral_norms([kron_err_jump(ev)])[0]))
     return phi, gain
 
 
@@ -532,7 +568,8 @@ def stepwise_window(
     time. Each block's forcing terms are formed at once, as the simulator
     forms them, so that they carry its bits; then every step is taken as
     x <- E x + G_k. Every stride-th step and the window's last are kept,
-    and the run stops at the first non-finite state, which is not kept.
+    the last at the window's end, and the run stops at the first non-finite
+    state, which is not kept.
     Returns the kept times, the states at them (x0 first) and the time of
     the first non-finite step (None when there is none).
     """
@@ -553,7 +590,7 @@ def stepwise_window(
             if not np.isfinite(x).all():
                 return np.array(times), np.array(states), t
             if k % stride == 0 or k == last:
-                times.append(t)
+                times.append(t_end if k == last else t)  # the last row on the window's end
                 states.append(x)
     return np.array(times), np.array(states), None
 
@@ -604,20 +641,14 @@ def forcing_at(h, t: float, n_agents: int, p: int) -> np.ndarray:
     """The forcing of perturbation model h at one time, recounted by kind.
 
     Tiles the amplitude across agents and rescales it into the ball; the
-    random kind draws its hold from its own seeded stream, holds before
-    t = 0 from the past stream keyed by -k. The per-point oracle for
+    random kind takes its hold's hold_row. The per-point oracle for
     PerturbationModel.sample.
     """
     dim = n_agents * p
     if h.kind == "zero" or h.bound == 0.0:
         return np.zeros(dim)
     if h.kind == "random":
-        k = int(math.floor(t / h.hold + _GRID_EPS))
-        if k >= 0:
-            rng = stream_rng(h.seed or 0, STREAM_PERTURBATION, k, dim)
-        else:
-            rng = stream_rng(h.seed or 0, STREAM_PERTURBATION_PAST, -k, dim)
-        return uniform_in_ball(rng, dim, h.bound)
+        return hold_row(h.seed or 0, int(math.floor(t / h.hold + _GRID_EPS)), dim, h.bound)[0]
     v = np.tile(np.asarray(h.amplitude, dtype=float), n_agents)
     norm = float(np.linalg.norm(v))
     if norm > h.bound and norm > 0.0:

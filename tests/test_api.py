@@ -52,6 +52,6 @@ def test_readme_python_api_example_runs():
         exec(compile(code, "README.md", "exec"), {})
     (ratio, bound), (ok, tail, trace_ok) = (line.split() for line in out.getvalue().splitlines())
     assert float(ratio) == pytest.approx(13.16, rel=1e-6)
-    assert float(bound) == pytest.approx(7696.26, rel=1e-6)
+    assert float(bound) == pytest.approx(7670.16, rel=1e-6)
     assert (ok, trace_ok) == ("True", "True")
-    assert float(tail) == pytest.approx(0.206, abs=5e-4)
+    assert float(tail) == pytest.approx(0.133, abs=5e-4)

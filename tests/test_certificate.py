@@ -608,7 +608,7 @@ def test_calibration_script_prints_the_default_search(monkeypatch, capsys):
     runpy.run_path(str(CALIBRATE_FLOORS), run_name="__main__")
     assert capsys.readouterr().out.splitlines() == [
         "target floors:   (13.1500, 2.4200)",
-        "best found:      (14.1111, 2.5992)  at margin = 0.9441, gamma_common = -1.3953",
-        "max rel deviation: 7.40%",
+        "best found:      (14.1111, 2.5975)  at margin = 0.9441, gamma_common = -1.3953",
+        "max rel deviation: 7.34%",
         "shipped config:  margin = 1.0, gamma_common = -1.3",
     ]

@@ -110,6 +110,24 @@ def test_bulk_events_equal_events_taken_one_by_one(seed, master, chunk):
             assert _same_bits(got.dep_gain, want.dep_gain)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), master=st.integers(0, 2**31 - 1), data=st.data())
+def test_a_switch_draws_the_same_rows_whatever_else_is_built(seed, master, data):
+    # each random impulse and gain is row k of its keyed stream: built
+    # among any subset of the switches, in any order, switch k gets the
+    # bits it gets among all of them
+    scenario, modes = random_event_scenario(np.random.default_rng(seed))
+    switches = [(k, modes[k - 1], modes[k]) for k in range(1, len(modes))]
+    whole = {ev.time_index: ev for ev in scenario.build_events(switches, master)}
+    some = data.draw(st.permutations(switches).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda n: order[:n])))
+    for ev in scenario.build_events(some, master):
+        want = whole[ev.time_index]
+        assert _same_bits(ev.dep_gain, want.dep_gain)
+        assert _same_bits(ev.impulse, want.impulse)
+        assert (ev.mode_before, ev.mode_after) == (want.mode_before, want.mode_after)
+
+
 def _switch_heavy_practical(n_switches: int):
     """The demo practical modes and event table on an explicit signal of
     n_switches switches, one second apart, modes drawn without repeats."""
@@ -125,23 +143,21 @@ def _switch_heavy_practical(n_switches: int):
 
 def test_norms_are_taken_per_group_and_chunk_not_per_event(monkeypatch):
     scenario, modes = _switch_heavy_practical(2000)
-    svd_calls = []
-    # the module namespace in which np.linalg.norm looks up the svd it calls
-    linalg = np.linalg.norm.__wrapped__.__globals__
-    svd = linalg["svd"]
+    eig_calls = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting_svd(*args, **kwargs):
-        svd_calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counting_eigvalsh(*args, **kwargs):
+        eig_calls.append(np.shape(args[0]))
+        return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setitem(linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     for chunk in (transition._NORM_CHUNK_BYTES, 8 * 10 * 10 * 64):
         monkeypatch.setattr(transition, "_NORM_CHUNK_BYTES", chunk)
-        svd_calls.clear()
+        eig_calls.clear()
         signal = scenario.resolve_signal(5)
         bounds = impulse_bounds(signal.events)
         # the draws group by shape, the jumps by pattern; each group takes
-        # one stacked SVD per chunk
+        # one stacked eigensolve of Gram matrices per chunk
         random_gain = [ev for ev in signal.events
                        if (ev.mode_before, ev.mode_after) in scenario.event_specs]
         draws, patterns = {}, {}
@@ -156,8 +172,8 @@ def test_norms_are_taken_per_group_and_chunk_not_per_event(monkeypatch):
 
         want = (chunks(draws.items())
                 + chunks(((p * na, p * nb), g) for (p, nb, na, _, _), g in patterns.items()))
-        assert len(svd_calls) == want
-        assert len(svd_calls) < len(signal.events) / 20
+        assert len(eig_calls) == want
+        assert len(eig_calls) < len(signal.events) / 20
     monkeypatch.undo()
 
     # the bundle is the one the events taken one by one give

@@ -253,3 +253,46 @@ def test_relabelling_permutes_laplacian(g, pyrandom):
     np.testing.assert_allclose(
         repelling_laplacian(relabeled), P @ repelling_laplacian(g) @ P.T, atol=1e-12
     )
+
+
+# --------------------------------------------------------------------------
+# the augmented spectrum
+
+
+def _generic_mode(rng) -> AugmentedMode:
+    """A mode of 2-8 agents with random signed weights of random size, and
+    random leader links: its spectra are simple with probability one."""
+    n = int(rng.integers(2, 9))
+    edges = tuple(Edge(s, d, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)))
+                  for s in range(1, n + 1) for d in range(1, n + 1)
+                  if s != d and rng.random() < 0.5)
+    links = tuple(float(rng.uniform(-2.0, 2.0)) if rng.random() < 0.6 else 0.0 for _ in range(n))
+    return AugmentedMode(SignedDigraph(n, edges), links)
+
+
+def _matched_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest distance, relative to max(1, |z|), between the values of
+    a and b paired nearest first: both multisets of one size."""
+    rest = list(b)
+    worst = 0.0
+    for z in sorted(a, key=abs):
+        j = int(np.argmin([abs(z - w) for w in rest]))
+        worst = max(worst, abs(z - rest.pop(j)) / max(1.0, abs(z)))
+    return worst
+
+
+def test_augmented_spectrum_is_the_grounded_one_and_zero():
+    # [[0, 0], [-d, Z]] is block lower triangular: its spectrum is 0 and Z's
+    rng = np.random.default_rng(32)
+    modes = [mode_from_dense(DEMO_L[mid], DEMO_D[mid]) for mid in DEMO_L]
+    modes += [_generic_mode(rng) for _ in range(200)]
+    for k, m in enumerate(modes):
+        aug = m.augmented_eigvals
+        assert aug.tobytes() == np.concatenate(([0.0], m.grounded_eigvals)).tobytes()
+        assert not aug.flags.writeable
+        if k >= len(DEMO_L):  # the demo's Z1 has a defective eigenvalue 1
+            assert _matched_gap(aug, np.linalg.eigvals(augmented_laplacian(m))) <= 1e-10
+    # the instability report reads min(0, the grounded minimum)
+    for m in modes[2:4]:  # the demo's negative-majority modes 3 and 4
+        report = check_negative_majority_instability(m)
+        assert report.min_real_eig_augmented == min(0.0, report.min_real_eig_grounded) < 0.0

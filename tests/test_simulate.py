@@ -23,12 +23,13 @@ from omaslab.demo import DEMO_A, demo_scenario_dict
 from omaslab.errors import ConfigError
 from omaslab.mode_dynamics import ModeMatrix
 from omaslab.scenario import parse_scenario
-from omaslab.seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, uniform_in_ball
+from omaslab.seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, KeyedRows
 from omaslab.simulate import (
     _CHUNK_STEPS,
     _CSV_BLOCK_VALUES,
     _GRID_EPS,
     DEFAULT_DT,
+    ForcingDraws,
     PerturbationModel,
     SegmentTrace,
     Trajectory,
@@ -52,6 +53,8 @@ from helpers import (
     flow_by_eigenvectors,
     forcing_at,
     grid_by_count,
+    hold_row,
+    rows_per_block,
     lyapunov_trace_by_window,
     pure_relabel_event,
     reference_events_csv,
@@ -66,12 +69,13 @@ from helpers import (
 ZERO = PerturbationModel(kind="zero", bound=0.0)
 
 
-def scalar_follower(a: float) -> ModeMatrix:
-    """One 1-d follower with rate a, leader frozen at zero."""
+def scalar_follower(a: float, n: int = 1) -> ModeMatrix:
+    """n uncoupled 1-d followers (one by default), each with rate a, leader
+    frozen at zero."""
     return ModeMatrix(
-        mode_id=1, n_agents=1, p=1,
+        mode_id=1, n_agents=n, p=1,
         A=np.array([[0.0]]),
-        cZ=np.array([[a]]),
+        cZ=a * np.eye(n),
         alpha=a, stable=a < 0,
     )
 
@@ -718,31 +722,65 @@ def test_sample_rows_equal_points_alone(kind, bound, n_agents, p, hold, ks, offs
         assert [rows[0].tobytes() for rows in alone] == expected
 
 
-def test_sample_draws_each_hold_once(monkeypatch):
-    import omaslab.simulate as simulate
-
+def _counting_generators(monkeypatch) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Record (stream, block, shape) of every block generator a KeyedRows makes."""
     calls = []
-    real = simulate.stream_rng
-    monkeypatch.setattr(simulate, "stream_rng", lambda *a: calls.append(a) or real(*a))
-    h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
-    h.sample(np.arange(1001) * 1e-3, 3, 2)  # 1 s: holds 0..20
-    assert sorted(c[2] for c in calls) == list(range(21))
+    real = KeyedRows.generator
+
+    def counting(self, b):
+        calls.append((self.stream, b, self.shape))
+        return real(self, b)
+
+    monkeypatch.setattr(KeyedRows, "generator", counting)
+    return calls
 
 
 def test_hold_streams_before_and_after_zero(monkeypatch):
-    import omaslab.simulate as simulate
-
-    calls = []
-    real = simulate.stream_rng
-    monkeypatch.setattr(simulate, "stream_rng", lambda *a: calls.append(a) or real(*a))
+    calls = _counting_generators(monkeypatch)
     h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
     rows = h.sample(np.array([-0.12, -0.01, 0.0, 0.07]), 3, 2)  # holds -3, -1, 0, 1
-    assert calls == [(4, STREAM_PERTURBATION_PAST, 3, 6), (4, STREAM_PERTURBATION_PAST, 1, 6),
-                     (4, STREAM_PERTURBATION, 0, 6), (4, STREAM_PERTURBATION, 1, 6)]
-    # holds k >= 0 keep their (k, dim) key; holds before t = 0 get fresh draws
-    expected = uniform_in_ball(real(4, STREAM_PERTURBATION, 1, 6), 6, 0.2)
-    assert rows[3].tobytes() == expected.tobytes()
+    # holds -3 and -1 are rows 2 and 0 of the past stream, holds 0 and 1
+    # rows 0 and 1 of the other: one block of each, in time order
+    assert calls == [(STREAM_PERTURBATION_PAST, 0, (6,)), (STREAM_PERTURBATION, 0, (6,))]
+    assert [r.tobytes() for r in rows] == [
+        hold_row(4, k, 6, 0.2)[0].tobytes() for k in (-3, -1, 0, 1)]
     assert len({r.tobytes() for r in rows}) == 4
+    # the most negative hold is row 2^63 - 1 of the past stream: no -k overflows
+    calls.clear()
+    h = PerturbationModel(kind="random", bound=0.2, hold=1.0, seed=4)
+    edge = h.sample(np.array([-(2.0**63)]), 3, 2)
+    assert calls == [(STREAM_PERTURBATION_PAST, (2**63 - 1) // rows_per_block((6,)), (6,))]
+    assert edge[0].tobytes() == hold_row(4, -(2**63), 6, 0.2)[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_agents=st.integers(1, 4),
+    p=st.integers(1, 3),
+    hold=st.sampled_from([0.05, 0.0013, 0.7]),
+    t_start=st.floats(-20.0, 20.0),
+    span=st.floats(0.001, 3.0),
+    dt=st.sampled_from([1e-3, 0.01, 0.013]),
+    cuts=st.lists(st.integers(1, 4000), max_size=5),
+    seed=st.integers(0, 2**40),
+)
+def test_sample_rows_do_not_depend_on_the_chunks(n_agents, p, hold, t_start, span, dt, cuts,
+                                                 seed):
+    # a grid cut into chunks, each sharing its first time with the chunk
+    # before as a run's chunks do, samples the rows of the whole grid, with
+    # a run's ForcingDraws or without
+    h = PerturbationModel(kind="random", bound=0.2, hold=hold, seed=seed)
+    times = _segment_grid(t_start, t_start + span, dt)
+    whole = h.sample(times, n_agents, p)
+    ends = sorted({0, len(times) - 1, *(c % len(times) for c in cuts)})
+    for draws in (None, ForcingDraws()):
+        parts = [h.sample(times[a : b + 1], n_agents, p, draws) for a, b in zip(ends, ends[1:])]
+        chunked = np.concatenate([parts[0][:1], *(part[1:] for part in parts)])
+        assert chunked.tobytes() == whole.tobytes()
+    # the run's largest norm is the largest radius of the holds it read
+    holds = np.unique(np.floor(times / hold + _GRID_EPS).astype(np.int64)).tolist()
+    assert draws.norm == max(hold_row(seed, k, n_agents * p, 0.2)[1] for k in holds)
+    assert 0.0 < draws.norm <= 0.2
 
 
 def test_sample_refuses_a_forcing_it_cannot_tell():
@@ -771,19 +809,41 @@ def test_sample_refuses_a_forcing_it_cannot_tell():
 
 
 def test_segment_draws_each_hold_once(monkeypatch):
-    calls = []
-    real = PerturbationModel._hold_draw
-    monkeypatch.setattr(PerturbationModel, "_hold_draw",
-                        lambda self, k, dim: calls.append(k) or real(self, k, dim))
-    h = PerturbationModel(kind="random", bound=0.2, hold=0.05, seed=4)
+    calls = _counting_generators(monkeypatch)
+    h = PerturbationModel(kind="random", bound=0.2, hold=0.005, seed=4)
     # three chunks whose boundaries (1.123 s, 2.123 s) fall inside holds,
-    # then a remainder step inside the last hold
+    # then a remainder step inside the last hold; 40 one-dimensional agents
+    # make blocks of 102 holds, 0.51 s, so the chunks cross blocks
     t_span = (0.123, 2.6237)
-    run_one(scalar_follower(-1.0), np.array([0.0, 1.0]), h, t_span)
+    traj = run_one(scalar_follower(-1.0, 40), np.zeros(41), h, t_span)
     grid = _segment_grid(*t_span, DEFAULT_DT)
     assert len(grid) - 1 > 2 * _CHUNK_STEPS
-    holds = np.unique(np.floor(grid / 0.05 + _GRID_EPS).astype(np.int64))
-    assert calls == holds.tolist()
+    holds = np.unique(np.floor(grid / 0.005 + _GRID_EPS).astype(np.int64))
+    blocks = np.unique(holds // rows_per_block((40,))).tolist()
+    assert len(blocks) > 3
+    # each block of the holds the run reads is drawn once, in time order
+    assert calls == [(STREAM_PERTURBATION, b, (40,)) for b in blocks]
+    assert traj.max_h_norm == max(hold_row(4, k, 40, 0.2)[1] for k in holds.tolist())
+
+
+def test_run_draws_each_block_once(monkeypatch, practical_scenario, practical_signal):
+    # across windows of four dimensions, each revisited: a block of each
+    # stream is drawn once per run, and a second run draws it again
+    calls = _counting_generators(monkeypatch)
+    h = practical_scenario.perturbation.with_seed(11)
+    leader, errors = practical_scenario.resolve_initial_state(11, 1)
+    matrices = practical_scenario.mode_matrices()
+    read = set()
+    for i, seg in enumerate(practical_signal.segments):
+        dim = 2 * matrices[seg.mode].n_agents
+        grid = _segment_grid(*segment_bounds(practical_signal, i), 5e-3)
+        holds = np.floor(grid / h.hold + _GRID_EPS).astype(np.int64)
+        read |= {(STREAM_PERTURBATION, b, (dim,)) for b in (holds // rows_per_block((dim,))).tolist()}
+    assert len(read) < len(practical_signal.segments)
+    for _ in range(2):
+        calls.clear()
+        run_switched(matrices, practical_signal, np.concatenate([leader, errors]), h, dt=5e-3)
+        assert len(calls) == len(set(calls)) and set(calls) == read
 
 
 def test_negative_t0_with_random_perturbation_runs():
@@ -974,7 +1034,7 @@ def test_run_equals_segmentwise_reference(practical_scenario, practical_signal, 
 def test_zero_perturbation_has_no_forcing_and_no_draws(monkeypatch):
     import omaslab.simulate as simulate
 
-    monkeypatch.setattr(simulate, "stream_rng", None)  # any draw would raise
+    monkeypatch.setattr(simulate, "KeyedRows", None)  # any draw would raise
     assert PerturbationModel(kind="random", bound=0.0).sample(np.zeros(3), 2, 2) is None
     traj = run_one(scalar_follower(-1.0), np.array([0.0, 1.0]),
                    PerturbationModel(kind="random", bound=0.0), (0.0, 1.0))
@@ -1215,7 +1275,7 @@ def test_leap_refuses_a_gap_whose_middle_overflows(monkeypatch):
     rows[0] = x
     # the window steps under run_switched's errstate
     with np.errstate(over="ignore", invalid="ignore"):
-        written, diverged_at, _ = integrate_segment(
+        written, diverged_at = integrate_segment(
             mode, rows, ZERO, (0.0, n * dt), dt, lay.blocks[0],
             {dt: (None, None, powers, reach)})
     assert calls == [(len(powers), [(n, 1)]), (1, [(1, n)])]
@@ -1510,3 +1570,75 @@ def test_lyapunov_trace_equals_window_by_window(
         assert trace.violations == oracle.violations
         assert trace.jump_checks == oracle.jump_checks
     assert trace.violations  # the tampered rows escape the envelope
+
+
+# --------------------------------------------------------------------------
+# each window's last row on the window's end
+
+
+def _assert_windows_end_on_their_ends(traj, signal):
+    """The last row of every window reads exactly that window's end, and
+    every other row t_start + k dt of its step k."""
+    lasts = np.append(traj.starts[1:], len(traj.t)) - 1
+    ends = [seg.start for seg in signal.segments[1:]] + [signal.tf]
+    assert traj.t[lasts].tolist() == ends[: len(lasts)]
+
+
+def test_the_demo_run_ends_on_its_horizon(practical_run, asymptotic_run):
+    # the demo's last window drops a remainder of rounding: its last full
+    # step ends at 29.999999999999996, which the row no longer reads
+    for run in (practical_run, asymptotic_run):
+        _assert_windows_end_on_their_ends(run.trajectory, run.signal)
+        assert run.trajectory.t[-1] == 30.0
+    run, _ = _many_switches_run()
+    _assert_windows_end_on_their_ends(run.trajectory, run.signal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dt=st.sampled_from([0.05, 0.1, 0.013, 1e-3]),
+    steps=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    fractions=st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.37]), min_size=8, max_size=8),
+    stride=st.sampled_from([1, 3, 7]),
+)
+def test_windows_end_on_their_ends(practical_scenario, dt, steps, fractions, stride):
+    # windows of whole steps laid end to end in floating point, some a
+    # rounding short of or past a whole step, some with a remainder step
+    matrices = practical_scenario.mode_matrices()
+    starts, t = [], 0.0
+    for n, frac in zip(steps, fractions):
+        starts.append(t)
+        t += (n + frac) * dt
+    modes = [1 if i % 2 == 0 else 2 for i in range(len(starts))]
+    segments = tuple(Segment(start, mode) for start, mode in zip(starts, modes))
+    events = tuple(practical_scenario.build_event(k, modes[k - 1], modes[k], 11)
+                   for k in range(1, len(modes)))
+    signal = SwitchingSignal(0.0, t, segments, events)
+    leader, errors = practical_scenario.resolve_initial_state(11, 1)
+    traj = run_switched(matrices, signal, np.concatenate([leader, errors]), ZERO, dt=dt,
+                        sample_stride=stride)
+    _assert_windows_end_on_their_ends(traj, signal)
+    for i, (a, b) in enumerate(zip(traj.starts, np.append(traj.starts[1:], len(traj.t)))):
+        k = np.arange(b - a - 1) * stride
+        np.testing.assert_array_equal(traj.t[a : b - 1], starts[i] + k * dt, strict=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**40),
+    bound=st.sampled_from([0.2, 3.0, 1e-300, 1e300]),
+    hold=st.sampled_from([0.05, 0.001, 0.7]),
+    t0=st.floats(-5.0, 5.0),
+    method=st.sampled_from(["exact", "rk4"]),
+)
+def test_max_h_norm_is_at_most_the_bound(practical_scenario, practical_signal, seed, bound,
+                                         hold, t0, method):
+    # the largest radius the run's holds drew, whatever the bound, the
+    # holds or the horizon's side of t = 0
+    h = PerturbationModel(kind="random", bound=bound, hold=hold, seed=seed)
+    segments = tuple(Segment(seg.start / 10.0 + t0, seg.mode) for seg in practical_signal.segments)
+    signal = SwitchingSignal(t0, t0 + 3.0, segments, practical_signal.events)
+    leader, errors = practical_scenario.resolve_initial_state(11, 1)
+    traj = run_switched(practical_scenario.mode_matrices(), signal,
+                        np.concatenate([leader, errors]), h, dt=0.01, method=method)
+    assert 0.0 < traj.max_h_norm <= bound

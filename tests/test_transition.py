@@ -1,13 +1,15 @@
 """Migration matrices, error jumps and the error/state consistency identity."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omaslab import apply_error_jump, build_transition_map
 from omaslab.errors import ConfigError
-from omaslab.transition import MigrationEvent, _kept, impulse_bounds
+from omaslab.transition import MigrationEvent, _kept, impulse_bounds, spectral_norms
 
 from helpers import apply_state_jump, build_migration_matrix, error_projector, kron_err_jump
 
@@ -282,3 +284,40 @@ def test_event_rejects_bad_dimension():
 def test_jump_rejects_bad_state_shape():
     with pytest.raises(ConfigError):
         apply_error_jump(_event((1, 2)), np.zeros(3))
+
+
+# --------------------------------------------------------------------------
+# matrix 2-norms from Gram matrices
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    count=st.integers(1, 12),
+    exponent=st.sampled_from([0, -600, 600, -1000, 1000]),
+)
+@example(seed=0, rows=320, cols=318, count=2, exponent=0)
+def test_spectral_norms_agree_with_the_svd(seed, rows, cols, count, exponent):
+    # each norm is within 1e-14 of the SVD's, at any scale the Gram matrix
+    # of an unscaled matrix would overflow or underflow at, and a stack
+    # gives each matrix the bits it has taken alone
+    rng = np.random.default_rng(seed)
+    mats = np.ldexp(rng.standard_normal((count, rows, cols)), exponent)
+    mats[rng.random(mats.shape) < 0.2] = 0.0
+    norms = spectral_norms(list(mats))
+    svd = np.linalg.norm(mats, 2, axis=(1, 2))
+    np.testing.assert_allclose(norms, svd, rtol=1e-14, atol=0.0)
+    assert [spectral_norms([m])[0] for m in mats] == norms.tolist()
+
+
+def test_spectral_norms_of_special_matrices():
+    inf, nan, ones = np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4))
+    inf[1, 2] = -np.inf
+    nan[0, 0] = np.nan
+    got = spectral_norms([np.zeros((3, 4)), inf, ones, nan, np.full((3, 4), 1e300)])
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[3])
+    assert got[2] == pytest.approx(math.sqrt(12.0), rel=1e-15)
+    assert got[4] == pytest.approx(math.sqrt(12.0) * 1e300, rel=1e-15)
+    assert spectral_norms([]).shape == (0,)
