@@ -33,8 +33,6 @@ from .seeding import (
     STREAM_INITIAL,
     KeyedRows,
     onto_spheres,
-    stream_rng,
-    uniform_in_ball,
 )
 from .signed_graph import (AugmentedMode, Edge, ModeClass, SignedDigraph, check_edge,
                            mode_from_dense)
@@ -336,7 +334,8 @@ class Scenario:
 
         Follower i starts at leader + err_i; for the random form the stacked
         error vector is drawn uniformly from the ball, so its norm is at
-        most the requested radius.
+        most the requested radius: row 0 of the keyed stream (seed,
+        STREAM_INITIAL, (p * n1,)), its block drawn whole as a hold's is.
         """
         n1 = self.n_agents_of(first_mode)
         p = self.p
@@ -344,8 +343,7 @@ class Scenario:
         spec = self.initial.errors
         if isinstance(spec, RandomVectorSpec):
             seed = master_seed if spec.seed is None else spec.seed
-            rng = stream_rng(seed, STREAM_INITIAL, 0)
-            err = uniform_in_ball(rng, p * n1, spec.radius)
+            err = KeyedRows(seed, STREAM_INITIAL, (p * n1,)).ball_block(0, spec.radius)[0][0]
         else:
             arr = np.asarray(spec, dtype=float)
             if arr.shape != (n1, p):

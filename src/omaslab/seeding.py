@@ -2,15 +2,15 @@
 
 Every stochastic element draws from generators keyed by the scenario's
 master seed, so results are independent of call order and reproducible from
-that seed alone. The two single draws, the initial errors and the signal
-shuffle, each take one generator keyed by (seed, stream id, occurrence):
-stream_rng. Every draw that recurs (an impulse and a dependence gain per
-switch, a perturbation per hold) is a row of a keyed stream of rows,
-KeyedRows: row k of the stream (seed, stream id, row shape) is row k mod B
-of block k div B, and block b comes from one generator keyed (seed, stream
-id, b, *row shape), with B = max(1, 4096 // (values in a row)). A row thus
-depends on its own index alone, a block holds at most 32 KB, and a run makes
-one generator per block of rows it reads, not one per row.
+that seed alone. Every draw is a row of a keyed stream of rows, KeyedRows:
+row k of the stream (seed, stream id, row shape) is row k mod B of block
+k div B, and block b comes from one generator keyed (seed, stream id, b,
+*row shape), with B = max(1, 4096 // (values in a row)). A row thus depends
+on its own index alone, a block holds at most 32 KB, and a run makes one
+generator per block of rows it reads, not one per row. An impulse and a
+dependence gain are row k of their streams at switch k, a perturbation row
+k at hold k; the initial errors are row 0 of STREAM_INITIAL, and the
+generated signal orders its unstable blocks by row 0 of STREAM_SIGNAL.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ STREAM_PERTURBATION_PAST = 5  # perturbation holds before t = 0
 
 # the most values one block of a keyed stream holds: 32 KB of float64
 _BLOCK_VALUES = 4096
-
-
-def _generator(seed: int, stream: int, *key: int) -> np.random.Generator:
-    parts = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)]
-    parts.extend(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(parts))
-
-
-def stream_rng(seed: int, stream: int, *key: int) -> np.random.Generator:
-    """Generator for one (seed, stream, occurrence) slot: a single draw."""
-    return _generator(seed, stream, *key)
 
 
 @dataclass(frozen=True)
@@ -64,8 +53,10 @@ class KeyedRows:
         return max(1, _BLOCK_VALUES // max(1, math.prod(self.shape)))
 
     def generator(self, b: int) -> np.random.Generator:
-        """The generator of block b."""
-        return _generator(self.seed, self.stream, b, *self.shape)
+        """The generator of block b: the one place a generator is made."""
+        parts = [int(self.seed) & 0xFFFFFFFFFFFFFFFF, int(self.stream), int(b)]
+        parts.extend(int(n) for n in self.shape)
+        return np.random.default_rng(np.random.SeedSequence(parts))
 
     def normals(self, ks: Sequence[int]) -> np.ndarray:
         """Rows ks of standard normals, as one (len(ks), *shape) array in the
@@ -86,6 +77,16 @@ class KeyedRows:
                 out[idx] = self.generator(b).standard_normal((m, *self.shape))[rows]
         return out
 
+    def ball_block(self, b: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(points, radii) of block b of a stream of points drawn uniformly
+        from the ball of the given radius in dim = shape[0] dimensions, and
+        each point's distance radius u^(1/dim) from the centre. The block is
+        drawn whole: all its rows' normals first, then their uniforms."""
+        rng, dim = self.generator(b), self.shape[0]
+        v = rng.standard_normal((self.block, dim))
+        radii = radius * rng.random(self.block) ** (1.0 / dim)
+        return onto_spheres(v, radii), radii
+
 
 def onto_spheres(v: np.ndarray, radii) -> np.ndarray:
     """Each row of v scaled in place onto the sphere of its radius (radii: one
@@ -97,33 +98,3 @@ def onto_spheres(v: np.ndarray, radii) -> np.ndarray:
         v[zero, 0] = norms[zero] = 1.0
     v *= (radii / norms)[:, None]
     return v
-
-
-def ball_rows(rng: np.random.Generator, rows: int, dim: int, radius: float):
-    """(points, radii): rows points drawn uniformly from the ball of the given
-    radius in dim dimensions, and each point's distance radius u^(1/dim) from
-    the centre. All the rows' normals are drawn first, then their uniforms."""
-    v = rng.standard_normal((rows, dim))
-    radii = radius * rng.random(rows) ** (1.0 / dim)
-    return onto_spheres(v, radii), radii
-
-
-def uniform_on_sphere(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Point drawn uniformly from the sphere of the given radius."""
-    if dim <= 0:
-        return np.zeros(0)
-    v = rng.standard_normal(dim)
-    n = np.linalg.norm(v)
-    while n == 0.0:  # probability-zero guard
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-    return v * (radius / n)
-
-
-def uniform_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Point drawn uniformly from the closed ball of the given radius."""
-    if dim <= 0:
-        return np.zeros(0)
-    direction = uniform_on_sphere(rng, dim, 1.0)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return direction * r

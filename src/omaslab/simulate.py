@@ -29,7 +29,7 @@ from .certificate import CertificateBundle
 from .errors import ConfigError
 from .floattext import _csv_block
 from .mode_dynamics import ModeMatrix
-from .seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, KeyedRows, ball_rows
+from .seeding import STREAM_PERTURBATION, STREAM_PERTURBATION_PAST, KeyedRows
 from .switching import SwitchingSignal
 from .transition import apply_error_jump
 
@@ -134,7 +134,7 @@ class PerturbationModel:
         ~k = -k - 1 of STREAM_PERTURBATION_PAST, so that its key never
         meets that of a hold k >= 0 and no negation overflows. A hold row
         takes its normals and then a uniform, so its block is drawn whole:
-        all its normals, then all its uniforms (seeding.ball_rows). draws,
+        all its normals, then all its uniforms (KeyedRows.ball_block). draws,
         a run's ForcingDraws, keeps the last block of each stream the run
         read, so that the run draws each block once, and records the
         largest forcing norm it samples.
@@ -202,7 +202,7 @@ class PerturbationModel:
         kept = None if draws is None else draws.blocks.get(stream)
         if kept is not None and kept[0] == b:
             return kept[1]
-        drawn = ball_rows(stream.generator(b), stream.block, stream.shape[0], self.bound)
+        drawn = stream.ball_block(b, self.bound)
         if draws is not None:
             draws.blocks[stream] = (b, drawn)
         return drawn
@@ -605,7 +605,9 @@ def _lay_out(
     """The _Windows of a run of signal at step dt from leader at t0, keeping
     every stride-th step of each window, its first state and its last."""
     modes = [seg.mode for seg in signal.segments]
-    starts = [seg.start for seg in signal.segments]
+    # window 0 starts at t0, which check_layout lets the first segment's
+    # start miss by rounding
+    starts = [signal.t0] + [seg.start for seg in signal.segments[1:]]
     spans = list(zip(starts, starts[1:] + [signal.tf]))
     # step matrices are kept per (mode, exact step length) -- the method is
     # the run's -- from the first window that steps by them to the last; a

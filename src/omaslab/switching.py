@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .seeding import STREAM_SIGNAL, stream_rng
+from .seeding import STREAM_SIGNAL, KeyedRows
 from .transition import MigrationEvent
 
 _TIME_EPS = 1e-12
@@ -305,12 +305,12 @@ def generate_segments(spec: SignalGenSpec) -> tuple[Segment, ...]:
     neither condition, and u grows with the horizon (at least 1e-3 of it).
     On the demo practical scenario the envelope and the certified bound
     hold up to a horizon of 1500 s and break from 2000 s on. Unstable modes
-    are used round-robin, shuffled once by the seed. Without unstable modes
+    are used round-robin, put in the order of the argsort of row 0 of the
+    keyed stream (seed, STREAM_SIGNAL, (n_pairs,)). Without unstable modes
     the signal is one stable segment.
     """
     if spec.seed is None:
         raise ConfigError("the spec has no seed; give it the run's master seed")
-    rng = stream_rng(spec.seed, STREAM_SIGNAL)
 
     if not spec.unstable_modes:
         return (Segment(start=spec.t0, mode=spec.stable_modes[0]),)
@@ -319,8 +319,9 @@ def generate_segments(spec: SignalGenSpec) -> tuple[Segment, ...]:
     u, s, n_pairs = spec.block_sizes()
 
     stable_seq = [spec.stable_modes[i % len(spec.stable_modes)] for i in range(n_pairs + 1)]
-    unstable_seq = [spec.unstable_modes[i % len(spec.unstable_modes)] for i in range(n_pairs)]
-    rng.shuffle(unstable_seq)
+    order = np.argsort(KeyedRows(spec.seed, STREAM_SIGNAL, (n_pairs,)).normals([0])[0],
+                       kind="stable")
+    unstable_seq = [spec.unstable_modes[i % len(spec.unstable_modes)] for i in order.tolist()]
 
     segments = []
     t = spec.t0

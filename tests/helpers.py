@@ -258,18 +258,26 @@ def keyed_row(seed: int, stream: int, shape: tuple[int, ...], k: int) -> np.ndar
     return keyed_block(seed, stream, shape, k // per).standard_normal((per, *shape))[k % per]
 
 
-def hold_row(seed: int, k: int, dim: int, bound: float) -> tuple[np.ndarray, float]:
-    """(forcing, radius) of the random perturbation's hold k in dim
-    dimensions, recounted from its whole block: the block's normals, then
-    its uniforms u, each row scaled onto the sphere of radius bound
-    u^(1/dim). A hold k < 0 is row -k - 1 of the past stream."""
-    stream, j = (STREAM_PERTURBATION, k) if k >= 0 else (STREAM_PERTURBATION_PAST, -k - 1)
+def ball_row(seed: int, stream: int, k: int, dim: int, bound: float) -> tuple[np.ndarray, float]:
+    """(point, radius) of row k of the keyed stream of points uniform in the
+    ball of radius bound in dim dimensions, recounted from its whole block:
+    the block's normals, then its uniforms u, each row scaled onto the
+    sphere of radius bound u^(1/dim). The oracle for the initial errors (row
+    0 of STREAM_INITIAL) and for the perturbation's holds."""
     per = rows_per_block((dim,))
-    rng = keyed_block(seed, stream, (dim,), j // per)
+    rng = keyed_block(seed, stream, (dim,), k // per)
     v = rng.standard_normal((per, dim))
     radii = bound * rng.random(per) ** (1.0 / dim)
-    row = v[j % per]
-    return row * (radii[j % per] / math.sqrt(np.sum(row * row))), float(radii[j % per])
+    row = v[k % per]
+    return row * (radii[k % per] / math.sqrt(np.sum(row * row))), float(radii[k % per])
+
+
+def hold_row(seed: int, k: int, dim: int, bound: float) -> tuple[np.ndarray, float]:
+    """(forcing, radius) of the random perturbation's hold k in dim
+    dimensions: its ball_row. A hold k < 0 is row -k - 1 of the past
+    stream."""
+    stream, j = (STREAM_PERTURBATION, k) if k >= 0 else (STREAM_PERTURBATION_PAST, -k - 1)
+    return ball_row(seed, stream, j, dim, bound)
 
 
 def event_by_itself(scenario, k: int, mode_before: int, mode_after: int,
@@ -531,10 +539,10 @@ def lyapunov_trace_by_window(traj, bundle, rel_tol: float = 1e-6) -> LyapunovTra
 
 
 def segment_bounds(sig: SwitchingSignal, i: int) -> tuple[float, float]:
-    """(start, end) of segment i of a signal: its end is the next segment's
-    start, or tf for the last."""
+    """(start, end) of segment i of a signal: its start is t0 for the first,
+    and its end is the next segment's start, or tf for the last."""
     end = sig.segments[i + 1].start if i + 1 < len(sig.segments) else sig.tf
-    return sig.segments[i].start, end
+    return (sig.t0 if i == 0 else sig.segments[i].start), end
 
 
 def grid_by_count(t_start: float, t_end: float, dt: float) -> tuple[int, float]:

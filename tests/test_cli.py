@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from omaslab import cli
+from omaslab import cli, run_scenario
 from omaslab.certificate import CertificateBundle, ModeCertificate
 from omaslab.cli import _jsonable, build_bundle, main, write_json
 from omaslab.demo import demo_scenario_dict
@@ -285,6 +285,20 @@ def test_simulate_outputs(tmp_path, demo_dict, capsys):
     assert len(event_rows) == 1 + summary["n_events"]
 
 
+def test_a_run_starts_at_t0(tmp_path, demo_dict, capsys):
+    # the first segment may start up to _TIME_EPS after t0; the run, like
+    # the summary and the energy trace, starts at t0 all the same
+    demo_dict["signal"] = {"type": "explicit", "t0": 0.0, "tf": 6.0,
+                           "segments": [{"t": 6e-13, "mode": 1}, {"t": 4.0, "mode": 2}]}
+    rc, out = run_simulate(tmp_path, demo_dict, "late")
+    capsys.readouterr()
+    assert rc == 0
+    first = (out / "trajectory.csv").read_text().splitlines()[1]
+    assert first.split(",")[0] == "0"
+    window = run_scenario(load_scenario(write(tmp_path, demo_dict)), dt=5e-3).trajectory.segments[0]
+    assert (window.t[0], window.t[-1] - window.t[0]) == (0.0, 4.0)
+
+
 def test_simulate_converging_run_says_so(tmp_path, capsys):
     # a single seed runs in process, so its stdout is checked here and not
     # only in the sweep's forked workers
@@ -466,7 +480,7 @@ def test_simulate_strict_divergence(tmp_path, demo_dict, capsys):
         summary = read_json(out3 / f"seed_{seed}" / "summary.json")
         assert summary["diverged"] is True and summary["diverged_at"] < 200.0
         # on the errors' first non-finite step, as when the leader was stepped too
-        assert summary["diverged_at"] == {11: 119.79, 12: 119.93}[seed]
+        assert summary["diverged_at"] == {11: 119.85000000000001, 12: 119.95}[seed]
         assert summary["tail_sup_error"] == "inf"
         assert summary["ultimate_bound"] is not None
         assert summary["bound_respected"] is False
@@ -776,7 +790,7 @@ def test_bound_does_not_apply_to_a_signal_over_budget(tmp_path, demo_dict, capsy
     scenario = write(tmp_path, demo_dict)
     assert main(["certify", "--scenario", scenario, "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["ultimate_bound"] == pytest.approx(6758.7, abs=0.1)
+    assert report["ultimate_bound"] == pytest.approx(6742.3, abs=0.1)
     assert report["validation"]["ok"] is False and report["bound_applies"] is False
 
     rc, out = run_simulate(tmp_path, demo_dict, "single", extra=("--seed", "1"))
@@ -786,7 +800,7 @@ def test_bound_does_not_apply_to_a_signal_over_budget(tmp_path, demo_dict, capsy
     assert summary["certified"] is True and summary["switching_ok"] is False
     assert summary["bound_applies"] is False and summary["tail_sup_error"] > 1e50
     assert "certified bound" not in stdout
-    assert "(bound 6758.68 does not apply" in stdout
+    assert "(bound 6742.28 does not apply" in stdout
 
     rc, out = run_simulate(tmp_path, demo_dict, "sweep", extra=("--seed", "1", "--sweep", "2"))
     capsys.readouterr()
@@ -1318,7 +1332,7 @@ def test_cli_import_leaves_scipy_optimize_out(tmp_path, demo_dict):
 
 # sha256 of the demo practical signal.json, as gen-signal writes it in a
 # process that imported scipy.linalg first
-DEMO_SIGNAL_SHA256 = "5f1fed828c30cdb18a78c706bfe5abdd0283422dd97bae5c1e971c5edefe1fd6"
+DEMO_SIGNAL_SHA256 = "52f3716c963d85d9963753ab66eb2b907dc0d6a9cc792efab714ff3bee617d3a"
 
 
 def test_cli_import_and_gen_signal_load_no_scipy(tmp_path, demo_dict):

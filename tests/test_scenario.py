@@ -17,9 +17,11 @@ from omaslab.scenario import (
     signal_from_dict,
     signal_to_dict,
 )
-from omaslab.seeding import STREAM_INITIAL, stream_rng, uniform_in_ball
+from omaslab.seeding import STREAM_INITIAL
 from omaslab.simulate import PerturbationModel
 from omaslab.switching import SignalGenSpec
+
+from helpers import ball_row
 
 SEED = 11
 
@@ -140,7 +142,7 @@ def test_initial_error_block_is_bit_exact(practical_scenario):
     # through leader + error - leader (1.0 + 0.1 - 1.0 != 0.1 in floats)
     n = practical_scenario.p * practical_scenario.n_agents_of(1)
     _, err = practical_scenario.resolve_initial_state(SEED, first_mode=1)
-    drawn = uniform_in_ball(stream_rng(SEED, STREAM_INITIAL, 0), n, 3.0)
+    drawn = ball_row(SEED, STREAM_INITIAL, 0, n, 3.0)[0]
     assert err.tobytes() == drawn.tobytes()
     data = practical_dict()
     given = [[0.1, 0.0], [0.0, 0.2], [0.3, 0.0], [0.0, 0.4]]

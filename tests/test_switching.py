@@ -62,6 +62,7 @@ def test_mode_at_is_cadlag():
     assert sweep.t_stable[0] == pytest.approx(1.0, abs=1e-11)
     assert sweep.t_unstable[0] == pytest.approx(2.0, abs=1e-12)
     assert sweep.start[0] == 0.0
+    assert segment_bounds(late, 0) == (0.0, 1.0)
 
 
 def test_switch_times_and_bounds():
