@@ -3,10 +3,14 @@
 A scenario is a JSON object describing agent dynamics, the mode library,
 the switching signal (explicit, generated, or loaded from a file), the
 migration event table, the disturbance model, initial conditions, and
-certification/simulation options. Random elements (impulses, dependence
-gains, initial errors, generated signals) are stored as *specifications*
-and only materialized at resolve time from deterministic seed streams,
-because their draws depend on the master seed of each run.
+certification/simulation options. Random elements are stored as
+*specifications* and only materialized at resolve time from keyed seed
+streams, because their draws depend on the master seed of each run: an
+impulse, a dependence gain and the initial errors are each one RandomSpec (a
+size, named `radius` or `scale` in the document, and an optional seed), and
+a generated signal is its SignalGenSpec. Scenario.build_events draws every
+random impulse and gain of a signal in one loop over (field, seed, shape)
+groups.
 
 Each section is parsed straight into the type the library uses, passing on
 only the keys the document gives: an absent field takes the default that
@@ -27,13 +31,7 @@ from .certificate import ModeCertificate, solve_mode_certificate
 from .errors import AssumptionViolation, CertificateError, ConfigError, SchemaError
 from .mode_dynamics import (DEFAULT_MAX_DIM, AgentDynamics, ModeMatrix, build_mode_matrices,
                             coupling_gain_bound)
-from .seeding import (
-    STREAM_DEP_GAIN,
-    STREAM_IMPULSE,
-    STREAM_INITIAL,
-    KeyedRows,
-    onto_spheres,
-)
+from .seeding import STREAM_DEP_GAIN, STREAM_IMPULSE, STREAM_INITIAL, KeyedRows
 from .signed_graph import (AugmentedMode, Edge, ModeClass, SignedDigraph, check_edge,
                            mode_from_dense)
 from .simulate import DEFAULT_DT, PerturbationModel
@@ -41,24 +39,24 @@ from .switching import (Segment, SignalGenSpec, SwitchingSignal, check_layout,
                         generate_segments)
 from .transition import MigrationEvent, spectral_norms
 
+# a switch's random field -> (its keyed stream, the norm its size is given in)
+_DRAWS = {
+    "impulse": (STREAM_IMPULSE, lambda rows: np.linalg.norm(rows, axis=1)),
+    "dep_gain": (STREAM_DEP_GAIN, spectral_norms),
+}
+
 
 # ---------------------------------------------------------------------------
 # spec fragments
 
 
 @dataclass(frozen=True)
-class RandomVectorSpec:
-    """Uniform draw from the sphere (impulses) or ball (initial errors)."""
+class RandomSpec:
+    """A keyed Gaussian draw of a given size: an impulse of 2-norm size, a
+    dependence gain of spectral norm size, or initial errors uniform in the
+    ball of radius size. The document names size `radius` or `scale`."""
 
-    radius: float
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class RandomMatrixSpec:
-    """Gaussian matrix rescaled to a prescribed spectral norm."""
-
-    scale: float
+    size: float
     seed: int | None = None
 
 
@@ -68,8 +66,8 @@ class EventSpec:
     to_mode: int
     joins: tuple[int, ...] = ()
     leaves: tuple[int, ...] = ()
-    impulse: Union[tuple[float, ...], RandomVectorSpec, None] = None
-    dep_gain: Union[tuple[tuple[float, ...], ...], RandomMatrixSpec, None] = None
+    impulse: Union[tuple[float, ...], RandomSpec, None] = None
+    dep_gain: Union[tuple[tuple[float, ...], ...], RandomSpec, None] = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class FileSignalSpec:
 @dataclass(frozen=True)
 class InitialStateSpec:
     leader: tuple[float, ...]
-    errors: Union[tuple[tuple[float, ...], ...], RandomVectorSpec]
+    errors: Union[tuple[tuple[float, ...], ...], RandomSpec]
 
 
 @dataclass(frozen=True)
@@ -216,17 +214,16 @@ class Scenario:
         impulse or gain of switch k is row k of its keyed stream (seeding.
         KeyedRows) of its seed and shape, so a pair that recurs in the
         signal draws fresh values each occurrence, and a switch's draws do
-        not depend on which other switches are built. The rows of one seed
-        and shape are read as one block read: an impulse is a row of
-        normals scaled onto its sphere, and a gain a Gaussian row rescaled,
-        in place, to spectral norm `scale`, the norms of the group taken as
-        one stack.
+        not depend on which other switches are built. The rows of one field,
+        seed and shape are read as one block read and their norms taken as
+        one stack: the 2-norm of an impulse, the spectral norm of a gain.
+        Each row is then rescaled in place to its size; a row of size 0, or
+        of norm below 1e-300, is zero.
         """
         p = self.p
         events: list[dict[str, Any]] = []
-        # (seed, shape) -> [(event, k, radius or scale)], per kind of draw
-        impulses: dict[tuple[int, tuple[int, ...]], list[tuple[dict, int, float]]] = {}
-        gains: dict[tuple[int, tuple[int, ...]], list[tuple[dict, int, float]]] = {}
+        # (field, seed, shape) -> [(event, k, size)]
+        drawn: dict[tuple[str, int, tuple[int, ...]], list[tuple[dict, int, float]]] = {}
         for k, mode_before, mode_after in switches:
             nb = self.n_agents_of(mode_before)
             na = self.n_agents_of(mode_after)
@@ -234,42 +231,29 @@ class Scenario:
                                       mode_after=mode_after, n_before=nb, n_after=na, p=p)
             spec = self.event_specs.get((mode_before, mode_after))
             if spec is None:
-                ev["joins"] = tuple(range(nb + 1, na + 1)) if na > nb else ()
-                ev["leaves"] = tuple(range(na + 1, nb + 1)) if na < nb else ()
+                ev["joins"] = tuple(range(nb + 1, na + 1))
+                ev["leaves"] = tuple(range(na + 1, nb + 1))
             else:
                 ev["joins"], ev["leaves"] = spec.joins, spec.leaves
-                impulse = spec.impulse
-                if isinstance(impulse, RandomVectorSpec):
-                    if impulse.radius == 0.0:
-                        ev["impulse"] = np.zeros(p * na)
+                for name, shape in (("impulse", (p * na,)), ("dep_gain", (p * na, p * nb))):
+                    value = getattr(spec, name)
+                    if isinstance(value, RandomSpec):
+                        seed = master_seed if value.seed is None else value.seed
+                        drawn.setdefault((name, seed, shape), []).append((ev, k, value.size))
                     else:
-                        seed = master_seed if impulse.seed is None else impulse.seed
-                        impulses.setdefault((seed, (p * na,)), []).append((ev, k, impulse.radius))
-                else:
-                    ev["impulse"] = impulse
-                gain = spec.dep_gain
-                if isinstance(gain, RandomMatrixSpec):
-                    seed = master_seed if gain.seed is None else gain.seed
-                    gains.setdefault((seed, (p * na, p * nb)), []).append((ev, k, gain.scale))
-                else:
-                    ev["dep_gain"] = gain
+                        ev[name] = value
             events.append(ev)
-        for (seed, shape), drawn in impulses.items():
-            rows = KeyedRows(seed, STREAM_IMPULSE, shape).normals([k for _, k, _ in drawn])
-            onto_spheres(rows, np.array([radius for _, _, radius in drawn]))
-            for (ev, _, _), row in zip(drawn, rows):
-                ev["impulse"] = row
-        for (seed, shape), drawn in gains.items():
-            rows = KeyedRows(seed, STREAM_DEP_GAIN, shape).normals([k for _, k, _ in drawn])
-            # a gain of scale 0, or a draw of norm below 1e-300, is zero
-            factors = np.array([
-                scale / top if top >= 1e-300 and scale != 0.0 else 0.0
-                for (_, _, scale), top in zip(drawn, spectral_norms(rows).tolist())
-            ])
-            rows *= factors[:, None, None]
-            rows[factors == 0.0] = 0.0  # +0.0 where a negative entry times 0 is -0.0
-            for (ev, _, _), row in zip(drawn, rows):
-                ev["dep_gain"] = row
+        for (name, seed, shape), group in drawn.items():
+            stream, norms = _DRAWS[name]
+            rows = KeyedRows(seed, stream, shape).normals([k for _, k, _ in group])
+            sizes = np.array([size for _, _, size in group])
+            tops = norms(rows)
+            ok = (sizes != 0.0) & (tops >= 1e-300)
+            factors = np.divide(sizes, tops, out=np.zeros(len(group)), where=ok)
+            rows *= factors.reshape(-1, *(1,) * len(shape))
+            rows[~ok] = 0.0  # +0.0 where a negative entry times 0 is -0.0
+            for (ev, _, _), row in zip(group, rows):
+                ev[name] = row
         return tuple(MigrationEvent(**ev) for ev in events)
 
     # perfbench/tracing.py wraps this by name when its tracer installs, so
@@ -341,9 +325,9 @@ class Scenario:
         p = self.p
         leader = np.asarray(self.initial.leader, dtype=float)
         spec = self.initial.errors
-        if isinstance(spec, RandomVectorSpec):
+        if isinstance(spec, RandomSpec):
             seed = master_seed if spec.seed is None else spec.seed
-            err = KeyedRows(seed, STREAM_INITIAL, (p * n1,)).ball_block(0, spec.radius)[0][0]
+            err = KeyedRows(seed, STREAM_INITIAL, (p * n1,)).ball_block(0, spec.size)[0][0]
         else:
             arr = np.asarray(spec, dtype=float)
             if arr.shape != (n1, p):
@@ -514,15 +498,16 @@ def _agent_rows(p: int) -> Parser:
     return parse
 
 
-def _random_or(random_cls: type, size: str, given: Parser) -> Parser:
-    """An object {size: value >= 0, seed: optional int} is a random draw of
-    random_cls; anything else is the explicit value given(v, path)."""
+def _random_or(key: str, given: Parser) -> Parser:
+    """An object {key: value >= 0, seed: optional int} is a RandomSpec whose
+    size is the value; anything else is the explicit value given(v, path)."""
     random_fields = {
-        size: _checked(_num, lambda x: x >= 0.0, "must be >= 0"),
+        key: _checked(_num, lambda x: x >= 0.0, "must be >= 0"),
         "seed": _nullable(_int),
     }
     return lambda v, path: (
-        _section(v, path, random_cls, random_fields) if isinstance(v, dict) else given(v, path)
+        _section(v, path, RandomSpec, random_fields, {key: "size"})
+        if isinstance(v, dict) else given(v, path)
     )
 
 
@@ -653,8 +638,8 @@ def _parse_events(v: Any, path: str, modes: dict, p: int) -> dict[tuple[int, int
         "to": _int,
         "joins": _ints,
         "leaves": _ints,
-        "impulse": _nullable(_random_or(RandomVectorSpec, "radius", _vector)),
-        "dep_gain": _nullable(_random_or(RandomMatrixSpec, "scale", _rows)),
+        "impulse": _nullable(_random_or("radius", _vector)),
+        "dep_gain": _nullable(_random_or("scale", _rows)),
     }
     events: dict[tuple[int, int], EventSpec] = {}
     for i, ed in enumerate(_arr(v, path)):
@@ -674,8 +659,8 @@ def _parse_events(v: Any, path: str, modes: dict, p: int) -> dict[tuple[int, int
                 n_before=modes[spec.from_mode].graph.n_agents,
                 n_after=modes[spec.to_mode].graph.n_agents, p=p,
                 joins=spec.joins, leaves=spec.leaves,
-                impulse=None if isinstance(spec.impulse, RandomVectorSpec) else spec.impulse,
-                dep_gain=None if isinstance(spec.dep_gain, RandomMatrixSpec) else spec.dep_gain,
+                impulse=None if isinstance(spec.impulse, RandomSpec) else spec.impulse,
+                dep_gain=None if isinstance(spec.dep_gain, RandomSpec) else spec.dep_gain,
             )
         except ConfigError as exc:
             _fail(at, str(exc))
@@ -730,7 +715,7 @@ def parse_scenario(data: dict, source_dir: str | None = None) -> Scenario:
     initial = _section(
         _get(data, "initial_state", "scenario"), "initial_state", InitialStateSpec,
         {"leader": _agent_vector(dyn.p),
-         "errors": _random_or(RandomVectorSpec, "radius", _agent_rows(dyn.p))},
+         "errors": _random_or("radius", _agent_rows(dyn.p))},
     )
     # referential checks that need the whole document
     if isinstance(signal, ExplicitSignalSpec):

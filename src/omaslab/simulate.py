@@ -137,7 +137,7 @@ class PerturbationModel:
         all its normals, then all its uniforms (KeyedRows.ball_block). draws,
         a run's ForcingDraws, keeps the last block of each stream the run
         read, so that the run draws each block once, and records the
-        largest forcing norm it samples.
+        largest forcing norm it samples; without it the call draws afresh.
 
         A grid the forcing cannot be told on raises ConfigError naming the
         field at fault: a non-finite phase 2 pi f t, a hold index past the
@@ -146,12 +146,12 @@ class PerturbationModel:
         """
         if self.vanishes:
             return None
+        draws = ForcingDraws() if draws is None else draws
         times = np.asarray(times, dtype=float)
         dim = n_agents * p
         if self.kind == "constant":
             v = self._tiled(n_agents, p)
-            if draws is not None:
-                draws.record(float(np.linalg.norm(v)))
+            draws.record(float(np.linalg.norm(v)))
             return np.broadcast_to(v, (len(times), dim))
         if self.kind == "sinusoidal":
             # math.sin per point: np.sin may round differently in the last bit
@@ -164,8 +164,7 @@ class PerturbationModel:
                 )
             s = np.array([math.sin(w * t) for t in times.tolist()])
             v = self._tiled(n_agents, p)
-            if draws is not None:
-                draws.record(float(np.linalg.norm(v)) * float(np.abs(s).max(initial=0.0)))
+            draws.record(float(np.linalg.norm(v)) * float(np.abs(s).max(initial=0.0)))
             return v * s[:, None]
         with np.errstate(over="ignore"):
             k = np.floor(times / self.hold + _GRID_EPS)
@@ -189,22 +188,20 @@ class PerturbationModel:
             points, radius = self._hold_block(streams[is_past], b, draws)
             forcing[mine] = points[rows[mine] % per]
             radii[mine] = radius[rows[mine] % per]
-        if draws is not None:
-            draws.record(float(radii.max()))
+        draws.record(float(radii.max()))
         return forcing[which]
 
     def _hold_block(
-        self, stream: KeyedRows, b: int, draws: ForcingDraws | None
+        self, stream: KeyedRows, b: int, draws: ForcingDraws
     ) -> tuple[np.ndarray, np.ndarray]:
         """(points, radii) of block b of a stream of holds, from draws when
-        it keeps that block, else drawn and, with draws, kept there in place
-        of the stream's block before it."""
-        kept = None if draws is None else draws.blocks.get(stream)
+        it keeps that block, else drawn and kept there in place of the
+        stream's block before it."""
+        kept = draws.blocks.get(stream)
         if kept is not None and kept[0] == b:
             return kept[1]
         drawn = stream.ball_block(b, self.bound)
-        if draws is not None:
-            draws.blocks[stream] = (b, drawn)
+        draws.blocks[stream] = (b, drawn)
         return drawn
 
 
@@ -605,9 +602,7 @@ def _lay_out(
     """The _Windows of a run of signal at step dt from leader at t0, keeping
     every stride-th step of each window, its first state and its last."""
     modes = [seg.mode for seg in signal.segments]
-    # window 0 starts at t0, which check_layout lets the first segment's
-    # start miss by rounding
-    starts = [signal.t0] + [seg.start for seg in signal.segments[1:]]
+    starts = [seg.start for seg in signal.segments]
     spans = list(zip(starts, starts[1:] + [signal.tf]))
     # step matrices are kept per (mode, exact step length) -- the method is
     # the run's -- from the first window that steps by them to the last; a

@@ -41,12 +41,15 @@ class Segment:
 
 def check_layout(t0: float, tf: float, segments: Sequence[Segment]) -> None:
     """Refuse segments that no signal on [t0, tf] can have: none at all, an
-    empty horizon, a first start away from t0, starts that do not increase,
-    a last start at or after tf, or a boundary that keeps its mode."""
+    empty horizon or one whose length tf - t0 is past the float range, a
+    first start more than _TIME_EPS from t0, starts that do not increase, a
+    last start at or after tf, or a boundary that keeps its mode."""
     if not segments:
         raise ConfigError("a signal needs at least one segment")
     if tf <= t0:
         raise ConfigError(f"empty horizon [{t0}, {tf}]")
+    if not math.isfinite(tf - t0):
+        raise ConfigError(f"the horizon [{t0}, {tf}] is longer than the float range")
     if abs(segments[0].start - t0) > _TIME_EPS:
         raise ConfigError("first segment must start at t0")
     starts = [s.start for s in segments]
@@ -60,7 +63,11 @@ def check_layout(t0: float, tf: float, segments: Sequence[Segment]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SwitchingSignal:
-    """Piecewise-constant mode signal with per-boundary migration events."""
+    """Piecewise-constant mode signal with per-boundary migration events.
+
+    The first segment starts at t0: one given within _TIME_EPS of it is
+    moved there, so that every reader starts the first window at t0.
+    """
 
     t0: float
     tf: float
@@ -79,6 +86,9 @@ class SwitchingSignal:
                     f"event {k} maps modes {ev.mode_before}->{ev.mode_after} but the "
                     f"boundary switches {self.segments[k - 1].mode}->{self.segments[k].mode}"
                 )
+        if self.segments[0].start != self.t0:
+            first = Segment(start=self.t0, mode=self.segments[0].mode)
+            object.__setattr__(self, "segments", (first, *self.segments[1:]))
         # segment starts, for switch_times and the suffix sweep
         object.__setattr__(self, "_starts", tuple(s.start for s in self.segments))
 
@@ -114,16 +124,12 @@ def suffix_sweep(
     found by a binary search, so N_j is not always n_switches - j.
     chatter_bound is taken as given; SwitchingBudget checks it.
     """
-    seg_starts = np.array(sig._starts, dtype=float)
-    start = seg_starts.copy()
-    start[0] = sig.t0
-    ends = np.append(seg_starts[1:], sig.tf)
-    # segment 0 counts from t0, which may lie up to _TIME_EPS either side of its start
-    lengths = ends - np.maximum(seg_starts, start)
+    start = np.array(sig._starts, dtype=float)
+    lengths = np.append(start[1:], sig.tf) - start
     stable = np.array([s.mode in stable_set for s in sig.segments])
     t_stable = np.cumsum(np.where(stable, lengths, 0.0)[::-1])[::-1]
     t_unstable = np.cumsum(np.where(stable, 0.0, lengths)[::-1])[::-1]
-    n_after = sig.n_switches - np.searchsorted(seg_starts[1:], start + _TIME_EPS, side="right")
+    n_after = sig.n_switches - np.searchsorted(start[1:], start + _TIME_EPS, side="right")
     excess = n_after - chatter_bound
     with np.errstate(divide="ignore"):
         adt = np.where(excess > 0, (sig.tf - start) / excess, math.inf)
@@ -265,6 +271,10 @@ class SignalGenSpec:
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if not math.isfinite(self.t0 + self.horizon):
+            raise ConfigError(
+                f"the horizon [{self.t0}, t0 + {self.horizon}] ends past the float range"
+            )
         if not self.stable_modes:
             raise ConfigError("at least one stable mode is required")
         if self.ratio_floor < 0 or self.dwell_floor < 0:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from omaslab.scenario import RandomMatrixSpec, RandomVectorSpec
+from omaslab.scenario import RandomSpec
 from omaslab.seeding import (
     STREAM_DEP_GAIN,
     STREAM_IMPULSE,
@@ -296,19 +296,19 @@ def event_by_itself(scenario, k: int, mode_before: int, mode_after: int,
                               joins=tuple(range(nb + 1, na + 1)),
                               leaves=tuple(range(na + 1, nb + 1)))
     impulse = spec.impulse
-    if isinstance(impulse, RandomVectorSpec):
+    if isinstance(impulse, RandomSpec):
         seed = master_seed if impulse.seed is None else impulse.seed
-        if impulse.radius == 0.0:
+        if impulse.size == 0.0:
             impulse = np.zeros(p * na)
         else:
             row = keyed_row(seed, STREAM_IMPULSE, (p * na,), k)
-            impulse = row * (impulse.radius / math.sqrt(np.sum(row * row)))
+            impulse = row * (impulse.size / math.sqrt(np.sum(row * row)))
     gain = spec.dep_gain
-    if isinstance(gain, RandomMatrixSpec):
+    if isinstance(gain, RandomSpec):
         seed = master_seed if gain.seed is None else gain.seed
         raw = keyed_row(seed, STREAM_DEP_GAIN, (p * na, p * nb), k)
         top = float(spectral_norms([raw])[0])
-        scale = gain.scale
+        scale = gain.size
         gain = np.zeros(raw.shape) if top < 1e-300 or scale == 0.0 else raw * (scale / top)
     return MigrationEvent(k, mode_before, mode_after, nb, na, p, spec.joins, spec.leaves,
                           impulse, gain)

@@ -23,6 +23,7 @@ from omaslab import cli, run_scenario
 from omaslab.certificate import CertificateBundle, ModeCertificate
 from omaslab.cli import _jsonable, build_bundle, main, write_json
 from omaslab.demo import demo_scenario_dict
+from omaslab.errors import SchemaError
 from omaslab.scenario import load_scenario, signal_from_dict, signal_to_dict
 from omaslab.simulate import RunSummary
 from omaslab.switching import ValidationReport, brute_force_suffix_scan, validate_switching
@@ -297,6 +298,54 @@ def test_a_run_starts_at_t0(tmp_path, demo_dict, capsys):
     assert first.split(",")[0] == "0"
     window = run_scenario(load_scenario(write(tmp_path, demo_dict)), dt=5e-3).trajectory.segments[0]
     assert (window.t[0], window.t[-1] - window.t[0]) == (0.0, 4.0)
+
+
+def test_gen_signal_writes_the_first_segment_at_t0(tmp_path, demo_dict, capsys):
+    # a first segment given up to _TIME_EPS after t0 starts at t0 in the
+    # signal every command reads, and so in the file gen-signal writes
+    demo_dict["signal"] = {"type": "explicit", "t0": 0.0, "tf": 6.0,
+                           "segments": [{"t": 6e-13, "mode": 1}, {"t": 4.0, "mode": 2}]}
+    rc = main(["gen-signal", "--scenario", write(tmp_path, demo_dict), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    segments = read_json(tmp_path / "signal.json")["segments"]
+    assert segments == [{"t": 0.0, "mode": 1}, {"t": 4.0, "mode": 2}]
+
+
+_WIDEST = {"t0": -1e308, "tf": 1e308,
+           "segments": [{"t": -1e308, "mode": 1}, {"t": 0.0, "mode": 2}]}
+
+
+def _overflowing_horizon(tmp_path, form, doc):
+    """doc with a signal of the given form whose horizon is past the float
+    range, and the refusal each command prints for it."""
+    if form == "generate":
+        doc["signal"].update(t0=1e308, horizon=1e308)
+        return "signal: the horizon [1e+308, t0 + 1e+308] ends past the float range"
+    if form == "file":
+        (tmp_path / "signal.json").write_text(json.dumps({**_WIDEST, "events": []}))
+        doc["signal"] = {"type": "file", "path": "signal.json"}
+    else:
+        doc["signal"] = {"type": "explicit", **copy.deepcopy(_WIDEST)}
+    return "signal: the horizon [-1e+308, 1e+308] is longer than the float range"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("form", ["explicit", "file", "generate"])
+def test_a_horizon_past_the_float_range_exits_2(tmp_path, demo_dict, capsys, form):
+    # simulate died on an OverflowError in the sample stride, and certify
+    # exited 0 after overflow warnings
+    message = _overflowing_horizon(tmp_path, form, demo_dict)
+    path = write(tmp_path, demo_dict)
+    if form != "file":  # a signal file is read when the signal is resolved
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_scenario(path)
+    for command in ("certify", "simulate"):
+        out = tmp_path / command
+        rc = main([command, "--scenario", path, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message}\n"
 
 
 def test_simulate_converging_run_says_so(tmp_path, capsys):

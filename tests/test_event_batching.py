@@ -7,6 +7,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,3 +187,58 @@ def test_norms_are_taken_per_group_and_chunk_not_per_event(monkeypatch):
     for f in dataclasses.fields(got):
         if f.name not in ("certificates", "sweep"):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def _mixed_draws_scenario():
+    """Modes of 2, 3 and 3 agents (p = 2) and an event table that mixes
+    random and explicit impulses and gains over several seeds and shapes.
+    The impulses of 1 -> 2, 2 -> 3 and 3 -> 2 share the master seed and the
+    shape (6,), and the one of radius 0 lies between the other two in the
+    signal; the gain of 3 -> 2 has scale 0."""
+    rng = np.random.default_rng(3)
+    rows = [
+        {"from": 1, "to": 2, "joins": [3], "impulse": {"radius": 0.5},
+         "dep_gain": {"scale": 0.1, "seed": 4}},
+        {"from": 2, "to": 3, "impulse": {"radius": 0.0},
+         "dep_gain": rng.standard_normal((6, 6)).tolist()},
+        {"from": 3, "to": 2, "impulse": {"radius": 1.5}, "dep_gain": {"scale": 0.0}},
+        {"from": 2, "to": 1, "leaves": [3], "impulse": rng.standard_normal(4).tolist(),
+         "dep_gain": {"scale": 2.0, "seed": 9}},
+        {"from": 3, "to": 1, "leaves": [2], "impulse": {"radius": 0.7, "seed": 5}},
+    ]
+    modes = [1, 2, 3, 2, 3, 2, 1, 3, 1, 2, 3, 2, 1]
+    sizes = {1: 2, 2: 3, 3: 3}
+    doc = {
+        "dynamics": {"A": np.zeros((2, 2)).tolist(), "coupling_gain": -1.0},
+        "modes": [{"id": mid, "n_agents": n, "edges": [], "leader_links": [1.0] * n}
+                  for mid, n in sizes.items()],
+        "signal": {"type": "explicit", "t0": 0.0, "tf": float(len(modes)),
+                   "segments": [{"t": float(i), "mode": m} for i, m in enumerate(modes)]},
+        "events": rows,
+        "initial_state": {"leader": [0.0, 0.0], "errors": {"radius": 1.0}},
+    }
+    return parse_scenario(doc), modes
+
+
+def test_draws_of_size_0_are_positive_zeros():
+    scenario, modes = _mixed_draws_scenario()
+    signal = scenario.resolve_signal(21)
+    impulses = [ev.impulse for ev in signal.events if (ev.mode_before, ev.mode_after) == (2, 3)]
+    gains = [ev.dep_gain for ev in signal.events if (ev.mode_before, ev.mode_after) == (3, 2)]
+    assert len(impulses) == len(gains) == 3
+    for zero, shape in [*((v, (6,)) for v in impulses), *((g, (6, 6)) for g in gains)]:
+        assert zero.shape == shape and not zero.any() and not np.signbit(zero).any()
+
+
+@pytest.mark.parametrize("master", [0, 21, 2**31 - 1])
+def test_mixed_draws_equal_events_taken_one_by_one(master):
+    # one draw loop over every (field, seed, shape) group gives each event
+    # the bits it gets on its own, a zero impulse inside a group included
+    scenario, modes = _mixed_draws_scenario()
+    signal = scenario.resolve_signal(master)
+    for k, got in enumerate(signal.events, start=1):
+        want = event_by_itself(scenario, k, modes[k - 1], modes[k], master)
+        assert (got.time_index, got.joins, got.leaves) == (want.time_index, want.joins,
+                                                           want.leaves)
+        assert _same_bits(got.impulse, want.impulse)
+        assert _same_bits(got.dep_gain, want.dep_gain)

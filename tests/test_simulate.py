@@ -783,6 +783,27 @@ def test_sample_rows_do_not_depend_on_the_chunks(n_agents, p, hold, t_start, spa
     assert 0.0 < draws.norm <= 0.2
 
 
+@pytest.mark.parametrize("model", [
+    dict(kind="constant", bound=0.2, amplitude=(0.3, -0.1)),
+    dict(kind="sinusoidal", bound=0.2, amplitude=(0.1, 0.05), frequency=0.7),
+    dict(kind="random", bound=0.2, hold=0.05, seed=9),
+], ids=lambda m: m["kind"])
+def test_sample_without_draws_draws_as_a_fresh_run(monkeypatch, model):
+    # a call given no ForcingDraws makes its own: its rows and the norm it
+    # records are those of a call given a fresh one
+    import omaslab.simulate as simulate
+
+    h = PerturbationModel(**model)
+    times = np.linspace(-0.3, 2.0, 161)
+    fresh = ForcingDraws()
+    want = h.sample(times, 3, 2, fresh)
+    made = []
+    monkeypatch.setattr(simulate, "ForcingDraws", lambda: made.append(ForcingDraws()) or made[-1])
+    got = h.sample(times, 3, 2)
+    assert got.tobytes() == want.tobytes()
+    assert len(made) == 1 and made[0].norm == fresh.norm > 0.0
+
+
 def test_sample_refuses_a_forcing_it_cannot_tell():
     # |t| = 30 sets the largest phase and the extreme hold indices
     times = np.array([-30.0, 0.0, 30.0])

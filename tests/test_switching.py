@@ -65,6 +65,29 @@ def test_mode_at_is_cadlag():
     assert segment_bounds(late, 0) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("first", [0.5e-12, -0.5e-12])
+def test_a_signal_starts_its_first_segment_at_t0(first):
+    # a first segment given within _TIME_EPS of t0 starts at t0, so that
+    # the sweep counts window 0 from where a run integrates it
+    late = _signal([(first, 2), (1.0, 1)], tf=3.0, t0=0.0)
+    assert late.segments[0] == Segment(start=0.0, mode=2)
+    assert late.segments[1:] == (Segment(start=1.0, mode=1),)
+    sweep = suffix_sweep(late, {2}, 0.0)
+    assert (sweep.t_stable[0], sweep.t_unstable[0]) == (1.0, 2.0)
+
+
+def test_a_horizon_past_the_float_range_is_refused():
+    # tf - t0 overflowed in the run's sample stride and in certification
+    with pytest.raises(ConfigError, match=r"the horizon \[-1e\+308, 1e\+308\] is longer than "
+                                          r"the float range"):
+        _signal([(-1e308, 1), (0.0, 2)], tf=1e308)
+    _signal([(-1e308, 1), (0.0, 2)], tf=7e307)  # a length of 1.7e308 is finite
+    with pytest.raises(ConfigError, match=r"the horizon \[1e\+308, t0 \+ 1e\+308\] ends past "
+                                          r"the float range"):
+        SignalGenSpec(horizon=1e308, stable_modes=(1,), unstable_modes=(), ratio_floor=0.0,
+                      dwell_floor=0.0, t0=1e308)
+
+
 def test_switch_times_and_bounds():
     sig = _signal([(0.0, 1), (2.0, 3), (4.0, 1)], tf=9.0)
     assert sig.switch_times == (2.0, 4.0)
